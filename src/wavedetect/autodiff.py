@@ -7,9 +7,12 @@ into the ``grad`` buffer of every participating tensor. Repeated backward
 calls keep accumulating until ``zero_grad()``.
 
 Only the operations the sequence model needs are provided: elementwise
-arithmetic with bias-style broadcasting, matrix products, the usual
-activations, reductions to a scalar, and concatenation/stacking/column
-selection for assembling sequences.
+arithmetic with bias-style broadcasting, matrix products (a weight matrix
+may multiply a stack of matrices with a leading batch axis), the usual
+activations, means over all or some axes, indexing and reshaping, and
+concatenation along the last axis. An op may also be coarse: ``nn``
+builds whole layers, such as a full LSTM sequence with its hand-written
+backward pass, as one graph node, which keeps graphs small.
 """
 
 from __future__ import annotations
@@ -135,6 +138,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __getitem__(self, key):
+        return index(self, key)
+
 
 def constant(data) -> Tensor:
     return data if isinstance(data, Tensor) else Tensor(data)
@@ -221,10 +227,14 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(m,n)@(n,), (m,n)@(n,k), or (m,n)@(B,n,k) applied to every matrix of
+    a batch."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports (m,n)@(n,) and (m,n)@(n,k); got {a.shape} @ {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim not in (1, 2, 3):
+        raise ShapeError(
+            f"matmul supports (m,n)@(n,), (m,n)@(n,k) and (m,n)@(B,n,k); got {a.shape} @ {b.shape}"
+        )
+    if a.data.shape[1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
     if _trace((a, b)):
@@ -234,10 +244,15 @@ def matmul(a, b) -> Tensor:
             def vjp(g):
                 return np.outer(g, bd), ad.T @ g
 
-        else:
+        elif bd.ndim == 2:
 
             def vjp(g):
                 return g @ bd.T, ad.T @ g
+
+        else:
+
+            def vjp(g):
+                return np.tensordot(g, bd, axes=([0, 2], [0, 2])), ad.T @ g
 
         out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
     return out
@@ -306,33 +321,61 @@ def tsum(a) -> Tensor:
     return out
 
 
-def tmean(a) -> Tensor:
+def tmean(a, axis=None) -> Tensor:
+    """Mean over all elements, or over the given axis or axes."""
     a = _as_tensor(a)
-    out = Tensor(a.data.mean())
+    kept = a.data.mean(axis=axis, keepdims=True)
+    out = Tensor(np.squeeze(kept, axis=axis))
     if _trace((a,)):
-        shape, n = a.data.shape, a.data.size
-        out.requires_grad, out._parents, out._vjp = (
-            True,
-            (a,),
-            lambda g: (np.full(shape, float(g) / n),),
-        )
+        shape, n = a.data.shape, a.data.size // kept.size
+
+        def vjp(g):
+            return (np.broadcast_to(np.reshape(g, kept.shape) / n, shape).copy(),)
+
+        out.requires_grad, out._parents, out._vjp = True, (a,), vjp
     return out
 
 
 def concat(parts) -> Tensor:
+    """Join tensors along their last axis; all other dimensions must agree."""
     parts = tuple(_as_tensor(p) for p in parts)
+    lead = parts[0].data.shape[:-1]
     for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError("concat expects 1-D tensors")
-    out = Tensor(np.concatenate([p.data for p in parts]))
+        if p.data.ndim < 1 or p.data.shape[:-1] != lead:
+            raise ShapeError(f"concat needs equal leading dimensions, got {[q.shape for q in parts]}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
     if _trace(parts):
-        sizes = [p.data.size for p in parts]
-        offsets = np.cumsum([0] + sizes)
+        offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
         def vjp(g):
-            return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
+            return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
         out.requires_grad, out._parents, out._vjp = True, parts, vjp
+    return out
+
+
+def index(a, key) -> Tensor:
+    """``a.data[key]`` for basic (slice and integer) indexing."""
+    a = _as_tensor(a)
+    out = Tensor(a.data[key])
+    if _trace((a,)):
+        shape = a.data.shape
+
+        def vjp(g):
+            buf = np.zeros(shape)
+            buf[key] = g
+            return (buf,)
+
+        out.requires_grad, out._parents, out._vjp = True, (a,), vjp
+    return out
+
+
+def reshape(a, shape) -> Tensor:
+    a = _as_tensor(a)
+    out = Tensor(a.data.reshape(shape))
+    if _trace((a,)):
+        orig = a.data.shape
+        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g.reshape(orig),)
     return out
 
 

@@ -13,6 +13,14 @@ conv-activation space, and a transposed-conv stack restores the signal or
 detail array. The last deconv layer is linear; every other conv/deconv
 layer uses ReLU.
 
+Each LSTM pass is one ``nn.lstm_sequence`` call per scale, a single graph
+node with its own backward pass. The autoregressive decode is inference
+only: it folds the step head into the recurrence (``nn.lstm_feedback``),
+computes every step output with one matrix product afterwards, and records
+no graph. Every pass takes an optional leading batch axis: a fragment is
+(C, T) or a batch (B, C, T), and the code is (code_length,) or
+(B, code_length) to match.
+
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
 decode are then exact shape inverses.
@@ -24,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, clamp, col, concat, matmul, relu, sigmoid, stack_cols
+from .autodiff import Tensor, add, clamp, concat, matmul, no_grad, relu, reshape, sigmoid
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError
-from .nn import LSTMParams, add, conv1d, deconv1d, lstm_cell, mse_loss
+from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_feedback, lstm_sequence, mse_loss
 from .wavelet import get_family
 
 
@@ -222,10 +230,10 @@ class WaveletAutoencoder:
     def _scale_inputs(self, fragment, decomp):
         cfg = self.config
         values = np.asarray(getattr(fragment, "values", fragment), dtype=np.float64)
-        if values.shape != (cfg.channels, cfg.fragment_length):
+        if values.ndim not in (2, 3) or values.shape[-2:] != (cfg.channels, cfg.fragment_length):
             raise ShapeError(
                 f"fragment shape {values.shape} does not match "
-                f"({cfg.channels}, {cfg.fragment_length})"
+                f"({cfg.channels}, {cfg.fragment_length}), with or without a batch axis"
             )
         inputs = [values]
         if cfg.levels == 0:
@@ -236,7 +244,7 @@ class WaveletAutoencoder:
             got = None if decomp is None else decomp.levels
             raise ContractError(f"expected a {cfg.levels}-level decomposition, got {got}")
         for l, det in enumerate(decomp.details, start=1):
-            want = (cfg.channels, cfg.fragment_length >> l)
+            want = values.shape[:-2] + (cfg.channels, cfg.fragment_length >> l)
             if det.shape != want:
                 raise ShapeError(f"detail level {l} has shape {det.shape}, expected {want}")
             inputs.append(det)
@@ -248,10 +256,8 @@ class WaveletAutoencoder:
         acts = Tensor(values)
         for (kernels, bias), layer in zip(branch.conv, cfg.conv):
             acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-        h = Tensor(np.zeros(cfg.hidden))
-        c = Tensor(np.zeros(cfg.hidden))
-        for t in range(acts.data.shape[1]):
-            h, c = lstm_cell(col(acts, t), h, c, branch.encoder)
+        zeros = np.zeros(values.shape[:-2] + (cfg.hidden,))
+        _, h, _ = lstm_sequence(acts, zeros, zeros, branch.encoder)
         return h, acts
 
     def encode(self, fragment, decomp=None):
@@ -273,72 +279,81 @@ class WaveletAutoencoder:
 
         With ``teacher_activations`` (the encoder's conv activations) the
         LSTM decoder consumes ground-truth step inputs; without them it
-        feeds back its own step outputs.
+        feeds back its own step outputs, records no graph, and so cannot be
+        backpropagated through.
         """
         cfg = self.config
-        code_data = code.data if isinstance(code, Tensor) else np.asarray(code)
-        if code_data.shape != (cfg.code_length,):
-            raise ShapeError(f"code shape {code_data.shape} does not match ({cfg.code_length},)")
-        if not isinstance(code, Tensor):
-            code = Tensor(code_data)
-        teacher = None
-        if teacher_activations is not None:
-            if len(teacher_activations) != cfg.levels + 1:
+        code = code if isinstance(code, Tensor) else Tensor(code)
+        if code.data.ndim not in (1, 2) or code.data.shape[-1] != cfg.code_length:
+            raise ShapeError(
+                f"code shape {code.shape} does not match ({cfg.code_length},), "
+                "with or without a batch axis"
+            )
+        lead = code.data.shape[:-1]
+        if teacher_activations is None:
+            with no_grad():
+                return self._decode_free(code, lead)
+        if len(teacher_activations) != cfg.levels + 1:
+            raise ContractError(
+                f"expected {cfg.levels + 1} teacher activation sequences, "
+                f"got {len(teacher_activations)}"
+            )
+        outputs = []
+        feats = cfg.conv_features
+        for scale, branch in enumerate(self.branches):
+            steps = cfg.conv_lengths(scale)[-1]
+            taught = teacher_activations[scale]
+            taught = taught if isinstance(taught, Tensor) else Tensor(taught)
+            if taught.data.shape != lead + (feats, steps):
                 raise ContractError(
-                    f"expected {cfg.levels + 1} teacher activation sequences, "
-                    f"got {len(teacher_activations)}"
+                    f"teacher activations for scale {scale} have shape {taught.shape}, "
+                    f"expected {lead + (feats, steps)}"
                 )
-            teacher = list(teacher_activations)
+            # Walking t = T-1..0, step t consumes the activation at t + 1
+            # (zeros at the first step).
+            inputs = concat([taught[..., 1:], np.zeros(lead + (feats, 1))])
+            h0 = linear(code, branch.dec_init_w, branch.dec_init_b)
+            hs, _, _ = lstm_sequence(inputs, h0, np.zeros(lead + (cfg.hidden,)), branch.decoder, reverse=True)
+            step_out = add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1)))
+            outputs.append(self._deconv(branch, step_out))
+        return outputs
 
+    def _decode_free(self, code, lead):
+        cfg = self.config
+        codes = code.data.reshape(-1, cfg.code_length)
         outputs = []
         for scale, branch in enumerate(self.branches):
             steps = cfg.conv_lengths(scale)[-1]
-            feats = cfg.conv_features
-            taught = None
-            if teacher is not None:
-                taught = teacher[scale]
-                tdata = taught.data if isinstance(taught, Tensor) else np.asarray(taught)
-                if tdata.shape != (feats, steps):
-                    raise ContractError(
-                        f"teacher activations for scale {scale} have shape {tdata.shape}, "
-                        f"expected {(feats, steps)}"
-                    )
-                if not isinstance(taught, Tensor):
-                    taught = Tensor(tdata)
-
-            h = add(matmul(branch.dec_init_w, code), branch.dec_init_b)
-            c = Tensor(np.zeros(cfg.hidden))
-            step_in = Tensor(np.zeros(feats))
-            slots = [None] * steps
-            for t in range(steps - 1, -1, -1):
-                h, c = lstm_cell(step_in, h, c, branch.decoder)
-                out_t = add(matmul(branch.step_w, h), branch.step_b)
-                slots[t] = out_t
-                step_in = col(taught, t) if taught is not None else out_t
-
-            acts = stack_cols(slots)
-            for i, (kernels, bias) in enumerate(branch.deconv):
-                layer = cfg.conv[len(cfg.conv) - 1 - i]
-                acts = deconv1d(acts, kernels, bias, layer.stride, padding_for(layer))
-                if i < len(branch.deconv) - 1:
-                    acts = relu(acts)
-            outputs.append(acts)
+            h0 = linear(codes, branch.dec_init_w, branch.dec_init_b).data
+            hs = lstm_feedback(h0, np.zeros_like(h0), branch.decoder, branch.step_w.data,
+                               branch.step_b.data, steps, reverse=True)
+            step_out = branch.step_w.data @ hs + branch.step_b.data[:, None]
+            outputs.append(self._deconv(branch, Tensor(step_out.reshape(lead + step_out.shape[1:]))))
         return outputs
+
+    def _deconv(self, branch, acts):
+        cfg = self.config
+        for i, (kernels, bias) in enumerate(branch.deconv):
+            layer = cfg.conv[len(cfg.conv) - 1 - i]
+            acts = deconv1d(acts, kernels, bias, layer.stride, padding_for(layer))
+            if i < len(branch.deconv) - 1:
+                acts = relu(acts)
+        return acts
 
     _CLASSIFY_EPS = 1e-7
 
     def classify(self, code):
-        """Anomaly probability from the code, clamped inside (0, 1)."""
+        """Anomaly probability from the code, clamped inside (0, 1): shape
+        (1,), or (B, 1) for a batch of codes."""
         if self.classifier_w is None:
             raise CapabilityError("model was built without a classifier head")
-        code = code if isinstance(code, Tensor) else Tensor(code)
-        logit = add(matmul(self.classifier_w, code), self.classifier_b)
+        logit = linear(code, self.classifier_w, self.classifier_b)
         return clamp(sigmoid(logit), self._CLASSIFY_EPS, 1.0 - self._CLASSIFY_EPS)
 
 
 def reconstruction_loss(targets, reconstructions) -> Tensor:
     """Sum of per-scale mean-squared errors: signal term plus one term per
-    detail level."""
+    detail level. Batched (B, C, T) inputs give one loss per sample."""
     if len(targets) != len(reconstructions):
         raise ShapeError(
             f"{len(targets)} targets vs {len(reconstructions)} reconstructions"

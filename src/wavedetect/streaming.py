@@ -8,9 +8,10 @@ block inside it. A block is finalized when it has collected the full
 of a stream only ever reach preliminary verdicts. A block is declared
 anomalous when its positive-vote ratio is at least ``vote_threshold``.
 
-``VoteState`` is the incremental engine; ``simulate`` recomputes the same
-verdicts offline by direct counting, which gives the tests an independent
-path to compare against.
+``VoteState`` is the incremental engine and scores one window per block;
+``simulate`` recomputes the same verdicts offline by direct counting, with
+every window of the stream scored in batches, which gives the tests an
+independent path to compare against.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AnomalyRanges, MultiSeries, label_block
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .metrics import MetricsReport, compute_metrics
-from .training import Detector, predict_fragment
+from .training import Detector, predict_fragment, score_windows
 
 SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -105,6 +107,8 @@ class VoteState:
             raise ShapeError(
                 f"block shape {block.shape} does not match ({self._channels}, {self.cfg.step})"
             )
+        if not np.isfinite(block).all():
+            raise DataError(f"block {self._next_index} holds a non-finite value")
         index = self._next_index
         self._next_index += 1
         self._buffer.append(block)
@@ -135,17 +139,15 @@ class VoteState:
 
 def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig):
     """One detector vote per complete window position, keyed by the index of
-    the window's last block."""
+    the window's last block. All windows are scored as batches."""
     if series.length < cfg.window:
         raise DataError(f"series length {series.length} is shorter than one window ({cfg.window})")
-    values = series.values
     n_blocks = series.length // cfg.step
     full = cfg.votes_per_block
-    preds = {}
-    for end_block in range(full - 1, n_blocks):
-        start = (end_block - full + 1) * cfg.step
-        window = values[:, start : start + cfg.window]
-        preds[end_block] = predict_fragment(detector, window)[0]
+    last_start = (n_blocks - full) * cfg.step
+    windows = sliding_window_view(series.values, cfg.window, axis=1)[:, : last_start + 1 : cfg.step]
+    scores = score_windows(detector, windows.transpose(1, 0, 2))
+    preds = {full - 1 + k: int(score >= detector.cut) for k, score in enumerate(scores)}
     return preds, n_blocks
 
 

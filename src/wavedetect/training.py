@@ -11,8 +11,12 @@ the head's probability against 0.5.
 Gradient steps always teacher-force the decoder. Scores, and the frozen
 pass that feeds the threshold, run the decoder autoregressively so the
 threshold is calibrated in the same regime it is later compared against.
-Fragments are z-scored per channel with statistics fitted on the training
-set only; the statistics travel with the detector.
+All scoring goes through one no-grad path that takes a batch of windows
+(``score_windows``). Fragments are z-scored per channel with statistics
+fitted on the training set only; the statistics travel with the detector.
+Statistics and trained weights are rounded to float32, the precision of a
+detector file, before calibration, so a detector reloaded from disk scores
+exactly like the one training returned.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from .wavelet import get_family, mdwd
 SEMI_EPOCHS = 16
 SUPERVISED_EPOCHS = 11
 STD_FLOOR = 1e-8
+# Windows scored per batch: larger batches cut per-step overhead further but
+# raise peak memory, mostly through the conv inputs unrolled per window.
+_SCORE_CHUNK = 4
 
 
 @dataclass
@@ -80,6 +87,11 @@ class Detector:
         if self.mode == "semi" and self.threshold is None:
             raise ConfigError("a reconstruction-threshold detector needs a threshold")
 
+    @property
+    def cut(self) -> float:
+        """Score at or above which a window counts as anomalous."""
+        return self.threshold if self.mode == "semi" else 0.5
+
 
 def compute_threshold(losses, beta: float) -> float:
     """``beta`` times the arithmetic mean of the losses (correctly rounded)."""
@@ -91,14 +103,20 @@ def compute_threshold(losses, beta: float) -> float:
     return beta * (math.fsum(losses) / len(losses))
 
 
+def _stored(array: np.ndarray) -> np.ndarray:
+    """The value a detector file keeps: rounded to float32, widened back."""
+    return array.astype(np.float32).astype(np.float64)
+
+
 def fit_channel_stats(fragments):
     stacked = np.concatenate([f.values for f in fragments], axis=1)
     mean = stacked.mean(axis=1)
     std = stacked.std(axis=1)
-    return mean, np.maximum(std, STD_FLOOR)
+    return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
 
 
 def normalize_values(values, mean, std):
+    """Z-score a (C, T) fragment or a (B, C, T) batch per channel."""
     return (values - mean[:, None]) / std[:, None]
 
 
@@ -130,11 +148,20 @@ def _prepared(fragments, model_cfg, mean, std):
     return prepared
 
 
-def _autoregressive_loss(model, xn, decomp, targets) -> float:
-    with no_grad():
-        code, _ = model.encode(xn, decomp)
-        recons = model.decode(code)
-        return reconstruction_loss(targets, recons).item()
+def _finish(model, mode, fragments, mean, std, beta) -> Detector:
+    """Round the weights to stored precision, then calibrate on the
+    autoregressive reconstruction losses of the training fragments."""
+    for p in model.parameters():
+        p.data = _stored(p.data)
+    losses = _batch_scores(model, mean, std, [_fragment_values(f) for f in fragments], head=False)
+    return Detector(
+        model=model,
+        mode=mode,
+        threshold=compute_threshold(losses, beta) if mode == "semi" else None,
+        train_loss_mean=math.fsum(losses) / len(losses),
+        norm_mean=mean,
+        norm_std=std,
+    )
 
 
 def train_semi_supervised(fragments, cfg: TrainConfig, progress=None) -> Detector:
@@ -163,15 +190,7 @@ def train_semi_supervised(fragments, cfg: TrainConfig, progress=None) -> Detecto
         if progress is not None:
             progress(epoch, total / len(prepared))
 
-    final_losses = [_autoregressive_loss(model, *entry) for entry in prepared]
-    return Detector(
-        model=model,
-        mode="semi",
-        threshold=compute_threshold(final_losses, cfg.beta),
-        train_loss_mean=math.fsum(final_losses) / len(final_losses),
-        norm_mean=mean,
-        norm_std=std,
-    )
+    return _finish(model, "semi", fragments, mean, std, cfg.beta)
 
 
 def train_supervised(fragments, cfg: TrainConfig, progress=None) -> Detector:
@@ -207,15 +226,7 @@ def train_supervised(fragments, cfg: TrainConfig, progress=None) -> Detector:
         if progress is not None:
             progress(epoch, total / len(prepared))
 
-    final_losses = [_autoregressive_loss(model, *entry) for entry in prepared]
-    return Detector(
-        model=model,
-        mode="supervised",
-        threshold=None,
-        train_loss_mean=math.fsum(final_losses) / len(final_losses),
-        norm_mean=mean,
-        norm_std=std,
-    )
+    return _finish(model, "supervised", fragments, mean, std, cfg.beta)
 
 
 def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
@@ -224,36 +235,60 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     return train_supervised(fragments, cfg, progress)
 
 
+def _batch_scores(model, mean, std, windows, head: bool) -> np.ndarray:
+    """No-grad scores of raw (C, T) windows, ``_SCORE_CHUNK`` at a time:
+    autoregressive reconstruction losses, or head probabilities."""
+    cfg = model.config
+    family = get_family(cfg.wavelet)
+    scores = []
+    for start in range(0, len(windows), _SCORE_CHUNK):
+        try:
+            chunk = np.asarray(windows[start : start + _SCORE_CHUNK], dtype=np.float64)
+        except ValueError:
+            raise DataError("windows to score differ in shape") from None
+        if chunk.shape[1:] != (cfg.channels, cfg.fragment_length):
+            raise DataError(
+                f"window shape {chunk.shape[1:]} does not match the detector's "
+                f"({cfg.channels}, {cfg.fragment_length})"
+            )
+        finite = np.isfinite(chunk).all(axis=(1, 2))
+        if not finite.all():
+            raise DataError(f"window {start + int(np.argmin(finite))} holds a non-finite value")
+        xn = normalize_values(chunk, mean, std)
+        decomp = mdwd(xn, family, cfg.levels) if cfg.levels else None
+        with no_grad():
+            code = model.encode(xn, decomp)[0]
+            if head:
+                scores.append(model.classify(code).data[:, 0])
+            else:
+                targets = [xn] + (list(decomp.details) if decomp else [])
+                scores.append(reconstruction_loss(targets, model.decode(code)).data)
+    return np.concatenate(scores) if scores else np.zeros(0)
+
+
+def score_windows(detector: Detector, windows) -> np.ndarray:
+    """Scores of a (N, C, T) array or a sequence of (C, T) windows: the
+    reconstruction loss (threshold mode) or anomaly probability (head mode)
+    of each. A window holding NaN or infinity raises ``DataError``."""
+    return _batch_scores(detector.model, detector.norm_mean, detector.norm_std, windows,
+                         head=detector.mode == "supervised")
+
+
 def score_fragment(detector: Detector, fragment) -> float:
     """Reconstruction loss (threshold mode) or anomaly probability (head mode)."""
-    model_cfg = detector.model.config
-    values = _fragment_values(fragment)
-    if values.shape != (model_cfg.channels, model_cfg.fragment_length):
-        raise DataError(
-            f"fragment shape {values.shape} does not match the detector's "
-            f"({model_cfg.channels}, {model_cfg.fragment_length})"
-        )
-    xn = normalize_values(values, detector.norm_mean, detector.norm_std)
-    family = get_family(model_cfg.wavelet)
-    decomp = mdwd(xn, family, model_cfg.levels) if model_cfg.levels else None
-    with no_grad():
-        code, _ = detector.model.encode(xn, decomp)
-        if detector.mode == "semi":
-            targets = [xn] + (list(decomp.details) if decomp else [])
-            return reconstruction_loss(targets, detector.model.decode(code)).item()
-        return detector.model.classify(code).item()
+    return float(score_windows(detector, [_fragment_values(fragment)])[0])
 
 
 def predict_fragment(detector: Detector, fragment):
     """Returns (label, score); the label comparison is >= in both modes."""
     score = score_fragment(detector, fragment)
-    cut = detector.threshold if detector.mode == "semi" else 0.5
-    return int(score >= cut), score
+    return int(score >= detector.cut), score
 
 
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     if not fragments:
         raise DataError("no fragments to evaluate")
-    preds = [predict_fragment(detector, f)[0] for f in fragments]
+    scores = score_windows(detector, [_fragment_values(f) for f in fragments])
+    preds = [int(score >= detector.cut) for score in scores]
     labels = [f.label for f in fragments]
     return compute_metrics(preds, labels)

@@ -125,7 +125,7 @@ class WaveletDecomposition:
     """Pyramid coefficients: per-level details plus the final approximation.
 
     ``details[l-1]`` holds level l with shape (C, T/2**l); ``approximation``
-    has shape (C, T/2**L).
+    has shape (C, T/2**L). A batched input adds a leading (B,) axis to both.
     """
 
     details: list = field(default_factory=list)
@@ -139,7 +139,7 @@ class WaveletDecomposition:
 
     @property
     def channels(self) -> int:
-        return self.approximation.shape[0]
+        return self.approximation.shape[-2]
 
 
 def _as_rows(series) -> np.ndarray:
@@ -147,16 +147,16 @@ def _as_rows(series) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a (C, T) array, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise ShapeError(f"expected a (C, T) or (B, C, T) array, got shape {arr.shape}")
     return arr
 
 
 def mdwd(series, family: WaveletFamily, levels: int) -> WaveletDecomposition:
     """Multilevel decomposition of each channel via the pyramid cascade.
 
-    Accepts a (C, T) array, a 1-D signal, or anything with a ``values``
-    attribute. T must be divisible by 2**levels and the coarsest stage must
+    Accepts a (C, T) array, a (B, C, T) batch, a 1-D signal, or anything
+    with a ``values`` attribute. T must be divisible by 2**levels and the coarsest stage must
     still be at least as long as the filter.
     """
     x = _as_rows(series)

@@ -6,10 +6,12 @@ from wavedetect.autodiff import (
     clamp,
     col,
     concat,
+    index,
     log,
     matmul,
     no_grad,
     relu,
+    reshape,
     sigmoid,
     stack_cols,
     tanh,
@@ -177,3 +179,53 @@ def test_determinism_bitwise(rng):
         runs.append((loss.data.copy(), x.grad.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_batched_matmul_gradients(rng):
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+    out = matmul(a, b)
+    assert out.shape == (4, 2, 5)
+    assert np.allclose(out.data[1], a.data @ b.data[1])
+    weights = rng.normal(size=(4, 2, 5))
+    tsum(out * Tensor(weights)).backward()
+
+    def f():
+        return float(np.sum((a.data @ b.data) * weights))
+
+    assert max_rel_err(a.grad, numeric_grad(f, a)) < 1e-6
+    assert max_rel_err(b.grad, numeric_grad(f, b)) < 1e-6
+
+
+def test_mean_over_axes():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    per = tmean(x, axis=(1, 2))
+    assert np.allclose(per.data, [5.5, 17.5])
+    tsum(per * Tensor([1.0, 3.0])).backward()
+    assert np.allclose(x.grad[0], 1.0 / 12.0)
+    assert np.allclose(x.grad[1], 3.0 / 12.0)
+
+
+def test_concat_along_last_axis(rng):
+    a = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 1)), requires_grad=True)
+    out = concat([a, b])
+    assert np.array_equal(out.data[..., 2], b.data[..., 0])
+    weights = rng.normal(size=(2, 3, 3))
+    tsum(out * Tensor(weights)).backward()
+    assert np.array_equal(a.grad, weights[..., :2])
+    assert np.array_equal(b.grad, weights[..., 2:])
+    with pytest.raises(ShapeError):
+        concat([a, Tensor(np.zeros((3, 3, 1)))])
+
+
+def test_index_and_reshape_route_gradients(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    picked = index(x, (Ellipsis, 1))
+    assert np.array_equal(picked.data, x.data[..., 1])
+    assert np.array_equal(x[0, :, 1:].data, x.data[0, :, 1:])
+    flat = reshape(picked, (6,))
+    tsum(flat * Tensor(np.arange(6.0))).backward()
+    expected = np.zeros((2, 3, 4))
+    expected[..., 1] = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(x.grad, expected)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, no_grad
+from wavedetect.autodiff import Tensor, no_grad, tsum
 from wavedetect.errors import CapabilityError, ConfigError, ContractError, ShapeError
 from wavedetect.model import (
     ConvLayer,
@@ -337,3 +337,56 @@ class TestEndToEnd:
             fd = (up - down) / (2 * h)
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
             assert rel < 1e-4, f"{name}[{i}]: {rel}"
+
+
+class TestBatchAxis:
+    def test_batched_passes_equal_per_sample_passes(self, rng):
+        model = WaveletAutoencoder(tiny_config(classifier=True, seed=21))
+        xs = rng.normal(size=(3, 2, 32))
+        decomp = mdwd(xs, get_family("haar"), 2)
+        with no_grad():
+            code, acts = model.encode(xs, decomp)
+            free = model.decode(code)
+            taught = model.decode(code, acts)
+            probs = model.classify(code)
+        assert code.data.shape == (3, 12)
+        assert probs.data.shape == (3, 1)
+        for i in range(3):
+            single = mdwd(xs[i], get_family("haar"), 2)
+            with no_grad():
+                code_i, acts_i = model.encode(xs[i], single)
+                free_i = model.decode(code_i)
+                taught_i = model.decode(code_i, acts_i)
+            assert np.array_equal(code.data[i], code_i.data)
+            assert np.array_equal(probs.data[i], model.classify(code_i).data)
+            for a, b in zip(free + taught, free_i + taught_i):
+                assert np.array_equal(a.data[i], b.data)
+
+    def test_batched_teacher_forced_gradients_sum_over_samples(self, rng):
+        cfg = ModelConfig(channels=2, fragment_length=16, levels=1, conv=TINY_CONV, hidden=3, seed=5)
+        model = WaveletAutoencoder(cfg)
+        xs = rng.normal(size=(2, 2, 16))
+        decomp = mdwd(xs, get_family("haar"), 1)
+        loss = forward_loss(model, xs, decomp)
+        assert loss.data.shape == (2,)  # one loss per sample
+        tsum(loss).backward()
+        batched = [t.grad.copy() for t in model.parameters()]
+        for t in model.parameters():
+            t.zero_grad()
+        for i in range(2):
+            forward_loss(model, xs[i], mdwd(xs[i], get_family("haar"), 1)).backward()
+        for got, want in zip(batched, (t.grad for t in model.parameters())):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+class TestAutoregressiveDecodeIsInferenceOnly:
+    def test_records_no_graph(self, rng):
+        model = WaveletAutoencoder(tiny_config(seed=3))
+        x = rng.normal(size=(2, 32))
+        decomp = mdwd(x, get_family("haar"), 2)
+        code, _ = model.encode(x, decomp)
+        assert code.requires_grad
+        loss = forward_loss(model, x, decomp, teacher=False)
+        assert not loss.requires_grad
+        with pytest.raises(ContractError):
+            loss.backward()

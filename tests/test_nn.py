@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, tsum
+from wavedetect.autodiff import (
+    Tensor,
+    add,
+    col,
+    concat,
+    matmul,
+    mul,
+    no_grad,
+    relu,
+    sigmoid,
+    stack_cols,
+    tanh,
+    tsum,
+)
 from wavedetect.errors import ContractError, DomainError, ShapeError
+from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for, reconstruction_loss
 from wavedetect.nn import (
     LSTMParams,
     bce_loss,
@@ -12,8 +26,11 @@ from wavedetect.nn import (
     deconv_output_length,
     linear,
     lstm_cell,
+    lstm_feedback,
+    lstm_sequence,
     mse_loss,
 )
+from wavedetect.wavelet import get_family, mdwd
 
 from conftest import max_rel_err, numeric_grad
 
@@ -279,3 +296,216 @@ def test_composite_chain_gradients_match_finite_differences(rng):
 
     for t in params:
         assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-4
+
+
+class TestBatchAxis:
+    """A leading batch axis gives exactly the per-sample results."""
+
+    def test_conv1d_and_deconv1d(self, rng):
+        x = rng.normal(size=(3, 4, 16))
+        w = rng.normal(size=(5, 4, 4))
+        b = rng.normal(size=5)
+        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).data
+        back = deconv1d(Tensor(out), Tensor(w), Tensor(b[:4]), stride=2, padding=1).data
+        for i in range(3):
+            one = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), stride=2, padding=1).data
+            assert np.array_equal(out[i], one)
+            assert np.array_equal(back[i], deconv1d(Tensor(one), Tensor(w), Tensor(b[:4]), 2, 1).data)
+
+    def test_batched_conv_gradients(self, rng):
+        x = Tensor(rng.normal(size=(2, 2, 12)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        dw = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        db = Tensor(rng.normal(size=2), requires_grad=True)
+        target = rng.normal(size=(2, 2, 12))
+
+        def forward():
+            mid = relu(conv1d(x, w, b, stride=2, padding=1))
+            return tsum(mul(deconv1d(mid, dw, db, stride=2, padding=1), Tensor(target)))
+
+        forward().backward()
+
+        def f():
+            with no_grad():
+                return forward().item()
+
+        for t in (x, w, dw, b, db):
+            assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
+
+    def test_linear(self, rng):
+        x, w, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)
+        out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        for i in range(4):
+            assert np.max(np.abs(out[i] - linear(Tensor(x[i]), Tensor(w), Tensor(b)).data)) < 1e-15
+
+    def test_mse_loss_per_sample(self, rng):
+        pred, target = rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 8))
+        per = mse_loss(Tensor(pred), Tensor(target)).data
+        assert per.shape == (3,)
+        for i in range(3):
+            assert per[i] == mse_loss(Tensor(pred[i]), Tensor(target[i])).item()
+
+
+def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4):
+    lead = () if batch is None else (batch,)
+    x = Tensor(rng.normal(size=lead + (nin, steps)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
+    c0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
+    return x, h0, c0, LSTMParams.init(nin, hid, np.random.default_rng(17))
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_step_by_step_oracle(self, rng, batch, reverse):
+        x, h0, c0, p = _lstm_inputs(rng, batch)
+        hs, h, c = lstm_sequence(x, h0, c0, p, reverse=reverse)
+        xs = x.data.reshape(-1, 3, 4)
+        for i in range(xs.shape[0]):
+            hi, ci = h0.data.reshape(-1, 2)[i], c0.data.reshape(-1, 2)[i]
+            order = range(3, -1, -1) if reverse else range(4)
+            for t in order:
+                hi, ci = lstm_reference(xs[i, :, t], hi, ci, p)
+                assert np.max(np.abs(hs.data.reshape(-1, 2, 4)[i, :, t] - hi)) < 1e-14
+            assert np.max(np.abs(h.data.reshape(-1, 2)[i] - hi)) < 1e-14
+            assert np.max(np.abs(c.data.reshape(-1, 2)[i] - ci)) < 1e-14
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, reverse):
+        """Every input and all 16 parameter tensors, through all three outputs."""
+        x, h0, c0, p = _lstm_inputs(rng, batch)
+        w_seq = Tensor(rng.normal(size=(batch, 2, 4)))
+        w_h = Tensor(rng.normal(size=(batch, 2)))
+        w_c = Tensor(rng.normal(size=(batch, 2)))
+
+        def forward():
+            hs, h, c = lstm_sequence(x, h0, c0, p, reverse=reverse)
+            return add(add(tsum(mul(hs, w_seq)), tsum(mul(h, w_h))), tsum(mul(c, w_c)))
+
+        forward().backward()
+
+        def f():
+            with no_grad():
+                return forward().item()
+
+        named = [("x", x), ("h0", h0), ("c0", c0)] + list(p.named())
+        assert len(named) == 19
+        for name, t in named:
+            assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, name
+
+    def test_cell_is_one_step_sequence(self, rng):
+        x, h0, c0, p = _lstm_inputs(rng, 3, steps=1)
+        _, h_seq, c_seq = lstm_sequence(x, h0, c0, p)
+        h, c = lstm_cell(Tensor(x.data[:, :, 0]), h0, c0, p)
+        assert np.array_equal(h.data, h_seq.data)
+        assert np.array_equal(c.data, c_seq.data)
+
+    def test_shape_errors(self, rng):
+        x, h0, c0, p = _lstm_inputs(rng, 2)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((2, 4, 5))), h0, c0, p)
+        with pytest.raises(ShapeError):
+            lstm_sequence(x, Tensor(np.zeros(2)), c0, p)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((2, 3, 0))), h0, c0, p)
+
+    def test_feedback_matches_explicit_feedback_loop(self, rng):
+        p = LSTMParams.init(3, 4, np.random.default_rng(2))
+        head_w, head_b = rng.normal(size=(3, 4)), rng.normal(size=3)
+        h0, c0 = rng.normal(size=(2, 4)), np.zeros((2, 4))
+        hs = lstm_feedback(h0, c0, p, head_w, head_b, steps=5, reverse=True)
+        for i in range(2):
+            h, c, step_in = h0[i], c0[i], np.zeros(3)
+            for t in range(4, -1, -1):
+                h, c = lstm_reference(step_in, h, c, p)
+                assert np.max(np.abs(hs[i, :, t] - h)) < 1e-12
+                step_in = head_w @ h + head_b
+
+
+# The LSTM composition the model used before the fused sequence op: four
+# per-gate graphs per step, built from the autodiff primitives.
+
+
+def _seed_gate(w_i, b_i, w_h, b_h, a, h, activation):
+    return activation(add(add(matmul(w_i, a), b_i), add(matmul(w_h, h), b_h)))
+
+
+def _seed_lstm_cell(a, h, c, p):
+    i = _seed_gate(p.w_ii, p.b_ii, p.w_hi, p.b_hi, a, h, sigmoid)
+    f = _seed_gate(p.w_if, p.b_if, p.w_hf, p.b_hf, a, h, sigmoid)
+    g = _seed_gate(p.w_ig, p.b_ig, p.w_hg, p.b_hg, a, h, tanh)
+    o = _seed_gate(p.w_io, p.b_io, p.w_ho, p.b_ho, a, h, sigmoid)
+    c = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c)), c
+
+
+def _seed_reconstructions(model, inputs, teacher=True):
+    cfg = model.config
+    finals, taught = [], []
+    for branch, values in zip(model.branches, inputs):
+        acts = Tensor(values)
+        for (kernels, bias), layer in zip(branch.conv, cfg.conv):
+            acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
+        h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
+        for t in range(acts.data.shape[1]):
+            h, c = _seed_lstm_cell(col(acts, t), h, c, branch.encoder)
+        finals.append(h)
+        taught.append(acts)
+    code = concat(finals)
+    recons = []
+    for branch, acts in zip(model.branches, taught):
+        steps = acts.data.shape[1]
+        h = add(matmul(branch.dec_init_w, code), branch.dec_init_b)
+        c = Tensor(np.zeros(cfg.hidden))
+        step_in = Tensor(np.zeros(cfg.conv_features))
+        slots = [None] * steps
+        for t in range(steps - 1, -1, -1):
+            h, c = _seed_lstm_cell(step_in, h, c, branch.decoder)
+            slots[t] = add(matmul(branch.step_w, h), branch.step_b)
+            step_in = col(acts, t) if teacher else slots[t]
+        out = stack_cols(slots)
+        for i, (kernels, bias) in enumerate(branch.deconv):
+            layer = cfg.conv[len(cfg.conv) - 1 - i]
+            out = deconv1d(out, kernels, bias, layer.stride, padding_for(layer))
+            if i < len(branch.deconv) - 1:
+                out = relu(out)
+        recons.append(out)
+    return recons
+
+
+class TestAgainstPerGateComposition:
+    """The fused op reproduces the per-gate, per-step graph it replaced."""
+
+    def setup_method(self):
+        cfg = ModelConfig(channels=2, fragment_length=32, levels=2,
+                          conv=(ConvLayer(4, 4, 2), ConvLayer(5, 2, 2)), hidden=3, seed=11)
+        self.model = WaveletAutoencoder(cfg)
+        x = np.random.default_rng(5).normal(size=(2, 32))
+        self.decomp = mdwd(x, get_family("haar"), 2)
+        self.inputs = [x] + list(self.decomp.details)
+
+    def test_teacher_forced_loss_and_every_gradient_agree(self):
+        model = self.model
+        seed_loss = reconstruction_loss(self.inputs, _seed_reconstructions(model, self.inputs))
+        seed_loss.backward()
+        seed_grads = {name: t.grad.copy() for name, t in model.named_parameters()}
+        for t in model.parameters():
+            t.zero_grad()
+
+        code, acts = model.encode(self.inputs[0], self.decomp)
+        loss = reconstruction_loss(self.inputs, model.decode(code, acts))
+        loss.backward()
+        assert abs(loss.item() - seed_loss.item()) <= 1e-10 * seed_loss.item()
+        for name, t in model.named_parameters():
+            old = seed_grads[name]
+            assert np.max(np.abs(t.grad - old)) <= 1e-10 * max(np.max(np.abs(old)), 1e-300), name
+
+    def test_autoregressive_decode_agrees(self):
+        with no_grad():
+            seed = _seed_reconstructions(self.model, self.inputs, teacher=False)
+            code, _ = self.model.encode(self.inputs[0], self.decomp)
+            new = self.model.decode(code)
+        for a, b in zip(seed, new):
+            assert np.max(np.abs(a.data - b.data)) <= 1e-10 * np.max(np.abs(a.data))

@@ -188,3 +188,21 @@ class TestMRAComponents:
         comps = mra_components(mdwd(atom, HAAR, 1))
         assert np.allclose(comps[0], atom[None, :], atol=1e-12)
         assert np.allclose(comps[1], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", [HAAR, DB4])
+def test_batched_decomposition_equals_per_sample(rng, family):
+    xs = rng.normal(size=(3, 2, 64))
+    dec = mdwd(xs, family, 3)
+    assert dec.channels == 2
+    assert [d.shape for d in dec.details] == [(3, 2, 32), (3, 2, 16), (3, 2, 8)]
+    for i in range(3):
+        one = mdwd(xs[i], family, 3)
+        for got, want in zip(dec.details + [dec.approximation], one.details + [one.approximation]):
+            assert np.array_equal(got[i], want)
+    assert np.max(np.abs(reconstruct(dec) - xs)) < 1e-12
+
+
+def test_rejects_four_dimensional_input():
+    with pytest.raises(ShapeError):
+        mdwd(np.zeros((1, 1, 2, 64)), HAAR, 1)
