@@ -250,9 +250,7 @@ def _stacked(params: LSTMParams):
 
 
 def _halving(hid: int) -> np.ndarray:
-    half = np.ones(4 * hid)
-    half[: 3 * hid] = 0.5
-    return half
+    return np.repeat([0.5, 1.0], [3 * hid, hid])
 
 
 def _scan(zx, h0, c0, wh_t, keep: bool = True):
