@@ -156,8 +156,8 @@ def mdwd(series, family: WaveletFamily, levels: int) -> WaveletDecomposition:
     """Multilevel decomposition of each channel via the pyramid cascade.
 
     Accepts a (C, T) array, a (B, C, T) batch, a 1-D signal, or anything
-    with a ``values`` attribute. T must be divisible by 2**levels and the coarsest stage must
-    still be at least as long as the filter.
+    with a ``values`` attribute. T must be divisible by 2**levels and the
+    coarsest stage must still be at least as long as the filter.
     """
     x = _as_rows(series)
     t = x.shape[-1]

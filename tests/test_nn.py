@@ -428,20 +428,20 @@ class TestLstmSequence:
 # per-gate graphs per step, built from the autodiff primitives.
 
 
-def _seed_gate(w_i, b_i, w_h, b_h, a, h, activation):
+def _per_gate(w_i, b_i, w_h, b_h, a, h, activation):
     return activation(add(add(matmul(w_i, a), b_i), add(matmul(w_h, h), b_h)))
 
 
-def _seed_lstm_cell(a, h, c, p):
-    i = _seed_gate(p.w_ii, p.b_ii, p.w_hi, p.b_hi, a, h, sigmoid)
-    f = _seed_gate(p.w_if, p.b_if, p.w_hf, p.b_hf, a, h, sigmoid)
-    g = _seed_gate(p.w_ig, p.b_ig, p.w_hg, p.b_hg, a, h, tanh)
-    o = _seed_gate(p.w_io, p.b_io, p.w_ho, p.b_ho, a, h, sigmoid)
+def _per_gate_lstm_cell(a, h, c, p):
+    i = _per_gate(p.w_ii, p.b_ii, p.w_hi, p.b_hi, a, h, sigmoid)
+    f = _per_gate(p.w_if, p.b_if, p.w_hf, p.b_hf, a, h, sigmoid)
+    g = _per_gate(p.w_ig, p.b_ig, p.w_hg, p.b_hg, a, h, tanh)
+    o = _per_gate(p.w_io, p.b_io, p.w_ho, p.b_ho, a, h, sigmoid)
     c = add(mul(f, c), mul(i, g))
     return mul(o, tanh(c)), c
 
 
-def _seed_reconstructions(model, inputs, teacher=True):
+def _per_gate_reconstructions(model, inputs, teacher=True):
     cfg = model.config
     finals, taught = [], []
     for branch, values in zip(model.branches, inputs):
@@ -450,7 +450,7 @@ def _seed_reconstructions(model, inputs, teacher=True):
             acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
-            h, c = _seed_lstm_cell(col(acts, t), h, c, branch.encoder)
+            h, c = _per_gate_lstm_cell(col(acts, t), h, c, branch.encoder)
         finals.append(h)
         taught.append(acts)
     code = concat(finals)
@@ -462,7 +462,7 @@ def _seed_reconstructions(model, inputs, teacher=True):
         step_in = Tensor(np.zeros(cfg.conv_features))
         slots = [None] * steps
         for t in range(steps - 1, -1, -1):
-            h, c = _seed_lstm_cell(step_in, h, c, branch.decoder)
+            h, c = _per_gate_lstm_cell(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
             step_in = col(acts, t) if teacher else slots[t]
         out = stack_cols(slots)
@@ -488,24 +488,24 @@ class TestAgainstPerGateComposition:
 
     def test_teacher_forced_loss_and_every_gradient_agree(self):
         model = self.model
-        seed_loss = reconstruction_loss(self.inputs, _seed_reconstructions(model, self.inputs))
-        seed_loss.backward()
-        seed_grads = {name: t.grad.copy() for name, t in model.named_parameters()}
+        ref_loss = reconstruction_loss(self.inputs, _per_gate_reconstructions(model, self.inputs))
+        ref_loss.backward()
+        ref_grads = {name: t.grad.copy() for name, t in model.named_parameters()}
         for t in model.parameters():
             t.zero_grad()
 
         code, acts = model.encode(self.inputs[0], self.decomp)
         loss = reconstruction_loss(self.inputs, model.decode(code, acts))
         loss.backward()
-        assert abs(loss.item() - seed_loss.item()) <= 1e-10 * seed_loss.item()
+        assert abs(loss.item() - ref_loss.item()) <= 1e-10 * ref_loss.item()
         for name, t in model.named_parameters():
-            old = seed_grads[name]
+            old = ref_grads[name]
             assert np.max(np.abs(t.grad - old)) <= 1e-10 * max(np.max(np.abs(old)), 1e-300), name
 
     def test_autoregressive_decode_agrees(self):
         with no_grad():
-            seed = _seed_reconstructions(self.model, self.inputs, teacher=False)
+            ref = _per_gate_reconstructions(self.model, self.inputs, teacher=False)
             code, _ = self.model.encode(self.inputs[0], self.decomp)
             new = self.model.decode(code)
-        for a, b in zip(seed, new):
+        for a, b in zip(ref, new):
             assert np.max(np.abs(a.data - b.data)) <= 1e-10 * np.max(np.abs(a.data))
