@@ -29,7 +29,7 @@ from .errors import (
 )
 from .metrics import MetricsReport, compute_metrics
 from .model import ConvLayer, ModelConfig, WaveletAutoencoder, reconstruction_loss
-from .nn import LSTMParams, bce_loss, conv1d, deconv1d, linear, lstm_cell, lstm_sequence, mse_loss
+from .nn import LSTMParams, bce_with_logits, conv1d, deconv1d, linear, lstm_sequence, mse_loss
 from .optim import Adam
 from .serialize import load_detector, load_model, save_detector, save_model
 from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep, vote_decide
@@ -43,8 +43,6 @@ from .training import (
     score_fragment,
     score_windows,
     train,
-    train_semi_supervised,
-    train_supervised,
 )
 from .wavelet import (
     DB4,

@@ -66,9 +66,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}{flag})"
@@ -132,22 +129,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
-
-
-def constant(data) -> Tensor:
-    return data if isinstance(data, Tensor) else Tensor(data)
-
-
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
 
 
 def _as_tensor(x) -> Tensor:
@@ -201,14 +187,6 @@ def sub(a, b) -> Tensor:
             return _owned(_unbroadcast(g, ash), g), _unbroadcast(-g, bsh)
 
         out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
-    return out
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (-g,)
     return out
 
 
@@ -290,24 +268,6 @@ def relu(a) -> Tensor:
     return out
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.log(a.data))
-    ad = a.data
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g / ad,)
-    return out
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.clip(a.data, lo, hi))
-    if _trace((a,)):
-        inside = (a.data > lo) & (a.data < hi)
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * inside,)
-    return out
-
-
 def tsum(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum())
@@ -376,38 +336,4 @@ def reshape(a, shape) -> Tensor:
     if _trace((a,)):
         orig = a.data.shape
         out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g.reshape(orig),)
-    return out
-
-
-def stack_cols(steps) -> Tensor:
-    """Stack 1-D tensors of equal length as the columns of a matrix."""
-    steps = tuple(_as_tensor(s) for s in steps)
-    for s in steps:
-        if s.data.ndim != 1 or s.data.shape != steps[0].data.shape:
-            raise ShapeError("stack_cols expects equal-length 1-D tensors")
-    out = Tensor(np.stack([s.data for s in steps], axis=1))
-    if _trace(steps):
-
-        def vjp(g):
-            return tuple(g[:, i] for i in range(len(steps)))
-
-        out.requires_grad, out._parents, out._vjp = True, steps, vjp
-    return out
-
-
-def col(a, index: int) -> Tensor:
-    """Select column ``index`` of a 2-D tensor as a 1-D tensor."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"col expects a 2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data[:, index])
-    if _trace((a,)):
-        rows, cols = a.data.shape
-
-        def vjp(g):
-            buf = np.zeros((rows, cols))
-            buf[:, index] = g
-            return (buf,)
-
-        out.requires_grad, out._parents, out._vjp = True, (a,), vjp
     return out

@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WaveDetectError as err:
+    except (WaveDetectError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, clamp, concat, matmul, no_grad, relu, reshape, sigmoid
+from .autodiff import Tensor, add, concat, matmul, no_grad, relu, reshape, sigmoid
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_feedback, lstm_sequence, mse_loss
 from .wavelet import get_family
@@ -340,15 +340,16 @@ class WaveletAutoencoder:
                 acts = relu(acts)
         return acts
 
-    _CLASSIFY_EPS = 1e-7
-
-    def classify(self, code):
-        """Anomaly probability from the code, clamped inside (0, 1): shape
-        (1,), or (B, 1) for a batch of codes."""
+    def logit(self, code):
+        """The classifier head's logit: shape (1,), or (B, 1) for a batch of
+        codes. Training takes its loss from the logit (``nn.bce_with_logits``)."""
         if self.classifier_w is None:
             raise CapabilityError("model was built without a classifier head")
-        logit = linear(code, self.classifier_w, self.classifier_b)
-        return clamp(sigmoid(logit), self._CLASSIFY_EPS, 1.0 - self._CLASSIFY_EPS)
+        return linear(code, self.classifier_w, self.classifier_b)
+
+    def classify(self, code):
+        """Anomaly probability from the code, the sigmoid of ``logit``."""
+        return sigmoid(self.logit(code))
 
 
 def reconstruction_loss(targets, reconstructions) -> Tensor:

@@ -9,10 +9,10 @@ bank of shape (out,in,k) as a deconv bank of shape (in,out,k) satisfies
 a stride remainder.
 
 The LSTM has one implementation, ``lstm_sequence``: a whole sequence is a
-single graph node whose backward pass is hand-written BPTT, and
-``lstm_cell`` is its one-step case. ``lstm_feedback`` runs the same
-recurrence for inference when every step's input is the previous step's
-output through a dense head.
+single graph node whose backward pass is hand-written BPTT; one step is a
+sequence of length one. ``lstm_feedback`` runs the same recurrence for
+inference when every step's input is the previous step's output through a
+dense head.
 
 Layers take an optional leading batch axis, (C,T) or (B,C,T), and compute
 every sample with the same products as a lone sample, so batched results
@@ -21,23 +21,13 @@ equal per-sample ones bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    _as_tensor,
-    _trace,
-    clamp,
-    log,
-    mul,
-    neg,
-    reshape,
-    sub,
-    tmean,
-)
-from .errors import ContractError, DomainError, ShapeError
+from .autodiff import Tensor, _as_tensor, _trace, mul, sigmoid, sub, tmean
+from .errors import ContractError, ShapeError
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
@@ -400,13 +390,6 @@ def lstm_sequence(x, h0, c0, params: LSTMParams, reverse: bool = False):
     return core[..., :steps], core[..., last], core[..., steps]
 
 
-def lstm_cell(a, h_prev, c_prev, params: LSTMParams):
-    """One LSTM step, a one-step ``lstm_sequence``; returns (h, c)."""
-    a = _as_tensor(a)
-    _, h, c = lstm_sequence(reshape(a, a.data.shape + (1,)), h_prev, c_prev, params)
-    return h, c
-
-
 def lstm_feedback(h0, c0, params: LSTMParams, head_w, head_b, steps: int,
                   reverse: bool = False) -> np.ndarray:
     """Hidden states of an LSTM whose input at each step is the previous
@@ -442,20 +425,25 @@ def mse_loss(pred, target) -> Tensor:
     return tmean(mul(d, d), axis=(1, 2) if d.data.ndim == 3 else None)
 
 
-_BCE_EPS = 1e-12
+def bce_with_logits(logit, label: int) -> Tensor:
+    """Binary cross-entropy of sigmoid(logit) against a 0/1 label, as one
+    graph node.
 
-
-def bce_loss(p, label: int) -> Tensor:
-    """Binary cross-entropy of a probability against a 0/1 label."""
-    p = _as_tensor(p)
-    if p.data.size != 1:
-        raise ShapeError(f"bce_loss expects a scalar probability, got shape {p.shape}")
-    value = float(p.data.reshape(()))
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"probability {value} outside [0, 1]")
+    The loss is softplus(z) - y z, evaluated as max(z, 0) - y z +
+    log1p(exp(-|z|)) so it neither overflows nor rounds to a constant, and
+    its gradient is sigmoid(z) - y: a head that is confidently wrong gets a
+    gradient of magnitude near 1, not 0.
+    """
+    logit = _as_tensor(logit)
+    if logit.data.size != 1:
+        raise ShapeError(f"bce_with_logits expects a scalar logit, got shape {logit.shape}")
     if label not in (0, 1):
         raise ContractError(f"label must be 0 or 1, got {label!r}")
-    pc = clamp(p, _BCE_EPS, 1.0 - _BCE_EPS)
-    if label == 1:
-        return tmean(neg(log(pc)))
-    return tmean(neg(log(sub(1.0, pc))))
+    z = float(logit.data.reshape(()))
+    out = Tensor(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))))
+    if _trace((logit,)):
+        # sigmoid(z) - 1 written as -sigmoid(-z) keeps its precision for z >> 0.
+        grad = float(sigmoid(z).data) if label == 0 else -float(sigmoid(-z).data)
+        shape = logit.data.shape
+        out.requires_grad, out._parents, out._vjp = True, (logit,), lambda g: (np.full(shape, g * grad),)
+    return out

@@ -21,11 +21,12 @@ float32 is lossless, a save/load/save cycle is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import ModelConfig, WaveletAutoencoder, config_from_dict, config_to_dict
 
 MAGIC = "wavedetect-container"
@@ -48,58 +49,73 @@ def _write_container(path, config: ModelConfig, named_arrays, meta: dict):
 
 
 def _read_container(path):
+    """(config, meta, tensors) of a container file. Anything malformed in
+    it raises ``DataError`` naming the file."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     cut = blob.find(marker)
     if cut < 0:
         raise DataError(f"{path}: not a container file (missing payload marker)")
-    header = blob[:cut].decode()
+    try:
+        header = blob[:cut].decode()
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: container header is not UTF-8 text") from None
     payload = blob[cut + len(marker):]
 
-    lines = header.splitlines()
+    lines = header.splitlines() or [""]
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise DataError(f"{path}: bad magic line {lines[0]!r}")
-    if int(magic[1]) != VERSION:
-        raise DataError(f"{path}: unsupported format version {magic[1]}")
+    if magic[1] != str(VERSION):
+        raise DataError(f"{path}: unsupported format version {magic[1]!r}")
 
     config = None
     meta: dict = {}
     tensors: dict = {}
-    order = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         kind, _, rest = line.partition(" ")
-        if kind == "config":
-            config = config_from_dict(json.loads(rest))
-        elif kind == "meta":
-            key, _, value = rest.partition(" ")
-            meta[key] = value
-        elif kind == "tensor":
-            name, shape_s, offset_s = rest.rsplit(" ", 2)
-            shape = tuple(int(d) for d in shape_s.split(","))
-            offset = int(offset_s)
-            count = int(np.prod(shape))
-            raw = payload[offset : offset + 4 * count]
-            if len(raw) != 4 * count:
-                raise DataError(f"{path}: payload truncated for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            order.append(name)
-        else:
-            raise DataError(f"{path}: unknown directive {kind!r}")
+        try:
+            if kind == "config":
+                config = config_from_dict(json.loads(rest))
+            elif kind == "meta":
+                key, _, value = rest.partition(" ")
+                meta[key] = value
+            elif kind == "tensor":
+                name, shape_s, offset_s = rest.rsplit(" ", 2)
+                shape = tuple(int(d) for d in shape_s.split(","))
+                offset = int(offset_s)
+                if offset < 0 or min(shape) < 0:
+                    raise ValueError("negative offset or dimension")
+                count = math.prod(shape)
+                raw = payload[offset : offset + 4 * count]
+                if len(raw) != 4 * count:
+                    raise DataError(f"{path}: payload truncated for tensor {name!r}")
+                values = np.frombuffer(raw, dtype="<f4")
+                # Checked before widening: casting a signaling NaN warns.
+                if not np.isfinite(values).all():
+                    raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
+                tensors[name] = values.astype(np.float64).reshape(shape)
+            else:
+                raise DataError(f"{path}: unknown directive {kind!r}")
+        except (ValueError, TypeError, ConfigError) as err:
+            raise DataError(f"{path}: line {number}: bad {kind} directive ({err})") from None
     if config is None:
         raise DataError(f"{path}: container has no config")
-    return config, meta, tensors, order
+    return config, meta, tensors
 
 
-def _fill_model(config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
-    model = WaveletAutoencoder(config)
+def _fill_model(path, config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
+    try:
+        model = WaveletAutoencoder(config)
+    except (ValueError, TypeError) as err:
+        raise DataError(f"{path}: config does not describe a model ({err})") from None
     for name, param in model.named_parameters():
         if name not in tensors:
-            raise DataError(f"container is missing tensor {name!r}")
+            raise DataError(f"{path}: container is missing tensor {name!r}")
         stored = tensors[name]
         if stored.shape != param.data.shape:
             raise DataError(
-                f"tensor {name!r} has shape {stored.shape}, expected {param.data.shape}"
+                f"{path}: tensor {name!r} has shape {stored.shape}, expected {param.data.shape}"
             )
         param.data = stored
     return model
@@ -111,10 +127,10 @@ def save_model(model: WaveletAutoencoder, path):
 
 
 def load_model(path) -> WaveletAutoencoder:
-    config, meta, tensors, _ = _read_container(path)
+    config, meta, tensors = _read_container(path)
     if meta.get("kind", "model") != "model":
         raise DataError(f"{path}: container holds a {meta.get('kind')!r}, not a model")
-    return _fill_model(config, tensors)
+    return _fill_model(path, config, tensors)
 
 
 def save_detector(detector, path):
@@ -133,22 +149,34 @@ def save_detector(detector, path):
 def load_detector(path):
     from .training import Detector
 
-    config, meta, tensors, _ = _read_container(path)
+    config, meta, tensors = _read_container(path)
     if meta.get("kind") != "detector":
         raise DataError(f"{path}: container holds a {meta.get('kind')!r}, not a detector")
     for key in ("mode", "threshold", "train_loss_mean"):
         if key not in meta:
             raise DataError(f"{path}: detector container is missing meta field {key!r}")
+    mode = meta["mode"]
+    if mode not in ("semi", "supervised"):
+        raise DataError(f"{path}: unknown detector mode {mode!r}")
+    if mode == "supervised" and not config.classifier:
+        raise DataError(f"{path}: a supervised detector needs a model with a classifier head")
+    try:
+        threshold = None if meta["threshold"] == "none" else float(meta["threshold"])
+        train_loss_mean = float(meta["train_loss_mean"])
+    except ValueError as err:
+        raise DataError(f"{path}: bad number in detector meta ({err})") from None
+    if mode == "semi" and (threshold is None or not math.isfinite(threshold)):
+        raise DataError(f"{path}: a reconstruction-threshold detector needs a finite threshold")
     for name in ("norm.mean", "norm.std"):
-        if name not in tensors:
-            raise DataError(f"{path}: detector container is missing tensor {name!r}")
-    model = _fill_model(config, tensors)
-    threshold = None if meta["threshold"] == "none" else float(meta["threshold"])
+        if name not in tensors or tensors[name].shape != (config.channels,):
+            raise DataError(f"{path}: detector container needs a ({config.channels},) tensor {name!r}")
+    if not (tensors["norm.std"] > 0).all():
+        raise DataError(f"{path}: tensor 'norm.std' holds a non-positive value")
     return Detector(
-        model=model,
-        mode=meta["mode"],
+        model=_fill_model(path, config, tensors),
+        mode=mode,
         threshold=threshold,
-        train_loss_mean=float(meta["train_loss_mean"]),
+        train_loss_mean=train_loss_mean,
         norm_mean=tensors["norm.mean"],
         norm_std=tensors["norm.std"],
     )

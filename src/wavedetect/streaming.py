@@ -8,10 +8,12 @@ block inside it. A block is finalized when it has collected the full
 of a stream only ever reach preliminary verdicts. A block is declared
 anomalous when its positive-vote ratio is at least ``vote_threshold``.
 
-``VoteState`` is the incremental engine and scores one window per block;
-``simulate`` recomputes the same verdicts offline by direct counting, with
-every window of the stream scored in batches, which gives the tests an
-independent path to compare against.
+``VoteState`` is the incremental engine and scores one window per block.
+The offline replay scores every window of the stream in batches and
+tallies each block's votes by direct counting, which gives the tests an
+independent path to compare against. ``sweep`` reports that tally at
+several vote thresholds and ``simulate`` at one: both go through the same
+tally-and-label pass and the same per-threshold report.
 """
 
 from __future__ import annotations
@@ -151,44 +153,35 @@ def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig)
     return preds, n_blocks
 
 
-def _tally(preds: dict, n_blocks: int, full: int):
-    tallies = []
-    last = n_blocks - 1
+def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
+    """(positive votes, total votes, label) of every block of the stream."""
+    preds, n_blocks = window_predictions(series, detector, cfg)
+    full = cfg.votes_per_block
+    blocks = []
     for i in range(n_blocks):
-        lo = max(full - 1, i)
-        hi = min(i + full - 1, last)
-        votes = [preds[w] for w in range(lo, hi + 1)]
-        tallies.append((sum(votes), len(votes)))
-    return tallies
+        votes = [preds[w] for w in range(max(full - 1, i), min(i + full - 1, n_blocks - 1) + 1)]
+        label = label_block((i * cfg.step, (i + 1) * cfg.step), ranges)
+        blocks.append((sum(votes), len(votes), label))
+    return blocks
+
+
+def _report(blocks, cfg: VoteConfig, vote_threshold: float):
+    """Per-block rows at one vote threshold, plus metrics over finalized blocks."""
+    rows = [BlockRow(i, label, vote_decide(positive, total, vote_threshold), positive, total,
+                     total == cfg.votes_per_block)
+            for i, (positive, total, label) in enumerate(blocks)]
+    finalized = [r for r in rows if r.final]
+    return rows, compute_metrics([r.verdict for r in finalized], [r.label for r in finalized])
 
 
 def simulate(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
-    """Offline replay: per-block report rows plus metrics over finalized blocks."""
-    preds, n_blocks = window_predictions(series, detector, cfg)
-    tallies = _tally(preds, n_blocks, cfg.votes_per_block)
-    rows = []
-    for i, (positive, total) in enumerate(tallies):
-        label = label_block((i * cfg.step, (i + 1) * cfg.step), ranges)
-        verdict = vote_decide(positive, total, cfg.vote_threshold)
-        rows.append(BlockRow(i, label, verdict, positive, total, total == cfg.votes_per_block))
-    finalized = [r for r in rows if r.final]
-    report = compute_metrics([r.verdict for r in finalized], [r.label for r in finalized])
-    return rows, report
+    """Offline replay: per-block report rows plus metrics over finalized
+    blocks, at ``cfg.vote_threshold``."""
+    return _report(_blocks(series, ranges, detector, cfg), cfg, cfg.vote_threshold)
 
 
 def sweep(series: MultiSeries, ranges: AnomalyRanges, detector: Detector,
           cfg: VoteConfig, thresholds=SWEEP_THRESHOLDS):
     """Metrics per vote threshold; window predictions are computed once."""
-    preds, n_blocks = window_predictions(series, detector, cfg)
-    full = cfg.votes_per_block
-    tallies = _tally(preds, n_blocks, full)
-    labels = [label_block((i * cfg.step, (i + 1) * cfg.step), ranges) for i in range(n_blocks)]
-    results = []
-    for tau in thresholds:
-        verdicts, truth = [], []
-        for i, (positive, total) in enumerate(tallies):
-            if total == full:
-                verdicts.append(vote_decide(positive, total, tau))
-                truth.append(labels[i])
-        results.append((tau, compute_metrics(verdicts, truth)))
-    return results
+    blocks = _blocks(series, ranges, detector, cfg)
+    return [(tau, _report(blocks, cfg, tau)[1]) for tau in thresholds]

@@ -1,19 +1,24 @@
-"""Training loops and fragment-level prediction.
+"""The training loop and fragment-level prediction.
 
-Two regimes are supported. Normal-only training fits the autoencoder on
+One loop, ``train``, serves two regimes; the mode chooses only the label
+check and the loss. Normal-only (``semi``) training fits the autoencoder on
 reconstruction alone and calibrates an anomaly threshold as ``beta`` times
 the mean training loss; prediction then flags any fragment whose
-reconstruction loss reaches the threshold. Labeled training adds a
-classifier head on the global code and minimizes
-``alpha * reconstruction + (1 - alpha) * cross_entropy``; prediction uses
-the head's probability against 0.5.
+reconstruction loss reaches the threshold. Labeled (``supervised``)
+training adds a classifier head on the global code and minimizes
+``alpha * reconstruction + (1 - alpha) * cross_entropy``, the cross-entropy
+taken from the head's logit; prediction uses the head's probability
+against 0.5.
 
 Gradient steps always teacher-force the decoder. Scores, and the frozen
 pass that feeds the threshold, run the decoder autoregressively so the
 threshold is calibrated in the same regime it is later compared against.
-All scoring goes through one no-grad path that takes a batch of windows
-(``score_windows``). Fragments are z-scored per channel with statistics
-fitted on the training set only; the statistics travel with the detector.
+Training and scoring take their input through one check that stacks
+fragments or windows into a (N, C, T) array and rejects a wrong shape or a
+non-finite value. All scoring goes through one no-grad path that takes a
+batch of windows (``score_windows``). Fragments are z-scored per channel
+with statistics fitted on the training set only; the statistics travel
+with the detector.
 Statistics and trained weights are rounded to float32, the precision of a
 detector file, before calibration, so a detector reloaded from disk scores
 exactly like the one training returned.
@@ -27,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
-from .data import Fragment
 from .errors import ConfigError, DataError
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder, reconstruction_loss
-from .nn import bce_loss
+from .nn import bce_with_logits
 from .optim import Adam
 from .wavelet import get_family, mdwd
 
@@ -108,8 +112,9 @@ def _stored(array: np.ndarray) -> np.ndarray:
     return array.astype(np.float32).astype(np.float64)
 
 
-def fit_channel_stats(fragments):
-    stacked = np.concatenate([f.values for f in fragments], axis=1)
+def fit_channel_stats(windows: np.ndarray):
+    """Per-channel mean and floored std of a (N, C, T) array, at stored precision."""
+    stacked = np.concatenate(windows, axis=1)
     mean = stacked.mean(axis=1)
     std = stacked.std(axis=1)
     return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
@@ -120,40 +125,44 @@ def normalize_values(values, mean, std):
     return (values - mean[:, None]) / std[:, None]
 
 
-def _fragment_values(fragment) -> np.ndarray:
-    return np.asarray(getattr(fragment, "values", fragment), dtype=np.float64)
+def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
+    """Fragments, (C, T) arrays or one (N, C, T) array as a (N, C, T)
+    float64 array. An empty input, a window of the wrong shape or a
+    non-finite value raises ``DataError``."""
+    want = (cfg.channels, cfg.fragment_length)
+    if not isinstance(items, np.ndarray):
+        items = [np.asarray(getattr(f, "values", f), dtype=np.float64) for f in items]
+        for i, values in enumerate(items):
+            if values.shape != want:
+                raise DataError(f"window {i} has shape {values.shape}, expected {want}")
+    windows = np.asarray(items, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1:] != want or len(windows) == 0:
+        raise DataError(f"expected a non-empty (N, {want[0]}, {want[1]}) batch of windows, "
+                        f"got shape {windows.shape}")
+    finite = np.isfinite(windows).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError(f"window {int(np.argmin(finite))} holds a non-finite value")
+    return windows
 
 
-def _check_fragments(fragments, model_cfg: ModelConfig):
-    if not fragments:
-        raise DataError("no training fragments")
-    for i, fragment in enumerate(fragments):
-        values = _fragment_values(fragment)
-        if values.shape != (model_cfg.channels, model_cfg.fragment_length):
-            raise DataError(
-                f"fragment {i} has shape {values.shape}, expected "
-                f"({model_cfg.channels}, {model_cfg.fragment_length})"
-            )
-
-
-def _prepared(fragments, model_cfg, mean, std):
-    """Normalized values, decomposition and loss targets per fragment."""
+def _prepared(windows, model_cfg, mean, std):
+    """Normalized values, decomposition and loss targets per window."""
     family = get_family(model_cfg.wavelet)
     prepared = []
-    for fragment in fragments:
-        xn = normalize_values(_fragment_values(fragment), mean, std)
+    for values in windows:
+        xn = normalize_values(values, mean, std)
         decomp = mdwd(xn, family, model_cfg.levels) if model_cfg.levels else None
         targets = [xn] + (list(decomp.details) if decomp else [])
         prepared.append((xn, decomp, targets))
     return prepared
 
 
-def _finish(model, mode, fragments, mean, std, beta) -> Detector:
+def _finish(model, mode, windows, mean, std, beta) -> Detector:
     """Round the weights to stored precision, then calibrate on the
-    autoregressive reconstruction losses of the training fragments."""
+    autoregressive reconstruction losses of the training windows."""
     for p in model.parameters():
         p.data = _stored(p.data)
-    losses = _batch_scores(model, mean, std, [_fragment_values(f) for f in fragments], head=False)
+    losses = _scores(model, mean, std, windows, head=False)
     return Detector(
         model=model,
         mode=mode,
@@ -164,15 +173,27 @@ def _finish(model, mode, fragments, mean, std, beta) -> Detector:
     )
 
 
-def train_semi_supervised(fragments, cfg: TrainConfig, progress=None) -> Detector:
-    """Fit on normal-only fragments and calibrate the anomaly threshold."""
-    _check_fragments(fragments, cfg.model)
-    for i, fragment in enumerate(fragments):
-        if getattr(fragment, "label", 0) != 0:
-            raise DataError(f"fragment {i} is labeled anomalous; normal-only training requires clean data")
+def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
+    """Fit a detector, calling ``progress(epoch, mean_loss)`` after each epoch.
 
-    mean, std = fit_channel_stats(fragments)
-    prepared = _prepared(fragments, cfg.model, mean, std)
+    ``semi`` mode takes normal-only fragments and minimizes reconstruction
+    alone; ``supervised`` mode takes 0/1-labeled fragments and a model with
+    a classifier head, and adds the head's cross-entropy. An epoch whose
+    mean loss is not finite stops training with ``DataError``.
+    """
+    windows = _checked_windows(fragments, cfg.model)
+    supervised = cfg.mode == "supervised"
+    labels = [getattr(f, "label", None if supervised else 0) for f in fragments]
+    for i, label in enumerate(labels):
+        if supervised and label not in (0, 1):
+            raise DataError(f"fragment {i} is missing a 0/1 label")
+        if not supervised and label != 0:
+            raise DataError(f"fragment {i} is labeled anomalous; normal-only training requires clean data")
+    if supervised and not cfg.model.classifier:
+        raise ConfigError("supervised training requires a model config with classifier=True")
+
+    mean, std = fit_channel_stats(windows)
+    prepared = _prepared(windows, cfg.model, mean, std)
     model = WaveletAutoencoder(cfg.model)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     order_rng = np.random.default_rng(cfg.seed)
@@ -183,78 +204,30 @@ def train_semi_supervised(fragments, cfg: TrainConfig, progress=None) -> Detecto
             xn, decomp, targets = prepared[idx]
             code, acts = model.encode(xn, decomp)
             loss = reconstruction_loss(targets, model.decode(code, acts))
+            if supervised:
+                loss_c = bce_with_logits(model.logit(code), labels[idx])
+                loss = loss * cfg.alpha + loss_c * (1.0 - cfg.alpha)
             loss.backward()
             optimizer.step()
             optimizer.zero_grad()
             total += loss.item()
+        mean_loss = total / len(prepared)
+        if not math.isfinite(mean_loss):
+            raise DataError(f"training diverged: epoch {epoch + 1} has mean loss {mean_loss}")
         if progress is not None:
-            progress(epoch, total / len(prepared))
+            progress(epoch, mean_loss)
 
-    return _finish(model, "semi", fragments, mean, std, cfg.beta)
-
-
-def train_supervised(fragments, cfg: TrainConfig, progress=None) -> Detector:
-    """Fit reconstruction and classification jointly on labeled fragments."""
-    _check_fragments(fragments, cfg.model)
-    labels = []
-    for i, fragment in enumerate(fragments):
-        label = getattr(fragment, "label", None)
-        if label not in (0, 1):
-            raise DataError(f"fragment {i} is missing a 0/1 label")
-        labels.append(label)
-    if not cfg.model.classifier:
-        raise ConfigError("supervised training requires a model config with classifier=True")
-
-    mean, std = fit_channel_stats(fragments)
-    prepared = _prepared(fragments, cfg.model, mean, std)
-    model = WaveletAutoencoder(cfg.model)
-    optimizer = Adam(model.parameters(), lr=cfg.lr)
-    order_rng = np.random.default_rng(cfg.seed)
-
-    for epoch in range(cfg.resolved_epochs):
-        total = 0.0
-        for idx in order_rng.permutation(len(prepared)):
-            xn, decomp, targets = prepared[idx]
-            code, acts = model.encode(xn, decomp)
-            loss_re = reconstruction_loss(targets, model.decode(code, acts))
-            loss_c = bce_loss(model.classify(code), labels[idx])
-            loss = loss_re * cfg.alpha + loss_c * (1.0 - cfg.alpha)
-            loss.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-            total += loss.item()
-        if progress is not None:
-            progress(epoch, total / len(prepared))
-
-    return _finish(model, "supervised", fragments, mean, std, cfg.beta)
+    return _finish(model, cfg.mode, windows, mean, std, cfg.beta)
 
 
-def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
-    if cfg.mode == "semi":
-        return train_semi_supervised(fragments, cfg, progress)
-    return train_supervised(fragments, cfg, progress)
-
-
-def _batch_scores(model, mean, std, windows, head: bool) -> np.ndarray:
-    """No-grad scores of raw (C, T) windows, ``_SCORE_CHUNK`` at a time:
-    autoregressive reconstruction losses, or head probabilities."""
+def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
+    """No-grad scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at
+    a time: autoregressive reconstruction losses, or head probabilities."""
     cfg = model.config
     family = get_family(cfg.wavelet)
     scores = []
     for start in range(0, len(windows), _SCORE_CHUNK):
-        try:
-            chunk = np.asarray(windows[start : start + _SCORE_CHUNK], dtype=np.float64)
-        except ValueError:
-            raise DataError("windows to score differ in shape") from None
-        if chunk.shape[1:] != (cfg.channels, cfg.fragment_length):
-            raise DataError(
-                f"window shape {chunk.shape[1:]} does not match the detector's "
-                f"({cfg.channels}, {cfg.fragment_length})"
-            )
-        finite = np.isfinite(chunk).all(axis=(1, 2))
-        if not finite.all():
-            raise DataError(f"window {start + int(np.argmin(finite))} holds a non-finite value")
-        xn = normalize_values(chunk, mean, std)
+        xn = normalize_values(windows[start : start + _SCORE_CHUNK], mean, std)
         decomp = mdwd(xn, family, cfg.levels) if cfg.levels else None
         with no_grad():
             code = model.encode(xn, decomp)[0]
@@ -263,20 +236,21 @@ def _batch_scores(model, mean, std, windows, head: bool) -> np.ndarray:
             else:
                 targets = [xn] + (list(decomp.details) if decomp else [])
                 scores.append(reconstruction_loss(targets, model.decode(code)).data)
-    return np.concatenate(scores) if scores else np.zeros(0)
+    return np.concatenate(scores)
 
 
 def score_windows(detector: Detector, windows) -> np.ndarray:
-    """Scores of a (N, C, T) array or a sequence of (C, T) windows: the
-    reconstruction loss (threshold mode) or anomaly probability (head mode)
-    of each. A window holding NaN or infinity raises ``DataError``."""
-    return _batch_scores(detector.model, detector.norm_mean, detector.norm_std, windows,
-                         head=detector.mode == "supervised")
+    """Scores of a (N, C, T) array or a sequence of fragments or (C, T)
+    windows: the reconstruction loss (threshold mode) or anomaly probability
+    (head mode) of each. A window of the wrong shape or holding NaN or
+    infinity raises ``DataError``."""
+    return _scores(detector.model, detector.norm_mean, detector.norm_std,
+                   _checked_windows(windows, detector.model.config), head=detector.mode == "supervised")
 
 
 def score_fragment(detector: Detector, fragment) -> float:
     """Reconstruction loss (threshold mode) or anomaly probability (head mode)."""
-    return float(score_windows(detector, [_fragment_values(fragment)])[0])
+    return float(score_windows(detector, [fragment])[0])
 
 
 def predict_fragment(detector: Detector, fragment):
@@ -286,9 +260,7 @@ def predict_fragment(detector: Detector, fragment):
 
 
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
-    if not fragments:
-        raise DataError("no fragments to evaluate")
-    scores = score_windows(detector, [_fragment_values(f) for f in fragments])
+    scores = score_windows(detector, fragments)
     preds = [int(score >= detector.cut) for score in scores]
     labels = [f.label for f in fragments]
     return compute_metrics(preds, labels)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from wavedetect.autodiff import Tensor, reshape
+from wavedetect.nn import lstm_sequence
+
 
 @pytest.fixture
 def rng():
@@ -26,3 +29,10 @@ def numeric_grad(f, tensor, h=1e-5):
 def max_rel_err(analytic, numeric, floor=1e-8):
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def lstm_step(a, h, c, params):
+    """One LSTM step, run as a one-step ``lstm_sequence``; returns (h, c)."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    _, h, c = lstm_sequence(reshape(a, a.shape + (1,)), h, c, params)
+    return h, c

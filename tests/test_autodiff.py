@@ -3,17 +3,13 @@ import pytest
 
 from wavedetect.autodiff import (
     Tensor,
-    clamp,
-    col,
     concat,
     index,
-    log,
     matmul,
     no_grad,
     relu,
     reshape,
     sigmoid,
-    stack_cols,
     tanh,
     tmean,
     tsum,
@@ -79,7 +75,6 @@ def test_broadcast_add_and_mul_gradients():
 @pytest.mark.parametrize("op,ref", [
     (sigmoid, lambda x: 1.0 / (1.0 + np.exp(-x))),
     (tanh, np.tanh),
-    (log, np.log),
 ])
 def test_unary_op_gradients(op, ref, rng):
     x = Tensor(rng.uniform(0.5, 2.0, size=(3, 4)), requires_grad=True)
@@ -97,12 +92,6 @@ def test_relu_gradient_masks_negative_side():
     x = Tensor([-2.0, -0.5, 0.5, 2.0], requires_grad=True)
     tsum(relu(x)).backward()
     assert np.allclose(x.grad, [0.0, 0.0, 1.0, 1.0])
-
-
-def test_clamp_gradient_zero_outside():
-    x = Tensor([-1.0, 0.25, 2.0], requires_grad=True)
-    tsum(clamp(x, 0.0, 1.0)).backward()
-    assert np.allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_matmul_gradients(rng):
@@ -153,9 +142,9 @@ def test_concat_splits_gradient():
     assert np.allclose(b.grad, [3.0])
 
 
-def test_stack_cols_and_col_roundtrip(rng):
+def test_index_and_concat_roundtrip(rng):
     mat = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    rebuilt = stack_cols([col(mat, t) for t in range(4)])
+    rebuilt = concat([mat[:, t : t + 1] for t in range(4)])
     assert np.array_equal(rebuilt.data, mat.data)
     tsum(rebuilt * rebuilt).backward()
     assert max_rel_err(mat.grad, 2.0 * mat.data) < 1e-12

@@ -59,3 +59,11 @@ def test_pipeline(tmp_path, capsys):
     assert main(["dwt", "--inverse", str(coeffs), "--out", str(back)]) == 0
     assert np.allclose(load_signals(back).values, load_signals(signals).values, atol=1e-6)
 
+
+def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    signals = tmp_path / "signals.csv"
+    signals.write_text("a\n0.0\n")
+    missing = tmp_path / "missing.wdc"
+    assert main(["simulate", "--model", str(missing), "--signals", str(signals)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.wdc" in err

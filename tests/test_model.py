@@ -12,10 +12,10 @@ from wavedetect.model import (
     padding_for,
     reconstruction_loss,
 )
-from wavedetect.nn import conv1d, deconv1d, lstm_cell, mse_loss
+from wavedetect.nn import bce_with_logits, conv1d, deconv1d, mse_loss
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import max_rel_err, numeric_grad
+from conftest import lstm_step, max_rel_err, numeric_grad
 
 TINY_CONV = (ConvLayer(4, 4, 2), ConvLayer(5, 3, 1))
 
@@ -144,7 +144,7 @@ class TestEncode:
                 h = Tensor(np.zeros(cfg.hidden))
                 c = Tensor(np.zeros(cfg.hidden))
                 for t in range(a.data.shape[1]):
-                    h, c = lstm_cell(Tensor(a.data[:, t]), h, c, branch.encoder)
+                    h, c = lstm_step(Tensor(a.data[:, t]), h, c, branch.encoder)
                 pieces.append(h.data)
         assert np.max(np.abs(code.data - np.concatenate(pieces))) < 1e-12
 
@@ -197,7 +197,7 @@ class TestDecode:
         branch = model.branches[0]
         with no_grad():
             h0 = branch.dec_init_w.data @ code.data + branch.dec_init_b.data
-            h, _ = lstm_cell(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
+            h, _ = lstm_step(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
             step = branch.step_w.data @ h.data + branch.step_b.data
             kern, bias = branch.deconv[0]
             ref = deconv1d(Tensor(step[:, None]), kern, bias, 4, 0)
@@ -227,12 +227,22 @@ class TestClassify:
         model.classifier_b.data[...] = 0.0
         assert model.classify(Tensor(np.zeros(12))).item() == 0.5
 
-    def test_large_logit_saturates_clamped(self):
+    def test_large_logit_saturates(self):
         model = WaveletAutoencoder(tiny_config(classifier=True))
         model.classifier_w.data[...] = 0.0
         model.classifier_b.data[...] = 50.0
-        p = model.classify(Tensor(np.zeros(12))).item()
-        assert 1.0 - 1e-6 < p < 1.0
+        assert model.classify(Tensor(np.zeros(12))).item() == 1.0
+        model.classifier_b.data[...] = -50.0
+        assert 0.0 < model.classify(Tensor(np.zeros(12))).item() < 1e-21
+
+    def test_head_saturated_the_wrong_way_still_learns(self):
+        model = WaveletAutoencoder(tiny_config(classifier=True))
+        model.classifier_w.data[...] = 0.0
+        model.classifier_b.data[...] = -50.0
+        loss = bce_with_logits(model.logit(Tensor(np.zeros(12))), 1)
+        loss.backward()
+        assert abs(loss.item() - 50.0) < 1e-12
+        assert abs(model.classifier_b.grad[0] + 1.0) < 1e-12
 
     def test_matches_sigmoid_linear_oracle(self, rng):
         model = WaveletAutoencoder(tiny_config(classifier=True, seed=4))

@@ -4,35 +4,33 @@ import pytest
 from wavedetect.autodiff import (
     Tensor,
     add,
-    col,
     concat,
     matmul,
     mul,
     no_grad,
     relu,
+    reshape,
     sigmoid,
-    stack_cols,
     tanh,
     tsum,
 )
-from wavedetect.errors import ContractError, DomainError, ShapeError
+from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for, reconstruction_loss
 from wavedetect.nn import (
     LSTMParams,
-    bce_loss,
+    bce_with_logits,
     conv1d,
     conv_output_length,
     deconv1d,
     deconv_output_length,
     linear,
-    lstm_cell,
     lstm_feedback,
     lstm_sequence,
     mse_loss,
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import max_rel_err, numeric_grad
+from conftest import lstm_step, max_rel_err, numeric_grad
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -161,6 +159,8 @@ class TestDeconv1d:
 
 
 class TestLstmCell:
+    """One step of the LSTM: a one-step ``lstm_sequence``."""
+
     def make_params(self, input_size, hidden_size, seed=3):
         return LSTMParams.init(input_size, hidden_size, np.random.default_rng(seed))
 
@@ -172,14 +172,14 @@ class TestLstmCell:
 
     def test_all_zero_weights_and_state(self):
         p = self.zero_params(2, 3)
-        h, c = lstm_cell(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(np.zeros(3)), p)
+        h, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(np.zeros(3)), p)
         # i = f = o = 0.5 and g = 0, so both outputs stay zero
         assert np.allclose(c.data, 0.0)
         assert np.allclose(h.data, 0.0)
 
     def test_forget_gate_arithmetic(self):
         p = self.zero_params(1, 1)
-        h, c = lstm_cell(Tensor([0.0]), Tensor([0.0]), Tensor([1.0]), p)
+        h, c = lstm_step(Tensor([0.0]), Tensor([0.0]), Tensor([1.0]), p)
         assert np.allclose(c.data, [0.5])
         assert np.allclose(h.data, [0.5 * np.tanh(0.5)])
         assert abs(h.data[0] - 0.23105857863) < 1e-9
@@ -187,7 +187,7 @@ class TestLstmCell:
     def test_matches_six_equation_oracle(self, rng):
         p = self.make_params(3, 2, seed=11)
         a, h0, c0 = rng.normal(size=3), rng.normal(size=2), rng.normal(size=2)
-        h, c = lstm_cell(Tensor(a), Tensor(h0), Tensor(c0), p)
+        h, c = lstm_step(Tensor(a), Tensor(h0), Tensor(c0), p)
         h_ref, c_ref = lstm_reference(a, h0, c0, p)
         assert np.max(np.abs(h.data - h_ref)) < 1e-12
         assert np.max(np.abs(c.data - c_ref)) < 1e-12
@@ -198,15 +198,15 @@ class TestLstmCell:
         p.b_if.data[...] = 40.0
         p.b_ii.data[...] = -40.0
         c_prev = np.array([0.3, -1.2, 2.0])
-        _, c = lstm_cell(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(c_prev), p)
+        _, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(c_prev), p)
         assert np.allclose(c.data, c_prev, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         p = self.make_params(3, 2)
         with pytest.raises(ShapeError):
-            lstm_cell(Tensor(np.zeros(4)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
+            lstm_step(Tensor(np.zeros(4)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
         with pytest.raises(ShapeError):
-            lstm_cell(Tensor(np.zeros(3)), Tensor(np.zeros(5)), Tensor(np.zeros(2)), p)
+            lstm_step(Tensor(np.zeros(3)), Tensor(np.zeros(5)), Tensor(np.zeros(2)), p)
 
 
 class TestLinear:
@@ -250,21 +250,74 @@ class TestLosses:
             mse_loss(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
     def test_bce_values(self):
-        assert abs(bce_loss(Tensor([0.5]), 0).item() - np.log(2.0)) < 1e-12
-        assert abs(bce_loss(Tensor([0.5]), 1).item() - np.log(2.0)) < 1e-12
-        assert abs(bce_loss(Tensor([0.9]), 0).item() - (-np.log(0.1))) < 1e-12
-        assert bce_loss(Tensor([1.0 - 1e-9]), 1).item() < 1e-8
+        assert abs(bce_with_logits(Tensor([0.0]), 0).item() - np.log(2.0)) < 1e-12
+        assert abs(bce_with_logits(Tensor([0.0]), 1).item() - np.log(2.0)) < 1e-12
+        assert abs(bce_with_logits(Tensor([np.log(9.0)]), 0).item() - (-np.log(0.1))) < 1e-12
+        assert bce_with_logits(Tensor([25.0]), 1).item() < 1e-10
+        # far in the wrong tail the loss grows linearly instead of sticking
+        assert bce_with_logits(Tensor([-800.0]), 1).item() == 800.0
 
     def test_bce_domain_error(self):
-        with pytest.raises(DomainError):
-            bce_loss(Tensor([1.5]), 1)
+        with pytest.raises(ShapeError):
+            bce_with_logits(Tensor([0.5, 0.5]), 1)
         with pytest.raises(ContractError):
-            bce_loss(Tensor([0.5]), 2)
+            bce_with_logits(Tensor([0.5]), 2)
 
-    def test_bce_gradient(self, rng):
-        p = Tensor([0.3], requires_grad=True)
-        bce_loss(p, 1).backward()
-        assert abs(p.grad[0] + 1.0 / 0.3) < 1e-9
+    def test_bce_gradient(self):
+        z = Tensor([np.log(0.3 / 0.7)], requires_grad=True)  # sigmoid(z) = 0.3
+        bce_with_logits(z, 1).backward()
+        assert abs(z.grad[0] - (0.3 - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("z", [-50.0, -3.0, 0.0, 3.0, 50.0])
+    def test_bce_with_logits_gradcheck(self, z, label):
+        logit = Tensor([z], requires_grad=True)
+        bce_with_logits(logit, label).backward()
+
+        def f():
+            with no_grad():
+                return bce_with_logits(Tensor(logit.data), label).item()
+
+        assert max_rel_err(logit.grad, numeric_grad(f, logit)) < 1e-6
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_bce_with_logits_matches_clamped_probability_loss(self, label):
+        """Where the clamps of the probability form (1e-7 on the sigmoid,
+        1e-12 before the log) are inactive, the logit form gives the same
+        loss and gradient to within 1e-12. The points stop at |z| = 6: past
+        that, 1 - p in the probability form loses more than 1e-12 to
+        cancellation by itself."""
+        for z in (-6.0, -3.0, -0.5, 0.0, 0.7, 3.0, 6.0):
+            loss, grad = _clamped_probability_bce(z, label)
+            logit = Tensor([z], requires_grad=True)
+            new = bce_with_logits(logit, label)
+            new.backward()
+            assert abs(new.item() - loss) < 1e-12, z
+            assert abs(logit.grad[0] - grad) < 1e-12, z
+
+    @pytest.mark.parametrize("label,z", [(1, -30.0), (0, 30.0)])
+    def test_head_saturated_the_wrong_way_keeps_its_gradient(self, label, z):
+        # The probability form clamps sigmoid(z) at 1e-7 from either end, so
+        # past |z| ~ 16.1 its loss sticks at 16.1 and its gradient is 0.
+        logit = Tensor([z], requires_grad=True)
+        loss = bce_with_logits(logit, label)
+        loss.backward()
+        assert abs(loss.item() - 30.0) < 1e-12
+        assert abs(logit.grad[0] - (1.0 - 2.0 * label)) < 1e-12
+
+
+def _clamped_probability_bce(z, label):
+    """Loss and d(loss)/dz of the probability form the logit form replaced:
+    p = clamp(sigmoid(z), 1e-7, 1 - 1e-7), then -log(clamp(p, 1e-12, 1 - 1e-12))
+    or -log(1 - clamp(...)), with the gradient chained op by op as the graph
+    did."""
+    s = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+    p = min(max(s, 1e-7), 1.0 - 1e-7)
+    q = p if label == 1 else 1.0 - p
+    loss = -np.log(q)
+    dq = -1.0 / q
+    dp = dq if label == 1 else -dq
+    return loss, dp * s * (1.0 - s)
 
 
 def test_composite_chain_gradients_match_finite_differences(rng):
@@ -278,12 +331,11 @@ def test_composite_chain_gradients_match_finite_differences(rng):
     target = rng.normal(size=2)
 
     def forward():
-        from wavedetect.autodiff import col
         acts = conv1d(Tensor(x), conv_w, conv_b, stride=2, padding=1)
         h = Tensor(np.zeros(2))
         c = Tensor(np.zeros(2))
         for t in range(acts.data.shape[1]):
-            h, c = lstm_cell(col(acts, t), h, c, p)
+            h, c = lstm_step(acts[:, t], h, c, p)
         return mse_loss(linear(h, out_w, out_b), Tensor(target))
 
     forward().backward()
@@ -398,7 +450,7 @@ class TestLstmSequence:
     def test_cell_is_one_step_sequence(self, rng):
         x, h0, c0, p = _lstm_inputs(rng, 3, steps=1)
         _, h_seq, c_seq = lstm_sequence(x, h0, c0, p)
-        h, c = lstm_cell(Tensor(x.data[:, :, 0]), h0, c0, p)
+        h, c = lstm_step(Tensor(x.data[:, :, 0]), h0, c0, p)
         assert np.array_equal(h.data, h_seq.data)
         assert np.array_equal(c.data, c_seq.data)
 
@@ -450,7 +502,7 @@ def _per_gate_reconstructions(model, inputs, teacher=True):
             acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
-            h, c = _per_gate_lstm_cell(col(acts, t), h, c, branch.encoder)
+            h, c = _per_gate_lstm_cell(acts[:, t], h, c, branch.encoder)
         finals.append(h)
         taught.append(acts)
     code = concat(finals)
@@ -464,8 +516,8 @@ def _per_gate_reconstructions(model, inputs, teacher=True):
         for t in range(steps - 1, -1, -1):
             h, c = _per_gate_lstm_cell(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
-            step_in = col(acts, t) if teacher else slots[t]
-        out = stack_cols(slots)
+            step_in = acts[:, t] if teacher else slots[t]
+        out = concat([reshape(slot, (cfg.conv_features, 1)) for slot in slots])
         for i, (kernels, bias) in enumerate(branch.deconv):
             layer = cfg.conv[len(cfg.conv) - 1 - i]
             out = deconv1d(out, kernels, bias, layer.stride, padding_for(layer))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavedetect.errors import DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
@@ -107,3 +109,58 @@ class TestDetectorContainer:
         save_model(small_model(), path)
         with pytest.raises(DataError):
             load_detector(path)
+
+
+def _replace_line(blob: bytes, prefix: bytes, new: bytes) -> bytes:
+    head, sep, payload = blob.partition(b"\npayload\n")
+    lines = [new if line.startswith(prefix) else line for line in head.split(b"\n")]
+    return b"\n".join(lines) + sep + payload
+
+
+class TestMalformedContainers:
+    """Every defect in a detector file raises DataError, never a bare error."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("container") / "d.bin"
+        save_detector(small_detector("supervised"), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.replace(b"wavedetect-container 1", b"wavedetect-container x", 1),
+        lambda b: b.replace(b" 4,2,4 0", b" x2 0", 1),
+        lambda b: b"\npayload\n" + b,
+        lambda b: b"\xff\xfe" + b,
+        lambda b: _replace_line(b, b"config ", b"config {not json"),
+        lambda b: _replace_line(b, b"meta mode ", b"meta mode bogus"),
+        lambda b: b.replace(b'"classifier": true', b'"classifier": false', 1),
+        lambda b: _replace_line(b, b"meta mode ", b"meta mode semi"),
+        lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean lots"),
+        lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1),
+    ], ids=["version", "shape", "empty-header", "not-utf8", "config-json", "mode",
+            "supervised-without-head", "semi-without-threshold", "meta-number", "negative-seed"])
+    def test_defect(self, tmp_path, blob, edit):
+        corrupted = edit(blob)
+        assert corrupted != blob
+        path = tmp_path / "bad.bin"
+        path.write_bytes(corrupted)
+        with pytest.raises(DataError):
+            load_detector(path)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_or_truncated_bytes(self, tmp_path, blob, data):
+        corrupted = bytearray(blob)
+        if data.draw(st.booleans(), label="truncate"):
+            corrupted = corrupted[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            header = blob.index(b"\npayload\n") + 9
+            for _ in range(data.draw(st.integers(1, 3), label="flips")):
+                at = data.draw(st.integers(0, header + 32), label="at")
+                corrupted[at] = data.draw(st.integers(0, 255), label="byte")
+        path = tmp_path / "fuzzed.bin"
+        path.write_bytes(bytes(corrupted))
+        try:
+            load_detector(path)
+        except DataError:
+            pass

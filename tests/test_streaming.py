@@ -184,3 +184,6 @@ class TestSimulate:
         assert [tau for tau, _ in results] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         recalls = [report.recall for _, report in results]
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
+        for tau, report in results:
+            cfg = VoteConfig(window=64, step=16, vote_threshold=tau)
+            assert simulate(series, AnomalyRanges(((100, 260),)), detector, cfg)[1] == report

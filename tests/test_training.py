@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import wavedetect.training as training
 from wavedetect.data import AnomalyRanges, Fragment, MultiSeries
-from wavedetect.errors import DataError
+from wavedetect.errors import ConfigError, DataError
 from wavedetect.model import ConvLayer, ModelConfig
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
@@ -30,11 +31,15 @@ def _fragments(seed, count, label=0):
     return [Fragment(values[:, 64 * i : 64 * (i + 1)], label, 64 * i) for i in range(count)]
 
 
+def _model(mode):
+    return ModelConfig(channels=2, fragment_length=64, levels=1, conv=(ConvLayer(4, 4, 2),),
+                       hidden=3, classifier=mode == "supervised", seed=1)
+
+
 @pytest.fixture(scope="module", params=["semi", "supervised"])
 def detector(request):
     mode = request.param
-    model = ModelConfig(channels=2, fragment_length=64, levels=1, conv=(ConvLayer(4, 4, 2),),
-                        hidden=3, classifier=mode == "supervised", seed=1)
+    model = _model(mode)
     fragments = _fragments(2, 6)
     if mode == "supervised":
         spiky = _fragments(3, 3, label=1)
@@ -114,3 +119,40 @@ class TestBatchScoringEquivalence:
         assert [(v.index, v.verdict, v.positive, v.total) for v in state.finalized] == [
             (r.index, r.verdict, r.positive, r.total) for r in rows if r.final
         ]
+
+
+class TestTrainRejectsBadInput:
+    @pytest.mark.parametrize("mode,fragments,message", [
+        ("semi", [], "non-empty"),
+        ("semi", _fragments(20, 2) + [Fragment(np.zeros((2, 32)), 0, 0)], r"window 2 has shape \(2, 32\)"),
+        ("semi", _fragments(21, 2) + _fragments(22, 1, label=1), "fragment 2 is labeled anomalous"),
+        ("supervised", _fragments(23, 2) + [_series(24, 64)], "fragment 2 is missing a 0/1 label"),
+    ])
+    def test_fragments(self, mode, fragments, message):
+        with pytest.raises(DataError, match=message):
+            train(fragments, TrainConfig(model=_model(mode), mode=mode, epochs=1))
+
+    def test_non_finite_fragment(self):
+        fragments = _fragments(25, 3)
+        fragments[1].values[0, 5] = np.inf
+        with pytest.raises(DataError, match="window 1 holds a non-finite value"):
+            train(fragments, TrainConfig(model=_model("semi"), epochs=1))
+
+    def test_supervised_needs_a_classifier_head(self):
+        with pytest.raises(ConfigError, match="classifier"):
+            train(_fragments(26, 2), TrainConfig(model=_model("semi"), mode="supervised", epochs=1))
+
+
+def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
+    real = training.reconstruction_loss
+    epochs = []
+
+    def diverging(targets, reconstructions):
+        loss = real(targets, reconstructions)
+        return loss * (float("nan") if len(epochs) == 1 else 1.0)
+
+    monkeypatch.setattr(training, "reconstruction_loss", diverging)
+    cfg = TrainConfig(model=_model("semi"), epochs=3, seed=4)
+    with pytest.raises(DataError, match="epoch 2 has mean loss nan"):
+        train(_fragments(27, 2), cfg, progress=lambda epoch, loss: epochs.append(loss))
+    assert len(epochs) == 1 and np.isfinite(epochs[0])
