@@ -176,40 +176,26 @@ def linear(x, weight, bias) -> Tensor:
 
 @dataclass
 class LSTMParams:
-    """Per-gate weight matrices and biases for one LSTM cell.
+    """The weights of one LSTM, each fused over the four gates in the order
+    input, forget, output, candidate (``ifog``): the three sigmoid gates,
+    then the tanh candidate, so gate k owns rows k*H .. (k+1)*H - 1.
 
-    Gate order is input, forget, candidate, output; each gate has an
-    input-to-hidden matrix, a hidden-to-hidden matrix, and two biases.
+    ``w_x`` is (4H,in), ``w_h`` (4H,H) and ``b`` (4H).
     """
 
-    w_ii: Tensor
-    w_hi: Tensor
-    b_ii: Tensor
-    b_hi: Tensor
-    w_if: Tensor
-    w_hf: Tensor
-    b_if: Tensor
-    b_hf: Tensor
-    w_ig: Tensor
-    w_hg: Tensor
-    b_ig: Tensor
-    b_hg: Tensor
-    w_io: Tensor
-    w_ho: Tensor
-    b_io: Tensor
-    b_ho: Tensor
+    w_x: Tensor
+    w_h: Tensor
+    b: Tensor
 
     @classmethod
     def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LSTMParams":
         si = np.sqrt(1.0 / input_size)
         sh = np.sqrt(1.0 / hidden_size)
-        vals = {}
-        for gate in "ifgo":
-            vals[f"w_i{gate}"] = Tensor(rng.uniform(-si, si, (hidden_size, input_size)), requires_grad=True)
-            vals[f"w_h{gate}"] = Tensor(rng.uniform(-sh, sh, (hidden_size, hidden_size)), requires_grad=True)
-            vals[f"b_i{gate}"] = Tensor(rng.uniform(-si, si, hidden_size), requires_grad=True)
-            vals[f"b_h{gate}"] = Tensor(rng.uniform(-sh, sh, hidden_size), requires_grad=True)
-        return cls(**vals)
+        return cls(
+            w_x=Tensor(rng.uniform(-si, si, (4 * hidden_size, input_size)), requires_grad=True),
+            w_h=Tensor(rng.uniform(-sh, sh, (4 * hidden_size, hidden_size)), requires_grad=True),
+            b=Tensor(rng.uniform(-sh, sh, 4 * hidden_size), requires_grad=True),
+        )
 
     def named(self):
         for f in fields(self):
@@ -217,28 +203,16 @@ class LSTMParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_ii.data.shape[0]
+        return self.w_h.data.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_ii.data.shape[1]
+        return self.w_x.data.shape[1]
 
 
-# Gate order of the stacked matrices: the three sigmoid gates, then the
-# candidate. A sigmoid is evaluated as 0.5 + 0.5 * tanh(z / 2); halving the
-# sigmoid rows of the weights (exact in floating point) lets one tanh call
-# cover all four gates.
-_GATES = "ifog"
-
-
-def _stacked(params: LSTMParams):
-    """(W_x (4H,in), W_h (4H,H), b (4H)) with the paired biases summed."""
-    wx = np.concatenate([getattr(params, f"w_i{k}").data for k in _GATES])
-    wh = np.concatenate([getattr(params, f"w_h{k}").data for k in _GATES])
-    b = np.concatenate([getattr(params, f"b_i{k}").data + getattr(params, f"b_h{k}").data for k in _GATES])
-    return wx, wh, b
-
-
+# A sigmoid is evaluated as 0.5 + 0.5 * tanh(z / 2); halving the sigmoid
+# rows of the weights (exact in floating point) lets one tanh call cover
+# all four gates.
 def _halving(hid: int) -> np.ndarray:
     return np.repeat([0.5, 1.0], [3 * hid, hid])
 
@@ -329,11 +303,10 @@ def lstm_sequence(x, h0, c0, params: LSTMParams, reverse: bool = False):
     (hs, h, c): every hidden state, (H,T) or (B,H,T) indexed by t, and the
     hidden and cell states after the last step.
 
-    The per-gate parameters are stacked once per call, and the input
-    projection of all steps is one matrix product hoisted out of the
-    recurrence (Appleyard et al. 2016, arXiv:1604.01946); the backward pass
-    is hand-written BPTT and returns gradients for ``x``, ``h0``, ``c0`` and
-    all 16 parameter tensors.
+    The input projection of all steps is one matrix product with the fused
+    ``w_x`` hoisted out of the recurrence (Appleyard et al. 2016,
+    arXiv:1604.01946); the backward pass is hand-written BPTT and returns
+    gradients for ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
     """
     x, h0, c0 = _as_tensor(x), _as_tensor(h0), _as_tensor(c0)
     hid, nin = params.hidden_size, params.input_size
@@ -346,14 +319,13 @@ def lstm_sequence(x, h0, c0, params: LSTMParams, reverse: bool = False):
         )
     steps = x.data.shape[-1]
     nb = x.data.size // (nin * steps)
-    wx, wh, b = _stacked(params)
+    wx, wh, b = params.w_x.data, params.w_h.data, params.b.data
     half = _halving(hid)
     x3 = x.data.reshape(nb, nin, steps)
     zx = (wx * half[:, None]) @ x3
     zx += (b * half)[:, None]
     zx = zx.transpose(2, 0, 1)  # time-major view, (T,B,4H)
-    named = list(params.named())
-    parents = (x, h0, c0) + tuple(t for _, t in named)
+    parents = (x, h0, c0, params.w_x, params.w_h, params.b)
     traced = _trace(parents)
     hs, c, saved = _scan(zx[::-1] if reverse else zx, h0.data.reshape(nb, hid),
                          c0.data.reshape(nb, hid), (wh * half[:, None]).T, keep=traced)
@@ -372,18 +344,9 @@ def lstm_sequence(x, h0, c0, params: LSTMParams, reverse: bool = False):
             if reverse:  # back to time order, like x
                 dz, h_in = dz[::-1], h_in[::-1]
             dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-            stacked = {
-                "w_i": np.tensordot(dz, x3, axes=([0, 2], [0, 2])),
-                "w_h": np.tensordot(dz, h_in, axes=([0, 2], [1, 0])),
-                "b_i": dz.sum(axis=(0, 2)),
-            }
-            stacked["b_h"] = stacked["b_i"].copy()
-            dparams = []
-            for name, _ in named:
-                k = _GATES.index(name[3])
-                dparams.append(stacked[name[:3]][k * hid : (k + 1) * hid])
             return (np.matmul(wx.T, dz).reshape(x.data.shape), dh0.reshape(h0.data.shape),
-                    dc0.reshape(c0.data.shape), *dparams)
+                    dc0.reshape(c0.data.shape), np.tensordot(dz, x3, axes=([0, 2], [0, 2])),
+                    np.tensordot(dz, h_in, axes=([0, 2], [1, 0])), dz.sum(axis=(0, 2)))
 
         core.requires_grad, core._parents, core._vjp = True, parents, vjp
     last = 0 if reverse else steps - 1
@@ -402,7 +365,7 @@ def lstm_feedback(h0, c0, params: LSTMParams, head_w, head_b, steps: int,
     so every step after the first is one (B,H)@(H,4H) product.
     """
     hid = params.hidden_size
-    wx, wh, b = _stacked(params)
+    wx, wh, b = params.w_x.data, params.w_h.data, params.b.data
     half = _halving(hid)
     nb = h0.shape[0]
     first, c, _ = _scan(np.broadcast_to(b * half, (1, nb, 4 * hid)), h0, c0, (wh * half[:, None]).T,

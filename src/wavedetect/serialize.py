@@ -3,12 +3,16 @@
 Layout: a UTF-8 text manifest, one directive per line, terminated by a
 ``payload`` line, then the raw tensor bytes.
 
-    wavedetect-container 1
+    wavedetect-container 2
     config {...model config as JSON...}
     meta kind detector
     meta mode semi
     meta threshold 0.0123
-    tensor scale0.conv0.kernel 16,8,8 0
+    tensor scale0.conv0.kernel 32,8,8 0
+    ...
+    tensor scale0.enc.w_x 128,64 41344
+    tensor scale0.enc.w_h 128,32 74112
+    tensor scale0.enc.b 128 90496
     ...
     payload
     <little-endian float32 payloads, in manifest order>
@@ -16,6 +20,15 @@ Layout: a UTF-8 text manifest, one directive per line, terminated by a
 Offsets are relative to the start of the payload. Weights are stored as
 float32; loading widens back to float64. Because float32 -> float64 ->
 float32 is lossless, a save/load/save cycle is byte-identical.
+
+Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
+with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``). Version 1
+files, which held 16 per-gate tensors per LSTM, are still read: the per-gate
+tensors are stacked and each bias pair is summed in float64, which is the
+arithmetic the version-1 code did on every call, so a version-1 file scores
+exactly as it did. Saving always writes version 2; a summed bias may not
+be a float32 value, so a version-1 file written again as version 2 can score
+differently in the last bits.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from .errors import ConfigError, DataError
 from .model import ModelConfig, WaveletAutoencoder, config_from_dict, config_to_dict
 
 MAGIC = "wavedetect-container"
-VERSION = 1
+VERSION = 2
 
 
 def _write_container(path, config: ModelConfig, named_arrays, meta: dict):
@@ -66,7 +79,7 @@ def _read_container(path):
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise DataError(f"{path}: bad magic line {lines[0]!r}")
-    if magic[1] != str(VERSION):
+    if magic[1] not in ("1", str(VERSION)):
         raise DataError(f"{path}: unsupported format version {magic[1]!r}")
 
     config = None
@@ -101,7 +114,33 @@ def _read_container(path):
             raise DataError(f"{path}: line {number}: bad {kind} directive ({err})") from None
     if config is None:
         raise DataError(f"{path}: container has no config")
+    if magic[1] == "1":
+        _fuse_v1_lstms(path, config, tensors)
     return config, meta, tensors
+
+
+def _tensor(path, tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in tensors:
+        raise DataError(f"{path}: container is missing tensor {name!r}")
+    if tensors[name].shape != shape:
+        raise DataError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    return tensors[name]
+
+
+def _fuse_v1_lstms(path, config: ModelConfig, tensors: dict):
+    """Add the version-2 ``w_x``, ``w_h`` and ``b`` of every LSTM to the
+    tensors of a version-1 file, from its per-gate ``w_i?`` (H,in), ``w_h?``
+    (H,H) and bias pairs ``b_i?``, ``b_h?`` (H)."""
+    hid, nin = config.hidden, config.conv_features
+    for scale in range(config.levels + 1):
+        for prefix in (f"scale{scale}.enc.", f"scale{scale}.dec."):
+            def stacked(kind, shape):
+                return np.concatenate([_tensor(path, tensors, prefix + kind + gate, shape)
+                                       for gate in "ifog"])
+
+            tensors[prefix + "w_x"] = stacked("w_i", (hid, nin))
+            tensors[prefix + "w_h"] = stacked("w_h", (hid, hid))
+            tensors[prefix + "b"] = stacked("b_i", (hid,)) + stacked("b_h", (hid,))
 
 
 def _fill_model(path, config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
@@ -110,14 +149,7 @@ def _fill_model(path, config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
     except (ValueError, TypeError) as err:
         raise DataError(f"{path}: config does not describe a model ({err})") from None
     for name, param in model.named_parameters():
-        if name not in tensors:
-            raise DataError(f"{path}: container is missing tensor {name!r}")
-        stored = tensors[name]
-        if stored.shape != param.data.shape:
-            raise DataError(
-                f"{path}: tensor {name!r} has shape {stored.shape}, expected {param.data.shape}"
-            )
-        param.data = stored
+        param.data = _tensor(path, tensors, name, param.data.shape)
     return model
 
 
@@ -155,28 +187,17 @@ def load_detector(path):
     for key in ("mode", "threshold", "train_loss_mean"):
         if key not in meta:
             raise DataError(f"{path}: detector container is missing meta field {key!r}")
-    mode = meta["mode"]
-    if mode not in ("semi", "supervised"):
-        raise DataError(f"{path}: unknown detector mode {mode!r}")
-    if mode == "supervised" and not config.classifier:
-        raise DataError(f"{path}: a supervised detector needs a model with a classifier head")
     try:
         threshold = None if meta["threshold"] == "none" else float(meta["threshold"])
         train_loss_mean = float(meta["train_loss_mean"])
     except ValueError as err:
         raise DataError(f"{path}: bad number in detector meta ({err})") from None
-    if mode == "semi" and (threshold is None or not math.isfinite(threshold)):
-        raise DataError(f"{path}: a reconstruction-threshold detector needs a finite threshold")
-    for name in ("norm.mean", "norm.std"):
-        if name not in tensors or tensors[name].shape != (config.channels,):
-            raise DataError(f"{path}: detector container needs a ({config.channels},) tensor {name!r}")
-    if not (tensors["norm.std"] > 0).all():
+    mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))
+    if not (std > 0).all():
         raise DataError(f"{path}: tensor 'norm.std' holds a non-positive value")
-    return Detector(
-        model=_fill_model(path, config, tensors),
-        mode=mode,
-        threshold=threshold,
-        train_loss_mean=train_loss_mean,
-        norm_mean=tensors["norm.mean"],
-        norm_std=tensors["norm.std"],
-    )
+    model = _fill_model(path, config, tensors)
+    try:
+        return Detector(model=model, mode=meta["mode"], threshold=threshold,
+                        train_loss_mean=train_loss_mean, norm_mean=mean, norm_std=std)
+    except ConfigError as err:
+        raise DataError(f"{path}: {err}") from None

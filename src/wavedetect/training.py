@@ -88,8 +88,12 @@ class Detector:
     norm_std: np.ndarray
 
     def __post_init__(self):
-        if self.mode == "semi" and self.threshold is None:
-            raise ConfigError("a reconstruction-threshold detector needs a threshold")
+        if self.mode not in ("semi", "supervised"):
+            raise ConfigError(f"detector mode must be 'semi' or 'supervised', got {self.mode!r}")
+        if self.mode == "supervised" and not self.model.config.classifier:
+            raise ConfigError("a supervised detector needs a model with a classifier head")
+        if self.mode == "semi" and (self.threshold is None or not math.isfinite(self.threshold)):
+            raise ConfigError("a reconstruction-threshold detector needs a finite threshold")
 
     @property
     def cut(self) -> float:

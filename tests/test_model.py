@@ -108,7 +108,7 @@ class TestEncode:
     def test_zero_input_zero_bias_gives_zero_code(self, rng):
         model = WaveletAutoencoder(tiny_config(seed=3))
         for name, t in model.named_parameters():
-            if name.endswith(("bias", "b_ii", "b_hi", "b_if", "b_hf", "b_ig", "b_hg", "b_io", "b_ho")):
+            if name.endswith(("bias", ".b")):
                 t.data[...] = 0.0
         x = np.zeros((2, 32))
         decomp = mdwd(x, get_family("haar"), 2)

@@ -51,16 +51,26 @@ def conv1d_naive(x, w, b, stride, padding):
     return out
 
 
+def gate_params(p, gate):
+    """(w_i, b_i, w_h, b_h) of one gate, as index slices of the fused
+    tensors (gate order ifog); the one fused bias takes the b_i slot and
+    zero the b_h slot."""
+    k = "ifog".index(gate)
+    rows = slice(k * p.hidden_size, (k + 1) * p.hidden_size)
+    return p.w_x[rows], p.b[rows], p.w_h[rows], Tensor(np.zeros(p.hidden_size))
+
+
 def lstm_reference(a, h, c, p):
     """Direct evaluation of the six gate equations."""
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    i = sig(p.w_ii.data @ a + p.b_ii.data + p.w_hi.data @ h + p.b_hi.data)
-    f = sig(p.w_if.data @ a + p.b_if.data + p.w_hf.data @ h + p.b_hf.data)
-    g = np.tanh(p.w_ig.data @ a + p.b_ig.data + p.w_hg.data @ h + p.b_hg.data)
-    o = sig(p.w_io.data @ a + p.b_io.data + p.w_ho.data @ h + p.b_ho.data)
+    def gate(name, activation):
+        w_i, b_i, w_h, b_h = (t.data for t in gate_params(p, name))
+        return activation(w_i @ a + b_i + w_h @ h + b_h)
+
+    i, f, g, o = gate("i", sig), gate("f", sig), gate("g", np.tanh), gate("o", sig)
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
 
@@ -195,8 +205,8 @@ class TestLstmCell:
     def test_cell_state_conservation(self):
         # saturate the forget gate open and the input gate closed
         p = self.zero_params(2, 3)
-        p.b_if.data[...] = 40.0
-        p.b_ii.data[...] = -40.0
+        p.b.data[3:6] = 40.0  # forget rows
+        p.b.data[0:3] = -40.0  # input rows
         c_prev = np.array([0.3, -1.2, 2.0])
         _, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(c_prev), p)
         assert np.allclose(c.data, c_prev, atol=1e-12)
@@ -426,7 +436,7 @@ class TestLstmSequence:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_finite_differences(self, rng, batch, reverse):
-        """Every input and all 16 parameter tensors, through all three outputs."""
+        """Every input and all three parameter tensors, through all three outputs."""
         x, h0, c0, p = _lstm_inputs(rng, batch)
         w_seq = Tensor(rng.normal(size=(batch, 2, 4)))
         w_h = Tensor(rng.normal(size=(batch, 2)))
@@ -443,7 +453,7 @@ class TestLstmSequence:
                 return forward().item()
 
         named = [("x", x), ("h0", h0), ("c0", c0)] + list(p.named())
-        assert len(named) == 19
+        assert len(named) == 6
         for name, t in named:
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, name
 
@@ -485,10 +495,10 @@ def _per_gate(w_i, b_i, w_h, b_h, a, h, activation):
 
 
 def _per_gate_lstm_cell(a, h, c, p):
-    i = _per_gate(p.w_ii, p.b_ii, p.w_hi, p.b_hi, a, h, sigmoid)
-    f = _per_gate(p.w_if, p.b_if, p.w_hf, p.b_hf, a, h, sigmoid)
-    g = _per_gate(p.w_ig, p.b_ig, p.w_hg, p.b_hg, a, h, tanh)
-    o = _per_gate(p.w_io, p.b_io, p.w_ho, p.b_ho, a, h, sigmoid)
+    i = _per_gate(*gate_params(p, "i"), a, h, sigmoid)
+    f = _per_gate(*gate_params(p, "f"), a, h, sigmoid)
+    g = _per_gate(*gate_params(p, "g"), a, h, tanh)
+    o = _per_gate(*gate_params(p, "o"), a, h, sigmoid)
     c = add(mul(f, c), mul(i, g))
     return mul(o, tanh(c)), c
 

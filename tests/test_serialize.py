@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from wavedetect.errors import DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import load_detector, load_model, save_detector, save_model
-from wavedetect.training import Detector
+from wavedetect.training import Detector, score_windows
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_model(seed=0, classifier=False):
@@ -117,8 +121,36 @@ def _replace_line(blob: bytes, prefix: bytes, new: bytes) -> bytes:
     return b"\n".join(lines) + sep + payload
 
 
+_DEFECTS = [
+    pytest.param(lambda b: _replace_line(b, b"wavedetect-container ", b"wavedetect-container x"),
+                 id="version"),
+    pytest.param(lambda b: b.replace(b" 4,2,4 0", b" x2 0", 1), id="shape"),
+    pytest.param(lambda b: b"\npayload\n" + b, id="empty-header"),
+    pytest.param(lambda b: b"\xff\xfe" + b, id="not-utf8"),
+    pytest.param(lambda b: _replace_line(b, b"config ", b"config {not json"), id="config-json"),
+    pytest.param(lambda b: _replace_line(b, b"meta mode ", b"meta mode bogus"), id="mode"),
+    pytest.param(lambda b: b.replace(b'"classifier": true', b'"classifier": false', 1),
+                 id="supervised-without-head"),
+    pytest.param(lambda b: _replace_line(b, b"meta mode ", b"meta mode semi"), id="semi-without-threshold"),
+    pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean lots"),
+                 id="meta-number"),
+    pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1), id="negative-seed"),
+]
+
+
+def _assert_rejected(tmp_path, blob, edit, match=None):
+    corrupted = edit(blob)
+    assert corrupted != blob
+    path = tmp_path / "bad.bin"
+    path.write_bytes(corrupted)
+    with pytest.raises(DataError, match=match):
+        load_detector(path)
+
+
 class TestMalformedContainers:
-    """Every defect in a detector file raises DataError, never a bare error."""
+    """Every defect in a detector file raises DataError, never a bare error,
+    whether the file is version 2 (``blob``) or version 1 (the committed
+    ``data/v1_detector.wdc``, the same detector)."""
 
     @pytest.fixture(scope="class")
     def blob(self, tmp_path_factory):
@@ -126,30 +158,30 @@ class TestMalformedContainers:
         save_detector(small_detector("supervised"), path)
         return path.read_bytes()
 
-    @pytest.mark.parametrize("edit", [
-        lambda b: b.replace(b"wavedetect-container 1", b"wavedetect-container x", 1),
-        lambda b: b.replace(b" 4,2,4 0", b" x2 0", 1),
-        lambda b: b"\npayload\n" + b,
-        lambda b: b"\xff\xfe" + b,
-        lambda b: _replace_line(b, b"config ", b"config {not json"),
-        lambda b: _replace_line(b, b"meta mode ", b"meta mode bogus"),
-        lambda b: b.replace(b'"classifier": true', b'"classifier": false', 1),
-        lambda b: _replace_line(b, b"meta mode ", b"meta mode semi"),
-        lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean lots"),
-        lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1),
-    ], ids=["version", "shape", "empty-header", "not-utf8", "config-json", "mode",
-            "supervised-without-head", "semi-without-threshold", "meta-number", "negative-seed"])
-    def test_defect(self, tmp_path, blob, edit):
-        corrupted = edit(blob)
-        assert corrupted != blob
-        path = tmp_path / "bad.bin"
-        path.write_bytes(corrupted)
-        with pytest.raises(DataError):
-            load_detector(path)
+    @pytest.fixture(scope="class")
+    def v1_blob(self):
+        return (DATA / "v1_detector.wdc").read_bytes()
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("edit", _DEFECTS)
+    def test_defect(self, tmp_path, blob, edit):
+        _assert_rejected(tmp_path, blob, edit)
+
+    @pytest.mark.parametrize("edit", _DEFECTS)
+    def test_version_1_defect(self, tmp_path, v1_blob, edit):
+        _assert_rejected(tmp_path, v1_blob, edit)
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda b: _replace_line(b, b"tensor scale1.dec.b_ho ", b"meta dropped b_ho"), "scale1.dec.b_ho"),
+        (lambda b: b.replace(b"tensor scale0.enc.w_hf 3,3 ", b"tensor scale0.enc.w_hf 3,1 ", 1),
+         "scale0.enc.w_hf"),
+    ], ids=["missing", "shape"])
+    def test_version_1_gate_tensor_defect(self, tmp_path, v1_blob, edit, name):
+        _assert_rejected(tmp_path, v1_blob, edit, match=name)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_corrupted_or_truncated_bytes(self, tmp_path, blob, data):
+    def test_corrupted_or_truncated_bytes(self, tmp_path, blob, v1_blob, data):
+        blob = data.draw(st.sampled_from([blob, v1_blob]), label="file")
         corrupted = bytearray(blob)
         if data.draw(st.booleans(), label="truncate"):
             corrupted = corrupted[: data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -164,3 +196,39 @@ class TestMalformedContainers:
             load_detector(path)
         except DataError:
             pass
+
+
+class TestVersion1File:
+    """``data/v1_detector.wdc`` is ``small_detector("supervised")`` as written
+    by commit 700cef6, the last one to write version 1 with 16 per-gate
+    tensors per LSTM. ``data/v1_detector_scores.npz`` holds a fixed batch of
+    windows and the scores that commit gave the file on them, from the head
+    and from the reconstruction. Both files were made at that commit by:
+
+        save_detector(small_detector("supervised"), "tests/data/v1_detector.wdc")
+        det = load_detector("tests/data/v1_detector.wdc")
+        semi = Detector(model=det.model, mode="semi", threshold=1.0, train_loss_mean=0.0,
+                        norm_mean=det.norm_mean, norm_std=det.norm_std)
+        windows = np.random.default_rng(1902).normal(size=(5, 2, 32))
+        np.savez("tests/data/v1_detector_scores.npz", windows=windows,
+                 head=score_windows(det, windows), recon=score_windows(semi, windows))
+    """
+
+    def test_scores_bit_identically_to_the_version_1_code(self):
+        det = load_detector(DATA / "v1_detector.wdc")
+        recorded = np.load(DATA / "v1_detector_scores.npz")
+        semi = Detector(model=det.model, mode="semi", threshold=1.0, train_loss_mean=0.0,
+                        norm_mean=det.norm_mean, norm_std=det.norm_std)
+        assert np.array_equal(score_windows(det, recorded["windows"]), recorded["head"])
+        assert np.array_equal(score_windows(semi, recorded["windows"]), recorded["recon"])
+
+    def test_is_written_again_as_version_2(self, tmp_path):
+        det = load_detector(DATA / "v1_detector.wdc")
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_detector(det, p1)
+        save_detector(load_detector(p1), p2)
+        assert p1.read_bytes().startswith(b"wavedetect-container 2\n")
+        assert p1.read_bytes() == p2.read_bytes()
+        names = [name for name, _ in load_detector(p1).model.named_parameters()]
+        assert [n for n in names if n.startswith("scale0.enc.")] == [
+            "scale0.enc.w_x", "scale0.enc.w_h", "scale0.enc.b"]

@@ -4,11 +4,12 @@ import pytest
 import wavedetect.training as training
 from wavedetect.data import AnomalyRanges, Fragment, MultiSeries
 from wavedetect.errors import ConfigError, DataError
-from wavedetect.model import ConvLayer, ModelConfig
+from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
 from wavedetect.training import (
     _SCORE_CHUNK,
+    Detector,
     TrainConfig,
     evaluate_fragments,
     predict_fragment,
@@ -85,13 +86,42 @@ class TestNonFiniteInputIsRejected:
 
 
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
-    path = tmp_path / "d.wdc"
+    path, again = tmp_path / "d.wdc", tmp_path / "e.wdc"
     save_detector(detector, path)
     loaded = load_detector(path)
     assert loaded.threshold == detector.threshold
     assert loaded.train_loss_mean == detector.train_loss_mean
     windows = np.stack([_series(seed, 64) for seed in range(10, 16)])
     assert np.array_equal(score_windows(loaded, windows), score_windows(detector, windows))
+    save_detector(loaded, again)
+    assert path.read_bytes().startswith(b"wavedetect-container 2\n")
+    assert again.read_bytes() == path.read_bytes()
+
+
+class TestDetectorRules:
+    """A Detector checks its mode, its head and its threshold itself."""
+
+    @staticmethod
+    def make(mode, threshold, classifier):
+        model = WaveletAutoencoder(_model("supervised" if classifier else "semi"))
+        return Detector(model=model, mode=mode, threshold=threshold, train_loss_mean=0.0,
+                        norm_mean=np.zeros(2), norm_std=np.ones(2))
+
+    @pytest.mark.parametrize("mode", ["bogus", "Semi", ""])
+    def test_mode_is_semi_or_supervised(self, mode):
+        with pytest.raises(ConfigError, match="mode"):
+            self.make(mode, 1.0, True)
+
+    def test_supervised_needs_a_classifier_head(self):
+        with pytest.raises(ConfigError, match="classifier head"):
+            self.make("supervised", None, False)
+        assert self.make("supervised", None, True).cut == 0.5
+
+    @pytest.mark.parametrize("threshold", [None, float("nan"), float("inf")])
+    def test_semi_needs_a_finite_threshold(self, threshold):
+        with pytest.raises(ConfigError, match="finite threshold"):
+            self.make("semi", threshold, False)
+        assert self.make("semi", 0.25, False).cut == 0.25
 
 
 class TestBatchScoringEquivalence:
