@@ -10,7 +10,6 @@ from .data import (
     Fragment,
     MultiSeries,
     label_block,
-    load_csv,
     load_ranges,
     load_signals,
     make_fragments,
@@ -53,7 +52,6 @@ from .wavelet import (
     get_family,
     idwt_level,
     mdwd,
-    mra_components,
     reconstruct,
 )
 

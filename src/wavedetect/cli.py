@@ -135,6 +135,19 @@ def _load_dataset(signals_path, ranges_path):
     return series, ranges
 
 
+def _load_detector_and_dataset(args):
+    """The ``--model`` detector and the dataset it runs on, whose channel
+    counts must agree."""
+    detector = load_detector(args.model)
+    series, ranges = _load_dataset(args.signals, args.ranges)
+    if series.channels != detector.model.config.channels:
+        raise DataError(
+            f"series has {series.channels} channels but the detector expects "
+            f"{detector.model.config.channels}"
+        )
+    return detector, series, ranges
+
+
 def cmd_synth(args) -> int:
     cfg = load_generator_config(args.config) if args.config else GeneratorConfig()
     overrides = {
@@ -204,13 +217,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    detector = load_detector(args.model)
-    series, ranges = _load_dataset(args.signals, args.ranges)
-    if series.channels != detector.model.config.channels:
-        raise DataError(
-            f"series has {series.channels} channels but the detector expects "
-            f"{detector.model.config.channels}"
-        )
+    detector, series, ranges = _load_detector_and_dataset(args)
     window = detector.model.config.fragment_length
     fragments = make_fragments(series, ranges, window=window, pos_step=args.pos_step)
     if not fragments:
@@ -222,13 +229,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    detector = load_detector(args.model)
-    series, ranges = _load_dataset(args.signals, args.ranges)
-    if series.channels != detector.model.config.channels:
-        raise DataError(
-            f"series has {series.channels} channels but the detector expects "
-            f"{detector.model.config.channels}"
-        )
+    detector, series, ranges = _load_detector_and_dataset(args)
     cfg = VoteConfig(window=args.tw, step=args.ts, vote_threshold=args.vote_threshold)
     if args.sweep:
         print("vote_threshold,tp,fp,tn,fn,accuracy,precision,recall,f1")

@@ -185,24 +185,6 @@ def load_ranges(path) -> AnomalyRanges:
     return AnomalyRanges(tuple(spans))
 
 
-def load_csv(path, ranges_path=None):
-    """Load a signals CSV plus its companion ranges file, when one exists.
-
-    The companion defaults to ``<stem>.ranges.csv`` next to the signals file.
-    Returns (MultiSeries, AnomalyRanges or None).
-    """
-    path = Path(path)
-    series = load_signals(path)
-    if ranges_path is None:
-        candidate = path.with_name(path.stem + ".ranges.csv")
-        ranges_path = candidate if candidate.exists() else None
-    if ranges_path is None:
-        return series, None
-    ranges = load_ranges(ranges_path)
-    ranges.check_length(series.length)
-    return series, ranges
-
-
 def label_block(span, ranges: AnomalyRanges) -> int:
     """1 iff at least half of the half-open span lies inside anomaly ranges."""
     start, end = span

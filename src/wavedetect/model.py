@@ -17,9 +17,11 @@ Each LSTM pass is one ``nn.lstm_sequence`` call per scale, a single graph
 node with its own backward pass. The autoregressive decode is inference
 only: it folds the step head into the recurrence (``nn.lstm_feedback``),
 computes every step output with one matrix product afterwards, and records
-no graph. Every pass takes an optional leading batch axis: a fragment is
-(C, T) or a batch (B, C, T), and the code is (code_length,) or
-(B, code_length) to match.
+no graph. ``encode`` takes the list of scale inputs (the normalized signal,
+then its detail arrays), which ``training`` builds; the model itself
+neither normalizes nor decomposes. Every pass takes an optional leading
+batch axis: a scale input is (C, T >> l) or a batch (B, C, T >> l), and
+the code is (code_length,) or (B, code_length) to match.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -227,29 +229,6 @@ class WaveletAutoencoder:
 
     # -- forward passes ---------------------------------------------------
 
-    def _scale_inputs(self, fragment, decomp):
-        cfg = self.config
-        values = np.asarray(getattr(fragment, "values", fragment), dtype=np.float64)
-        if values.ndim not in (2, 3) or values.shape[-2:] != (cfg.channels, cfg.fragment_length):
-            raise ShapeError(
-                f"fragment shape {values.shape} does not match "
-                f"({cfg.channels}, {cfg.fragment_length}), with or without a batch axis"
-            )
-        inputs = [values]
-        if cfg.levels == 0:
-            if decomp is not None and getattr(decomp, "levels", 0):
-                raise ContractError("a zero-level model takes no decomposition")
-            return inputs
-        if decomp is None or decomp.levels != cfg.levels:
-            got = None if decomp is None else decomp.levels
-            raise ContractError(f"expected a {cfg.levels}-level decomposition, got {got}")
-        for l, det in enumerate(decomp.details, start=1):
-            want = values.shape[:-2] + (cfg.channels, cfg.fragment_length >> l)
-            if det.shape != want:
-                raise ShapeError(f"detail level {l} has shape {det.shape}, expected {want}")
-            inputs.append(det)
-        return inputs
-
     def _encode_scale(self, scale: int, values: np.ndarray):
         cfg = self.config
         branch = self.branches[scale]
@@ -260,16 +239,27 @@ class WaveletAutoencoder:
         _, h, _ = lstm_sequence(acts, zeros, zeros, branch.encoder)
         return h, acts
 
-    def encode(self, fragment, decomp=None):
+    def encode(self, inputs):
         """Run every scale branch; returns (code, per-scale conv activations).
 
-        The code concatenates the final encoder hidden states in scale order
-        0..L, which is the fixed layout the decoder and classifier rely on.
+        ``inputs`` holds one array per scale in order 0..L: the normalized
+        signal (C, T), then wavelet detail level l as (C, T >> l), all with
+        or without the same leading batch axis. The code concatenates the
+        final encoder hidden states in scale order 0..L, which is the fixed
+        layout the decoder and classifier rely on.
         """
-        inputs = self._scale_inputs(fragment, decomp)
+        cfg = self.config
+        got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
+        if got != cfg.levels + 1:
+            raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
+        values = [np.asarray(x, dtype=np.float64) for x in inputs]
+        lead = values[0].shape[:1] if values[0].ndim == 3 else ()
         finals, activations = [], []
-        for scale, values in enumerate(inputs):
-            h, acts = self._encode_scale(scale, values)
+        for scale, x in enumerate(values):
+            want = lead + (cfg.channels, cfg.fragment_length >> scale)
+            if x.shape != want:
+                raise ShapeError(f"scale {scale} input has shape {x.shape}, expected {want}")
+            h, acts = self._encode_scale(scale, x)
             finals.append(h)
             activations.append(acts)
         return concat(finals), activations

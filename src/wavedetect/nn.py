@@ -30,14 +30,6 @@ from .autodiff import Tensor, _as_tensor, _trace, mul, sigmoid, sub, tmean
 from .errors import ContractError, ShapeError
 
 
-def conv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
-    return (length + 2 * padding - kernel) // stride + 1
-
-
-def deconv_output_length(length: int, kernel: int, stride: int, padding: int) -> int:
-    return (length - 1) * stride - 2 * padding + kernel
-
-
 def _batched(x: Tensor, what: str) -> np.ndarray:
     """The input as (B, C, T), lifting an unbatched (C, T) array to B = 1."""
     if x.data.ndim == 2:

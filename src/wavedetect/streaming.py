@@ -4,9 +4,12 @@ The stream is cut into blocks of ``step`` samples. Once ``window / step``
 blocks have arrived, every new block completes a window; the detector
 predicts once per window and that prediction counts as one vote for each
 block inside it. A block is finalized when it has collected the full
-``window / step`` votes, so the first and last ``window/step - 1`` blocks
-of a stream only ever reach preliminary verdicts. A block is declared
-anomalous when its positive-vote ratio is at least ``vote_threshold``.
+``window / step`` votes. The first ``window/step - 1`` blocks of a stream
+never collect them all, and neither do the last ones when the stream
+stops: those only ever reach preliminary verdicts. ``VoteState`` reports a
+block as preliminary only while the newest window covers it. A block is
+declared anomalous when its positive-vote ratio is at least
+``vote_threshold``.
 
 ``VoteState`` is the incremental engine and scores one window per block.
 The offline replay scores every window of the stream in batches and
@@ -118,13 +121,13 @@ class VoteState:
 
         finals = []
         full = self.cfg.votes_per_block
+        oldest = index - full + 1  # the newest window's first block, once there is a window
         if len(self._buffer) == full:
             vote, _ = predict_fragment(self.detector, np.concatenate(self._buffer, axis=1))
-            for i in range(index - full + 1, index + 1):
+            for i in range(oldest, index + 1):
                 tally = self._pending[i]
                 tally[0] += vote
                 tally[1] += 1
-            oldest = index - full + 1
             if self._pending[oldest][1] == full:
                 positive, total = self._pending.pop(oldest)
                 verdict = BlockVerdict(oldest, vote_decide(positive, total, self.cfg.vote_threshold), positive, total)
@@ -136,6 +139,9 @@ class VoteState:
             for i, (p, t) in self._pending.items()
             if t >= 1
         ]
+        # No later window covers the oldest block: if it is one of the first
+        # full - 1 blocks it was never finalized, so it leaves here.
+        self._pending.pop(oldest, None)
         return finals, prelims
 
 

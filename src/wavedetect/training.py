@@ -15,10 +15,14 @@ pass that feeds the threshold, run the decoder autoregressively so the
 threshold is calibrated in the same regime it is later compared against.
 Training and scoring take their input through one check that stacks
 fragments or windows into a (N, C, T) array and rejects a wrong shape or a
-non-finite value. All scoring goes through one no-grad path that takes a
-batch of windows (``score_windows``). Fragments are z-scored per channel
-with statistics fitted on the training set only; the statistics travel
-with the detector.
+non-finite value. One helper then turns such a batch into the model's
+per-scale inputs: the windows z-scored per channel, then their wavelet
+details. Each scale input is both the encoder's input and the
+reconstruction target of that scale. Training builds them once for all
+windows; scoring builds them per chunk. All scoring goes through one
+no-grad path that takes a batch of windows (``score_windows``). The
+z-score statistics are fitted on the training set only and travel with
+the detector.
 Statistics and trained weights are rounded to float32, the precision of a
 detector file, before calibration, so a detector reloaded from disk scores
 exactly like the one training returned.
@@ -124,11 +128,6 @@ def fit_channel_stats(windows: np.ndarray):
     return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
 
 
-def normalize_values(values, mean, std):
-    """Z-score a (C, T) fragment or a (B, C, T) batch per channel."""
-    return (values - mean[:, None]) / std[:, None]
-
-
 def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     """Fragments, (C, T) arrays or one (N, C, T) array as a (N, C, T)
     float64 array. An empty input, a window of the wrong shape or a
@@ -149,16 +148,15 @@ def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     return windows
 
 
-def _prepared(windows, model_cfg, mean, std):
-    """Normalized values, decomposition and loss targets per window."""
-    family = get_family(model_cfg.wavelet)
-    prepared = []
-    for values in windows:
-        xn = normalize_values(values, mean, std)
-        decomp = mdwd(xn, family, model_cfg.levels) if model_cfg.levels else None
-        targets = [xn] + (list(decomp.details) if decomp else [])
-        prepared.append((xn, decomp, targets))
-    return prepared
+def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
+    """The per-scale inputs of a (N, C, T) batch of raw windows: the windows
+    z-scored per channel, then their wavelet details 1..L when the model has
+    levels. Each entry is both a branch's encoder input and its
+    reconstruction target."""
+    xn = (windows - mean[:, None]) / std[:, None]
+    if not cfg.levels:
+        return [xn]
+    return [xn, *mdwd(xn, get_family(cfg.wavelet), cfg.levels).details]
 
 
 def _finish(model, mode, windows, mean, std, beta) -> Detector:
@@ -197,17 +195,17 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
         raise ConfigError("supervised training requires a model config with classifier=True")
 
     mean, std = fit_channel_stats(windows)
-    prepared = _prepared(windows, cfg.model, mean, std)
+    scales = _scale_inputs(windows, cfg.model, mean, std)
     model = WaveletAutoencoder(cfg.model)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
     order_rng = np.random.default_rng(cfg.seed)
 
     for epoch in range(cfg.resolved_epochs):
         total = 0.0
-        for idx in order_rng.permutation(len(prepared)):
-            xn, decomp, targets = prepared[idx]
-            code, acts = model.encode(xn, decomp)
-            loss = reconstruction_loss(targets, model.decode(code, acts))
+        for idx in order_rng.permutation(len(windows)):
+            inputs = [s[idx] for s in scales]
+            code, acts = model.encode(inputs)
+            loss = reconstruction_loss(inputs, model.decode(code, acts))
             if supervised:
                 loss_c = bce_with_logits(model.logit(code), labels[idx])
                 loss = loss * cfg.alpha + loss_c * (1.0 - cfg.alpha)
@@ -215,7 +213,7 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
             optimizer.step()
             optimizer.zero_grad()
             total += loss.item()
-        mean_loss = total / len(prepared)
+        mean_loss = total / len(windows)
         if not math.isfinite(mean_loss):
             raise DataError(f"training diverged: epoch {epoch + 1} has mean loss {mean_loss}")
         if progress is not None:
@@ -227,19 +225,15 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
 def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
     """No-grad scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at
     a time: autoregressive reconstruction losses, or head probabilities."""
-    cfg = model.config
-    family = get_family(cfg.wavelet)
     scores = []
     for start in range(0, len(windows), _SCORE_CHUNK):
-        xn = normalize_values(windows[start : start + _SCORE_CHUNK], mean, std)
-        decomp = mdwd(xn, family, cfg.levels) if cfg.levels else None
+        inputs = _scale_inputs(windows[start : start + _SCORE_CHUNK], model.config, mean, std)
         with no_grad():
-            code = model.encode(xn, decomp)[0]
+            code = model.encode(inputs)[0]
             if head:
                 scores.append(model.classify(code).data[:, 0])
             else:
-                targets = [xn] + (list(decomp.details) if decomp else [])
-                scores.append(reconstruction_loss(targets, model.decode(code)).data)
+                scores.append(reconstruction_loss(inputs, model.decode(code)).data)
     return np.concatenate(scores)
 
 

@@ -182,21 +182,3 @@ def reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
         approx = idwt_level(approx, det, decomp.family)
     return approx
 
-
-def mra_components(decomp: WaveletDecomposition) -> list:
-    """Time-domain additive components, one per detail level plus the
-    approximation (last entry). Each has the original (C, T) shape and the
-    components sum to the decomposed signal; for orthogonal families the
-    detail components from distinct levels are mutually orthogonal.
-    """
-    components = []
-    zero_details = [np.zeros_like(d) for d in decomp.details]
-    zero_approx = np.zeros_like(decomp.approximation)
-    for l in range(decomp.levels):
-        picked = list(zero_details)
-        picked[l] = decomp.details[l]
-        part = WaveletDecomposition(picked, zero_approx, decomp.family, decomp.original_length)
-        components.append(reconstruct(part))
-    approx_part = WaveletDecomposition(zero_details, decomp.approximation, decomp.family, decomp.original_length)
-    components.append(reconstruct(approx_part))
-    return components

@@ -1,12 +1,13 @@
 """End to end through the command line on a tiny model: synth, train in
-both modes, eval, simulate (plain and sweep), and the dwt round trip."""
+both modes, eval, simulate (plain and sweep), a series whose channel count
+does not match the detector, and the dwt round trip."""
 
 import re
 
 import numpy as np
 
 from wavedetect.cli import main
-from wavedetect.data import load_signals
+from wavedetect.data import MultiSeries, load_signals, save_signals
 
 TINY = ["--window", "64", "--levels", "1", "--conv", "8:4:2", "--hidden", "4", "--epochs", "2"]
 
@@ -52,6 +53,14 @@ def test_pipeline(tmp_path, capsys):
     assert "finalized" in capsys.readouterr().out
     assert main(sim + ["--sweep"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 9
+
+    wide = tmp_path / "wide.csv"
+    two = load_signals(signals).values
+    save_signals(wide, MultiSeries(["a", "b", "c"], np.vstack([two, two[:1]])))
+    for command in (["eval"], ["simulate", "--tw", "64", "--ts", "16"]):
+        assert main(command + ["--model", str(detectors["semi"]), "--signals", str(wide)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3 channels" in err, (command, err)
 
     coeffs, back = tmp_path / "coeffs", tmp_path / "back.csv"
     assert main(["dwt", "--signals", str(signals), "--levels", "2", "--out", str(coeffs)]) == 0

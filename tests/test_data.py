@@ -8,7 +8,6 @@ from wavedetect.data import (
     Fragment,
     MultiSeries,
     label_block,
-    load_csv,
     load_ranges,
     load_signals,
     make_fragments,
@@ -100,17 +99,6 @@ class TestCsv:
         assert ranges.spans == ((100, 200),)
         save_ranges(path, ranges)
         assert load_ranges(path).spans == ((100, 200),)
-
-    def test_load_csv_finds_companion(self, tmp_path, rng):
-        series = series_of(rng.normal(size=(1, 300)))
-        save_signals(tmp_path / "x.csv", series)
-        save_ranges(tmp_path / "x.ranges.csv", AnomalyRanges(((5, 25),)))
-        loaded, ranges = load_csv(tmp_path / "x.csv")
-        assert np.array_equal(loaded.values, series.values)
-        assert ranges.spans == ((5, 25),)
-        save_signals(tmp_path / "y.csv", series)
-        _, missing = load_csv(tmp_path / "y.csv")
-        assert missing is None
 
 
 class TestLabelBlock:

@@ -26,11 +26,15 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def forward_loss(model, x, decomp, teacher=True):
-    targets = [x] + (list(decomp.details) if decomp else [])
-    code, acts = model.encode(x, decomp)
+def scales(x, levels):
+    """The per-scale inputs of x: itself, then its haar details 1..levels."""
+    return [x, *mdwd(x, get_family("haar"), levels).details] if levels else [x]
+
+
+def forward_loss(model, inputs, teacher=True):
+    code, acts = model.encode(inputs)
     recons = model.decode(code, acts if teacher else None)
-    return reconstruction_loss(targets, recons)
+    return reconstruction_loss(inputs, recons)
 
 
 class TestModelConfig:
@@ -91,7 +95,7 @@ class TestBuild:
         assert len(model.branches) == 1
         assert cfg.code_length == 5
         x = rng.normal(size=(3, 16))
-        code, acts = model.encode(x)
+        code, acts = model.encode([x])
         recons = model.decode(code, acts)
         assert len(recons) == 1
         assert recons[0].data.shape == (3, 16)
@@ -110,18 +114,14 @@ class TestEncode:
         for name, t in model.named_parameters():
             if name.endswith(("bias", ".b")):
                 t.data[...] = 0.0
-        x = np.zeros((2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, _ = model.encode(x, decomp)
+        code, _ = model.encode(scales(np.zeros((2, 32)), 2))
         assert np.allclose(code.data, 0.0, atol=1e-15)
 
     def test_code_is_scale_ordered_concatenation(self, rng):
         model = WaveletAutoencoder(tiny_config(seed=5))
-        x = rng.normal(size=(2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, _ = model.encode(x, decomp)
-        pieces = [model._encode_scale(s, v)[0].data
-                  for s, v in enumerate([x] + list(decomp.details))]
+        inputs = scales(rng.normal(size=(2, 32)), 2)
+        code, _ = model.encode(inputs)
+        pieces = [model._encode_scale(s, v)[0].data for s, v in enumerate(inputs)]
         assert np.array_equal(code.data, np.concatenate(pieces))
         permuted = np.concatenate([pieces[1], pieces[0], pieces[2]])
         assert not np.array_equal(code.data, permuted)
@@ -129,13 +129,12 @@ class TestEncode:
     def test_matches_op_composition_oracle(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=64, levels=2, conv=TINY_CONV, hidden=4, seed=8)
         model = WaveletAutoencoder(cfg)
-        x = rng.normal(size=(2, 64))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, acts = model.encode(x, decomp)
+        inputs = scales(rng.normal(size=(2, 64)), 2)
+        code, acts = model.encode(inputs)
 
         with no_grad():
             pieces = []
-            for scale, values in enumerate([x] + list(decomp.details)):
+            for scale, values in enumerate(inputs):
                 branch = model.branches[scale]
                 a = Tensor(values)
                 for (kern, bias), layer in zip(branch.conv, cfg.conv):
@@ -151,15 +150,31 @@ class TestEncode:
     def test_wrong_fragment_shape(self, rng):
         model = WaveletAutoencoder(tiny_config())
         with pytest.raises(ShapeError):
-            model.encode(rng.normal(size=(2, 16)), None)
+            model.encode(scales(rng.normal(size=(2, 16)), 2))
 
     def test_wrong_decomposition_levels(self, rng):
         model = WaveletAutoencoder(tiny_config())
         x = rng.normal(size=(2, 32))
-        with pytest.raises(ContractError):
-            model.encode(x, mdwd(x, get_family("haar"), 1))
-        with pytest.raises(ContractError):
-            model.encode(x, None)
+        for inputs in (scales(x, 1), scales(x, 3), [x]):
+            with pytest.raises(ShapeError, match="3 scale inputs"):
+                model.encode(inputs)
+
+    def test_wrong_detail_shape(self, rng):
+        model = WaveletAutoencoder(tiny_config())
+        x = rng.normal(size=(2, 32))
+        good = scales(x, 2)
+        for bad in (rng.normal(size=(2, 7)), rng.normal(size=(3, 8)), good[1]):
+            with pytest.raises(ShapeError, match="scale 2"):
+                model.encode([x, good[1], bad])
+        batched = scales(rng.normal(size=(3, 2, 32)), 2)
+        with pytest.raises(ShapeError, match="scale 1"):
+            model.encode([batched[0], good[1], batched[2]])  # detail lacks the batch axis
+
+    def test_bare_array_is_not_a_scale_list(self, rng):
+        model = WaveletAutoencoder(tiny_config())
+        for bare in (rng.normal(size=(2, 32)), rng.normal(size=(3, 2, 32))):
+            with pytest.raises(ShapeError, match="list of 3 scale inputs"):
+                model.encode(bare)
 
 
 class TestDecode:
@@ -167,9 +182,7 @@ class TestDecode:
         cfg = ModelConfig(channels=3, fragment_length=128, levels=3,
                           conv=(ConvLayer(6, 4, 2), ConvLayer(8, 4, 2)), hidden=6)
         model = WaveletAutoencoder(cfg)
-        x = rng.normal(size=(3, 128))
-        decomp = mdwd(x, get_family("haar"), 3)
-        code, acts = model.encode(x, decomp)
+        code, acts = model.encode(scales(rng.normal(size=(3, 128)), 3))
         recons = model.decode(code, acts)
         assert [r.data.shape for r in recons] == [(3, 128), (3, 64), (3, 32), (3, 16)]
 
@@ -179,9 +192,7 @@ class TestDecode:
         model = WaveletAutoencoder(tiny_config(seed=2))
         for _, t in model.named_parameters():
             t.data[...] = 0.0
-        x = np.zeros((2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, acts = model.encode(x, decomp)
+        code, acts = model.encode(scales(np.zeros((2, 32)), 2))
         taught = model.decode(code, acts)
         free = model.decode(code)
         for a, b in zip(taught, free):
@@ -210,9 +221,7 @@ class TestDecode:
 
     def test_teacher_mode_mismatch(self, rng):
         model = WaveletAutoencoder(tiny_config())
-        x = rng.normal(size=(2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, acts = model.encode(x, decomp)
+        code, acts = model.encode(scales(rng.normal(size=(2, 32)), 2))
         with pytest.raises(ContractError):
             model.decode(code, acts[:-1])
         bad = [Tensor(np.zeros((3, 16)))] + list(acts[1:])
@@ -296,20 +305,17 @@ class TestEndToEnd:
             cfg = ModelConfig(channels=channels, fragment_length=t, levels=levels,
                               conv=layers, hidden=hidden, seed=int(rng.integers(1000)))
             model = WaveletAutoencoder(cfg)
-            x = rng.normal(size=(channels, t))
-            decomp = mdwd(x, get_family("haar"), levels) if levels else None
-            code, acts = model.encode(x, decomp)
+            code, acts = model.encode(scales(rng.normal(size=(channels, t)), levels))
             recons = model.decode(code, acts)
             expected = [(channels, t >> s) for s in range(levels + 1)]
             assert [r.data.shape for r in recons] == expected
 
     def test_encode_decode_deterministic(self, rng):
-        x = rng.normal(size=(2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
+        inputs = scales(rng.normal(size=(2, 32)), 2)
         outs = []
         for _ in range(2):
             model = WaveletAutoencoder(tiny_config(seed=13))
-            code, acts = model.encode(x, decomp)
+            code, acts = model.encode(inputs)
             recons = model.decode(code, acts)
             outs.append((code.data.copy(), [r.data.copy() for r in recons]))
         assert np.array_equal(outs[0][0], outs[1][0])
@@ -321,14 +327,13 @@ class TestEndToEnd:
         cfg = ModelConfig(channels=2, fragment_length=16, levels=1,
                           conv=TINY_CONV, hidden=3, seed=5)
         model = WaveletAutoencoder(cfg)
-        x = rng.normal(size=(2, 16))
-        decomp = mdwd(x, get_family("haar"), 1)
-        loss = forward_loss(model, x, decomp)
+        inputs = scales(rng.normal(size=(2, 16)), 1)
+        loss = forward_loss(model, inputs)
         loss.backward()
 
         def f():
             with no_grad():
-                return forward_loss(model, x, decomp).item()
+                return forward_loss(model, inputs).item()
 
         sampler = np.random.default_rng(0)
         named = model.named_parameters()
@@ -352,19 +357,17 @@ class TestEndToEnd:
 class TestBatchAxis:
     def test_batched_passes_equal_per_sample_passes(self, rng):
         model = WaveletAutoencoder(tiny_config(classifier=True, seed=21))
-        xs = rng.normal(size=(3, 2, 32))
-        decomp = mdwd(xs, get_family("haar"), 2)
+        inputs = scales(rng.normal(size=(3, 2, 32)), 2)
         with no_grad():
-            code, acts = model.encode(xs, decomp)
+            code, acts = model.encode(inputs)
             free = model.decode(code)
             taught = model.decode(code, acts)
             probs = model.classify(code)
         assert code.data.shape == (3, 12)
         assert probs.data.shape == (3, 1)
         for i in range(3):
-            single = mdwd(xs[i], get_family("haar"), 2)
             with no_grad():
-                code_i, acts_i = model.encode(xs[i], single)
+                code_i, acts_i = model.encode(scales(inputs[0][i], 2))
                 free_i = model.decode(code_i)
                 taught_i = model.decode(code_i, acts_i)
             assert np.array_equal(code.data[i], code_i.data)
@@ -376,15 +379,14 @@ class TestBatchAxis:
         cfg = ModelConfig(channels=2, fragment_length=16, levels=1, conv=TINY_CONV, hidden=3, seed=5)
         model = WaveletAutoencoder(cfg)
         xs = rng.normal(size=(2, 2, 16))
-        decomp = mdwd(xs, get_family("haar"), 1)
-        loss = forward_loss(model, xs, decomp)
+        loss = forward_loss(model, scales(xs, 1))
         assert loss.data.shape == (2,)  # one loss per sample
         tsum(loss).backward()
         batched = [t.grad.copy() for t in model.parameters()]
         for t in model.parameters():
             t.zero_grad()
         for i in range(2):
-            forward_loss(model, xs[i], mdwd(xs[i], get_family("haar"), 1)).backward()
+            forward_loss(model, scales(xs[i], 1)).backward()
         for got, want in zip(batched, (t.grad for t in model.parameters())):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
@@ -392,11 +394,10 @@ class TestBatchAxis:
 class TestAutoregressiveDecodeIsInferenceOnly:
     def test_records_no_graph(self, rng):
         model = WaveletAutoencoder(tiny_config(seed=3))
-        x = rng.normal(size=(2, 32))
-        decomp = mdwd(x, get_family("haar"), 2)
-        code, _ = model.encode(x, decomp)
+        inputs = scales(rng.normal(size=(2, 32)), 2)
+        code, _ = model.encode(inputs)
         assert code.requires_grad
-        loss = forward_loss(model, x, decomp, teacher=False)
+        loss = forward_loss(model, inputs, teacher=False)
         assert not loss.requires_grad
         with pytest.raises(ContractError):
             loss.backward()

@@ -59,8 +59,7 @@ class TestModelContainer:
         x = rng.normal(size=(2, 32))
         from wavedetect.wavelet import get_family, mdwd
 
-        decomp = mdwd(x, get_family("haar"), 1)
-        code, acts = loaded.encode(x, decomp)
+        code, acts = loaded.encode([x, *mdwd(x, get_family("haar"), 1).details])
         assert code.data.shape == (6,)
 
     def test_rejects_wrong_kind(self, tmp_path):

@@ -111,6 +111,18 @@ class TestVoteState:
         assert [v.index for v in seen] == list(range(full - 1, n_blocks - full + 1))
         assert all(v.total == full for v in seen)
 
+    def test_preliminary_blocks_lie_in_the_newest_window(self):
+        state = VoteState(make_detector(), CFG)
+        series = make_series(4)
+        full = CFG.votes_per_block
+        for i in range(series.length // 16):
+            finals, prelims = state.push_block(series.values[:, i * 16:(i + 1) * 16])
+            newest = range(max(i - full + 1, 0), i + 1)
+            assert all(v.index in newest for v in prelims), (i, [v.index for v in prelims])
+            if i >= full - 1:
+                # each block of the newest window is reported once, final or not
+                assert sorted(v.index for v in finals + prelims) == list(newest)
+
     def test_preliminary_uses_votes_so_far(self):
         state = VoteState(make_detector(), CFG)
         series = make_series(3)

@@ -6,12 +6,12 @@ from wavedetect.wavelet import (
     DB4,
     FAMILIES,
     HAAR,
+    WaveletDecomposition,
     WaveletFamily,
     dwt_level,
     get_family,
     idwt_level,
     mdwd,
-    mra_components,
     reconstruct,
 )
 
@@ -163,6 +163,19 @@ class TestMultilevel:
         # at level 6 a length-64 signal leaves a 2-sample stage, shorter than db4
         with pytest.raises(ConfigError):
             mdwd(np.ones((1, 64)), DB4, 6)
+
+
+def mra_components(decomp):
+    """Time-domain parts of a decomposition, one per detail level plus the
+    approximation (last), each reconstructed with every other part zeroed."""
+    zeros = [np.zeros_like(d) for d in decomp.details]
+    parts = []
+    for l in range(decomp.levels):
+        picked = list(zeros)
+        picked[l] = decomp.details[l]
+        parts.append(WaveletDecomposition(picked, np.zeros_like(decomp.approximation), decomp.family))
+    parts.append(WaveletDecomposition(zeros, decomp.approximation, decomp.family))
+    return [reconstruct(part) for part in parts]
 
 
 class TestMRAComponents:
