@@ -13,15 +13,17 @@ conv-activation space, and a transposed-conv stack restores the signal or
 detail array. The last deconv layer is linear; every other conv/deconv
 layer uses ReLU.
 
-Each LSTM pass is one ``nn.lstm_sequence`` call per scale, a single graph
-node with its own backward pass. The autoregressive decode is inference
-only: it folds the step head into the recurrence (``nn.lstm_feedback``),
+Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
+all scales in one time loop, a single graph node with its own backward
+pass. The autoregressive decode is inference only: it folds the step head
+into the recurrence (``nn.lstm_feedback``, again all scales in one loop),
 computes every step output with one matrix product afterwards, and records
-no graph. ``encode`` takes the list of scale inputs (the normalized signal,
-then its detail arrays), which ``training`` builds; the model itself
-neither normalizes nor decomposes. Every pass takes an optional leading
-batch axis: a scale input is (C, T >> l) or a batch (B, C, T >> l), and
-the code is (code_length,) or (B, code_length) to match.
+no graph. ``encode`` takes the list of scale inputs (the normalized
+signal, then its detail arrays), which ``training`` builds; the model
+itself neither normalizes nor decomposes. Every pass takes an optional
+leading batch axis: a scale input is (C, T >> l) or a batch
+(B, C, T >> l), and the code is (code_length,) or (B, code_length) to
+match.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -68,6 +70,17 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        # Checked here, not left to numpy: a model built from stored tensors
+        # creates no array from these sizes, so a float would pass unnoticed.
+        sizes = [("channels", self.channels), ("fragment_length", self.fragment_length),
+                 ("levels", self.levels), ("hidden", self.hidden), ("seed", self.seed)]
+        sizes += [(f"conv layer {i} {name}", getattr(layer, name))
+                  for i, layer in enumerate(self.conv) for name in ("features", "kernel", "stride")]
+        for name, value in sizes:
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.hidden < 1:
@@ -166,59 +179,67 @@ class WaveletAutoencoder:
 
     def __init__(self, config: ModelConfig):
         config.validate()
-        self.config = config
         rng = np.random.default_rng(config.seed)
-        self.branches: list[ScaleBranch] = []
+        self._build(config, lambda name, fan_in, shape: _uniform(rng, fan_in, shape))
+
+    @classmethod
+    def _from_arrays(cls, config: ModelConfig, array) -> "WaveletAutoencoder":
+        """The model whose tensor ``name`` is ``array(name, shape)``, built
+        without drawing a random init."""
+        config.validate()
+        model = cls.__new__(cls)
+        model._build(config, lambda name, fan_in, shape: Tensor(array(name, shape), requires_grad=True))
+        return model
+
+    def _build(self, config: ModelConfig, make):
+        """Create every tensor, in the fixed order of ``named_parameters``,
+        as ``make(name, fan_in, shape)``."""
+        self.config = config
         self._named: list[tuple[str, Tensor]] = []
-        for scale in range(config.levels + 1):
-            self.branches.append(self._build_branch(scale, rng))
+
+        def param(name, fan_in, shape):
+            tensor = make(name, fan_in, shape)
+            self._named.append((name, tensor))
+            return tensor
+
+        self.branches = [self._build_branch(scale, param) for scale in range(config.levels + 1)]
         self.classifier_w = None
         self.classifier_b = None
         if config.classifier:
-            self.classifier_w = _uniform(rng, config.code_length, (1, config.code_length))
-            self.classifier_b = _uniform(rng, config.code_length, 1)
-            self._named.append(("classifier.weight", self.classifier_w))
-            self._named.append(("classifier.bias", self.classifier_b))
+            self.classifier_w = param("classifier.weight", config.code_length, (1, config.code_length))
+            self.classifier_b = param("classifier.bias", config.code_length, (1,))
 
-    def _build_branch(self, scale: int, rng) -> ScaleBranch:
+    def _build_branch(self, scale: int, param) -> ScaleBranch:
         cfg = self.config
+        hid = cfg.hidden
         branch = ScaleBranch()
         name = f"scale{scale}"
         feats = cfg.channels
         for i, layer in enumerate(cfg.conv):
-            kernels = _uniform(rng, feats * layer.kernel, (layer.features, feats, layer.kernel))
-            bias = _uniform(rng, feats * layer.kernel, layer.features)
-            branch.conv.append((kernels, bias))
-            self._named.append((f"{name}.conv{i}.kernel", kernels))
-            self._named.append((f"{name}.conv{i}.bias", bias))
+            fan_in = feats * layer.kernel
+            branch.conv.append((param(f"{name}.conv{i}.kernel", fan_in, (layer.features, feats, layer.kernel)),
+                                param(f"{name}.conv{i}.bias", fan_in, (layer.features,))))
             feats = layer.features
 
-        branch.encoder = LSTMParams.init(feats, cfg.hidden, rng)
-        for pname, tensor in branch.encoder.named():
-            self._named.append((f"{name}.enc.{pname}", tensor))
+        def lstm(prefix):
+            return LSTMParams(w_x=param(f"{prefix}.w_x", feats, (4 * hid, feats)),
+                              w_h=param(f"{prefix}.w_h", hid, (4 * hid, hid)),
+                              b=param(f"{prefix}.b", hid, (4 * hid,)))
 
-        branch.dec_init_w = _uniform(rng, cfg.code_length, (cfg.hidden, cfg.code_length))
-        branch.dec_init_b = _uniform(rng, cfg.code_length, cfg.hidden)
-        self._named.append((f"{name}.dec_init.weight", branch.dec_init_w))
-        self._named.append((f"{name}.dec_init.bias", branch.dec_init_b))
-
-        branch.decoder = LSTMParams.init(feats, cfg.hidden, rng)
-        for pname, tensor in branch.decoder.named():
-            self._named.append((f"{name}.dec.{pname}", tensor))
-
-        branch.step_w = _uniform(rng, cfg.hidden, (feats, cfg.hidden))
-        branch.step_b = _uniform(rng, cfg.hidden, feats)
-        self._named.append((f"{name}.step.weight", branch.step_w))
-        self._named.append((f"{name}.step.bias", branch.step_b))
+        branch.encoder = lstm(f"{name}.enc")
+        branch.dec_init_w = param(f"{name}.dec_init.weight", cfg.code_length, (hid, cfg.code_length))
+        branch.dec_init_b = param(f"{name}.dec_init.bias", cfg.code_length, (hid,))
+        branch.decoder = lstm(f"{name}.dec")
+        branch.step_w = param(f"{name}.step.weight", hid, (feats, hid))
+        branch.step_b = param(f"{name}.step.bias", hid, (feats,))
 
         in_feats = [cfg.channels] + [layer.features for layer in cfg.conv[:-1]]
         for i in range(len(cfg.conv) - 1, -1, -1):
             layer = cfg.conv[i]
-            kernels = _uniform(rng, layer.features * layer.kernel, (layer.features, in_feats[i], layer.kernel))
-            bias = _uniform(rng, layer.features * layer.kernel, in_feats[i])
-            branch.deconv.append((kernels, bias))
-            self._named.append((f"{name}.deconv{i}.kernel", kernels))
-            self._named.append((f"{name}.deconv{i}.bias", bias))
+            fan_in = layer.features * layer.kernel
+            branch.deconv.append((
+                param(f"{name}.deconv{i}.kernel", fan_in, (layer.features, in_feats[i], layer.kernel)),
+                param(f"{name}.deconv{i}.bias", fan_in, (in_feats[i],))))
         return branch
 
     def named_parameters(self):
@@ -228,16 +249,6 @@ class WaveletAutoencoder:
         return [t for _, t in self._named]
 
     # -- forward passes ---------------------------------------------------
-
-    def _encode_scale(self, scale: int, values: np.ndarray):
-        cfg = self.config
-        branch = self.branches[scale]
-        acts = Tensor(values)
-        for (kernels, bias), layer in zip(branch.conv, cfg.conv):
-            acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-        zeros = np.zeros(values.shape[:-2] + (cfg.hidden,))
-        _, h, _ = lstm_sequence(acts, zeros, zeros, branch.encoder)
-        return h, acts
 
     def encode(self, inputs):
         """Run every scale branch; returns (code, per-scale conv activations).
@@ -254,15 +265,18 @@ class WaveletAutoencoder:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
         values = [np.asarray(x, dtype=np.float64) for x in inputs]
         lead = values[0].shape[:1] if values[0].ndim == 3 else ()
-        finals, activations = [], []
-        for scale, x in enumerate(values):
+        activations = []
+        for scale, (x, branch) in enumerate(zip(values, self.branches)):
             want = lead + (cfg.channels, cfg.fragment_length >> scale)
             if x.shape != want:
                 raise ShapeError(f"scale {scale} input has shape {x.shape}, expected {want}")
-            h, acts = self._encode_scale(scale, x)
-            finals.append(h)
+            acts = Tensor(x)
+            for (kernels, bias), layer in zip(branch.conv, cfg.conv):
+                acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
             activations.append(acts)
-        return concat(finals), activations
+        zeros = [np.zeros(lead + (cfg.hidden,))] * len(values)
+        runs = lstm_sequence(activations, zeros, zeros, [b.encoder for b in self.branches])
+        return concat([h for _, h, _ in runs]), activations
 
     def decode(self, code, teacher_activations=None):
         """Reconstruct the signal and every detail array from the code.
@@ -288,8 +302,8 @@ class WaveletAutoencoder:
                 f"expected {cfg.levels + 1} teacher activation sequences, "
                 f"got {len(teacher_activations)}"
             )
-        outputs = []
         feats = cfg.conv_features
+        inputs, h0s = [], []
         for scale, branch in enumerate(self.branches):
             steps = cfg.conv_lengths(scale)[-1]
             taught = teacher_activations[scale]
@@ -301,22 +315,22 @@ class WaveletAutoencoder:
                 )
             # Walking t = T-1..0, step t consumes the activation at t + 1
             # (zeros at the first step).
-            inputs = concat([taught[..., 1:], np.zeros(lead + (feats, 1))])
-            h0 = linear(code, branch.dec_init_w, branch.dec_init_b)
-            hs, _, _ = lstm_sequence(inputs, h0, np.zeros(lead + (cfg.hidden,)), branch.decoder, reverse=True)
-            step_out = add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1)))
-            outputs.append(self._deconv(branch, step_out))
-        return outputs
+            inputs.append(concat([taught[..., 1:], np.zeros(lead + (feats, 1))]))
+            h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
+        zeros = [np.zeros(lead + (cfg.hidden,))] * len(h0s)
+        runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)
+        return [self._deconv(branch, add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1))))
+                for branch, (hs, _, _) in zip(self.branches, runs)]
 
     def _decode_free(self, code, lead):
         cfg = self.config
         codes = code.data.reshape(-1, cfg.code_length)
+        h0s = [linear(codes, b.dec_init_w, b.dec_init_b).data for b in self.branches]
+        hss = lstm_feedback(h0s, [np.zeros_like(h) for h in h0s], [b.decoder for b in self.branches],
+                            [b.step_w.data for b in self.branches], [b.step_b.data for b in self.branches],
+                            [cfg.conv_lengths(scale)[-1] for scale in range(cfg.levels + 1)], reverse=True)
         outputs = []
-        for scale, branch in enumerate(self.branches):
-            steps = cfg.conv_lengths(scale)[-1]
-            h0 = linear(codes, branch.dec_init_w, branch.dec_init_b).data
-            hs = lstm_feedback(h0, np.zeros_like(h0), branch.decoder, branch.step_w.data,
-                               branch.step_b.data, steps, reverse=True)
+        for branch, hs in zip(self.branches, hss):
             step_out = branch.step_w.data @ hs + branch.step_b.data[:, None]
             outputs.append(self._deconv(branch, Tensor(step_out.reshape(lead + step_out.shape[1:]))))
         return outputs

@@ -8,11 +8,15 @@ bank of shape (out,in,k) as a deconv bank of shape (in,out,k) satisfies
 <conv(x), y> == <x, deconv(y)> whenever the conv consumed its input without
 a stride remainder.
 
-The LSTM has one implementation, ``lstm_sequence``: a whole sequence is a
-single graph node whose backward pass is hand-written BPTT; one step is a
-sequence of length one. ``lstm_feedback`` runs the same recurrence for
-inference when every step's input is the previous step's output through a
-dense head.
+The LSTM has one implementation, ``lstm_sequence``. It runs a list of
+sequences, one LSTM each (the model's scales), in one Python time loop as
+a single graph node whose backward pass is hand-written BPTT. Sequences
+may differ in length: the loop runs as many steps as the longest, and a
+shorter sequence drops out once its own steps are done, so the default
+model's four scales of 128, 64, 32 and 16 steps take 128 iterations, not
+240. One sequence is a list of one, and one step a sequence of length one.
+``lstm_feedback`` runs the same loop for inference when every step's input
+is the previous step's output through a dense head.
 
 Layers take an optional leading batch axis, (C,T) or (B,C,T), and compute
 every sample with the same products as a lone sample, so batched results
@@ -179,16 +183,6 @@ class LSTMParams:
     w_h: Tensor
     b: Tensor
 
-    @classmethod
-    def init(cls, input_size: int, hidden_size: int, rng: np.random.Generator) -> "LSTMParams":
-        si = np.sqrt(1.0 / input_size)
-        sh = np.sqrt(1.0 / hidden_size)
-        return cls(
-            w_x=Tensor(rng.uniform(-si, si, (4 * hidden_size, input_size)), requires_grad=True),
-            w_h=Tensor(rng.uniform(-sh, sh, (4 * hidden_size, hidden_size)), requires_grad=True),
-            b=Tensor(rng.uniform(-sh, sh, 4 * hidden_size), requires_grad=True),
-        )
-
     def named(self):
         for f in fields(self):
             yield f.name, getattr(self, f.name)
@@ -209,165 +203,287 @@ def _halving(hid: int) -> np.ndarray:
     return np.repeat([0.5, 1.0], [3 * hid, hid])
 
 
-def _scan(zx, h0, c0, wh_t, keep: bool = True):
-    """The recurrence over time-major input pre-activations ``zx`` (T,B,4H),
-    input projection plus bias with the sigmoid columns halved, from states
-    (B,H), with ``wh_t`` (H,4H) the halved recurrent weights transposed.
+def _phases(lengths):
+    """(start, end, k) for each stretch of steps that exactly the first k
+    sequences run. ``lengths`` does not increase, so a sequence leaves the
+    loop once its steps are done."""
+    start = 0
+    for k in range(len(lengths), 0, -1):
+        if lengths[k - 1] > start:
+            yield start, lengths[k - 1], k
+            start = lengths[k - 1]
 
-    Returns the hidden states (T+1,B,H) with the initial state at index 0
-    and the final cell state (B,H). With ``keep`` it also returns what
-    backward needs: the gate activations (T,B,4H), the cell states
-    (T+1,B,H) and their tanh (T,B,H).
+
+def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool = True):
+    """S recurrences in one time loop; sequence s runs ``lengths[s]`` steps.
+
+    ``zx_of(start, end, k)`` gives the input pre-activations of steps
+    start..end-1 of the first k sequences, step-major (n,k,B,4H) or
+    broadcastable to it: input projection plus bias with the sigmoid columns
+    halved. The states ``h0`` and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H)
+    holds the halved recurrent weights, transposed.
+
+    Returns (runs, h, c): one (start, end, k, hs, saved) per phase of
+    ``_phases``, where hs (n+1,k,B,H) holds the phase's hidden states with
+    its entry state at index 0, then every sequence's final hidden and cell
+    states (S,B,H). With ``keep``, ``saved`` holds what backward needs: the
+    gate activations (n,k,B,4H), the cell states (n+1,k,B,H) and their tanh
+    (n,k,B,H); otherwise it is None.
     """
-    steps, nb, g4 = zx.shape
-    hid = g4 // 4
-    hs = np.empty((steps + 1, nb, hid))
-    hs[0] = h0
-    # One (1,H)@(H,4H) product per sample, so a sample's result does not
-    # depend on the batch it is in.
-    h_rows = hs[:, :, None, :]
-    z_rows = np.empty((nb, 1, g4))
-    a = z_rows.reshape(nb, g4)
-    sig, i, f, o, g = a[:, : 3 * hid], *(a[:, k * hid : (k + 1) * hid] for k in range(4))
+    _, nb, hid = h0.shape
+    g4 = 4 * hid
+    h = np.array(h0, dtype=np.float64)
     c = np.array(c0, dtype=np.float64)
-    ig = np.empty((nb, hid))
-    tc = np.empty((nb, hid))
-    if keep:
-        acts = np.empty((steps, nb, g4))
-        cs = np.empty((steps + 1, nb, hid))
-        tcs = np.empty((steps, nb, hid))
-        cs[0] = c
-    for t in range(steps):
-        np.matmul(h_rows[t], wh_t, out=z_rows)
-        a += zx[t]
-        np.tanh(a, out=a)
-        sig *= 0.5
-        sig += 0.5
-        c *= f
-        c += np.multiply(i, g, out=ig)
-        np.tanh(c, out=tc)
-        np.multiply(o, tc, out=hs[t + 1])
+    runs = []
+    for start, end, k in _phases(lengths):
+        steps = end - start
+        zx = zx_of(start, end, k)
+        hs = np.empty((steps + 1, k, nb, hid))
+        hs[0] = h[:k]
+        # One (1,H)@(H,4H) product per sequence and sample, so a sample's
+        # result depends neither on its batch nor on the other sequences.
+        h_rows = hs[..., None, :]
+        w = wh_t[:k]
+        z_rows = np.empty((k, nb, 1, g4))
+        a = z_rows.reshape(k, nb, g4)
+        sig, i, f, o, g = a[..., : 3 * hid], *(a[..., q * hid : (q + 1) * hid] for q in range(4))
+        ck = c[:k]  # a view: the loop updates c in place
+        ig = np.empty((k, nb, hid))
+        tc = np.empty((k, nb, hid))
+        saved = None
         if keep:
-            acts[t], cs[t + 1], tcs[t] = a, c, tc
-    if keep:
-        return hs, c, (acts, cs, tcs)
-    return hs, c, None
+            acts = np.empty((steps, k, nb, g4))
+            cs = np.empty((steps + 1, k, nb, hid))
+            tcs = np.empty((steps, k, nb, hid))
+            cs[0] = ck
+            saved = acts, cs, tcs
+        for t in range(steps):
+            np.matmul(h_rows[t], w, out=z_rows)
+            a += zx[t]
+            np.tanh(a, out=a)
+            sig *= 0.5
+            sig += 0.5
+            ck *= f
+            ck += np.multiply(i, g, out=ig)
+            np.tanh(ck, out=tc)
+            np.multiply(o, tc, out=hs[t + 1])
+            if keep:
+                acts[t], cs[t + 1], tcs[t] = a, ck, tc
+        h[:k] = hs[steps]
+        runs.append((start, end, k, hs, saved))
+        del zx  # before the next phase builds its own
+    return runs, h, c
 
 
-def _scan_grad(acts, cs, tcs, wh, dhs, dc):
-    """Backpropagation through time for ``_scan``.
+def _scan_grad(runs, wh, dhs_of, dc, lengths):
+    """Backpropagation through time for ``_scan``, over its ``runs`` from the
+    last phase back.
 
-    ``dhs`` (T,B,H) is the loss gradient arriving at each hidden state from
-    outside the recurrence and ``dc`` (B,H) the one at the final cell state;
-    ``wh`` (4H,H) is the unhalved recurrent matrix. Returns the gradients of
-    the true (unhalved) pre-activations (T,B,4H) and of the initial states.
+    ``dhs_of(start, end, k)`` gives the loss gradient (n,k,B,H) arriving at
+    each hidden state of a phase from outside the recurrence, and ``dc``
+    (S,B,H) the one at each sequence's final cell state, which enters at
+    that sequence's own last step; ``wh`` (S,4H,H) holds the unhalved
+    recurrent matrices and ``lengths`` the sequence lengths. Returns the
+    gradients of the true (unhalved) pre-activations, one (T_s,B,4H) array
+    per sequence in step order, and of the initial states (S,B,H).
     """
-    steps, nb, g4 = acts.shape
-    hid = g4 // 4
-    i, f, o, g = (acts[..., k * hid : (k + 1) * hid] for k in range(4))
-    # d(pre-activation) per unit of the gradient reaching the cell state
-    # (input, forget and candidate gates) or the hidden state (output gate).
-    coef = np.empty((steps, nb, 4, hid))
-    coef[:, :, 0] = g * i * (1.0 - i)
-    coef[:, :, 1] = cs[:-1] * f * (1.0 - f)
-    coef[:, :, 2] = tcs * o * (1.0 - o)
-    coef[:, :, 3] = i * (1.0 - g * g)
-    dc_dh = o * (1.0 - tcs * tcs)
-    dz = np.empty((steps, nb, 4, hid))
-    dz_o, coef_o = dz[:, :, 2], coef[:, :, 2]
-    dz_flat = dz.reshape(steps, nb, g4)
-    dh = np.zeros((nb, hid))
-    for t in range(steps - 1, -1, -1):
-        dh = dh + dhs[t]
-        dc = dc + dh * dc_dh[t]
-        np.multiply(coef[t], dc[:, None, :], out=dz[t])
-        np.multiply(dh, coef_o[t], out=dz_o[t])
-        dh = dz_flat[t] @ wh
-        dc = dc * f[t]
-    return dz_flat, dh, dc
+    nb, g4 = dc.shape[1], wh.shape[1]
+    dz_seq = [np.empty((n, nb, g4)) for n in lengths]
+    dh = np.zeros_like(dc)
+    dc = np.array(dc)
+    for start, end, k, _, (acts, cs, tcs) in reversed(runs):
+        steps, hid = end - start, g4 // 4
+        i, f, o, g = (acts[..., q * hid : (q + 1) * hid] for q in range(4))
+        # d(pre-activation) per unit of the gradient reaching the cell state
+        # (input, forget and candidate gates) or the hidden state (output gate).
+        coef = np.empty((steps, k, nb, 4, hid))
+        coef[..., 0, :] = g * i * (1.0 - i)
+        coef[..., 1, :] = cs[:-1] * f * (1.0 - f)
+        coef[..., 2, :] = tcs * o * (1.0 - o)
+        coef[..., 3, :] = i * (1.0 - g * g)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz = np.empty((steps, k, nb, 4, hid))
+        dz_o, coef_o = dz[..., 2, :], coef[..., 2, :]
+        dz_flat = dz.reshape(steps, k, nb, g4)
+        dhs = dhs_of(start, end, k)
+        dhk, dck, w = dh[:k], dc[:k], wh[:k]
+        for t in range(steps - 1, -1, -1):
+            dhk = dhk + dhs[t]
+            dck = dck + dhk * dc_dh[t]
+            np.multiply(coef[t], dck[..., None, :], out=dz[t])
+            np.multiply(dhk, coef_o[t], out=dz_o[t])
+            dhk = dz_flat[t] @ w
+            dck = dck * f[t]
+        dh[:k], dc[:k] = dhk, dck
+        for s in range(k):
+            dz_seq[s][start:end] = dz_flat[:, s]
+    return dz_seq, dh, dc
 
 
-def lstm_sequence(x, h0, c0, params: LSTMParams, reverse: bool = False):
-    """Run an LSTM over a whole sequence as one graph node.
+def _by_sequence(parts, count: int) -> list:
+    """Per sequence s, its (T_s, ...) slices ``part[:, s]`` of the per-phase
+    (k, part) arrays it took part in, joined in step order."""
+    return [np.concatenate([part[:, s] for k, part in parts if s < k]) for s in range(count)]
 
-    ``x`` is (in,T) or (B,in,T); ``h0`` and ``c0`` are (H,) or (B,H) to
-    match. Steps run over t = 0..T-1, or T-1..0 with ``reverse``. Returns
-    (hs, h, c): every hidden state, (H,T) or (B,H,T) indexed by t, and the
-    hidden and cell states after the last step.
 
-    The input projection of all steps is one matrix product with the fused
-    ``w_x`` hoisted out of the recurrence (Appleyard et al. 2016,
-    arXiv:1604.01946); the backward pass is hand-written BPTT and returns
-    gradients for ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
+def _window(length: int, start: int, end: int, reverse: bool) -> slice:
+    """The time positions of steps start..end-1 of a sequence of ``length``."""
+    return slice(length - end, length - start) if reverse else slice(start, end)
+
+
+def _time_major(z: np.ndarray, reverse: bool) -> np.ndarray:
+    """A (B,X,n) window in time order as (n,B,X) in step order."""
+    return (z[..., ::-1] if reverse else z).transpose(2, 0, 1)
+
+
+def _time_order(hs: np.ndarray, reverse: bool) -> np.ndarray:
+    """(T,B,H) hidden states in step order as (B,H,T) in time order."""
+    return (hs[::-1] if reverse else hs).transpose(1, 2, 0)
+
+
+def _check_lengths(lengths, what: str):
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ShapeError(f"{what} sequence lengths must not increase, got {lengths}")
+
+
+def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
+    """Run one LSTM per sequence, all in one time loop, as one graph node.
+
+    ``xs[s]`` is (in_s,T_s) or (B,in_s,T_s), every sequence with the same
+    leading batch axis or none, and the lengths T_s do not increase with s.
+    ``h0s[s]`` and ``c0s[s]`` are (H,) or (B,H) to match, and ``params[s]``
+    holds sequence s's weights; all share the hidden size H. Steps run over
+    t = 0..T_s-1, or T_s-1..0 with ``reverse``. Returns one (hs, h, c) per
+    sequence: every hidden state, (H,T_s) or (B,H,T_s) indexed by t, and the
+    hidden and cell states after the last step. A single sequence is a list
+    of one.
+
+    The loop runs max T_s steps and a sequence drops out once its own steps
+    are done. Each step's recurrent products are one stacked
+    (k,B,1,H)@(k,1,H,4H) product over the k sequences still running. The
+    input projections are hoisted out of the recurrence with the fused
+    ``w_x`` (Appleyard et al. 2016, arXiv:1604.01946), one matrix product
+    per sequence and phase, built when the loop reaches that phase. The
+    backward pass is hand-written BPTT and returns gradients for every
+    ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
     """
-    x, h0, c0 = _as_tensor(x), _as_tensor(h0), _as_tensor(c0)
-    hid, nin = params.hidden_size, params.input_size
-    if x.data.ndim not in (2, 3) or x.data.shape[-2] != nin or x.data.shape[-1] < 1:
-        raise ShapeError(f"lstm_sequence input shape {x.shape} does not match input size {nin}")
-    lead = x.data.shape[:-2]
-    if h0.data.shape != lead + (hid,) or c0.data.shape != lead + (hid,):
-        raise ShapeError(
-            f"lstm_sequence state shapes {h0.shape}, {c0.shape} do not match {lead + (hid,)}"
-        )
-    steps = x.data.shape[-1]
-    nb = x.data.size // (nin * steps)
-    wx, wh, b = params.w_x.data, params.w_h.data, params.b.data
+    count = len(params)
+    if not count or not len(xs) == len(h0s) == len(c0s) == count:
+        raise ShapeError(f"lstm_sequence needs one input, h0, c0 and weight set per sequence, got "
+                         f"{len(xs)}, {len(h0s)}, {len(c0s)} and {count}")
+    xs, h0s, c0s = ([_as_tensor(t) for t in group] for group in (xs, h0s, c0s))
+    hid = params[0].hidden_size
+    lead = xs[0].data.shape[:-2]
+    for s, (x, h0, c0, p) in enumerate(zip(xs, h0s, c0s, params)):
+        if p.hidden_size != hid:
+            raise ShapeError(f"lstm_sequence hidden size {p.hidden_size} of sequence {s} is not {hid}")
+        nin = p.input_size
+        if x.data.ndim not in (2, 3) or x.data.shape[:-1] != lead + (nin,) or x.data.shape[-1] < 1:
+            raise ShapeError(f"lstm_sequence input {s} has shape {x.shape}, expected "
+                             f"{lead + (nin,)} plus at least one step")
+        if h0.data.shape != lead + (hid,) or c0.data.shape != lead + (hid,):
+            raise ShapeError(f"lstm_sequence state shapes {h0.shape}, {c0.shape} of sequence {s} "
+                             f"do not match {lead + (hid,)}")
+    lengths = [x.data.shape[-1] for x in xs]
+    _check_lengths(lengths, "lstm_sequence")
+    nb = lead[0] if lead else 1
     half = _halving(hid)
-    x3 = x.data.reshape(nb, nin, steps)
-    zx = (wx * half[:, None]) @ x3
-    zx += (b * half)[:, None]
-    zx = zx.transpose(2, 0, 1)  # time-major view, (T,B,4H)
-    parents = (x, h0, c0, params.w_x, params.w_h, params.b)
-    traced = _trace(parents)
-    hs, c, saved = _scan(zx[::-1] if reverse else zx, h0.data.reshape(nb, hid),
-                         c0.data.reshape(nb, hid), (wh * half[:, None]).T, keep=traced)
+    x3 = [x.data.reshape(nb, p.input_size, n) for x, p, n in zip(xs, params, lengths)]
 
-    packed = np.empty((nb, hid, steps + 1))
-    packed[..., :steps] = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 2, 0)
-    packed[..., steps] = c
-    core = Tensor(packed.reshape(lead + (hid, steps + 1)))
+    def zx_of(start, end, k):
+        zx = np.empty((end - start, k, nb, 4 * hid))
+        for s, p in enumerate(params[:k]):
+            z = (p.w_x.data * half[:, None]) @ x3[s][..., _window(lengths[s], start, end, reverse)]
+            z += (p.b.data * half)[:, None]
+            zx[:, s] = _time_major(z, reverse)
+        return zx
+
+    whs = [p.w_h.data for p in params]
+    wh_half = np.stack(whs)
+    wh_half *= half[:, None]
+    parents = (*xs, *h0s, *c0s, *(p.w_x for p in params), *(p.w_h for p in params),
+               *(p.b for p in params))
+    traced = _trace(parents)
+    runs, _, c = _scan(zx_of, np.stack([h0.data.reshape(nb, hid) for h0 in h0s]),
+                       np.stack([c0.data.reshape(nb, hid) for c0 in c0s]),
+                       wh_half.transpose(0, 2, 1)[:, None], lengths, keep=traced)
+
+    # Sequence s owns columns off_s .. off_s + T_s: its hidden states in time
+    # order, then its final cell state.
+    offsets = np.cumsum([0] + [n + 1 for n in lengths]).tolist()
+    packed = np.empty((nb, hid, offsets[-1]))
+    for start, end, k, hs, _ in runs:
+        for s in range(k):
+            seq = packed[..., offsets[s] : offsets[s + 1] - 1]
+            seq[..., _window(lengths[s], start, end, reverse)] = _time_order(hs[1:, s], reverse)
+    for s in range(count):
+        packed[..., offsets[s + 1] - 1] = c[s]
+    core = Tensor(packed.reshape(lead + packed.shape[1:]))
     if traced:
 
         def vjp(grad):
-            grad = grad.reshape(nb, hid, steps + 1)
-            dhs = grad[..., :steps].transpose(2, 0, 1)
-            dz, dh0, dc0 = _scan_grad(*saved, wh, dhs[::-1] if reverse else dhs, grad[..., steps])
-            h_in = hs[:-1]
-            if reverse:  # back to time order, like x
-                dz, h_in = dz[::-1], h_in[::-1]
-            dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-            return (np.matmul(wx.T, dz).reshape(x.data.shape), dh0.reshape(h0.data.shape),
-                    dc0.reshape(c0.data.shape), np.tensordot(dz, x3, axes=([0, 2], [0, 2])),
-                    np.tensordot(dz, h_in, axes=([0, 2], [1, 0])), dz.sum(axis=(0, 2)))
+            grad = grad.reshape(packed.shape)
+
+            def dhs_of(start, end, k):
+                dhs = np.empty((end - start, k, nb, hid))
+                for s in range(k):
+                    seg = grad[..., offsets[s] : offsets[s + 1] - 1]
+                    dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, reverse)], reverse)
+                return dhs
+
+            dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
+            dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
+            h_in = _by_sequence([(k, hs[:-1]) for _, _, k, hs, _ in runs], count)
+            dx, dwx, dwh, db = [], [], [], []
+            for s, (dz, hin) in enumerate(zip(dz_seq, h_in)):
+                if reverse:  # back to time order, like x
+                    dz, hin = dz[::-1], hin[::-1]
+                dz = dz.transpose(1, 2, 0)  # (B,4H,T)
+                dx.append(np.matmul(params[s].w_x.data.T, dz).reshape(xs[s].data.shape))
+                dwx.append(np.tensordot(dz, x3[s], axes=([0, 2], [0, 2])))
+                dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
+                db.append(dz.sum(axis=(0, 2)))
+            return (*dx, *(d.reshape(t.data.shape) for d, t in zip(dh0, h0s)),
+                    *(d.reshape(t.data.shape) for d, t in zip(dc0, c0s)), *dwx, *dwh, *db)
 
         core.requires_grad, core._parents, core._vjp = True, parents, vjp
-    last = 0 if reverse else steps - 1
-    return core[..., :steps], core[..., last], core[..., steps]
+    return [(core[..., off : off + n], core[..., off if reverse else off + n - 1], core[..., off + n])
+            for off, n in zip(offsets, lengths)]
 
 
-def lstm_feedback(h0, c0, params: LSTMParams, head_w, head_b, steps: int,
-                  reverse: bool = False) -> np.ndarray:
-    """Hidden states of an LSTM whose input at each step is the previous
-    step's head output ``head_w @ h + head_b`` (zeros at the first step).
+def lstm_feedback(h0s, c0s, params, head_ws, head_bs, steps, reverse: bool = False) -> list:
+    """Hidden states of LSTMs whose input at each step is the previous
+    step's head output ``head_w @ h + head_b`` (zeros at the first step),
+    all sequences in one time loop as in ``lstm_sequence``.
 
-    Inference only: plain arrays in and out, no graph. ``h0``/``c0`` are
-    (B,H); the result is (B,H,steps), indexed like ``lstm_sequence``'s hs.
-    The head folds into the recurrence,
+    Inference only: plain arrays in and out, no graph. ``h0s[s]`` and
+    ``c0s[s]`` are (B,H) and ``steps`` does not increase with s; the result
+    holds one (B,H,steps[s]) array per sequence, indexed like
+    ``lstm_sequence``'s hs. The head folds into the recurrence,
     W_x (W_s h + b_s) + W_h h + b = (W_x W_s + W_h) h + (W_x b_s + b),
-    so every step after the first is one (B,H)@(H,4H) product.
+    so every step after the first is one (B,H)@(H,4H) product per sequence.
     """
-    hid = params.hidden_size
-    wx, wh, b = params.w_x.data, params.w_h.data, params.b.data
+    _check_lengths(steps, "lstm_feedback")
+    hid = params[0].hidden_size
     half = _halving(hid)
-    nb = h0.shape[0]
-    first, c, _ = _scan(np.broadcast_to(b * half, (1, nb, 4 * hid)), h0, c0, (wh * half[:, None]).T,
-                        keep=False)
-    w_fold = (wx @ head_w + wh) * half[:, None]
-    b_fold = (wx @ head_b + b) * half
-    rest, _, _ = _scan(np.broadcast_to(b_fold, (steps - 1, nb, 4 * hid)), first[1], c, w_fold.T,
-                       keep=False)
-    hs = np.concatenate([first[1:], rest[1:]])
-    return (hs[::-1] if reverse else hs).transpose(1, 2, 0)
+    h0, c0 = np.stack(h0s), np.stack(c0s)
+    count, nb = h0.shape[:2]
+
+    def constant(bias):
+        return lambda start, end, k: np.broadcast_to(bias[:k, None], (end - start, k, nb, 4 * hid))
+
+    def transposed(w):
+        return w.transpose(0, 2, 1)[:, None]
+
+    wh = np.stack([p.w_h.data for p in params])
+    wh *= half[:, None]
+    b = np.stack([p.b.data for p in params]) * half
+    first, h, c = _scan(constant(b), h0, c0, transposed(wh), [1] * count, keep=False)
+    w_fold = np.stack([p.w_x.data @ w + p.w_h.data for p, w in zip(params, head_ws)]) * half[:, None]
+    b_fold = np.stack([p.w_x.data @ bs + p.b.data for p, bs in zip(params, head_bs)]) * half
+    rest, _, _ = _scan(constant(b_fold), h, c, transposed(w_fold), [n - 1 for n in steps], keep=False)
+    parts = [(k, hs[1:]) for _, _, k, hs, _ in first + rest]
+    return [_time_order(hs, reverse) for hs in _by_sequence(parts, count)]
 
 
 def mse_loss(pred, target) -> Tensor:

@@ -144,13 +144,7 @@ def _fuse_v1_lstms(path, config: ModelConfig, tensors: dict):
 
 
 def _fill_model(path, config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
-    try:
-        model = WaveletAutoencoder(config)
-    except (ValueError, TypeError) as err:
-        raise DataError(f"{path}: config does not describe a model ({err})") from None
-    for name, param in model.named_parameters():
-        param.data = _tensor(path, tensors, name, param.data.shape)
-    return model
+    return WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
 
 
 def save_model(model: WaveletAutoencoder, path):

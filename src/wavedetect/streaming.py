@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AnomalyRanges, MultiSeries, label_block
 from .errors import ConfigError, ContractError, DataError, ShapeError
-from .metrics import MetricsReport, compute_metrics
+from .metrics import compute_metrics
 from .training import Detector, predict_fragment, score_windows
 
 SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))

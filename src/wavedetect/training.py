@@ -46,8 +46,12 @@ from .wavelet import get_family, mdwd
 SEMI_EPOCHS = 16
 SUPERVISED_EPOCHS = 11
 STD_FLOOR = 1e-8
-# Windows scored per batch: larger batches cut per-step overhead further but
-# raise peak memory, mostly through the conv inputs unrolled per window.
+# Windows scored per batch. A larger batch shares each LSTM step's Python
+# overhead among more windows, but every layer's activations and LSTM states
+# grow with it. On the benchmark's 65-window stream (2-vCPU box, one BLAS
+# thread), chunks of 4/8/16/65 took 203/179/171/161 ms per `simulate` call
+# (best of 21) at a process peak RSS of 36.0/38.1/42.6/63.4 MB: past 4, time
+# gains little while memory climbs.
 _SCORE_CHUNK = 4
 
 

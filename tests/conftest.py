@@ -32,7 +32,8 @@ def max_rel_err(analytic, numeric, floor=1e-8):
 
 
 def lstm_step(a, h, c, params):
-    """One LSTM step, run as a one-step ``lstm_sequence``; returns (h, c)."""
+    """One LSTM step, run as a one-step, one-sequence ``lstm_sequence``;
+    returns (h, c)."""
     a = a if isinstance(a, Tensor) else Tensor(a)
-    _, h, c = lstm_sequence(reshape(a, a.shape + (1,)), h, c, params)
+    [(_, h, c)] = lstm_sequence([reshape(a, a.shape + (1,))], [h], [c], [params])
     return h, c

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, no_grad, tsum
+from wavedetect.autodiff import Tensor, no_grad, relu, tsum
 from wavedetect.errors import CapabilityError, ConfigError, ContractError, ShapeError
 from wavedetect.model import (
     ConvLayer,
@@ -12,7 +12,8 @@ from wavedetect.model import (
     padding_for,
     reconstruction_loss,
 )
-from wavedetect.nn import bce_with_logits, conv1d, deconv1d, mse_loss
+import wavedetect.nn as nn
+from wavedetect.nn import bce_with_logits, conv1d, deconv1d, lstm_sequence, mse_loss
 from wavedetect.wavelet import get_family, mdwd
 
 from conftest import lstm_step, max_rel_err, numeric_grad
@@ -37,6 +38,17 @@ def forward_loss(model, inputs, teacher=True):
     return reconstruction_loss(inputs, recons)
 
 
+def encode_one_scale(model, scale, values):
+    """The final encoder hidden state of one branch, its LSTM run alone."""
+    cfg, branch = model.config, model.branches[scale]
+    acts = Tensor(values)
+    for (kernels, bias), layer in zip(branch.conv, cfg.conv):
+        acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
+    zeros = np.zeros(cfg.hidden)
+    [(_, h, _)] = lstm_sequence([acts], [zeros], [zeros], [branch.encoder])
+    return h.data
+
+
 class TestModelConfig:
     def test_code_length_example(self):
         cfg = ModelConfig(channels=26, fragment_length=512, levels=3, hidden=32)
@@ -54,6 +66,19 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(channels=2, fragment_length=64, levels=3,
                         conv=(ConvLayer(4, 4, 4), ConvLayer(4, 4, 4)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_config(seed=seed)
+
+    @pytest.mark.parametrize("field,value", [
+        ("channels", 2.0), ("fragment_length", 32.0), ("levels", 2.0), ("hidden", 4.0),
+        ("conv", ((4, 4.0, 2),)),
+    ])
+    def test_rejects_a_size_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            tiny_config(**{field: value})
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -121,7 +146,7 @@ class TestEncode:
         model = WaveletAutoencoder(tiny_config(seed=5))
         inputs = scales(rng.normal(size=(2, 32)), 2)
         code, _ = model.encode(inputs)
-        pieces = [model._encode_scale(s, v)[0].data for s, v in enumerate(inputs)]
+        pieces = [encode_one_scale(model, s, v) for s, v in enumerate(inputs)]
         assert np.array_equal(code.data, np.concatenate(pieces))
         permuted = np.concatenate([pieces[1], pieces[0], pieces[2]])
         assert not np.array_equal(code.data, permuted)
@@ -352,6 +377,27 @@ class TestEndToEnd:
             fd = (up - down) / (2 * h)
             rel = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-6)
             assert rel < 1e-4, f"{name}[{i}]: {rel}"
+
+
+def test_all_scales_share_one_lstm_time_loop(rng, monkeypatch):
+    """The default model's scales run 128, 64, 32 and 16 LSTM steps. Each
+    pass runs them in one time loop of 128 iterations, not 240."""
+    iterations = []
+    scan = nn._scan
+
+    def counted(*args, **kwargs):
+        runs, h, c = scan(*args, **kwargs)
+        iterations.append(sum(end - start for start, end, *_ in runs))
+        return runs, h, c
+
+    monkeypatch.setattr(nn, "_scan", counted)
+    model = WaveletAutoencoder(ModelConfig(channels=8))
+    code, acts = model.encode(scales(rng.normal(size=(8, 512)), 3))
+    model.decode(code, acts)
+    model.decode(code)
+    # encode, teacher-forced decode, then free decode: its first step, then
+    # the rest with the step head folded in
+    assert iterations == [128, 128, 1, 127]
 
 
 class TestBatchAxis:

@@ -22,6 +22,7 @@ from wavedetect.nn import (
     conv1d,
     deconv1d,
     linear,
+    _phases,
     lstm_feedback,
     lstm_sequence,
     mse_loss,
@@ -47,6 +48,20 @@ def conv1d_naive(x, w, b, stride, padding):
                     acc += w[co, ci, j] * xp[ci, pos * stride + j]
             out[co, pos] = acc + b[co]
     return out
+
+
+def lstm_params(input_size, hidden_size, seed):
+    """Random LSTM weights, each uniform in +-1/sqrt(fan in), as the model
+    draws them."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(fan_in, shape):
+        bound = np.sqrt(1.0 / fan_in)
+        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+
+    return LSTMParams(w_x=uniform(input_size, (4 * hidden_size, input_size)),
+                      w_h=uniform(hidden_size, (4 * hidden_size, hidden_size)),
+                      b=uniform(hidden_size, (4 * hidden_size,)))
 
 
 def gate_params(p, gate):
@@ -171,7 +186,7 @@ class TestLstmCell:
     """One step of the LSTM: a one-step ``lstm_sequence``."""
 
     def make_params(self, input_size, hidden_size, seed=3):
-        return LSTMParams.init(input_size, hidden_size, np.random.default_rng(seed))
+        return lstm_params(input_size, hidden_size, seed)
 
     def zero_params(self, input_size, hidden_size):
         p = self.make_params(input_size, hidden_size)
@@ -334,7 +349,7 @@ def test_composite_chain_gradients_match_finite_differences(rng):
     x = rng.normal(size=(2, 10))
     conv_w = Tensor(rng.normal(size=(3, 2, 4)) * 0.5, requires_grad=True)
     conv_b = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
-    p = LSTMParams.init(3, 2, np.random.default_rng(5))
+    p = lstm_params(3, 2, 5)
     out_w = Tensor(rng.normal(size=(2, 2)) * 0.5, requires_grad=True)
     out_b = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
     target = rng.normal(size=2)
@@ -408,20 +423,22 @@ class TestBatchAxis:
             assert per[i] == mse_loss(Tensor(pred[i]), Tensor(target[i])).item()
 
 
-def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4):
+def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4, seed=17):
     lead = () if batch is None else (batch,)
     x = Tensor(rng.normal(size=lead + (nin, steps)), requires_grad=True)
     h0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
     c0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
-    return x, h0, c0, LSTMParams.init(nin, hid, np.random.default_rng(17))
+    return x, h0, c0, lstm_params(nin, hid, seed)
 
 
 class TestLstmSequence:
+    """One sequence: a list of one."""
+
     @pytest.mark.parametrize("batch", [None, 1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_step_by_step_oracle(self, rng, batch, reverse):
         x, h0, c0, p = _lstm_inputs(rng, batch)
-        hs, h, c = lstm_sequence(x, h0, c0, p, reverse=reverse)
+        [(hs, h, c)] = lstm_sequence([x], [h0], [c0], [p], reverse=reverse)
         xs = x.data.reshape(-1, 3, 4)
         for i in range(xs.shape[0]):
             hi, ci = h0.data.reshape(-1, 2)[i], c0.data.reshape(-1, 2)[i]
@@ -442,7 +459,7 @@ class TestLstmSequence:
         w_c = Tensor(rng.normal(size=(batch, 2)))
 
         def forward():
-            hs, h, c = lstm_sequence(x, h0, c0, p, reverse=reverse)
+            [(hs, h, c)] = lstm_sequence([x], [h0], [c0], [p], reverse=reverse)
             return add(add(tsum(mul(hs, w_seq)), tsum(mul(h, w_h))), tsum(mul(c, w_c)))
 
         forward().backward()
@@ -458,7 +475,7 @@ class TestLstmSequence:
 
     def test_cell_is_one_step_sequence(self, rng):
         x, h0, c0, p = _lstm_inputs(rng, 3, steps=1)
-        _, h_seq, c_seq = lstm_sequence(x, h0, c0, p)
+        [(_, h_seq, c_seq)] = lstm_sequence([x], [h0], [c0], [p])
         h, c = lstm_step(Tensor(x.data[:, :, 0]), h0, c0, p)
         assert np.array_equal(h.data, h_seq.data)
         assert np.array_equal(c.data, c_seq.data)
@@ -466,23 +483,244 @@ class TestLstmSequence:
     def test_shape_errors(self, rng):
         x, h0, c0, p = _lstm_inputs(rng, 2)
         with pytest.raises(ShapeError):
-            lstm_sequence(Tensor(np.zeros((2, 4, 5))), h0, c0, p)
+            lstm_sequence([Tensor(np.zeros((2, 4, 5)))], [h0], [c0], [p])
         with pytest.raises(ShapeError):
-            lstm_sequence(x, Tensor(np.zeros(2)), c0, p)
+            lstm_sequence([x], [Tensor(np.zeros(2))], [c0], [p])
         with pytest.raises(ShapeError):
-            lstm_sequence(Tensor(np.zeros((2, 3, 0))), h0, c0, p)
+            lstm_sequence([Tensor(np.zeros((2, 3, 0)))], [h0], [c0], [p])
 
     def test_feedback_matches_explicit_feedback_loop(self, rng):
-        p = LSTMParams.init(3, 4, np.random.default_rng(2))
+        p = lstm_params(3, 4, 2)
         head_w, head_b = rng.normal(size=(3, 4)), rng.normal(size=3)
         h0, c0 = rng.normal(size=(2, 4)), np.zeros((2, 4))
-        hs = lstm_feedback(h0, c0, p, head_w, head_b, steps=5, reverse=True)
+        [hs] = lstm_feedback([h0], [c0], [p], [head_w], [head_b], [5], reverse=True)
         for i in range(2):
             h, c, step_in = h0[i], c0[i], np.zeros(3)
             for t in range(4, -1, -1):
                 h, c = lstm_reference(step_in, h, c, p)
                 assert np.max(np.abs(hs[i, :, t] - h)) < 1e-12
                 step_in = head_w @ h + head_b
+
+
+# The single-sequence scan and BPTT that ran one call per sequence before
+# all sequences shared one time loop, kept as the reference the shared loop
+# must reproduce bit for bit.
+
+
+def _single_scan(zx, h0, c0, wh_t):
+    steps, nb, g4 = zx.shape
+    hid = g4 // 4
+    hs = np.empty((steps + 1, nb, hid))
+    hs[0] = h0
+    h_rows = hs[:, :, None, :]
+    z_rows = np.empty((nb, 1, g4))
+    a = z_rows.reshape(nb, g4)
+    sig, i, f, o, g = a[:, : 3 * hid], *(a[:, k * hid : (k + 1) * hid] for k in range(4))
+    c = np.array(c0, dtype=np.float64)
+    ig, tc = np.empty((nb, hid)), np.empty((nb, hid))
+    acts, cs, tcs = np.empty((steps, nb, g4)), np.empty((steps + 1, nb, hid)), np.empty((steps, nb, hid))
+    cs[0] = c
+    for t in range(steps):
+        np.matmul(h_rows[t], wh_t, out=z_rows)
+        a += zx[t]
+        np.tanh(a, out=a)
+        sig *= 0.5
+        sig += 0.5
+        c *= f
+        c += np.multiply(i, g, out=ig)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=hs[t + 1])
+        acts[t], cs[t + 1], tcs[t] = a, c, tc
+    return hs, c, (acts, cs, tcs)
+
+
+def _single_scan_grad(acts, cs, tcs, wh, dhs, dc):
+    steps, nb, g4 = acts.shape
+    hid = g4 // 4
+    i, f, o, g = (acts[..., k * hid : (k + 1) * hid] for k in range(4))
+    coef = np.empty((steps, nb, 4, hid))
+    coef[:, :, 0] = g * i * (1.0 - i)
+    coef[:, :, 1] = cs[:-1] * f * (1.0 - f)
+    coef[:, :, 2] = tcs * o * (1.0 - o)
+    coef[:, :, 3] = i * (1.0 - g * g)
+    dc_dh = o * (1.0 - tcs * tcs)
+    dz = np.empty((steps, nb, 4, hid))
+    dz_o, coef_o = dz[:, :, 2], coef[:, :, 2]
+    dz_flat = dz.reshape(steps, nb, g4)
+    dh = np.zeros((nb, hid))
+    for t in range(steps - 1, -1, -1):
+        dh = dh + dhs[t]
+        dc = dc + dh * dc_dh[t]
+        np.multiply(coef[t], dc[:, None, :], out=dz[t])
+        np.multiply(dh, coef_o[t], out=dz_o[t])
+        dh = dz_flat[t] @ wh
+        dc = dc * f[t]
+    return dz_flat, dh, dc
+
+
+def single_sequence_reference(x, h0, c0, p, reverse, d_hs, d_h, d_c):
+    """(hs, h, c) of one sequence, and the gradients of x, h0, c0, w_x, w_h
+    and b given upstream gradients of the three outputs, all (B,...)."""
+    nb, nin, steps = x.shape
+    hid = p.hidden_size
+    wx, wh, b = p.w_x.data, p.w_h.data, p.b.data
+    half = np.repeat([0.5, 1.0], [3 * hid, hid])
+    zx = ((wx * half[:, None]) @ x + (b * half)[:, None]).transpose(2, 0, 1)
+    hs, c, saved = _single_scan(zx[::-1] if reverse else zx, h0, c0, (wh * half[:, None]).T)
+    hs_time = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 2, 0)
+    dhs = d_hs.copy()
+    dhs[..., 0 if reverse else steps - 1] += d_h
+    dhs = dhs.transpose(2, 0, 1)
+    dz, dh0, dc0 = _single_scan_grad(*saved, wh, dhs[::-1] if reverse else dhs, d_c)
+    h_in = hs[:-1]
+    if reverse:
+        dz, h_in = dz[::-1], h_in[::-1]
+    dz = dz.transpose(1, 2, 0)
+    grads = (np.matmul(wx.T, dz), dh0, dc0, np.tensordot(dz, x, axes=([0, 2], [0, 2])),
+             np.tensordot(dz, h_in, axes=([0, 2], [1, 0])), dz.sum(axis=(0, 2)))
+    return (hs_time, hs_time[..., 0 if reverse else steps - 1], c), grads
+
+
+# Three sequences of unequal lengths and input sizes, as the model's scales:
+# (input size, steps).
+_SPECS = ((3, 6), (2, 3), (4, 2))
+_ALIGNED = ((3, 24), (2, 16), (4, 8))
+
+
+def _multi_inputs(rng, batch, specs=_SPECS, hid=2):
+    return [_lstm_inputs(rng, batch, nin, hid, steps, seed=17 + s) for s, (nin, steps) in enumerate(specs)]
+
+
+def _run_multi(seqs, reverse):
+    return lstm_sequence(*([s[q] for s in seqs] for q in range(4)), reverse=reverse)
+
+
+class TestMultiSequence:
+    """All sequences share one time loop, and a sequence drops out of it once
+    its own steps are done."""
+
+    def test_phases(self):
+        assert list(_phases([128, 64, 32, 16])) == [(0, 16, 4), (16, 32, 3), (32, 64, 2), (64, 128, 1)]
+        assert list(_phases([5, 5, 0])) == [(0, 5, 2)]
+        # The default model's LSTMs: 128 loop steps per pass, not 128+64+32+16.
+        assert sum(end - start for start, end, _ in _phases([128, 64, 32, 16])) == 128
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("specs", [_ALIGNED, _SPECS], ids=["aligned", "odd"])
+    def test_matches_single_sequence_reference(self, rng, specs, batch, reverse):
+        """Outputs and every gradient equal the per-sequence loop's.
+
+        Each phase hoists its own input projection, a product over the
+        phase's steps only. With phase widths that are multiples of 8, like
+        the model's, BLAS gives each column what the whole-sequence product
+        gives, and everything is bit-identical. A narrower phase can take
+        another kernel (one column is a matrix-vector product), which moves
+        results in the last bits: within 1e-12 relative.
+        """
+        seqs = _multi_inputs(rng, batch, specs)
+        outputs = _run_multi(seqs, reverse)
+        lead = () if batch is None else (batch,)
+        ups = [[rng.normal(size=out.shape) for out in triple] for triple in outputs]
+        loss = Tensor(0.0)
+        for triple, up in zip(outputs, ups):
+            for out, w in zip(triple, up):
+                loss = add(loss, tsum(mul(out, Tensor(w))))
+        loss.backward()
+
+        def check(got, want):
+            if specs is _ALIGNED:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+        nb = 1 if batch is None else batch
+        for (x, h0, c0, p), triple, up in zip(seqs, outputs, ups):
+            lifted = [a.reshape((nb,) + a.shape[len(lead):]) for a in (x.data, h0.data, c0.data, *up)]
+            ref_out, ref_grads = single_sequence_reference(*lifted[:3], p, reverse, *lifted[3:])
+            for got, want in zip(triple, ref_out):
+                check(got.data, want.reshape(got.shape))
+            for t, want in zip([x, h0, c0, p.w_x, p.w_h, p.b], ref_grads):
+                check(t.grad, want.reshape(t.shape))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, reverse):
+        """Every input and parameter of every sequence, through all outputs."""
+        seqs = _multi_inputs(rng, batch)
+        weights = [[Tensor(rng.normal(size=(batch, 2) + extra)) for extra in ((steps,), (), ())]
+                   for _, steps in _SPECS]
+
+        def forward():
+            loss = Tensor(0.0)
+            for triple, ws in zip(_run_multi(seqs, reverse), weights):
+                for out, w in zip(triple, ws):
+                    loss = add(loss, tsum(mul(out, w)))
+            return loss
+
+        forward().backward()
+
+        def f():
+            with no_grad():
+                return forward().item()
+
+        for s, (x, h0, c0, p) in enumerate(seqs):
+            named = [("x", x), ("h0", h0), ("c0", c0)] + list(p.named())
+            for name, t in named:
+                assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, (s, name)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batch_equals_per_sample(self, rng, reverse):
+        seqs = _multi_inputs(rng, 3)
+        with no_grad():
+            batched = _run_multi(seqs, reverse)
+            for i in range(3):
+                one = _run_multi([[Tensor(t.data[i]) for t in s[:3]] + [s[3]] for s in seqs], reverse)
+                for triple, single in zip(batched, one):
+                    for got, want in zip(triple, single):
+                        assert np.array_equal(got.data[i], want.data)
+
+    def test_feedback_matches_per_sequence_reference(self, rng):
+        """Three sequences in one loop give what each gives alone, which is
+        the explicit feedback loop."""
+        steps = [5, 3, 1]
+        params = [lstm_params(3, 4, 2 + s) for s in range(3)]
+        heads = [(rng.normal(size=(3, 4)), rng.normal(size=3)) for _ in range(3)]
+        h0s = [rng.normal(size=(2, 4)) for _ in range(3)]
+        c0s = [rng.normal(size=(2, 4)) * 0.5 for _ in range(3)]
+        for reverse in (False, True):
+            together = lstm_feedback(h0s, c0s, params, [w for w, _ in heads], [b for _, b in heads],
+                                     steps, reverse=reverse)
+            for s, hs in enumerate(together):
+                [alone] = lstm_feedback([h0s[s]], [c0s[s]], [params[s]], [heads[s][0]], [heads[s][1]],
+                                        [steps[s]], reverse=reverse)
+                assert np.array_equal(hs, alone)
+                order = range(steps[s] - 1, -1, -1) if reverse else range(steps[s])
+                for i in range(2):
+                    h, c, step_in = h0s[s][i], c0s[s][i], np.zeros(3)
+                    for t in order:
+                        h, c = lstm_reference(step_in, h, c, params[s])
+                        assert np.max(np.abs(hs[i, :, t] - h)) < 1e-12
+                        step_in = heads[s][0] @ h + heads[s][1]
+
+    def test_shape_errors(self, rng):
+        seqs = _multi_inputs(rng, 2)
+        x, h0, c0, p = (list(group) for group in zip(*seqs))
+        with pytest.raises(ShapeError, match="must not increase"):
+            lstm_sequence(x[::-1], h0[::-1], c0[::-1], p[::-1])
+        with pytest.raises(ShapeError):  # one sequence without the batch axis
+            lstm_sequence([x[0], Tensor(x[1].data[0]), x[2]], h0, c0, p)
+        with pytest.raises(ShapeError):  # batch sizes differ
+            lstm_sequence([x[0], Tensor(x[1].data[:1]), x[2]], h0, c0, p)
+        with pytest.raises(ShapeError):  # wrong input size for its weights
+            lstm_sequence([x[0], x[2], x[2]], h0, c0, p)
+        with pytest.raises(ShapeError):  # one weight set too few
+            lstm_sequence(x, h0, c0, p[:2])
+        with pytest.raises(ShapeError):  # hidden sizes differ
+            lstm_sequence(x[:2], h0[:2], c0[:2], [p[0], lstm_params(2, 3, 0)])
+        with pytest.raises(ShapeError, match="must not increase"):
+            lstm_feedback([h.data for h in h0[:2]], [c.data for c in c0[:2]], p[:1] * 2,
+                          [np.zeros((3, 2))] * 2, [np.zeros(3)] * 2, [2, 3])
 
 
 # The LSTM composition the model used before the fused sequence op: four

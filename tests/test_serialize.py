@@ -51,6 +51,23 @@ class TestModelContainer:
             assert name_a == name_b
             assert np.array_equal(tb.data, ta.data.astype(np.float32).astype(np.float64))
 
+    def test_load_builds_the_model_from_the_stored_tensors(self, tmp_path, monkeypatch):
+        """Loading draws no random init to overwrite: every tensor is the
+        stored one, trainable, under its own name."""
+        path = tmp_path / "m.bin"
+        model = small_model(seed=5, classifier=True)
+        save_model(model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_model(path)
+        assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
+        for (_, ta), tb in zip(model.named_parameters(), loaded.parameters()):
+            assert tb.requires_grad
+            assert np.array_equal(tb.data, ta.data.astype(np.float32).astype(np.float64))
+
     def test_loaded_model_runs(self, tmp_path, rng):
         model = small_model(seed=2)
         path = tmp_path / "m.bin"
@@ -134,6 +151,10 @@ _DEFECTS = [
     pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean lots"),
                  id="meta-number"),
     pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1), id="negative-seed"),
+    pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed": 4.5', 1), id="fractional-seed"),
+    pytest.param(lambda b: b.replace(b'"hidden": 3', b'"hidden": 3.0', 1), id="float-hidden"),
+    pytest.param(lambda b: b.replace(b'"channels": 2', b'"channels": 2.0', 1), id="float-channels"),
+    pytest.param(lambda b: b.replace(b'[[4, 4, 2]]', b'[[4, 4.0, 2]]', 1), id="float-kernel"),
 ]
 
 
