@@ -268,19 +268,6 @@ def relu(a) -> Tensor:
     return out
 
 
-def tsum(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum())
-    if _trace((a,)):
-        shape = a.data.shape
-        out.requires_grad, out._parents, out._vjp = (
-            True,
-            (a,),
-            lambda g: (np.full(shape, float(g)),),
-        )
-    return out
-
-
 def tmean(a, axis=None) -> Tensor:
     """Mean over all elements, or over the given axis or axes."""
     a = _as_tensor(a)

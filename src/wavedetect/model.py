@@ -7,23 +7,26 @@ so channel correlations are mixed from the first layer), then an LSTM
 encoder whose final hidden state is that branch's slice of the global
 code. Decoding mirrors this: a dense layer re-initializes the decoder
 hidden state from the global code, an LSTM walks the sequence in reverse
-order (teacher-forced during training, feeding back its own step outputs
-during inference), a dense step head maps hidden states back to
-conv-activation space, and a transposed-conv stack restores the signal or
-detail array. The last deconv layer is linear; every other conv/deconv
-layer uses ReLU.
+order, a dense step head maps hidden states back to conv-activation space,
+and a transposed-conv stack restores the signal or detail array. The last
+deconv layer is linear; every other conv/deconv layer uses ReLU.
+
+The decoder is teacher-forced: at step t it reads the encoder's conv
+activation at t + 1, so ``decode`` takes the code together with the
+activations ``encode`` returned. Training and scoring run this one pass.
+Each step output is predicted from the next true activation and the
+decoder state, so the reconstruction loss is a one-step prediction error,
+the usual LSTM anomaly score (Malhotra et al. 2015, ESANN). A decoder that
+fed back its own outputs at scoring time would run in a regime it never
+trained in (exposure bias; Bengio et al. 2015, arXiv:1506.03099).
 
 Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
 all scales in one time loop, a single graph node with its own backward
-pass. The autoregressive decode is inference only: it folds the step head
-into the recurrence (``nn.lstm_feedback``, again all scales in one loop),
-computes every step output with one matrix product afterwards, and records
-no graph. ``encode`` takes the list of scale inputs (the normalized
-signal, then its detail arrays), which ``training`` builds; the model
-itself neither normalizes nor decomposes. Every pass takes an optional
-leading batch axis: a scale input is (C, T >> l) or a batch
-(B, C, T >> l), and the code is (code_length,) or (B, code_length) to
-match.
+pass. ``encode`` takes the list of scale inputs (the normalized signal,
+then its detail arrays), which ``training`` builds; the model itself
+neither normalizes nor decomposes. Every pass takes an optional leading
+batch axis: a scale input is (C, T >> l) or a batch (B, C, T >> l), and
+the code is (code_length,) or (B, code_length) to match.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, matmul, no_grad, relu, reshape, sigmoid
+from .autodiff import Tensor, add, concat, matmul, relu, reshape, sigmoid
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError
-from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_feedback, lstm_sequence, mse_loss
+from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, mse_loss
 from .wavelet import get_family
 
 
@@ -278,14 +281,10 @@ class WaveletAutoencoder:
         runs = lstm_sequence(activations, zeros, zeros, [b.encoder for b in self.branches])
         return concat([h for _, h, _ in runs]), activations
 
-    def decode(self, code, teacher_activations=None):
-        """Reconstruct the signal and every detail array from the code.
-
-        With ``teacher_activations`` (the encoder's conv activations) the
-        LSTM decoder consumes ground-truth step inputs; without them it
-        feeds back its own step outputs, records no graph, and so cannot be
-        backpropagated through.
-        """
+    def decode(self, code, activations):
+        """Reconstruct the signal and every detail array from the code and
+        the encoder's per-scale conv activations, which the decoder LSTM
+        reads as its step inputs."""
         cfg = self.config
         code = code if isinstance(code, Tensor) else Tensor(code)
         if code.data.ndim not in (1, 2) or code.data.shape[-1] != cfg.code_length:
@@ -294,23 +293,19 @@ class WaveletAutoencoder:
                 "with or without a batch axis"
             )
         lead = code.data.shape[:-1]
-        if teacher_activations is None:
-            with no_grad():
-                return self._decode_free(code, lead)
-        if len(teacher_activations) != cfg.levels + 1:
+        if len(activations) != cfg.levels + 1:
             raise ContractError(
-                f"expected {cfg.levels + 1} teacher activation sequences, "
-                f"got {len(teacher_activations)}"
+                f"expected {cfg.levels + 1} activation sequences, got {len(activations)}"
             )
         feats = cfg.conv_features
         inputs, h0s = [], []
         for scale, branch in enumerate(self.branches):
             steps = cfg.conv_lengths(scale)[-1]
-            taught = teacher_activations[scale]
+            taught = activations[scale]
             taught = taught if isinstance(taught, Tensor) else Tensor(taught)
             if taught.data.shape != lead + (feats, steps):
                 raise ContractError(
-                    f"teacher activations for scale {scale} have shape {taught.shape}, "
+                    f"activations for scale {scale} have shape {taught.shape}, "
                     f"expected {lead + (feats, steps)}"
                 )
             # Walking t = T-1..0, step t consumes the activation at t + 1
@@ -321,19 +316,6 @@ class WaveletAutoencoder:
         runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)
         return [self._deconv(branch, add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1))))
                 for branch, (hs, _, _) in zip(self.branches, runs)]
-
-    def _decode_free(self, code, lead):
-        cfg = self.config
-        codes = code.data.reshape(-1, cfg.code_length)
-        h0s = [linear(codes, b.dec_init_w, b.dec_init_b).data for b in self.branches]
-        hss = lstm_feedback(h0s, [np.zeros_like(h) for h in h0s], [b.decoder for b in self.branches],
-                            [b.step_w.data for b in self.branches], [b.step_b.data for b in self.branches],
-                            [cfg.conv_lengths(scale)[-1] for scale in range(cfg.levels + 1)], reverse=True)
-        outputs = []
-        for branch, hs in zip(self.branches, hss):
-            step_out = branch.step_w.data @ hs + branch.step_b.data[:, None]
-            outputs.append(self._deconv(branch, Tensor(step_out.reshape(lead + step_out.shape[1:]))))
-        return outputs
 
     def _deconv(self, branch, acts):
         cfg = self.config

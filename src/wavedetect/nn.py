@@ -15,8 +15,7 @@ may differ in length: the loop runs as many steps as the longest, and a
 shorter sequence drops out once its own steps are done, so the default
 model's four scales of 128, 64, 32 and 16 steps take 128 iterations, not
 240. One sequence is a list of one, and one step a sequence of length one.
-``lstm_feedback`` runs the same loop for inference when every step's input
-is the previous step's output through a dense head.
+The model's encoder and its teacher-forced decoder both run through it.
 
 Layers take an optional leading batch axis, (C,T) or (B,C,T), and compute
 every sample with the same products as a lone sample, so batched results
@@ -214,14 +213,14 @@ def _phases(lengths):
             start = lengths[k - 1]
 
 
-def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool = True):
+def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
     """S recurrences in one time loop; sequence s runs ``lengths[s]`` steps.
 
     ``zx_of(start, end, k)`` gives the input pre-activations of steps
-    start..end-1 of the first k sequences, step-major (n,k,B,4H) or
-    broadcastable to it: input projection plus bias with the sigmoid columns
-    halved. The states ``h0`` and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H)
-    holds the halved recurrent weights, transposed.
+    start..end-1 of the first k sequences, step-major (n,k,B,4H): input
+    projection plus bias with the sigmoid columns halved. The states ``h0``
+    and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H) holds the halved
+    recurrent weights, transposed.
 
     Returns (runs, h, c): one (start, end, k, hs, saved) per phase of
     ``_phases``, where hs (n+1,k,B,H) holds the phase's hidden states with
@@ -320,12 +319,6 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
     return dz_seq, dh, dc
 
 
-def _by_sequence(parts, count: int) -> list:
-    """Per sequence s, its (T_s, ...) slices ``part[:, s]`` of the per-phase
-    (k, part) arrays it took part in, joined in step order."""
-    return [np.concatenate([part[:, s] for k, part in parts if s < k]) for s in range(count)]
-
-
 def _window(length: int, start: int, end: int, reverse: bool) -> slice:
     """The time positions of steps start..end-1 of a sequence of ``length``."""
     return slice(length - end, length - start) if reverse else slice(start, end)
@@ -339,11 +332,6 @@ def _time_major(z: np.ndarray, reverse: bool) -> np.ndarray:
 def _time_order(hs: np.ndarray, reverse: bool) -> np.ndarray:
     """(T,B,H) hidden states in step order as (B,H,T) in time order."""
     return (hs[::-1] if reverse else hs).transpose(1, 2, 0)
-
-
-def _check_lengths(lengths, what: str):
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ShapeError(f"{what} sequence lengths must not increase, got {lengths}")
 
 
 def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
@@ -385,7 +373,8 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             raise ShapeError(f"lstm_sequence state shapes {h0.shape}, {c0.shape} of sequence {s} "
                              f"do not match {lead + (hid,)}")
     lengths = [x.data.shape[-1] for x in xs]
-    _check_lengths(lengths, "lstm_sequence")
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
     nb = lead[0] if lead else 1
     half = _halving(hid)
     x3 = [x.data.reshape(nb, p.input_size, n) for x, p, n in zip(xs, params, lengths)]
@@ -433,7 +422,8 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
 
             dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
             dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
-            h_in = _by_sequence([(k, hs[:-1]) for _, _, k, hs, _ in runs], count)
+            # Per sequence, the hidden state entering each of its steps.
+            h_in = [np.concatenate([hs[:-1, s] for _, _, k, hs, _ in runs if s < k]) for s in range(count)]
             dx, dwx, dwh, db = [], [], [], []
             for s, (dz, hin) in enumerate(zip(dz_seq, h_in)):
                 if reverse:  # back to time order, like x
@@ -449,41 +439,6 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
         core.requires_grad, core._parents, core._vjp = True, parents, vjp
     return [(core[..., off : off + n], core[..., off if reverse else off + n - 1], core[..., off + n])
             for off, n in zip(offsets, lengths)]
-
-
-def lstm_feedback(h0s, c0s, params, head_ws, head_bs, steps, reverse: bool = False) -> list:
-    """Hidden states of LSTMs whose input at each step is the previous
-    step's head output ``head_w @ h + head_b`` (zeros at the first step),
-    all sequences in one time loop as in ``lstm_sequence``.
-
-    Inference only: plain arrays in and out, no graph. ``h0s[s]`` and
-    ``c0s[s]`` are (B,H) and ``steps`` does not increase with s; the result
-    holds one (B,H,steps[s]) array per sequence, indexed like
-    ``lstm_sequence``'s hs. The head folds into the recurrence,
-    W_x (W_s h + b_s) + W_h h + b = (W_x W_s + W_h) h + (W_x b_s + b),
-    so every step after the first is one (B,H)@(H,4H) product per sequence.
-    """
-    _check_lengths(steps, "lstm_feedback")
-    hid = params[0].hidden_size
-    half = _halving(hid)
-    h0, c0 = np.stack(h0s), np.stack(c0s)
-    count, nb = h0.shape[:2]
-
-    def constant(bias):
-        return lambda start, end, k: np.broadcast_to(bias[:k, None], (end - start, k, nb, 4 * hid))
-
-    def transposed(w):
-        return w.transpose(0, 2, 1)[:, None]
-
-    wh = np.stack([p.w_h.data for p in params])
-    wh *= half[:, None]
-    b = np.stack([p.b.data for p in params]) * half
-    first, h, c = _scan(constant(b), h0, c0, transposed(wh), [1] * count, keep=False)
-    w_fold = np.stack([p.w_x.data @ w + p.w_h.data for p, w in zip(params, head_ws)]) * half[:, None]
-    b_fold = np.stack([p.w_x.data @ bs + p.b.data for p, bs in zip(params, head_bs)]) * half
-    rest, _, _ = _scan(constant(b_fold), h, c, transposed(w_fold), [n - 1 for n in steps], keep=False)
-    parts = [(k, hs[1:]) for _, _, k, hs, _ in first + rest]
-    return [_time_order(hs, reverse) for hs in _by_sequence(parts, count)]
 
 
 def mse_loss(pred, target) -> Tensor:

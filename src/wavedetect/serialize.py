@@ -3,7 +3,7 @@
 Layout: a UTF-8 text manifest, one directive per line, terminated by a
 ``payload`` line, then the raw tensor bytes.
 
-    wavedetect-container 2
+    wavedetect-container 3
     config {...model config as JSON...}
     meta kind detector
     meta mode semi
@@ -22,13 +22,24 @@ float32; loading widens back to float64. Because float32 -> float64 ->
 float32 is lossless, a save/load/save cycle is byte-identical.
 
 Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
-with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``). Version 1
-files, which held 16 per-gate tensors per LSTM, are still read: the per-gate
-tensors are stacked and each bias pair is summed in float64, which is the
-arithmetic the version-1 code did on every call, so a version-1 file scores
-exactly as it did. Saving always writes version 2; a summed bias may not
-be a float32 value, so a version-1 file written again as version 2 can score
-differently in the last bits.
+with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``).
+
+Saving writes version 3. Version 2 has the same layout; version 1 held 16
+per-gate tensors per LSTM. Which older files load:
+
+- Models and supervised detectors of either version load and score as
+  they did. A version-1 file's per-gate tensors are stacked and each bias
+  pair is summed in float64, the arithmetic the version-1 code did on
+  every call.
+- Semi detectors of either version raise ``DataError`` and must be
+  retrained. Their threshold was calibrated on the losses of a decoder
+  that fed back its own outputs, a score nothing computes any more.
+
+A summed version-1 bias is often not a float32 value, so a version-1 file
+saved again is rounded once: on the committed fixture its head scores move
+by about 2e-9. This is accepted. Rounding at load instead would change the
+scores of every version-1 file. From the first save on, save/load/save is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from .errors import ConfigError, DataError
 from .model import ModelConfig, WaveletAutoencoder, config_from_dict, config_to_dict
 
 MAGIC = "wavedetect-container"
-VERSION = 2
+VERSION = 3
 
 
 def _write_container(path, config: ModelConfig, named_arrays, meta: dict):
@@ -79,7 +90,7 @@ def _read_container(path):
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise DataError(f"{path}: bad magic line {lines[0]!r}")
-    if magic[1] not in ("1", str(VERSION)):
+    if magic[1] not in ("1", "2", str(VERSION)):
         raise DataError(f"{path}: unsupported format version {magic[1]!r}")
 
     config = None
@@ -114,6 +125,9 @@ def _read_container(path):
             raise DataError(f"{path}: line {number}: bad {kind} directive ({err})") from None
     if config is None:
         raise DataError(f"{path}: container has no config")
+    if magic[1] != str(VERSION) and meta.get("kind") == "detector" and meta.get("mode") == "semi":
+        raise DataError(f"{path}: a version {magic[1]} semi detector has a threshold calibrated on "
+                        "free-running decoder losses, which scoring no longer computes; retrain it")
     if magic[1] == "1":
         _fuse_v1_lstms(path, config, tensors)
     return config, meta, tensors

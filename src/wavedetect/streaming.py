@@ -66,19 +66,13 @@ def vote_decide(positive: int, total: int, vote_threshold: float) -> int:
 
 
 @dataclass(frozen=True)
-class BlockVerdict:
-    index: int
-    verdict: int
-    positive: int
-    total: int
-
-
-@dataclass(frozen=True)
 class BlockRow:
-    """One line of the simulation report."""
+    """One block's verdict and vote tally: a line of the simulation report,
+    or a verdict of ``VoteState.push_block``, which knows no label
+    (``label`` is None there)."""
 
     index: int
-    label: int
+    label: int | None
     verdict: int
     positive: int
     total: int
@@ -103,10 +97,11 @@ class VoteState:
         self._buffer = deque(maxlen=cfg.votes_per_block)
         self._pending: "OrderedDict[int, list]" = OrderedDict()
         self._next_index = 0
-        self.finalized: list[BlockVerdict] = []
+        self.finalized: list[BlockRow] = []
 
     def push_block(self, block):
-        """Feed one block; returns (newly finalized verdicts, preliminary verdicts)."""
+        """Feed one block; returns (newly finalized verdicts, preliminary
+        verdicts), each a list of ``BlockRow`` without a label."""
         block = np.asarray(block, dtype=np.float64)
         if block.shape != (self._channels, self.cfg.step):
             raise ShapeError(
@@ -130,12 +125,13 @@ class VoteState:
                 tally[1] += 1
             if self._pending[oldest][1] == full:
                 positive, total = self._pending.pop(oldest)
-                verdict = BlockVerdict(oldest, vote_decide(positive, total, self.cfg.vote_threshold), positive, total)
+                verdict = BlockRow(oldest, None, vote_decide(positive, total, self.cfg.vote_threshold),
+                                   positive, total, True)
                 self.finalized.append(verdict)
                 finals.append(verdict)
 
         prelims = [
-            BlockVerdict(i, vote_decide(p, t, self.cfg.vote_threshold), p, t)
+            BlockRow(i, None, vote_decide(p, t, self.cfg.vote_threshold), p, t, False)
             for i, (p, t) in self._pending.items()
             if t >= 1
         ]

@@ -10,9 +10,11 @@ training adds a classifier head on the global code and minimizes
 taken from the head's logit; prediction uses the head's probability
 against 0.5.
 
-Gradient steps always teacher-force the decoder. Scores, and the frozen
-pass that feeds the threshold, run the decoder autoregressively so the
-threshold is calibrated in the same regime it is later compared against.
+Training, calibration and scoring run one forward pass: ``encode`` the
+per-scale inputs, then ``decode`` the code with the encoder's activations
+(the teacher-forced decoder, see ``model``); scoring runs it under
+``no_grad``. The threshold is thus calibrated on, and later compared
+against, the loss the model was trained to minimize.
 Training and scoring take their input through one check that stacks
 fragments or windows into a (N, C, T) array and rejects a wrong shape or a
 non-finite value. One helper then turns such a batch into the model's
@@ -165,7 +167,7 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
 
 def _finish(model, mode, windows, mean, std, beta) -> Detector:
     """Round the weights to stored precision, then calibrate on the
-    autoregressive reconstruction losses of the training windows."""
+    reconstruction losses ``_scores`` gives the training windows."""
     for p in model.parameters():
         p.data = _stored(p.data)
     losses = _scores(model, mean, std, windows, head=False)
@@ -227,17 +229,18 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
 
 
 def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
-    """No-grad scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at
-    a time: autoregressive reconstruction losses, or head probabilities."""
+    """Scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at a time:
+    head probabilities, or the reconstruction losses of the training step's
+    forward pass, run under ``no_grad``."""
     scores = []
     for start in range(0, len(windows), _SCORE_CHUNK):
         inputs = _scale_inputs(windows[start : start + _SCORE_CHUNK], model.config, mean, std)
         with no_grad():
-            code = model.encode(inputs)[0]
+            code, acts = model.encode(inputs)
             if head:
                 scores.append(model.classify(code).data[:, 0])
             else:
-                scores.append(reconstruction_loss(inputs, model.decode(code)).data)
+                scores.append(reconstruction_loss(inputs, model.decode(code, acts)).data)
     return np.concatenate(scores)
 
 

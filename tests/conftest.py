@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, reshape
+from wavedetect.autodiff import Tensor, _as_tensor, _trace, reshape
 from wavedetect.nn import lstm_sequence
 
 
@@ -37,3 +37,13 @@ def lstm_step(a, h, c, params):
     a = a if isinstance(a, Tensor) else Tensor(a)
     [(_, h, c)] = lstm_sequence([reshape(a, a.shape + (1,))], [h], [c], [params])
     return h, c
+
+
+def tsum(a) -> Tensor:
+    """Sum of all elements as a scalar graph node: the loss of a gradcheck."""
+    a = _as_tensor(a)
+    out = Tensor(a.data.sum())
+    if _trace((a,)):
+        shape = a.data.shape
+        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (np.full(shape, float(g)),)
+    return out

@@ -12,11 +12,10 @@ from wavedetect.autodiff import (
     sigmoid,
     tanh,
     tmean,
-    tsum,
 )
 from wavedetect.errors import ContractError, ShapeError
 
-from conftest import max_rel_err, numeric_grad
+from conftest import max_rel_err, numeric_grad, tsum
 
 
 def test_scalar_chain_gradients():

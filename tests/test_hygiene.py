@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a module imports is
-used in that module. ``__init__.py`` is skipped, because its imports are the
-package's re-exports."""
+used in that module (``__init__.py`` is skipped, because its imports are the
+package's re-exports), and every module-level function or class is used by
+some package code other than itself (the re-exports count)."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import wavedetect
 
-MODULES = sorted(p for p in Path(wavedetect.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -25,13 +27,19 @@ def imported_names(tree):
     return names
 
 
-def used_names(tree):
-    """Every name the module loads, including those inside string annotations."""
+def used_names(tree, attributes=False):
+    """Every name the module loads, including those inside string
+    annotations; with ``attributes``, also every attribute name it reads
+    and every name it imports."""
     used = set()
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
+        elif attributes and isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif attributes and isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
             annotations.append(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
@@ -52,3 +60,19 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_definition_is_used_by_the_package():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    used = {name: used_names(tree, attributes=True) for name, tree in trees.items()}
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            # The defining module counts without the definition's own body.
+            rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+            users = [names for other, names in used.items() if other != name]
+            if not any(node.name in names for names in users + [used_names(rest, attributes=True)]):
+                dead.append(f"{name}:{node.lineno} {node.name}")
+    assert not dead, f"module-level definitions no package code uses: {dead}"

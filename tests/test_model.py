@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, no_grad, relu, tsum
+from wavedetect.autodiff import Tensor, no_grad, relu
 from wavedetect.errors import CapabilityError, ConfigError, ContractError, ShapeError
 from wavedetect.model import (
     ConvLayer,
@@ -16,7 +16,7 @@ import wavedetect.nn as nn
 from wavedetect.nn import bce_with_logits, conv1d, deconv1d, lstm_sequence, mse_loss
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import lstm_step, max_rel_err, numeric_grad
+from conftest import lstm_step, max_rel_err, numeric_grad, tsum
 
 TINY_CONV = (ConvLayer(4, 4, 2), ConvLayer(5, 3, 1))
 
@@ -32,10 +32,9 @@ def scales(x, levels):
     return [x, *mdwd(x, get_family("haar"), levels).details] if levels else [x]
 
 
-def forward_loss(model, inputs, teacher=True):
+def forward_loss(model, inputs):
     code, acts = model.encode(inputs)
-    recons = model.decode(code, acts if teacher else None)
-    return reconstruction_loss(inputs, recons)
+    return reconstruction_loss(inputs, model.decode(code, acts))
 
 
 def encode_one_scale(model, scale, values):
@@ -211,24 +210,13 @@ class TestDecode:
         recons = model.decode(code, acts)
         assert [r.data.shape for r in recons] == [(3, 128), (3, 64), (3, 32), (3, 16)]
 
-    def test_teacher_and_autoregressive_agree_when_predictions_match(self):
-        # with every parameter zeroed the step outputs equal the (zero)
-        # teacher activations, so both modes produce identical output
-        model = WaveletAutoencoder(tiny_config(seed=2))
-        for _, t in model.named_parameters():
-            t.data[...] = 0.0
-        code, acts = model.encode(scales(np.zeros((2, 32)), 2))
-        taught = model.decode(code, acts)
-        free = model.decode(code)
-        for a, b in zip(taught, free):
-            assert np.array_equal(a.data, b.data)
-
     def test_one_step_toy_decode_composes_by_hand(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=4, levels=0, conv=((3, 4, 4),), hidden=4, seed=6)
         model = WaveletAutoencoder(cfg)
         assert cfg.conv_lengths(0)[-1] == 1
         code = Tensor(rng.normal(size=4))
-        out = model.decode(code)[0]
+        # The only step reads zeros: no activation follows it.
+        out = model.decode(code, [rng.normal(size=(3, 1))])[0]
 
         branch = model.branches[0]
         with no_grad():
@@ -239,10 +227,11 @@ class TestDecode:
             ref = deconv1d(Tensor(step[:, None]), kern, bias, 4, 0)
         assert np.max(np.abs(out.data - ref.data)) < 1e-12
 
-    def test_wrong_code_length(self):
+    def test_wrong_code_length(self, rng):
         model = WaveletAutoencoder(tiny_config())
+        _, acts = model.encode(scales(rng.normal(size=(2, 32)), 2))
         with pytest.raises(ShapeError):
-            model.decode(Tensor(np.zeros(7)))
+            model.decode(Tensor(np.zeros(7)), acts)
 
     def test_teacher_mode_mismatch(self, rng):
         model = WaveletAutoencoder(tiny_config())
@@ -394,10 +383,7 @@ def test_all_scales_share_one_lstm_time_loop(rng, monkeypatch):
     model = WaveletAutoencoder(ModelConfig(channels=8))
     code, acts = model.encode(scales(rng.normal(size=(8, 512)), 3))
     model.decode(code, acts)
-    model.decode(code)
-    # encode, teacher-forced decode, then free decode: its first step, then
-    # the rest with the step head folded in
-    assert iterations == [128, 128, 1, 127]
+    assert iterations == [128, 128]  # encode, then decode
 
 
 class TestBatchAxis:
@@ -406,7 +392,6 @@ class TestBatchAxis:
         inputs = scales(rng.normal(size=(3, 2, 32)), 2)
         with no_grad():
             code, acts = model.encode(inputs)
-            free = model.decode(code)
             taught = model.decode(code, acts)
             probs = model.classify(code)
         assert code.data.shape == (3, 12)
@@ -414,11 +399,10 @@ class TestBatchAxis:
         for i in range(3):
             with no_grad():
                 code_i, acts_i = model.encode(scales(inputs[0][i], 2))
-                free_i = model.decode(code_i)
                 taught_i = model.decode(code_i, acts_i)
             assert np.array_equal(code.data[i], code_i.data)
             assert np.array_equal(probs.data[i], model.classify(code_i).data)
-            for a, b in zip(free + taught, free_i + taught_i):
+            for a, b in zip(taught, taught_i):
                 assert np.array_equal(a.data[i], b.data)
 
     def test_batched_teacher_forced_gradients_sum_over_samples(self, rng):
@@ -435,15 +419,3 @@ class TestBatchAxis:
             forward_loss(model, scales(xs[i], 1)).backward()
         for got, want in zip(batched, (t.grad for t in model.parameters())):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
-
-
-class TestAutoregressiveDecodeIsInferenceOnly:
-    def test_records_no_graph(self, rng):
-        model = WaveletAutoencoder(tiny_config(seed=3))
-        inputs = scales(rng.normal(size=(2, 32)), 2)
-        code, _ = model.encode(inputs)
-        assert code.requires_grad
-        loss = forward_loss(model, inputs, teacher=False)
-        assert not loss.requires_grad
-        with pytest.raises(ContractError):
-            loss.backward()

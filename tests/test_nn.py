@@ -12,7 +12,6 @@ from wavedetect.autodiff import (
     reshape,
     sigmoid,
     tanh,
-    tsum,
 )
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for, reconstruction_loss
@@ -23,13 +22,12 @@ from wavedetect.nn import (
     deconv1d,
     linear,
     _phases,
-    lstm_feedback,
     lstm_sequence,
     mse_loss,
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import lstm_step, max_rel_err, numeric_grad
+from conftest import lstm_step, max_rel_err, numeric_grad, tsum
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -489,18 +487,6 @@ class TestLstmSequence:
         with pytest.raises(ShapeError):
             lstm_sequence([Tensor(np.zeros((2, 3, 0)))], [h0], [c0], [p])
 
-    def test_feedback_matches_explicit_feedback_loop(self, rng):
-        p = lstm_params(3, 4, 2)
-        head_w, head_b = rng.normal(size=(3, 4)), rng.normal(size=3)
-        h0, c0 = rng.normal(size=(2, 4)), np.zeros((2, 4))
-        [hs] = lstm_feedback([h0], [c0], [p], [head_w], [head_b], [5], reverse=True)
-        for i in range(2):
-            h, c, step_in = h0[i], c0[i], np.zeros(3)
-            for t in range(4, -1, -1):
-                h, c = lstm_reference(step_in, h, c, p)
-                assert np.max(np.abs(hs[i, :, t] - h)) < 1e-12
-                step_in = head_w @ h + head_b
-
 
 # The single-sequence scan and BPTT that ran one call per sequence before
 # all sequences shared one time loop, kept as the reference the shared loop
@@ -680,29 +666,6 @@ class TestMultiSequence:
                     for got, want in zip(triple, single):
                         assert np.array_equal(got.data[i], want.data)
 
-    def test_feedback_matches_per_sequence_reference(self, rng):
-        """Three sequences in one loop give what each gives alone, which is
-        the explicit feedback loop."""
-        steps = [5, 3, 1]
-        params = [lstm_params(3, 4, 2 + s) for s in range(3)]
-        heads = [(rng.normal(size=(3, 4)), rng.normal(size=3)) for _ in range(3)]
-        h0s = [rng.normal(size=(2, 4)) for _ in range(3)]
-        c0s = [rng.normal(size=(2, 4)) * 0.5 for _ in range(3)]
-        for reverse in (False, True):
-            together = lstm_feedback(h0s, c0s, params, [w for w, _ in heads], [b for _, b in heads],
-                                     steps, reverse=reverse)
-            for s, hs in enumerate(together):
-                [alone] = lstm_feedback([h0s[s]], [c0s[s]], [params[s]], [heads[s][0]], [heads[s][1]],
-                                        [steps[s]], reverse=reverse)
-                assert np.array_equal(hs, alone)
-                order = range(steps[s] - 1, -1, -1) if reverse else range(steps[s])
-                for i in range(2):
-                    h, c, step_in = h0s[s][i], c0s[s][i], np.zeros(3)
-                    for t in order:
-                        h, c = lstm_reference(step_in, h, c, params[s])
-                        assert np.max(np.abs(hs[i, :, t] - h)) < 1e-12
-                        step_in = heads[s][0] @ h + heads[s][1]
-
     def test_shape_errors(self, rng):
         seqs = _multi_inputs(rng, 2)
         x, h0, c0, p = (list(group) for group in zip(*seqs))
@@ -718,9 +681,6 @@ class TestMultiSequence:
             lstm_sequence(x, h0, c0, p[:2])
         with pytest.raises(ShapeError):  # hidden sizes differ
             lstm_sequence(x[:2], h0[:2], c0[:2], [p[0], lstm_params(2, 3, 0)])
-        with pytest.raises(ShapeError, match="must not increase"):
-            lstm_feedback([h.data for h in h0[:2]], [c.data for c in c0[:2]], p[:1] * 2,
-                          [np.zeros((3, 2))] * 2, [np.zeros(3)] * 2, [2, 3])
 
 
 # The LSTM composition the model used before the fused sequence op: four
@@ -740,7 +700,7 @@ def _per_gate_lstm_cell(a, h, c, p):
     return mul(o, tanh(c)), c
 
 
-def _per_gate_reconstructions(model, inputs, teacher=True):
+def _per_gate_reconstructions(model, inputs):
     cfg = model.config
     finals, taught = [], []
     for branch, values in zip(model.branches, inputs):
@@ -763,7 +723,7 @@ def _per_gate_reconstructions(model, inputs, teacher=True):
         for t in range(steps - 1, -1, -1):
             h, c = _per_gate_lstm_cell(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
-            step_in = acts[:, t] if teacher else slots[t]
+            step_in = acts[:, t]
         out = concat([reshape(slot, (cfg.conv_features, 1)) for slot in slots])
         for i, (kernels, bias) in enumerate(branch.deconv):
             layer = cfg.conv[len(cfg.conv) - 1 - i]
@@ -799,11 +759,3 @@ class TestAgainstPerGateComposition:
         for name, t in model.named_parameters():
             old = ref_grads[name]
             assert np.max(np.abs(t.grad - old)) <= 1e-10 * max(np.max(np.abs(old)), 1e-300), name
-
-    def test_autoregressive_decode_agrees(self):
-        with no_grad():
-            ref = _per_gate_reconstructions(self.model, self.inputs, teacher=False)
-            code, _ = self.model.encode(self.inputs)
-            new = self.model.decode(code)
-        for a, b in zip(ref, new):
-            assert np.max(np.abs(a.data - b.data)) <= 1e-10 * np.max(np.abs(a.data))

@@ -1,0 +1,50 @@
+"""Detection quality: a semi detector trained on one synthetic stream must
+rank the anomalous fragments of other streams above their normal ones.
+
+A 12 h, 8-channel synth with one anomaly per stream; a 256-sample window,
+2 wavelet levels, hidden size 16 and 6 epochs on the 19 normal fragments
+of seed 0. Test fragments do not overlap. Scored with the decoder the model
+was trained as, the held-out AUC is 0.96 / 0.93 / 0.95 on seeds 1 / 2 / 3;
+a decoder that feeds back its own outputs scores 0.51 / 0.49 / 0.67.
+"""
+
+import numpy as np
+import pytest
+
+from wavedetect.data import make_fragments
+from wavedetect.model import ModelConfig
+from wavedetect.synth import GeneratorConfig, synth_generate
+from wavedetect.training import TrainConfig, score_windows, train
+
+GEN = GeneratorConfig(hours=12.0, anomaly_count=1)
+WINDOW = 256
+
+
+def fragment_auc(scores, labels) -> float:
+    """Probability that a random anomalous fragment outscores a random
+    normal one, ties counting half (the Mann-Whitney form of ROC AUC)."""
+    scores, labels = np.asarray(scores), np.asarray(labels)
+    pos, neg = scores[labels == 1][:, None], scores[labels == 0][None, :]
+    return float(np.mean((pos > neg) + 0.5 * (pos == neg)))
+
+
+def test_fragment_auc_counts_ties_half():
+    assert fragment_auc([0.9, 0.1, 0.5, 0.5], [1, 0, 1, 0]) == 0.875
+
+
+@pytest.fixture(scope="module")
+def detector():
+    series, ranges = synth_generate(GEN, 0)
+    normal = [f for f in make_fragments(series, ranges, window=WINDOW) if f.label == 0]
+    assert len(normal) == 19
+    model = ModelConfig(channels=GEN.channels, fragment_length=WINDOW, levels=2, hidden=16)
+    return train(normal, TrainConfig(model=model, mode="semi", epochs=6))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_held_out_fragment_auc(detector, seed):
+    series, ranges = synth_generate(GEN, seed)
+    fragments = make_fragments(series, ranges, window=WINDOW, pos_step=WINDOW)
+    labels = [f.label for f in fragments]
+    assert 0 < sum(labels) < len(labels)
+    assert fragment_auc(score_windows(detector, fragments), labels) >= 0.85

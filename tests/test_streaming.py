@@ -109,7 +109,7 @@ class TestVoteState:
             seen.extend(finals)
         # first finalizable block is full-1; the last full-1 blocks stay pending
         assert [v.index for v in seen] == list(range(full - 1, n_blocks - full + 1))
-        assert all(v.total == full for v in seen)
+        assert all(v.total == full and v.final and v.label is None for v in seen)
 
     def test_preliminary_blocks_lie_in_the_newest_window(self):
         state = VoteState(make_detector(), CFG)
@@ -128,7 +128,7 @@ class TestVoteState:
         series = make_series(3)
         for i in range(CFG.votes_per_block):
             _, prelims = state.push_block(series.values[:, i * 16:(i + 1) * 16])
-        assert all(1 <= v.total <= CFG.votes_per_block for v in prelims)
+        assert all(1 <= v.total <= CFG.votes_per_block and not v.final and v.label is None for v in prelims)
         for v in prelims:
             assert v.verdict == vote_decide(v.positive, v.total, CFG.vote_threshold)
 
