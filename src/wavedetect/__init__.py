@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     ContractError,
     DataError,
-    DomainError,
     IngestError,
     ShapeError,
     WaveDetectError,

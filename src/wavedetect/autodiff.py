@@ -229,8 +229,9 @@ def matmul(a, b) -> Tensor:
 
         else:
 
+            # Summed per-sample products: a batch of one gives the 2-D form's bits.
             def vjp(g):
-                return np.tensordot(g, bd, axes=([0, 2], [0, 2])), ad.T @ g
+                return np.matmul(g, bd.transpose(0, 2, 1)).sum(axis=0), ad.T @ g
 
         out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
     return out
@@ -247,15 +248,6 @@ def sigmoid(a) -> Tensor:
     out = Tensor(s)
     if _trace((a,)):
         out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * s * (1.0 - s),)
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    t = np.tanh(a.data)
-    out = Tensor(t)
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * (1.0 - t * t),)
     return out
 
 

@@ -195,7 +195,6 @@ def make_fragments(
     series: MultiSeries,
     ranges: AnomalyRanges | None,
     window: int = DEFAULT_WINDOW,
-    neg_step: int | None = None,
     pos_step: int = DEFAULT_POS_STEP,
 ) -> list:
     """Cut labeled fragments: normal spans are tiled without overlap, anomaly
@@ -206,10 +205,6 @@ def make_fragments(
         raise ConfigError("window must be positive")
     if window > series.length:
         raise DataError(f"window {window} exceeds series length {series.length}")
-    if neg_step is None:
-        neg_step = window
-    if neg_step < window:
-        raise ConfigError("neg_step below the window length would overlap normal fragments")
     if not 1 <= pos_step <= window:
         raise ConfigError(f"pos_step must be in [1, window], got {pos_step}")
     if ranges is None:
@@ -222,7 +217,7 @@ def make_fragments(
 
     fragments = []
     for start, end, label in regions:
-        step = pos_step if label else neg_step
+        step = pos_step if label else window
         offset = start
         while offset + window <= end:
             fragments.append(Fragment(series.values[:, offset : offset + window].copy(), label, offset))

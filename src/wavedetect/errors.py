@@ -21,10 +21,6 @@ class IngestError(DataError):
     """A file could not be parsed; the message names the offending line."""
 
 
-class DomainError(WaveDetectError):
-    """A numeric argument lies outside the mathematical domain of a function."""
-
-
 class ContractError(WaveDetectError):
     """An API was called in a way its contract forbids."""
 

@@ -24,9 +24,9 @@ Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
 all scales in one time loop, a single graph node with its own backward
 pass. ``encode`` takes the list of scale inputs (the normalized signal,
 then its detail arrays), which ``training`` builds; the model itself
-neither normalizes nor decomposes. Every pass takes an optional leading
-batch axis: a scale input is (C, T >> l) or a batch (B, C, T >> l), and
-the code is (code_length,) or (B, code_length) to match.
+neither normalizes nor decomposes. Every pass takes a batch: a scale
+input is (B, C, T >> l) and the code (B, code_length); a lone window is a
+batch of one.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -256,28 +256,29 @@ class WaveletAutoencoder:
     def encode(self, inputs):
         """Run every scale branch; returns (code, per-scale conv activations).
 
-        ``inputs`` holds one array per scale in order 0..L: the normalized
-        signal (C, T), then wavelet detail level l as (C, T >> l), all with
-        or without the same leading batch axis. The code concatenates the
-        final encoder hidden states in scale order 0..L, which is the fixed
-        layout the decoder and classifier rely on.
+        ``inputs`` holds one batch per scale in order 0..L: the normalized
+        signals (B, C, T), then wavelet detail level l as (B, C, T >> l). The
+        (B, code_length) code concatenates the final encoder hidden states in
+        scale order 0..L, which is the fixed layout the decoder and
+        classifier rely on.
         """
         cfg = self.config
         got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
         if got != cfg.levels + 1:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
         values = [np.asarray(x, dtype=np.float64) for x in inputs]
-        lead = values[0].shape[:1] if values[0].ndim == 3 else ()
+        nb = len(values[0]) if values[0].ndim == 3 else None
         activations = []
         for scale, (x, branch) in enumerate(zip(values, self.branches)):
-            want = lead + (cfg.channels, cfg.fragment_length >> scale)
-            if x.shape != want:
-                raise ShapeError(f"scale {scale} input has shape {x.shape}, expected {want}")
+            want = (cfg.channels, cfg.fragment_length >> scale)
+            if x.shape != (nb, *want):
+                raise ShapeError(f"scale {scale} input has shape {x.shape}, expected a batch "
+                                 f"({'B' if nb is None else nb}, {want[0]}, {want[1]})")
             acts = Tensor(x)
             for (kernels, bias), layer in zip(branch.conv, cfg.conv):
                 acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
             activations.append(acts)
-        zeros = [np.zeros(lead + (cfg.hidden,))] * len(values)
+        zeros = [np.zeros((nb, cfg.hidden))] * len(values)
         runs = lstm_sequence(activations, zeros, zeros, [b.encoder for b in self.branches])
         return concat([h for _, h, _ in runs]), activations
 
@@ -287,12 +288,9 @@ class WaveletAutoencoder:
         reads as its step inputs."""
         cfg = self.config
         code = code if isinstance(code, Tensor) else Tensor(code)
-        if code.data.ndim not in (1, 2) or code.data.shape[-1] != cfg.code_length:
-            raise ShapeError(
-                f"code shape {code.shape} does not match ({cfg.code_length},), "
-                "with or without a batch axis"
-            )
-        lead = code.data.shape[:-1]
+        if code.data.ndim != 2 or code.data.shape[1] != cfg.code_length:
+            raise ShapeError(f"code shape {code.shape} does not match (B, {cfg.code_length})")
+        nb = len(code.data)
         if len(activations) != cfg.levels + 1:
             raise ContractError(
                 f"expected {cfg.levels + 1} activation sequences, got {len(activations)}"
@@ -303,16 +301,16 @@ class WaveletAutoencoder:
             steps = cfg.conv_lengths(scale)[-1]
             taught = activations[scale]
             taught = taught if isinstance(taught, Tensor) else Tensor(taught)
-            if taught.data.shape != lead + (feats, steps):
+            if taught.data.shape != (nb, feats, steps):
                 raise ContractError(
                     f"activations for scale {scale} have shape {taught.shape}, "
-                    f"expected {lead + (feats, steps)}"
+                    f"expected {(nb, feats, steps)}"
                 )
             # Walking t = T-1..0, step t consumes the activation at t + 1
             # (zeros at the first step).
-            inputs.append(concat([taught[..., 1:], np.zeros(lead + (feats, 1))]))
+            inputs.append(concat([taught[..., 1:], np.zeros((nb, feats, 1))]))
             h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
-        zeros = [np.zeros(lead + (cfg.hidden,))] * len(h0s)
+        zeros = [np.zeros((nb, cfg.hidden))] * len(h0s)
         runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)
         return [self._deconv(branch, add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1))))
                 for branch, (hs, _, _) in zip(self.branches, runs)]
@@ -327,8 +325,9 @@ class WaveletAutoencoder:
         return acts
 
     def logit(self, code):
-        """The classifier head's logit: shape (1,), or (B, 1) for a batch of
-        codes. Training takes its loss from the logit (``nn.bce_with_logits``)."""
+        """The classifier head's logits of a (B, code_length) batch of codes,
+        shape (B, 1). Training takes its loss from the logit
+        (``nn.bce_with_logits``)."""
         if self.classifier_w is None:
             raise CapabilityError("model was built without a classifier head")
         return linear(code, self.classifier_w, self.classifier_b)
@@ -340,7 +339,7 @@ class WaveletAutoencoder:
 
 def reconstruction_loss(targets, reconstructions) -> Tensor:
     """Sum of per-scale mean-squared errors: signal term plus one term per
-    detail level. Batched (B, C, T) inputs give one loss per sample."""
+    detail level, one loss per sample of the (B, C, T) batches."""
     if len(targets) != len(reconstructions):
         raise ShapeError(
             f"{len(targets)} targets vs {len(reconstructions)} reconstructions"

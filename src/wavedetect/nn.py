@@ -17,9 +17,9 @@ model's four scales of 128, 64, 32 and 16 steps take 128 iterations, not
 240. One sequence is a list of one, and one step a sequence of length one.
 The model's encoder and its teacher-forced decoder both run through it.
 
-Layers take an optional leading batch axis, (C,T) or (B,C,T), and compute
-every sample with the same products as a lone sample, so batched results
-equal per-sample ones bit for bit.
+Every layer takes a batch, (B,C,T); a lone sample is a batch of one. Each
+sample is computed with the same products whatever its batch, so batched
+results equal per-sample ones bit for bit.
 """
 
 from __future__ import annotations
@@ -33,27 +33,16 @@ from .autodiff import Tensor, _as_tensor, _trace, mul, sigmoid, sub, tmean
 from .errors import ContractError, ShapeError
 
 
-def _batched(x: Tensor, what: str) -> np.ndarray:
-    """The input as (B, C, T), lifting an unbatched (C, T) array to B = 1."""
-    if x.data.ndim == 2:
-        return x.data[None]
-    if x.data.ndim == 3:
-        return x.data
-    raise ShapeError(f"{what} expects a (C,T) or (B,C,T) input, got shape {x.shape}")
-
-
 def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Multi-channel 1-D convolution: (Cin,T) -> (Cout,T'), or
-    (B,Cin,T) -> (B,Cout,T') with a leading batch axis.
+    """Multi-channel 1-D convolution of a batch: (B,Cin,T) -> (B,Cout,T').
 
     Every output channel sums over all input channels, so the very first
     layer of an encoder mixes the full channel set.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d expects (Cout,Cin,K) kernels; got {kernels.shape}")
-    xb = _batched(x, "conv1d")
-    nb, cin, t = xb.shape
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ShapeError(f"conv1d expects (B,Cin,T) input, (Cout,Cin,K) kernels; got {x.shape}, {kernels.shape}")
+    nb, cin, t = x.data.shape
     cout, kcin, k = kernels.data.shape
     if kcin != cin:
         raise ShapeError(f"kernel channel count {kcin} does not match input channels {cin}")
@@ -67,10 +56,10 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     if k > padded:
         raise ContractError(f"kernel width {k} exceeds padded length {padded}")
 
-    xp = xb
+    xp = x.data
     if padding:
         xp = np.zeros((nb, cin, padded))
-        xp[:, :, padding : padding + t] = xb
+        xp[:, :, padding : padding + t] = x.data
     tout = (padded - k) // stride + 1
     # Tap j sees input positions j, j + stride, ...: one product per tap.
     span = stride * (tout - 1) + 1
@@ -80,32 +69,30 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     for j in range(1, k):
         y += w[:, :, j] @ taps[j]
     y += bias.data[:, None]
-    out = Tensor(y.reshape(x.data.shape[:-2] + y.shape[1:]))
+    out = Tensor(y)
 
     if _trace((x, kernels, bias)):
 
         def vjp(g):
-            gb = g.reshape(nb, cout, tout)
-            dw = np.stack([np.tensordot(gb, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
-            db = gb.sum(axis=(0, 2))
+            dw = np.stack([np.tensordot(g, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
+            db = g.sum(axis=(0, 2))
             dxp = np.zeros((nb, cin, padded))
             for j in range(k):
-                dxp[:, :, j : j + span : stride] += w[:, :, j].T @ gb
+                dxp[:, :, j : j + span : stride] += w[:, :, j].T @ g
             dx = dxp[:, :, padding : padding + t] if padding else dxp
-            return dx.reshape(x.data.shape), dw, db
+            return dx, dw, db
 
         out.requires_grad, out._parents, out._vjp = True, (x, kernels, bias), vjp
     return out
 
 
 def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed 1-D convolution: (Cin,T) -> (Cout,(T-1)*stride-2*padding+K),
-    with an optional leading batch axis as in ``conv1d``."""
+    """Transposed 1-D convolution of a batch:
+    (B,Cin,T) -> (B,Cout,(T-1)*stride-2*padding+K)."""
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if kernels.data.ndim != 3:
-        raise ShapeError(f"deconv1d expects (Cin,Cout,K) kernels; got {kernels.shape}")
-    xb = _batched(x, "deconv1d")
-    nb, cin, t = xb.shape
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ShapeError(f"deconv1d expects (B,Cin,T) input, (Cin,Cout,K) kernels; got {x.shape}, {kernels.shape}")
+    nb, cin, t = x.data.shape
     kcin, cout, k = kernels.data.shape
     if kcin != cin:
         raise ShapeError(f"kernel channel count {kcin} does not match input channels {cin}")
@@ -124,23 +111,23 @@ def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     ypad = np.zeros((nb, cout, tfull))
     span = stride * (t - 1) + 1
     for j in range(k):
-        ypad[:, :, j : j + span : stride] += kernels.data[:, :, j].T @ xb
+        ypad[:, :, j : j + span : stride] += kernels.data[:, :, j].T @ x.data
     y = ypad[:, :, padding : padding + tout]
     y += bias.data[:, None]
-    out = Tensor(y.reshape(x.data.shape[:-2] + y.shape[1:]))
+    out = Tensor(y)
 
     if _trace((x, kernels, bias)):
 
         def vjp(g):
             gpad = np.zeros((nb, cout, tfull))
-            gpad[:, :, padding : padding + tout] = g.reshape(nb, cout, tout)
+            gpad[:, :, padding : padding + tout] = g
             taps = [gpad[:, :, j : j + span : stride] for j in range(k)]
-            dker = np.stack([np.tensordot(xb, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
+            dker = np.stack([np.tensordot(x.data, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
             dx = kernels.data[:, :, 0] @ taps[0]
             for j in range(1, k):
                 dx += kernels.data[:, :, j] @ taps[j]
-            db = g.reshape(nb, cout, tout).sum(axis=(0, 2))
-            return dx.reshape(x.data.shape), dker, db
+            db = g.sum(axis=(0, 2))
+            return dx, dker, db
 
         out.requires_grad, out._parents, out._vjp = True, (x, kernels, bias), vjp
     return out
@@ -337,14 +324,13 @@ def _time_order(hs: np.ndarray, reverse: bool) -> np.ndarray:
 def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     """Run one LSTM per sequence, all in one time loop, as one graph node.
 
-    ``xs[s]`` is (in_s,T_s) or (B,in_s,T_s), every sequence with the same
-    leading batch axis or none, and the lengths T_s do not increase with s.
-    ``h0s[s]`` and ``c0s[s]`` are (H,) or (B,H) to match, and ``params[s]``
-    holds sequence s's weights; all share the hidden size H. Steps run over
-    t = 0..T_s-1, or T_s-1..0 with ``reverse``. Returns one (hs, h, c) per
-    sequence: every hidden state, (H,T_s) or (B,H,T_s) indexed by t, and the
-    hidden and cell states after the last step. A single sequence is a list
-    of one.
+    ``xs[s]`` is a batch (B,in_s,T_s), every sequence with the same batch
+    size B, and the lengths T_s do not increase with s. ``h0s[s]`` and
+    ``c0s[s]`` are (B,H), and ``params[s]`` holds sequence s's weights; all
+    share the hidden size H. Steps run over t = 0..T_s-1, or T_s-1..0 with
+    ``reverse``. Returns one (hs, h, c) per sequence: every hidden state,
+    (B,H,T_s) indexed by t, and the (B,H) hidden and cell states after the
+    last step. A single sequence is a list of one.
 
     The loop runs max T_s steps and a sequence drops out once its own steps
     are done. Each step's recurrent products are one stacked
@@ -361,28 +347,27 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
                          f"{len(xs)}, {len(h0s)}, {len(c0s)} and {count}")
     xs, h0s, c0s = ([_as_tensor(t) for t in group] for group in (xs, h0s, c0s))
     hid = params[0].hidden_size
-    lead = xs[0].data.shape[:-2]
+    if xs[0].data.ndim != 3:
+        raise ShapeError(f"lstm_sequence expects (B,in,T) inputs, got shape {xs[0].shape}")
+    nb = xs[0].data.shape[0]
     for s, (x, h0, c0, p) in enumerate(zip(xs, h0s, c0s, params)):
         if p.hidden_size != hid:
             raise ShapeError(f"lstm_sequence hidden size {p.hidden_size} of sequence {s} is not {hid}")
-        nin = p.input_size
-        if x.data.ndim not in (2, 3) or x.data.shape[:-1] != lead + (nin,) or x.data.shape[-1] < 1:
+        if x.data.ndim != 3 or x.data.shape[:2] != (nb, p.input_size) or x.data.shape[2] < 1:
             raise ShapeError(f"lstm_sequence input {s} has shape {x.shape}, expected "
-                             f"{lead + (nin,)} plus at least one step")
-        if h0.data.shape != lead + (hid,) or c0.data.shape != lead + (hid,):
+                             f"({nb}, {p.input_size}, T) with T >= 1")
+        if h0.data.shape != (nb, hid) or c0.data.shape != (nb, hid):
             raise ShapeError(f"lstm_sequence state shapes {h0.shape}, {c0.shape} of sequence {s} "
-                             f"do not match {lead + (hid,)}")
-    lengths = [x.data.shape[-1] for x in xs]
+                             f"do not match ({nb}, {hid})")
+    lengths = [x.data.shape[2] for x in xs]
     if any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
-    nb = lead[0] if lead else 1
     half = _halving(hid)
-    x3 = [x.data.reshape(nb, p.input_size, n) for x, p, n in zip(xs, params, lengths)]
 
     def zx_of(start, end, k):
         zx = np.empty((end - start, k, nb, 4 * hid))
         for s, p in enumerate(params[:k]):
-            z = (p.w_x.data * half[:, None]) @ x3[s][..., _window(lengths[s], start, end, reverse)]
+            z = (p.w_x.data * half[:, None]) @ xs[s].data[..., _window(lengths[s], start, end, reverse)]
             z += (p.b.data * half)[:, None]
             zx[:, s] = _time_major(z, reverse)
         return zx
@@ -393,8 +378,7 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     parents = (*xs, *h0s, *c0s, *(p.w_x for p in params), *(p.w_h for p in params),
                *(p.b for p in params))
     traced = _trace(parents)
-    runs, _, c = _scan(zx_of, np.stack([h0.data.reshape(nb, hid) for h0 in h0s]),
-                       np.stack([c0.data.reshape(nb, hid) for c0 in c0s]),
+    runs, _, c = _scan(zx_of, np.stack([h0.data for h0 in h0s]), np.stack([c0.data for c0 in c0s]),
                        wh_half.transpose(0, 2, 1)[:, None], lengths, keep=traced)
 
     # Sequence s owns columns off_s .. off_s + T_s: its hidden states in time
@@ -407,12 +391,10 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             seq[..., _window(lengths[s], start, end, reverse)] = _time_order(hs[1:, s], reverse)
     for s in range(count):
         packed[..., offsets[s + 1] - 1] = c[s]
-    core = Tensor(packed.reshape(lead + packed.shape[1:]))
+    core = Tensor(packed)
     if traced:
 
         def vjp(grad):
-            grad = grad.reshape(packed.shape)
-
             def dhs_of(start, end, k):
                 dhs = np.empty((end - start, k, nb, hid))
                 for s in range(k):
@@ -429,12 +411,11 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
                 if reverse:  # back to time order, like x
                     dz, hin = dz[::-1], hin[::-1]
                 dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-                dx.append(np.matmul(params[s].w_x.data.T, dz).reshape(xs[s].data.shape))
-                dwx.append(np.tensordot(dz, x3[s], axes=([0, 2], [0, 2])))
+                dx.append(np.matmul(params[s].w_x.data.T, dz))
+                dwx.append(np.tensordot(dz, xs[s].data, axes=([0, 2], [0, 2])))
                 dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
                 db.append(dz.sum(axis=(0, 2)))
-            return (*dx, *(d.reshape(t.data.shape) for d, t in zip(dh0, h0s)),
-                    *(d.reshape(t.data.shape) for d, t in zip(dc0, c0s)), *dwx, *dwh, *db)
+            return (*dx, *dh0, *dc0, *dwx, *dwh, *db)
 
         core.requires_grad, core._parents, core._vjp = True, parents, vjp
     return [(core[..., off : off + n], core[..., off if reverse else off + n - 1], core[..., off + n])
@@ -442,13 +423,13 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
 
 
 def mse_loss(pred, target) -> Tensor:
-    """Mean of squared elementwise differences; a (B,C,T) input, the batch
-    layout of the model, gives one mean per sample."""
+    """Mean of squared elementwise differences of a (B,C,T) batch, the
+    layout of the model: one mean per sample, shape (B,)."""
     pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"mse_loss shapes differ: {pred.shape} vs {target.shape}")
+    if pred.data.ndim != 3 or pred.data.shape != target.data.shape:
+        raise ShapeError(f"mse_loss expects two (B,C,T) batches of one shape; got {pred.shape}, {target.shape}")
     d = sub(pred, target)
-    return tmean(mul(d, d), axis=(1, 2) if d.data.ndim == 3 else None)
+    return tmean(mul(d, d), axis=(1, 2))
 
 
 def bce_with_logits(logit, label: int) -> Tensor:

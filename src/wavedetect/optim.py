@@ -7,6 +7,10 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Holds first/second moment buffers aligned with a parameter list.
@@ -16,19 +20,11 @@ class Adam:
     leaves them unchanged.
     """
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params, lr: float = 0.001):
         if lr <= 0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         self.params: list[Tensor] = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
@@ -36,19 +32,19 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        c1 = 1.0 - BETA1**t
+        c2 = 1.0 - BETA2**t
         for p, m, v in zip(self.params, self.first_moment, self.second_moment):
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             elif g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPSILON)
 
     def zero_grad(self):
         for p in self.params:

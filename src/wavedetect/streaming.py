@@ -12,16 +12,16 @@ declared anomalous when its positive-vote ratio is at least
 ``vote_threshold``.
 
 ``VoteState`` is the incremental engine and scores one window per block.
-The offline replay scores every window of the stream in batches and
-tallies each block's votes by direct counting, which gives the tests an
-independent path to compare against. ``sweep`` reports that tally at
-several vote thresholds and ``simulate`` at one: both go through the same
-tally-and-label pass and the same per-threshold report.
+The offline replay scores every window of the stream in batches. Both
+count a block's votes with one tally, ``_tally``; comparing them checks
+single-window against batched scoring. ``sweep`` reports the offline tally
+at several vote thresholds and ``simulate`` at one: both go through the
+same tally-and-label pass and the same per-threshold report.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,13 @@ class VoteConfig:
         return self.window // self.step
 
 
+def _tally(votes, block: int, full: int):
+    """(positive, total) votes of ``block``, where ``votes`` lists window
+    votes in window order and window k covers blocks k .. k + full - 1."""
+    covering = votes[max(0, block - full + 1) : block + 1]
+    return sum(covering), len(covering)
+
+
 def vote_decide(positive: int, total: int, vote_threshold: float) -> int:
     """1 iff positive/total >= vote_threshold."""
     if total < 1:
@@ -83,7 +90,7 @@ class BlockRow:
 
 
 class VoteState:
-    """Per-stream buffer of pending blocks and their vote tallies."""
+    """Per-stream buffer of the newest window's blocks and the newest votes."""
 
     def __init__(self, detector: Detector, cfg: VoteConfig):
         if cfg.window != detector.model.config.fragment_length:
@@ -95,8 +102,8 @@ class VoteState:
         self.cfg = cfg
         self._channels = detector.model.config.channels
         self._buffer = deque(maxlen=cfg.votes_per_block)
-        self._pending: "OrderedDict[int, list]" = OrderedDict()
-        self._next_index = 0
+        self._votes = deque(maxlen=cfg.votes_per_block)
+        self._pushed = 0
         self.finalized: list[BlockRow] = []
 
     def push_block(self, block):
@@ -108,42 +115,34 @@ class VoteState:
                 f"block shape {block.shape} does not match ({self._channels}, {self.cfg.step})"
             )
         if not np.isfinite(block).all():
-            raise DataError(f"block {self._next_index} holds a non-finite value")
-        index = self._next_index
-        self._next_index += 1
+            raise DataError(f"block {self._pushed} holds a non-finite value")
+        self._pushed += 1
         self._buffer.append(block)
-        self._pending[index] = [0, 0]
-
-        finals = []
         full = self.cfg.votes_per_block
-        oldest = index - full + 1  # the newest window's first block, once there is a window
-        if len(self._buffer) == full:
-            vote, _ = predict_fragment(self.detector, np.concatenate(self._buffer, axis=1))
-            for i in range(oldest, index + 1):
-                tally = self._pending[i]
-                tally[0] += vote
-                tally[1] += 1
-            if self._pending[oldest][1] == full:
-                positive, total = self._pending.pop(oldest)
-                verdict = BlockRow(oldest, None, vote_decide(positive, total, self.cfg.vote_threshold),
-                                   positive, total, True)
-                self.finalized.append(verdict)
-                finals.append(verdict)
-
-        prelims = [
-            BlockRow(i, None, vote_decide(p, t, self.cfg.vote_threshold), p, t, False)
-            for i, (p, t) in self._pending.items()
-            if t >= 1
-        ]
-        # No later window covers the oldest block: if it is one of the first
-        # full - 1 blocks it was never finalized, so it leaves here.
-        self._pending.pop(oldest, None)
-        return finals, prelims
+        if len(self._buffer) < full:
+            return [], []
+        vote, _ = predict_fragment(self.detector, np.concatenate(self._buffer, axis=1))
+        self._votes.append(vote)
+        votes = list(self._votes)
+        first = self._pushed - full  # the newest window's first block
+        rows = []
+        # Counted from the window of votes[0], the newest window (votes[-1])
+        # covers blocks len(votes) - 1 .. len(votes) + full - 2.
+        for j in range(full):
+            positive, total = _tally(votes, len(votes) - 1 + j, full)
+            rows.append(BlockRow(first + j, None, vote_decide(positive, total, self.cfg.vote_threshold),
+                                 positive, total, total == full))
+        # Only the newest window's first block can have all its votes: every
+        # other block of the window awaits the votes of later windows.
+        finals = rows[:1] if rows[0].final else []
+        self.finalized += finals
+        return finals, rows[len(finals):]
 
 
 def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig):
-    """One detector vote per complete window position, keyed by the index of
-    the window's last block. All windows are scored as batches."""
+    """One detector vote per complete window position, in window order
+    (window k starts at block k), and the stream's block count. All windows
+    are scored as batches."""
     if series.length < cfg.window:
         raise DataError(f"series length {series.length} is shorter than one window ({cfg.window})")
     n_blocks = series.length // cfg.step
@@ -151,20 +150,14 @@ def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig)
     last_start = (n_blocks - full) * cfg.step
     windows = sliding_window_view(series.values, cfg.window, axis=1)[:, : last_start + 1 : cfg.step]
     scores = score_windows(detector, windows.transpose(1, 0, 2))
-    preds = {full - 1 + k: int(score >= detector.cut) for k, score in enumerate(scores)}
-    return preds, n_blocks
+    return [int(score >= detector.cut) for score in scores], n_blocks
 
 
 def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
     """(positive votes, total votes, label) of every block of the stream."""
-    preds, n_blocks = window_predictions(series, detector, cfg)
-    full = cfg.votes_per_block
-    blocks = []
-    for i in range(n_blocks):
-        votes = [preds[w] for w in range(max(full - 1, i), min(i + full - 1, n_blocks - 1) + 1)]
-        label = label_block((i * cfg.step, (i + 1) * cfg.step), ranges)
-        blocks.append((sum(votes), len(votes), label))
-    return blocks
+    votes, n_blocks = window_predictions(series, detector, cfg)
+    return [(*_tally(votes, i, cfg.votes_per_block), label_block((i * cfg.step, (i + 1) * cfg.step), ranges))
+            for i in range(n_blocks)]
 
 
 def _report(blocks, cfg: VoteConfig, vote_threshold: float):
@@ -182,8 +175,8 @@ def simulate(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg
     return _report(_blocks(series, ranges, detector, cfg), cfg, cfg.vote_threshold)
 
 
-def sweep(series: MultiSeries, ranges: AnomalyRanges, detector: Detector,
-          cfg: VoteConfig, thresholds=SWEEP_THRESHOLDS):
-    """Metrics per vote threshold; window predictions are computed once."""
+def sweep(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
+    """Metrics per vote threshold of ``SWEEP_THRESHOLDS``; window
+    predictions are computed once."""
     blocks = _blocks(series, ranges, detector, cfg)
-    return [(tau, _report(blocks, cfg, tau)[1]) for tau in thresholds]
+    return [(tau, _report(blocks, cfg, tau)[1]) for tau in SWEEP_THRESHOLDS]

@@ -21,7 +21,8 @@ non-finite value. One helper then turns such a batch into the model's
 per-scale inputs: the windows z-scored per channel, then their wavelet
 details. Each scale input is both the encoder's input and the
 reconstruction target of that scale. Training builds them once for all
-windows; scoring builds them per chunk. All scoring goes through one
+windows and takes each step on a batch of one; scoring builds them per
+chunk. All scoring goes through one
 no-grad path that takes a batch of windows (``score_windows``). The
 z-score statistics are fitted on the training set only and travel with
 the detector.
@@ -209,7 +210,7 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     for epoch in range(cfg.resolved_epochs):
         total = 0.0
         for idx in order_rng.permutation(len(windows)):
-            inputs = [s[idx] for s in scales]
+            inputs = [s[idx : idx + 1] for s in scales]
             code, acts = model.encode(inputs)
             loss = reconstruction_loss(inputs, model.decode(code, acts))
             if supervised:

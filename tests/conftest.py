@@ -32,8 +32,8 @@ def max_rel_err(analytic, numeric, floor=1e-8):
 
 
 def lstm_step(a, h, c, params):
-    """One LSTM step, run as a one-step, one-sequence ``lstm_sequence``;
-    returns (h, c)."""
+    """One LSTM step of a batch: ``a`` is (B,in), ``h`` and ``c`` are (B,H).
+    Runs as a one-step, one-sequence ``lstm_sequence``; returns (h, c)."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     [(_, h, c)] = lstm_sequence([reshape(a, a.shape + (1,))], [h], [c], [params])
     return h, c
@@ -46,4 +46,14 @@ def tsum(a) -> Tensor:
     if _trace((a,)):
         shape = a.data.shape
         out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (np.full(shape, float(g)),)
+    return out
+
+
+def tanh(a) -> Tensor:
+    """Elementwise tanh as a graph node, for the per-gate LSTM reference."""
+    a = _as_tensor(a)
+    t = np.tanh(a.data)
+    out = Tensor(t)
+    if _trace((a,)):
+        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * (1.0 - t * t),)
     return out

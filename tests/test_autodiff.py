@@ -10,12 +10,11 @@ from wavedetect.autodiff import (
     relu,
     reshape,
     sigmoid,
-    tanh,
     tmean,
 )
 from wavedetect.errors import ContractError, ShapeError
 
-from conftest import max_rel_err, numeric_grad, tsum
+from conftest import max_rel_err, numeric_grad, tanh, tsum
 
 
 def test_scalar_chain_gradients():

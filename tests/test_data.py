@@ -185,5 +185,3 @@ class TestMakeFragments:
             make_fragments(series, None, window=128, pos_step=0)
         with pytest.raises(ConfigError):
             make_fragments(series, None, window=128, pos_step=256)
-        with pytest.raises(ConfigError):
-            make_fragments(series, None, window=128, neg_step=64)

@@ -27,18 +27,17 @@ def imported_names(tree):
     return names
 
 
-def used_names(tree, attributes=False):
+def used_names(tree, imports=False):
     """Every name the module loads, including those inside string
-    annotations; with ``attributes``, also every attribute name it reads
-    and every name it imports."""
+    annotations; with ``imports``, also every name it imports with
+    ``from ... import``. An attribute read does not count: ``np.tanh``
+    is no use of a package ``tanh``."""
     used = set()
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif attributes and isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif attributes and isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             used |= {alias.name for alias in node.names}
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
             annotations.append(node.annotation)
@@ -64,7 +63,7 @@ def test_no_unused_imports(path):
 
 def test_every_definition_is_used_by_the_package():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    used = {name: used_names(tree, attributes=True) for name, tree in trees.items()}
+    used = {name: used_names(tree, imports=True) for name, tree in trees.items()}
     dead = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -73,6 +72,6 @@ def test_every_definition_is_used_by_the_package():
             # The defining module counts without the definition's own body.
             rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
             users = [names for other, names in used.items() if other != name]
-            if not any(node.name in names for names in users + [used_names(rest, attributes=True)]):
+            if not any(node.name in names for names in users + [used_names(rest, imports=True)]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"module-level definitions no package code uses: {dead}"

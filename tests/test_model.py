@@ -28,7 +28,8 @@ def tiny_config(**overrides):
 
 
 def scales(x, levels):
-    """The per-scale inputs of x: itself, then its haar details 1..levels."""
+    """The per-scale inputs of a (B, C, T) batch x: itself, then its haar
+    details 1..levels."""
     return [x, *mdwd(x, get_family("haar"), levels).details] if levels else [x]
 
 
@@ -38,12 +39,12 @@ def forward_loss(model, inputs):
 
 
 def encode_one_scale(model, scale, values):
-    """The final encoder hidden state of one branch, its LSTM run alone."""
+    """The final encoder hidden states of one branch, its LSTM run alone."""
     cfg, branch = model.config, model.branches[scale]
     acts = Tensor(values)
     for (kernels, bias), layer in zip(branch.conv, cfg.conv):
         acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-    zeros = np.zeros(cfg.hidden)
+    zeros = np.zeros((len(values), cfg.hidden))
     [(_, h, _)] = lstm_sequence([acts], [zeros], [zeros], [branch.encoder])
     return h.data
 
@@ -118,11 +119,11 @@ class TestBuild:
         model = WaveletAutoencoder(cfg)
         assert len(model.branches) == 1
         assert cfg.code_length == 5
-        x = rng.normal(size=(3, 16))
+        x = rng.normal(size=(1, 3, 16))
         code, acts = model.encode([x])
         recons = model.decode(code, acts)
         assert len(recons) == 1
-        assert recons[0].data.shape == (3, 16)
+        assert recons[0].data.shape == (1, 3, 16)
 
     def test_branch_count_and_init_bounds(self):
         cfg = tiny_config()
@@ -138,22 +139,22 @@ class TestEncode:
         for name, t in model.named_parameters():
             if name.endswith(("bias", ".b")):
                 t.data[...] = 0.0
-        code, _ = model.encode(scales(np.zeros((2, 32)), 2))
+        code, _ = model.encode(scales(np.zeros((1, 2, 32)), 2))
         assert np.allclose(code.data, 0.0, atol=1e-15)
 
     def test_code_is_scale_ordered_concatenation(self, rng):
         model = WaveletAutoencoder(tiny_config(seed=5))
-        inputs = scales(rng.normal(size=(2, 32)), 2)
+        inputs = scales(rng.normal(size=(1, 2, 32)), 2)
         code, _ = model.encode(inputs)
         pieces = [encode_one_scale(model, s, v) for s, v in enumerate(inputs)]
-        assert np.array_equal(code.data, np.concatenate(pieces))
-        permuted = np.concatenate([pieces[1], pieces[0], pieces[2]])
+        assert np.array_equal(code.data, np.concatenate(pieces, axis=1))
+        permuted = np.concatenate([pieces[1], pieces[0], pieces[2]], axis=1)
         assert not np.array_equal(code.data, permuted)
 
     def test_matches_op_composition_oracle(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=64, levels=2, conv=TINY_CONV, hidden=4, seed=8)
         model = WaveletAutoencoder(cfg)
-        inputs = scales(rng.normal(size=(2, 64)), 2)
+        inputs = scales(rng.normal(size=(1, 2, 64)), 2)
         code, acts = model.encode(inputs)
 
         with no_grad():
@@ -164,35 +165,36 @@ class TestEncode:
                 for (kern, bias), layer in zip(branch.conv, cfg.conv):
                     pre = conv1d(a, kern, bias, layer.stride, padding_for(layer))
                     a = Tensor(np.maximum(pre.data, 0.0))
-                h = Tensor(np.zeros(cfg.hidden))
-                c = Tensor(np.zeros(cfg.hidden))
-                for t in range(a.data.shape[1]):
-                    h, c = lstm_step(Tensor(a.data[:, t]), h, c, branch.encoder)
+                h = Tensor(np.zeros((1, cfg.hidden)))
+                c = Tensor(np.zeros((1, cfg.hidden)))
+                for t in range(a.data.shape[2]):
+                    h, c = lstm_step(Tensor(a.data[..., t]), h, c, branch.encoder)
                 pieces.append(h.data)
-        assert np.max(np.abs(code.data - np.concatenate(pieces))) < 1e-12
+        assert np.max(np.abs(code.data - np.concatenate(pieces, axis=1))) < 1e-12
 
     def test_wrong_fragment_shape(self, rng):
         model = WaveletAutoencoder(tiny_config())
         with pytest.raises(ShapeError):
-            model.encode(scales(rng.normal(size=(2, 16)), 2))
+            model.encode(scales(rng.normal(size=(1, 2, 16)), 2))
 
     def test_wrong_decomposition_levels(self, rng):
         model = WaveletAutoencoder(tiny_config())
-        x = rng.normal(size=(2, 32))
+        x = rng.normal(size=(1, 2, 32))
         for inputs in (scales(x, 1), scales(x, 3), [x]):
             with pytest.raises(ShapeError, match="3 scale inputs"):
                 model.encode(inputs)
 
     def test_wrong_detail_shape(self, rng):
         model = WaveletAutoencoder(tiny_config())
-        x = rng.normal(size=(2, 32))
+        x = rng.normal(size=(1, 2, 32))
         good = scales(x, 2)
-        for bad in (rng.normal(size=(2, 7)), rng.normal(size=(3, 8)), good[1]):
+        for bad in (rng.normal(size=(1, 2, 7)), rng.normal(size=(1, 3, 8)), good[1]):
             with pytest.raises(ShapeError, match="scale 2"):
                 model.encode([x, good[1], bad])
         batched = scales(rng.normal(size=(3, 2, 32)), 2)
-        with pytest.raises(ShapeError, match="scale 1"):
-            model.encode([batched[0], good[1], batched[2]])  # detail lacks the batch axis
+        for detail in (good[1], batched[1][0]):  # batch sizes differ; no batch axis
+            with pytest.raises(ShapeError, match="scale 1"):
+                model.encode([batched[0], detail, batched[2]])
 
     def test_bare_array_is_not_a_scale_list(self, rng):
         model = WaveletAutoencoder(tiny_config())
@@ -206,39 +208,40 @@ class TestDecode:
         cfg = ModelConfig(channels=3, fragment_length=128, levels=3,
                           conv=(ConvLayer(6, 4, 2), ConvLayer(8, 4, 2)), hidden=6)
         model = WaveletAutoencoder(cfg)
-        code, acts = model.encode(scales(rng.normal(size=(3, 128)), 3))
+        code, acts = model.encode(scales(rng.normal(size=(1, 3, 128)), 3))
         recons = model.decode(code, acts)
-        assert [r.data.shape for r in recons] == [(3, 128), (3, 64), (3, 32), (3, 16)]
+        assert [r.data.shape for r in recons] == [(1, 3, 128), (1, 3, 64), (1, 3, 32), (1, 3, 16)]
 
     def test_one_step_toy_decode_composes_by_hand(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=4, levels=0, conv=((3, 4, 4),), hidden=4, seed=6)
         model = WaveletAutoencoder(cfg)
         assert cfg.conv_lengths(0)[-1] == 1
-        code = Tensor(rng.normal(size=4))
+        code = Tensor(rng.normal(size=(1, 4)))
         # The only step reads zeros: no activation follows it.
-        out = model.decode(code, [rng.normal(size=(3, 1))])[0]
+        out = model.decode(code, [rng.normal(size=(1, 3, 1))])[0]
 
         branch = model.branches[0]
         with no_grad():
-            h0 = branch.dec_init_w.data @ code.data + branch.dec_init_b.data
-            h, _ = lstm_step(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
-            step = branch.step_w.data @ h.data + branch.step_b.data
+            h0 = branch.dec_init_w.data @ code.data[0] + branch.dec_init_b.data
+            h, _ = lstm_step(Tensor(np.zeros((1, 3))), Tensor(h0[None]), Tensor(np.zeros((1, 4))),
+                             branch.decoder)
+            step = branch.step_w.data @ h.data[0] + branch.step_b.data
             kern, bias = branch.deconv[0]
-            ref = deconv1d(Tensor(step[:, None]), kern, bias, 4, 0)
+            ref = deconv1d(Tensor(step[None, :, None]), kern, bias, 4, 0)
         assert np.max(np.abs(out.data - ref.data)) < 1e-12
 
     def test_wrong_code_length(self, rng):
         model = WaveletAutoencoder(tiny_config())
-        _, acts = model.encode(scales(rng.normal(size=(2, 32)), 2))
+        _, acts = model.encode(scales(rng.normal(size=(1, 2, 32)), 2))
         with pytest.raises(ShapeError):
-            model.decode(Tensor(np.zeros(7)), acts)
+            model.decode(Tensor(np.zeros((1, 7))), acts)
 
     def test_teacher_mode_mismatch(self, rng):
         model = WaveletAutoencoder(tiny_config())
-        code, acts = model.encode(scales(rng.normal(size=(2, 32)), 2))
+        code, acts = model.encode(scales(rng.normal(size=(1, 2, 32)), 2))
         with pytest.raises(ContractError):
             model.decode(code, acts[:-1])
-        bad = [Tensor(np.zeros((3, 16)))] + list(acts[1:])
+        bad = [Tensor(np.zeros((1, 3, 16)))] + list(acts[1:])
         with pytest.raises(ContractError):
             model.decode(code, bad)
 
@@ -248,54 +251,54 @@ class TestClassify:
         model = WaveletAutoencoder(tiny_config(classifier=True))
         model.classifier_w.data[...] = 0.0
         model.classifier_b.data[...] = 0.0
-        assert model.classify(Tensor(np.zeros(12))).item() == 0.5
+        assert model.classify(Tensor(np.zeros((1, 12)))).item() == 0.5
 
     def test_large_logit_saturates(self):
         model = WaveletAutoencoder(tiny_config(classifier=True))
         model.classifier_w.data[...] = 0.0
         model.classifier_b.data[...] = 50.0
-        assert model.classify(Tensor(np.zeros(12))).item() == 1.0
+        assert model.classify(Tensor(np.zeros((1, 12)))).item() == 1.0
         model.classifier_b.data[...] = -50.0
-        assert 0.0 < model.classify(Tensor(np.zeros(12))).item() < 1e-21
+        assert 0.0 < model.classify(Tensor(np.zeros((1, 12)))).item() < 1e-21
 
     def test_head_saturated_the_wrong_way_still_learns(self):
         model = WaveletAutoencoder(tiny_config(classifier=True))
         model.classifier_w.data[...] = 0.0
         model.classifier_b.data[...] = -50.0
-        loss = bce_with_logits(model.logit(Tensor(np.zeros(12))), 1)
+        loss = bce_with_logits(model.logit(Tensor(np.zeros((1, 12)))), 1)
         loss.backward()
         assert abs(loss.item() - 50.0) < 1e-12
         assert abs(model.classifier_b.grad[0] + 1.0) < 1e-12
 
     def test_matches_sigmoid_linear_oracle(self, rng):
         model = WaveletAutoencoder(tiny_config(classifier=True, seed=4))
-        code = rng.normal(size=12)
+        code = rng.normal(size=(1, 12))
         p = model.classify(Tensor(code)).item()
-        logit = (model.classifier_w.data @ code + model.classifier_b.data).item()
+        logit = (model.classifier_w.data @ code[0] + model.classifier_b.data).item()
         assert abs(p - 1.0 / (1.0 + np.exp(-logit))) < 1e-12
 
     def test_head_absent(self):
         model = WaveletAutoencoder(tiny_config())
         with pytest.raises(CapabilityError):
-            model.classify(Tensor(np.zeros(12)))
+            model.classify(Tensor(np.zeros((1, 12))))
 
 
 class TestReconstructionLoss:
     def test_perfect_reconstruction_is_zero(self, rng):
-        arrays = [rng.normal(size=(2, 8)), rng.normal(size=(2, 4))]
+        arrays = [rng.normal(size=(1, 2, 8)), rng.normal(size=(1, 2, 4))]
         loss = reconstruction_loss(arrays, [Tensor(a.copy()) for a in arrays])
         assert loss.item() == 0.0
 
     def test_single_differing_scale_is_that_term(self, rng):
-        targets = [rng.normal(size=(2, 8)), rng.normal(size=(2, 4)), rng.normal(size=(2, 2))]
+        targets = [rng.normal(size=(1, 2, 8)), rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 2))]
         recons = [Tensor(t.copy()) for t in targets]
         recons[2] = Tensor(targets[2] + 1.0)
         loss = reconstruction_loss(targets, recons)
         assert abs(loss.item() - mse_loss(recons[2], Tensor(targets[2])).item()) < 1e-15
 
     def test_equals_sum_of_mse_terms(self, rng):
-        targets = [rng.normal(size=(3, 16)), rng.normal(size=(3, 8))]
-        recons = [Tensor(rng.normal(size=(3, 16))), Tensor(rng.normal(size=(3, 8)))]
+        targets = [rng.normal(size=(1, 3, 16)), rng.normal(size=(1, 3, 8))]
+        recons = [Tensor(rng.normal(size=(1, 3, 16))), Tensor(rng.normal(size=(1, 3, 8)))]
         total = reconstruction_loss(targets, recons).item()
         parts = sum(mse_loss(r, Tensor(t)).item() for r, t in zip(recons, targets))
         assert abs(total - parts) < 1e-12
@@ -319,13 +322,13 @@ class TestEndToEnd:
             cfg = ModelConfig(channels=channels, fragment_length=t, levels=levels,
                               conv=layers, hidden=hidden, seed=int(rng.integers(1000)))
             model = WaveletAutoencoder(cfg)
-            code, acts = model.encode(scales(rng.normal(size=(channels, t)), levels))
+            code, acts = model.encode(scales(rng.normal(size=(1, channels, t)), levels))
             recons = model.decode(code, acts)
-            expected = [(channels, t >> s) for s in range(levels + 1)]
+            expected = [(1, channels, t >> s) for s in range(levels + 1)]
             assert [r.data.shape for r in recons] == expected
 
     def test_encode_decode_deterministic(self, rng):
-        inputs = scales(rng.normal(size=(2, 32)), 2)
+        inputs = scales(rng.normal(size=(1, 2, 32)), 2)
         outs = []
         for _ in range(2):
             model = WaveletAutoencoder(tiny_config(seed=13))
@@ -341,7 +344,7 @@ class TestEndToEnd:
         cfg = ModelConfig(channels=2, fragment_length=16, levels=1,
                           conv=TINY_CONV, hidden=3, seed=5)
         model = WaveletAutoencoder(cfg)
-        inputs = scales(rng.normal(size=(2, 16)), 1)
+        inputs = scales(rng.normal(size=(1, 2, 16)), 1)
         loss = forward_loss(model, inputs)
         loss.backward()
 
@@ -381,12 +384,14 @@ def test_all_scales_share_one_lstm_time_loop(rng, monkeypatch):
 
     monkeypatch.setattr(nn, "_scan", counted)
     model = WaveletAutoencoder(ModelConfig(channels=8))
-    code, acts = model.encode(scales(rng.normal(size=(8, 512)), 3))
+    code, acts = model.encode(scales(rng.normal(size=(1, 8, 512)), 3))
     model.decode(code, acts)
     assert iterations == [128, 128]  # encode, then decode
 
 
 class TestBatchAxis:
+    """A batch of B gives exactly the results of B batches of one."""
+
     def test_batched_passes_equal_per_sample_passes(self, rng):
         model = WaveletAutoencoder(tiny_config(classifier=True, seed=21))
         inputs = scales(rng.normal(size=(3, 2, 32)), 2)
@@ -398,12 +403,12 @@ class TestBatchAxis:
         assert probs.data.shape == (3, 1)
         for i in range(3):
             with no_grad():
-                code_i, acts_i = model.encode(scales(inputs[0][i], 2))
+                code_i, acts_i = model.encode(scales(inputs[0][i : i + 1], 2))
                 taught_i = model.decode(code_i, acts_i)
-            assert np.array_equal(code.data[i], code_i.data)
-            assert np.array_equal(probs.data[i], model.classify(code_i).data)
+            assert np.array_equal(code.data[i : i + 1], code_i.data)
+            assert np.array_equal(probs.data[i : i + 1], model.classify(code_i).data)
             for a, b in zip(taught, taught_i):
-                assert np.array_equal(a.data[i], b.data)
+                assert np.array_equal(a.data[i : i + 1], b.data)
 
     def test_batched_teacher_forced_gradients_sum_over_samples(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=16, levels=1, conv=TINY_CONV, hidden=3, seed=5)
@@ -416,6 +421,6 @@ class TestBatchAxis:
         for t in model.parameters():
             t.zero_grad()
         for i in range(2):
-            forward_loss(model, scales(xs[i], 1)).backward()
+            forward_loss(model, scales(xs[i : i + 1], 1)).backward()
         for got, want in zip(batched, (t.grad for t in model.parameters())):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)

@@ -11,7 +11,6 @@ from wavedetect.autodiff import (
     relu,
     reshape,
     sigmoid,
-    tanh,
 )
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for, reconstruction_loss
@@ -27,7 +26,7 @@ from wavedetect.nn import (
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import lstm_step, max_rel_err, numeric_grad, tsum
+from conftest import lstm_step, max_rel_err, numeric_grad, tanh, tsum
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -88,39 +87,39 @@ def lstm_reference(a, h, c, p):
 
 class TestConv1d:
     def test_moving_sum(self):
-        out = conv1d(Tensor([[1.0, 2.0, 3.0]]), Tensor([[[1.0, 1.0]]]), Tensor([0.0]))
-        assert np.allclose(out.data, [[3.0, 5.0]])
+        out = conv1d(Tensor([[[1.0, 2.0, 3.0]]]), Tensor([[[1.0, 1.0]]]), Tensor([0.0]))
+        assert np.allclose(out.data, [[[3.0, 5.0]]])
 
     def test_zero_input_yields_bias(self, rng):
         w = Tensor(rng.normal(size=(3, 2, 4)))
-        out = conv1d(Tensor(np.zeros((2, 16))), w, Tensor([1.0, -2.0, 0.5]), stride=2, padding=1)
-        assert np.allclose(out.data, np.array([1.0, -2.0, 0.5])[:, None] * np.ones((3, out.data.shape[1])))
+        out = conv1d(Tensor(np.zeros((1, 2, 16))), w, Tensor([1.0, -2.0, 0.5]), stride=2, padding=1)
+        assert np.allclose(out.data[0], np.array([1.0, -2.0, 0.5])[:, None] * np.ones((3, out.data.shape[2])))
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 3), (3, 2)])
     def test_matches_naive_oracle(self, rng, stride, padding):
         x = rng.normal(size=(4, 32))
         w = rng.normal(size=(8, 4, 5))
         b = rng.normal(size=8)
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        assert np.max(np.abs(out.data - conv1d_naive(x, w, b, stride, padding))) < 1e-12
+        out = conv1d(Tensor(x[None]), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        assert np.max(np.abs(out.data[0] - conv1d_naive(x, w, b, stride, padding))) < 1e-12
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((3, 8))), Tensor(np.ones((2, 4, 3))), Tensor(np.zeros(2)))
+            conv1d(Tensor(np.ones((1, 3, 8))), Tensor(np.ones((2, 4, 3))), Tensor(np.zeros(2)))
 
     def test_kernel_wider_than_input_raises(self):
         with pytest.raises(ContractError):
-            conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1, 9))), Tensor(np.zeros(1)))
+            conv1d(Tensor(np.ones((1, 1, 4))), Tensor(np.ones((1, 1, 9))), Tensor(np.zeros(1)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 12)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
-        target = rng.normal(size=(3, 6))
+        target = rng.normal(size=(1, 3, 6))
         mse_loss(conv1d(x, w, b, stride=2, padding=1), Tensor(target)).backward()
 
         def f():
-            pred = conv1d_naive(x.data, w.data, b.data, 2, 1)
+            pred = conv1d_naive(x.data[0], w.data, b.data, 2, 1)
             return float(np.mean((pred - target) ** 2))
 
         for t in (x, w, b):
@@ -129,17 +128,17 @@ class TestConv1d:
 
 class TestDeconv1d:
     def test_single_tap_spread(self):
-        out = deconv1d(Tensor([[1.0]]), Tensor([[[1.0, 2.0, 3.0]]]), Tensor([0.0]))
-        assert np.allclose(out.data, [[1.0, 2.0, 3.0]])
+        out = deconv1d(Tensor([[[1.0]]]), Tensor([[[1.0, 2.0, 3.0]]]), Tensor([0.0]))
+        assert np.allclose(out.data, [[[1.0, 2.0, 3.0]]])
 
     def test_restores_conv_input_length(self, rng):
-        x = rng.normal(size=(2, 20))
+        x = rng.normal(size=(1, 2, 20))
         w = rng.normal(size=(5, 2, 3))
         y = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(5)))
         back = deconv1d(y, Tensor(np.moveaxis(w, 0, 0)), Tensor(np.zeros(2)))
         # stride 1, padding 0, same kernel width: 20 -> 18 -> 20
-        assert y.data.shape == (5, 18)
-        assert back.data.shape == (2, 20)
+        assert y.data.shape == (1, 5, 18)
+        assert back.data.shape == (1, 2, 20)
 
     @pytest.mark.parametrize("cin,cout,t,k,stride,padding", [
         (3, 5, 16, 4, 2, 1),
@@ -150,24 +149,24 @@ class TestDeconv1d:
     def test_adjoint_identity_with_conv(self, rng, cin, cout, t, k, stride, padding):
         # remainder-free shapes: conv consumes the whole padded input
         assert (t + 2 * padding - k) % stride == 0
-        x = rng.normal(size=(cin, t))
+        x = rng.normal(size=(1, cin, t))
         w = rng.normal(size=(cout, cin, k))
         cx = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).data
-        assert cx.shape == (cout, (t + 2 * padding - k) // stride + 1)
+        assert cx.shape == (1, cout, (t + 2 * padding - k) // stride + 1)
         y = rng.normal(size=cx.shape)
         dy = deconv1d(Tensor(y), Tensor(w), Tensor(np.zeros(cin)), stride, padding).data
-        assert dy.shape == (cin, t)
+        assert dy.shape == (1, cin, t)
         assert abs(float(np.vdot(cx, y)) - float(np.vdot(x, dy))) < 1e-10
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            deconv1d(Tensor(np.ones((3, 8))), Tensor(np.ones((2, 4, 3))), Tensor(np.zeros(4)))
+            deconv1d(Tensor(np.ones((1, 3, 8))), Tensor(np.ones((2, 4, 3))), Tensor(np.zeros(4)))
 
     def test_gradients_match_finite_differences(self, rng):
-        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 3, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
-        target = rng.normal(size=(2, 12))  # (6 - 1) * 2 - 2 * 1 + 4
+        target = rng.normal(size=(1, 2, 12))  # (6 - 1) * 2 - 2 * 1 + 4
         mse_loss(deconv1d(x, w, b, stride=2, padding=1), Tensor(target)).backward()
 
         def f():
@@ -181,7 +180,7 @@ class TestDeconv1d:
 
 
 class TestLstmCell:
-    """One step of the LSTM: a one-step ``lstm_sequence``."""
+    """One step of the LSTM: a one-step ``lstm_sequence`` on a batch of one."""
 
     def make_params(self, input_size, hidden_size, seed=3):
         return lstm_params(input_size, hidden_size, seed)
@@ -194,25 +193,25 @@ class TestLstmCell:
 
     def test_all_zero_weights_and_state(self):
         p = self.zero_params(2, 3)
-        h, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(np.zeros(3)), p)
+        h, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), p)
         # i = f = o = 0.5 and g = 0, so both outputs stay zero
         assert np.allclose(c.data, 0.0)
         assert np.allclose(h.data, 0.0)
 
     def test_forget_gate_arithmetic(self):
         p = self.zero_params(1, 1)
-        h, c = lstm_step(Tensor([0.0]), Tensor([0.0]), Tensor([1.0]), p)
-        assert np.allclose(c.data, [0.5])
-        assert np.allclose(h.data, [0.5 * np.tanh(0.5)])
-        assert abs(h.data[0] - 0.23105857863) < 1e-9
+        h, c = lstm_step(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[1.0]]), p)
+        assert np.allclose(c.data, [[0.5]])
+        assert np.allclose(h.data, [[0.5 * np.tanh(0.5)]])
+        assert abs(h.data[0, 0] - 0.23105857863) < 1e-9
 
     def test_matches_six_equation_oracle(self, rng):
         p = self.make_params(3, 2, seed=11)
         a, h0, c0 = rng.normal(size=3), rng.normal(size=2), rng.normal(size=2)
-        h, c = lstm_step(Tensor(a), Tensor(h0), Tensor(c0), p)
+        h, c = lstm_step(Tensor(a[None]), Tensor(h0[None]), Tensor(c0[None]), p)
         h_ref, c_ref = lstm_reference(a, h0, c0, p)
-        assert np.max(np.abs(h.data - h_ref)) < 1e-12
-        assert np.max(np.abs(c.data - c_ref)) < 1e-12
+        assert np.max(np.abs(h.data[0] - h_ref)) < 1e-12
+        assert np.max(np.abs(c.data[0] - c_ref)) < 1e-12
 
     def test_cell_state_conservation(self):
         # saturate the forget gate open and the input gate closed
@@ -220,15 +219,15 @@ class TestLstmCell:
         p.b.data[3:6] = 40.0  # forget rows
         p.b.data[0:3] = -40.0  # input rows
         c_prev = np.array([0.3, -1.2, 2.0])
-        _, c = lstm_step(Tensor(np.zeros(2)), Tensor(np.zeros(3)), Tensor(c_prev), p)
-        assert np.allclose(c.data, c_prev, atol=1e-12)
+        _, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), Tensor(c_prev[None]), p)
+        assert np.allclose(c.data[0], c_prev, atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         p = self.make_params(3, 2)
         with pytest.raises(ShapeError):
-            lstm_step(Tensor(np.zeros(4)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
+            lstm_step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p)
         with pytest.raises(ShapeError):
-            lstm_step(Tensor(np.zeros(3)), Tensor(np.zeros(5)), Tensor(np.zeros(2)), p)
+            lstm_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 2))), p)
 
 
 class TestLinear:
@@ -250,15 +249,15 @@ class TestLinear:
 
 class TestLosses:
     def test_mse_zero_when_equal(self, rng):
-        x = rng.normal(size=(3, 4))
+        x = rng.normal(size=(1, 3, 4))
         assert mse_loss(Tensor(x), Tensor(x.copy())).item() == 0.0
 
     def test_mse_value(self):
-        assert mse_loss(Tensor([2.0]), Tensor([0.0])).item() == 4.0
+        assert mse_loss(Tensor([[[2.0]]]), Tensor([[[0.0]]])).item() == 4.0
 
     def test_mse_gradient_formula(self, rng):
-        pred = Tensor(rng.normal(size=6), requires_grad=True)
-        target = rng.normal(size=6)
+        pred = Tensor(rng.normal(size=(1, 1, 6)), requires_grad=True)
+        target = rng.normal(size=(1, 1, 6))
         mse_loss(pred, Tensor(target)).backward()
         assert max_rel_err(pred.grad, 2.0 * (pred.data - target) / 6.0) < 1e-12
 
@@ -269,7 +268,7 @@ class TestLosses:
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mse_loss(Tensor(np.ones(3)), Tensor(np.ones(4)))
+            mse_loss(Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 4))))
 
     def test_bce_values(self):
         assert abs(bce_with_logits(Tensor([0.0]), 0).item() - np.log(2.0)) < 1e-12
@@ -344,21 +343,21 @@ def _clamped_probability_bce(z, label):
 
 def test_composite_chain_gradients_match_finite_differences(rng):
     """conv -> lstm -> linear -> mse, checked end to end against FD."""
-    x = rng.normal(size=(2, 10))
+    x = rng.normal(size=(1, 2, 10))
     conv_w = Tensor(rng.normal(size=(3, 2, 4)) * 0.5, requires_grad=True)
     conv_b = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
     p = lstm_params(3, 2, 5)
     out_w = Tensor(rng.normal(size=(2, 2)) * 0.5, requires_grad=True)
     out_b = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
-    target = rng.normal(size=2)
+    target = rng.normal(size=(1, 2, 1))
 
     def forward():
         acts = conv1d(Tensor(x), conv_w, conv_b, stride=2, padding=1)
-        h = Tensor(np.zeros(2))
-        c = Tensor(np.zeros(2))
-        for t in range(acts.data.shape[1]):
-            h, c = lstm_step(acts[:, t], h, c, p)
-        return mse_loss(linear(h, out_w, out_b), Tensor(target))
+        h = Tensor(np.zeros((1, 2)))
+        c = Tensor(np.zeros((1, 2)))
+        for t in range(acts.data.shape[2]):
+            h, c = lstm_step(acts[..., t], h, c, p)
+        return mse_loss(reshape(linear(h, out_w, out_b), (1, 2, 1)), Tensor(target))
 
     forward().backward()
     params = [conv_w, conv_b, out_w, out_b] + [t for _, t in p.named()]
@@ -373,7 +372,7 @@ def test_composite_chain_gradients_match_finite_differences(rng):
 
 
 class TestBatchAxis:
-    """A leading batch axis gives exactly the per-sample results."""
+    """A batch of B gives exactly the results of B batches of one."""
 
     def test_conv1d_and_deconv1d(self, rng):
         x = rng.normal(size=(3, 4, 16))
@@ -382,9 +381,9 @@ class TestBatchAxis:
         out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).data
         back = deconv1d(Tensor(out), Tensor(w), Tensor(b[:4]), stride=2, padding=1).data
         for i in range(3):
-            one = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), stride=2, padding=1).data
-            assert np.array_equal(out[i], one)
-            assert np.array_equal(back[i], deconv1d(Tensor(one), Tensor(w), Tensor(b[:4]), 2, 1).data)
+            one = conv1d(Tensor(x[i : i + 1]), Tensor(w), Tensor(b), stride=2, padding=1).data
+            assert np.array_equal(out[i : i + 1], one)
+            assert np.array_equal(back[i : i + 1], deconv1d(Tensor(one), Tensor(w), Tensor(b[:4]), 2, 1).data)
 
     def test_batched_conv_gradients(self, rng):
         x = Tensor(rng.normal(size=(2, 2, 12)), requires_grad=True)
@@ -418,34 +417,60 @@ class TestBatchAxis:
         per = mse_loss(Tensor(pred), Tensor(target)).data
         assert per.shape == (3,)
         for i in range(3):
-            assert per[i] == mse_loss(Tensor(pred[i]), Tensor(target[i])).item()
+            assert per[i] == mse_loss(Tensor(pred[i : i + 1]), Tensor(target[i : i + 1])).item()
+
+
+def _unbatched_calls():
+    """(name, call) pairs that each hand one layer or model pass a lone
+    sample without the batch axis; everything else in the call is valid."""
+    model = WaveletAutoencoder(ModelConfig(channels=2, fragment_length=16, levels=1,
+                                           conv=(ConvLayer(3, 4, 2),), hidden=2))
+    x = np.zeros((2, 16))
+    inputs = [x[None], np.zeros((1, 2, 8))]
+    code, acts = model.encode(inputs)
+    p = lstm_params(3, 2, 0)
+    return [
+        ("conv1d", lambda: conv1d(Tensor(x), Tensor(np.ones((3, 2, 4))), Tensor(np.zeros(3)))),
+        ("deconv1d", lambda: deconv1d(Tensor(x), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros(3)))),
+        ("lstm_sequence", lambda: lstm_sequence([np.zeros((3, 4))], [np.zeros(2)], [np.zeros(2)], [p])),
+        ("mse_loss", lambda: mse_loss(Tensor(x), Tensor(x))),
+        ("encode", lambda: model.encode([x, np.zeros((2, 8))])),
+        ("decode", lambda: model.decode(code[0], [a[0] for a in acts])),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _unbatched_calls()])
+def test_unbatched_input_is_rejected(name):
+    """Every layer and model pass takes a batch; a lone sample without the
+    batch axis raises ``ShapeError`` naming the batched shape."""
+    call = dict(_unbatched_calls())[name]
+    with pytest.raises(ShapeError, match=r"\(B, ?"):
+        call()
 
 
 def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4, seed=17):
-    lead = () if batch is None else (batch,)
-    x = Tensor(rng.normal(size=lead + (nin, steps)), requires_grad=True)
-    h0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
-    c0 = Tensor(rng.normal(size=lead + (hid,)) * 0.5, requires_grad=True)
+    x = Tensor(rng.normal(size=(batch, nin, steps)), requires_grad=True)
+    h0 = Tensor(rng.normal(size=(batch, hid)) * 0.5, requires_grad=True)
+    c0 = Tensor(rng.normal(size=(batch, hid)) * 0.5, requires_grad=True)
     return x, h0, c0, lstm_params(nin, hid, seed)
 
 
 class TestLstmSequence:
     """One sequence: a list of one."""
 
-    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_step_by_step_oracle(self, rng, batch, reverse):
         x, h0, c0, p = _lstm_inputs(rng, batch)
         [(hs, h, c)] = lstm_sequence([x], [h0], [c0], [p], reverse=reverse)
-        xs = x.data.reshape(-1, 3, 4)
-        for i in range(xs.shape[0]):
-            hi, ci = h0.data.reshape(-1, 2)[i], c0.data.reshape(-1, 2)[i]
+        for i in range(batch):
+            hi, ci = h0.data[i], c0.data[i]
             order = range(3, -1, -1) if reverse else range(4)
             for t in order:
-                hi, ci = lstm_reference(xs[i, :, t], hi, ci, p)
-                assert np.max(np.abs(hs.data.reshape(-1, 2, 4)[i, :, t] - hi)) < 1e-14
-            assert np.max(np.abs(h.data.reshape(-1, 2)[i] - hi)) < 1e-14
-            assert np.max(np.abs(c.data.reshape(-1, 2)[i] - ci)) < 1e-14
+                hi, ci = lstm_reference(x.data[i, :, t], hi, ci, p)
+                assert np.max(np.abs(hs.data[i, :, t] - hi)) < 1e-14
+            assert np.max(np.abs(h.data[i] - hi)) < 1e-14
+            assert np.max(np.abs(c.data[i] - ci)) < 1e-14
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -483,7 +508,7 @@ class TestLstmSequence:
         with pytest.raises(ShapeError):
             lstm_sequence([Tensor(np.zeros((2, 4, 5)))], [h0], [c0], [p])
         with pytest.raises(ShapeError):
-            lstm_sequence([x], [Tensor(np.zeros(2))], [c0], [p])
+            lstm_sequence([x], [Tensor(np.zeros((2, 3)))], [c0], [p])
         with pytest.raises(ShapeError):
             lstm_sequence([Tensor(np.zeros((2, 3, 0)))], [h0], [c0], [p])
 
@@ -591,7 +616,7 @@ class TestMultiSequence:
         # The default model's LSTMs: 128 loop steps per pass, not 128+64+32+16.
         assert sum(end - start for start, end, _ in _phases([128, 64, 32, 16])) == 128
 
-    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("specs", [_ALIGNED, _SPECS], ids=["aligned", "odd"])
     def test_matches_single_sequence_reference(self, rng, specs, batch, reverse):
@@ -606,7 +631,6 @@ class TestMultiSequence:
         """
         seqs = _multi_inputs(rng, batch, specs)
         outputs = _run_multi(seqs, reverse)
-        lead = () if batch is None else (batch,)
         ups = [[rng.normal(size=out.shape) for out in triple] for triple in outputs]
         loss = Tensor(0.0)
         for triple, up in zip(outputs, ups):
@@ -620,14 +644,12 @@ class TestMultiSequence:
             else:
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-        nb = 1 if batch is None else batch
         for (x, h0, c0, p), triple, up in zip(seqs, outputs, ups):
-            lifted = [a.reshape((nb,) + a.shape[len(lead):]) for a in (x.data, h0.data, c0.data, *up)]
-            ref_out, ref_grads = single_sequence_reference(*lifted[:3], p, reverse, *lifted[3:])
+            ref_out, ref_grads = single_sequence_reference(x.data, h0.data, c0.data, p, reverse, *up)
             for got, want in zip(triple, ref_out):
-                check(got.data, want.reshape(got.shape))
+                check(got.data, want)
             for t, want in zip([x, h0, c0, p.w_x, p.w_h, p.b], ref_grads):
-                check(t.grad, want.reshape(t.shape))
+                check(t.grad, want)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -661,10 +683,10 @@ class TestMultiSequence:
         with no_grad():
             batched = _run_multi(seqs, reverse)
             for i in range(3):
-                one = _run_multi([[Tensor(t.data[i]) for t in s[:3]] + [s[3]] for s in seqs], reverse)
+                one = _run_multi([[Tensor(t.data[i : i + 1]) for t in s[:3]] + [s[3]] for s in seqs], reverse)
                 for triple, single in zip(batched, one):
                     for got, want in zip(triple, single):
-                        assert np.array_equal(got.data[i], want.data)
+                        assert np.array_equal(got.data[i : i + 1], want.data)
 
     def test_shape_errors(self, rng):
         seqs = _multi_inputs(rng, 2)
@@ -701,12 +723,15 @@ def _per_gate_lstm_cell(a, h, c, p):
 
 
 def _per_gate_reconstructions(model, inputs):
+    """The reconstructions of a batch of one; the per-gate LSTM runs on the
+    lone sample."""
     cfg = model.config
     finals, taught = [], []
     for branch, values in zip(model.branches, inputs):
         acts = Tensor(values)
         for (kernels, bias), layer in zip(branch.conv, cfg.conv):
             acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
+        acts = acts[0]
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
             h, c = _per_gate_lstm_cell(acts[:, t], h, c, branch.encoder)
@@ -724,7 +749,7 @@ def _per_gate_reconstructions(model, inputs):
             h, c = _per_gate_lstm_cell(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
             step_in = acts[:, t]
-        out = concat([reshape(slot, (cfg.conv_features, 1)) for slot in slots])
+        out = concat([reshape(slot, (1, cfg.conv_features, 1)) for slot in slots])
         for i, (kernels, bias) in enumerate(branch.deconv):
             layer = cfg.conv[len(cfg.conv) - 1 - i]
             out = deconv1d(out, kernels, bias, layer.stride, padding_for(layer))
@@ -741,7 +766,7 @@ class TestAgainstPerGateComposition:
         cfg = ModelConfig(channels=2, fragment_length=32, levels=2,
                           conv=(ConvLayer(4, 4, 2), ConvLayer(5, 2, 2)), hidden=3, seed=11)
         self.model = WaveletAutoencoder(cfg)
-        x = np.random.default_rng(5).normal(size=(2, 32))
+        x = np.random.default_rng(5).normal(size=(1, 2, 32))
         self.inputs = [x, *mdwd(x, get_family("haar"), 2).details]
 
     def test_teacher_forced_loss_and_every_gradient_agree(self):

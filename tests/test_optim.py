@@ -87,10 +87,6 @@ def test_bad_hyperparameters_rejected():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(ConfigError):
         Adam([p], lr=0.0)
-    with pytest.raises(ConfigError):
-        Adam([p], beta1=1.0)
-    with pytest.raises(ConfigError):
-        Adam([p], epsilon=0.0)
 
 
 def test_zero_grad_clears_buffers():

@@ -73,11 +73,11 @@ class TestModelContainer:
         path = tmp_path / "m.bin"
         save_model(model, path)
         loaded = load_model(path)
-        x = rng.normal(size=(2, 32))
+        x = rng.normal(size=(1, 2, 32))
         from wavedetect.wavelet import get_family, mdwd
 
         code, acts = loaded.encode([x, *mdwd(x, get_family("haar"), 1).details])
-        assert code.data.shape == (6,)
+        assert code.data.shape == (1, 6)
 
     def test_rejects_wrong_kind(self, tmp_path):
         det = small_detector()

@@ -76,15 +76,15 @@ class TestNonFiniteInputIsRejected:
         state = VoteState(detector, VOTE)
         for i in range(5):
             state.push_block(values[:, 16 * i : 16 * (i + 1)])
-        buffered, pending = list(state._buffer), dict(state._pending)
+        buffered, votes = list(state._buffer), list(state._votes)
         bad = values[:, 80:96].copy()
         bad[1, 3] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             state.push_block(bad)
         assert [b is a for a, b in zip(buffered, state._buffer)] == [True] * len(buffered)
-        assert dict(state._pending) == pending and state._next_index == 5
+        assert list(state._votes) == votes and state._pushed == 5
         finals, _ = state.push_block(values[:, 80:96])
-        assert finals == [] and state._next_index == 6
+        assert finals == [] and state._pushed == 6
 
 
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
@@ -138,7 +138,7 @@ class TestBatchScoringEquivalence:
         batch = score_windows(detector, np.stack(windows))
         for k, window in enumerate(windows):
             vote, score = predict_fragment(detector, window)
-            assert preds[k + VOTE.votes_per_block - 1] == vote
+            assert preds[k] == vote
             assert abs(batch[k] - score) <= 1e-12 * abs(score)
 
     def test_online_verdicts_equal_simulate(self, detector):
