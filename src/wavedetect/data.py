@@ -5,6 +5,9 @@ File formats
 ------------
 Signals CSV: header ``t,<ch1>,...,<chC>`` followed by one row per sample;
 floats are written with ``repr`` so a write/read round trip is bit-exact.
+Both functions stream it row by row: ``save_signals`` writes each row to the
+open file, and ``load_signals`` parses each row straight into one float
+buffer, so neither holds a whole-file list of lines or rows.
 Ranges CSV: one ``start,end`` pair per line, half-open sample indices.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,46 +126,41 @@ class Fragment:
         return self.values.shape[1]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_signals(path, series: MultiSeries):
-    path = Path(path)
-    lines = ["t," + ",".join(series.channel_names)]
-    for t in range(series.length):
-        lines.append(str(t) + "," + ",".join(_fmt(v) for v in series.values[:, t]))
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write("t," + ",".join(series.channel_names) + "\n")
+        for t, row in enumerate(series.values.T):
+            fh.write(str(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_signals(path) -> MultiSeries:
     path = Path(path)
+    buffer = array("d")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise IngestError(f"{path}: file is empty")
-    header = rows[0]
-    if len(header) < 2 or header[0].strip() != "t":
-        raise IngestError(f"{path} line 1: header must be 't,<ch1>,...,<chC>'")
-    names = [h.strip() for h in header[1:]]
-    width = len(header)
-    columns = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise IngestError(f"{path} line {lineno}: expected {width} columns, got {len(row)}")
-        try:
-            parsed = [float(cell) for cell in row[1:]]
-        except ValueError:
-            raise IngestError(f"{path} line {lineno}: non-numeric cell") from None
-        if not all(math.isfinite(v) for v in parsed):
-            raise IngestError(f"{path} line {lineno}: non-finite value")
-        columns.append(parsed)
-    if not columns:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: file is empty")
+        if len(header) < 2 or header[0].strip() != "t":
+            raise IngestError(f"{path} line 1: header must be 't,<ch1>,...,<chC>'")
+        names = [h.strip() for h in header[1:]]
+        width = len(header)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise IngestError(f"{path} line {lineno}: expected {width} columns, got {len(row)}")
+            try:
+                parsed = [float(cell) for cell in row[1:]]
+            except ValueError:
+                raise IngestError(f"{path} line {lineno}: non-numeric cell") from None
+            if not all(math.isfinite(v) for v in parsed):
+                raise IngestError(f"{path} line {lineno}: non-finite value")
+            buffer.extend(parsed)
+    if not buffer:
         raise IngestError(f"{path}: no data rows")
-    return MultiSeries(names, np.array(columns, dtype=np.float64).T)
+    # The (C, T) transpose of a (T, C) C-order view of the parsed rows.
+    return MultiSeries(names, np.frombuffer(buffer, dtype=np.float64).reshape(-1, len(names)).T)
 
 
 def save_ranges(path, ranges: AnomalyRanges):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,38 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(IngestError):
             load_signals(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ("t,a,b\n\n", "no data rows"),
+        ("time,a\n0,1.0\n", "line 1"),
+        ("t,a\n0,1.0\n\n2,oops\n", "line 4"),  # a skipped blank line still counts
+    ], ids=["header-only", "bad-header", "blank-line-counted"])
+    def test_error_names_cause_and_line(self, tmp_path, text, error):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=error):
+            load_signals(path)
+
+    def test_save_signals_exact_bytes(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_signals(path, MultiSeries(["a", "b"], [[0.1, -2.0], [1e-07, 3.0]]))
+        assert path.read_bytes() == b"t,a,b\n0,0.1,1e-07\n1,-2.0,3.0\n"
+
+    def test_load_signals_streams_into_one_buffer(self, tmp_path):
+        series = series_of(np.random.default_rng(5).normal(size=(4, 5000)))
+        path = tmp_path / "s.csv"
+        save_signals(path, series)
+        tracemalloc.start()
+        try:
+            loaded = load_signals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-file list of rows or of parsed floats costs ~20x the array.
+        assert peak < 3 * loaded.values.nbytes
+        assert np.array_equal(loaded.values, series.values)
+        # The same (C, T) view of a (T, C) C-order array as np.array(rows).T.
+        assert loaded.values.strides == (8, 32)
 
     def test_ranges_file_roundtrip(self, tmp_path):
         path = tmp_path / "r.csv"

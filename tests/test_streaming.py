@@ -8,10 +8,11 @@ from wavedetect.streaming import (
     SWEEP_THRESHOLDS,
     VoteConfig,
     VoteState,
+    _blocks,
+    _report,
     simulate,
     sweep,
     vote_decide,
-    window_predictions,
 )
 from wavedetect.training import Detector, score_fragment
 
@@ -177,13 +178,11 @@ class TestSimulate:
             simulate(make_series(1, length=48), AnomalyRanges(), make_detector(), CFG)
 
     def test_monotone_shrinkage_in_vote_threshold(self):
-        detector = make_detector()
-        series = make_series(7)
-        preds, n_blocks = window_predictions(series, detector, CFG)
+        # Score the stream once; simulate reports each threshold from this tally.
+        blocks = _blocks(make_series(7), AnomalyRanges(), make_detector(), CFG)
         previous = None
         for tau in SWEEP_THRESHOLDS:
-            cfg = VoteConfig(window=64, step=16, vote_threshold=tau)
-            rows, _ = simulate(series, AnomalyRanges(), detector, cfg)
+            rows, _ = _report(blocks, CFG, tau)
             positive = {r.index for r in rows if r.final and r.verdict == 1}
             if previous is not None:
                 assert positive <= previous
