@@ -5,16 +5,20 @@ File formats
 ------------
 Signals CSV: header ``t,<ch1>,...,<chC>`` followed by one row per sample;
 floats are written with ``repr`` so a write/read round trip is bit-exact.
-Both functions stream it row by row: ``save_signals`` writes each row to the
-open file, and ``load_signals`` parses each row straight into one float
-buffer, so neither holds a whole-file list of lines or rows.
+Fields are split on every comma, with no quoting. A cell after ``t`` is a
+plain ASCII float as ``repr`` writes it, optionally padded with whitespace:
+no quotes and no ``_`` digit separators. ``nan`` and ``inf`` parse but are
+rejected as non-finite. Blank lines are skipped but still counted, so every
+error names the file's physical line. Neither function holds the whole file:
+``save_signals`` writes each row to the open file, and ``load_signals``
+checks each line's column count in Python, converts up to 512 pending lines
+at a time with numpy's C reader (``np.loadtxt``, which rounds exactly as
+``float`` does) and appends them to one float buffer.
 Ranges CSV: one ``start,end`` pair per line, half-open sample indices.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +30,10 @@ from .errors import ConfigError, DataError, IngestError
 DEFAULT_SAMPLE_PERIOD = 7.0
 DEFAULT_WINDOW = 512
 DEFAULT_POS_STEP = 16
+# Data lines parsed per np.loadtxt call: large enough that the call's fixed
+# cost fades, small enough that the pending lines stay a small fraction of
+# the float buffer.
+_CHUNK_LINES = 512
 
 
 @dataclass
@@ -136,31 +144,57 @@ def save_signals(path, series: MultiSeries):
 def load_signals(path) -> MultiSeries:
     path = Path(path)
     buffer = array("d")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    with path.open() as fh:
+        header = fh.readline()
+        if not header:
             raise IngestError(f"{path}: file is empty")
+        header = header.rstrip("\n").split(",")
         if len(header) < 2 or header[0].strip() != "t":
             raise IngestError(f"{path} line 1: header must be 't,<ch1>,...,<chC>'")
         names = [h.strip() for h in header[1:]]
         width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        chunk = []
+        for lineno, line in enumerate(fh, start=2):
+            if line == "\n":
                 continue
-            if len(row) != width:
-                raise IngestError(f"{path} line {lineno}: expected {width} columns, got {len(row)}")
-            try:
-                parsed = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise IngestError(f"{path} line {lineno}: non-numeric cell") from None
-            if not all(math.isfinite(v) for v in parsed):
-                raise IngestError(f"{path} line {lineno}: non-finite value")
-            buffer.extend(parsed)
+            if line.count(",") != width - 1:
+                _read_chunk(path, chunk, width, buffer)  # an earlier line may be bad too
+                raise IngestError(f"{path} line {lineno}: expected {width} columns, got {line.count(',') + 1}")
+            chunk.append((lineno, line))
+            if len(chunk) == _CHUNK_LINES:
+                _read_chunk(path, chunk, width, buffer)
+                chunk = []
+        _read_chunk(path, chunk, width, buffer)
     if not buffer:
         raise IngestError(f"{path}: no data rows")
     # The (C, T) transpose of a (T, C) C-order view of the parsed rows.
     return MultiSeries(names, np.frombuffer(buffer, dtype=np.float64).reshape(-1, len(names)).T)
+
+
+def _cells(lines, width) -> np.ndarray:
+    """The (rows, width - 1) floats after the ``t`` column of some data lines."""
+    return np.loadtxt(lines, delimiter=",", usecols=range(1, width), comments=None, ndmin=2)
+
+
+def _read_chunk(path, chunk, width, buffer):
+    """Append the values of ``(lineno, line)`` data lines to ``buffer``, or
+    raise the ``IngestError`` of the first bad line among them."""
+    if not chunk:
+        return
+    try:
+        values = _cells([line for _, line in chunk], width)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # Re-read the lines one at a time, only to name the first bad one.
+        for lineno, line in chunk:
+            try:
+                row = _cells([line], width)
+            except ValueError:
+                raise IngestError(f"{path} line {lineno}: non-numeric cell") from None
+            if not np.isfinite(row).all():
+                raise IngestError(f"{path} line {lineno}: non-finite value")
+    buffer.frombytes(values.tobytes())
 
 
 def save_ranges(path, ranges: AnomalyRanges):

@@ -76,3 +76,11 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["simulate", "--model", str(missing), "--signals", str(signals)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.wdc" in err
+
+
+def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
+    signals = tmp_path / "signals.csv"
+    signals.write_text("t,a\n0," + "1" * 200_000 + "\n")
+    assert main(["dwt", "--signals", str(signals), "--out", str(tmp_path / "coeffs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1, err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavedetect.data import (
+    _CHUNK_LINES,
     AnomalyRanges,
     Fragment,
     MultiSeries,
@@ -98,12 +99,39 @@ class TestCsv:
         ("t,a,b\n\n", "no data rows"),
         ("time,a\n0,1.0\n", "line 1"),
         ("t,a\n0,1.0\n\n2,oops\n", "line 4"),  # a skipped blank line still counts
-    ], ids=["header-only", "bad-header", "blank-line-counted"])
+        ("t,a\n0,inf\n1,oops\n", "line 2: non-finite"),  # the first bad line wins
+        ("t,a\n0,oops\n1,1,2\n", "line 2: non-numeric"),  # ... over a later column count
+        ("t,a\n" + "".join(f"{i},{i}.5\n" + "\n" * (i in (299, 599, 899, 1199)) for i in range(1400))
+         + "1400,oops\n", "line 1406"),  # blank lines counted across chunks
+        ("t,a\n0," + "1" * 200_000 + "\n", "line 2"),  # longer than any csv field limit
+    ], ids=["header-only", "bad-header", "blank-line-counted", "non-finite-first",
+            "non-numeric-before-ragged", "blank-lines-across-chunks", "huge-cell"])
     def test_error_names_cause_and_line(self, tmp_path, text, error):
         path = tmp_path / "s.csv"
         path.write_text(text)
         with pytest.raises(IngestError, match=error):
             load_signals(path)
+
+    @pytest.mark.parametrize("cell", ['"1.0"', "1_000"], ids=["quoted", "underscore"])
+    def test_only_plain_floats_are_cells(self, tmp_path, cell):
+        path = tmp_path / "s.csv"
+        path.write_text(f"t,a\n0,{cell}\n")
+        with pytest.raises(IngestError, match="line 2: non-numeric cell"):
+            load_signals(path)
+
+    def test_roundtrip_across_chunks_with_blank_lines(self, tmp_path, rng):
+        series = series_of(rng.normal(size=(3, 2 * _CHUNK_LINES + 100)))
+        path = tmp_path / "s.csv"
+        save_signals(path, series)
+        lines = path.read_text().splitlines(keepends=True)
+        # Blank lines just before and just after the last data line of the
+        # first chunk (lines[0] is the header).
+        lines[_CHUNK_LINES:_CHUNK_LINES] = ["\n"]
+        lines[_CHUNK_LINES + 2 : _CHUNK_LINES + 2] = ["\n", "\n"]
+        path.write_text("".join(lines))
+        loaded = load_signals(path)
+        assert np.array_equal(loaded.values, series.values)
+        assert loaded.values.strides == (8, 24) and loaded.values.flags.writeable
 
     def test_save_signals_exact_bytes(self, tmp_path):
         path = tmp_path / "s.csv"
