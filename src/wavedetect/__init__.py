@@ -29,9 +29,9 @@ from .metrics import MetricsReport, compute_metrics
 from .model import ConvLayer, ModelConfig, WaveletAutoencoder, reconstruction_loss
 from .nn import LSTMParams, bce_with_logits, conv1d, deconv1d, linear, lstm_sequence, mse_loss
 from .optim import Adam
-from .serialize import load_detector, load_model, save_detector, save_model
+from .serialize import load_detector, save_detector
 from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep, vote_decide
-from .synth import GeneratorConfig, load_generator_config, save_generator_config, synth_generate
+from .synth import GeneratorConfig, synth_generate
 from .training import (
     Detector,
     TrainConfig,
@@ -42,16 +42,6 @@ from .training import (
     score_windows,
     train,
 )
-from .wavelet import (
-    DB4,
-    HAAR,
-    WaveletDecomposition,
-    WaveletFamily,
-    dwt_level,
-    get_family,
-    idwt_level,
-    mdwd,
-    reconstruct,
-)
+from .wavelet import DB4, HAAR, WaveletFamily, dwt_level, get_family, mdwd
 
 __version__ = "0.1.0"

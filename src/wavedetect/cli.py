@@ -1,5 +1,5 @@
-"""Command-line pipeline: synthesize data, train, evaluate, simulate
-streaming deployment, and inspect wavelet decompositions.
+"""Command-line pipeline: synthesize data, train, evaluate, and simulate
+streaming deployment.
 
 Defaults marked "(implementation choice)" are tunable knobs this package
 picked; the rest mirror the detector's standard operating values.
@@ -15,7 +15,6 @@ from .data import (
     DEFAULT_POS_STEP,
     DEFAULT_WINDOW,
     AnomalyRanges,
-    MultiSeries,
     load_ranges,
     load_signals,
     make_fragments,
@@ -26,9 +25,9 @@ from .errors import ConfigError, DataError, WaveDetectError
 from .model import ConvLayer, ModelConfig
 from .serialize import load_detector, save_detector
 from .streaming import VoteConfig, simulate, sweep
-from .synth import GeneratorConfig, load_generator_config, synth_generate
+from .synth import GeneratorConfig, synth_generate
 from .training import TrainConfig, evaluate_fragments, train
-from .wavelet import FAMILIES, WaveletDecomposition, get_family, mdwd, reconstruct
+from .wavelet import FAMILIES
 
 
 def _parse_conv(text: str):
@@ -53,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--config", type=Path, help="generator config file (key=value lines)")
     p.add_argument("--channels", type=int, help="number of channels (default: 8)")
     p.add_argument("--hours", type=float, help="duration in hours (default: 48)")
     p.add_argument("--period", type=float, help="sample period in seconds (default: 7)")
@@ -113,18 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report metrics for vote thresholds 0.1..0.9 instead of one run")
     p.add_argument("--out", type=Path, help="write the per-block report CSV here instead of stdout")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("dwt", help="decompose signals to per-level coefficient files (or invert)")
-    p.add_argument("--signals", type=Path, help="signals CSV to decompose")
-    p.add_argument("--family", choices=sorted(FAMILIES), default="haar",
-                   help="wavelet family (default: %(default)s; implementation choice)")
-    p.add_argument("--levels", type=int, default=3,
-                   help="decomposition depth (default: %(default)s; implementation choice)")
-    p.add_argument("--out", type=Path, required=True,
-                   help="output directory (forward) or signals CSV (--inverse)")
-    p.add_argument("--inverse", type=Path, metavar="COEFF_DIR",
-                   help="reconstruct a signals CSV from a decomposition directory")
-    p.set_defaults(func=cmd_dwt)
     return parser
 
 
@@ -149,8 +135,7 @@ def _load_detector_and_dataset(args):
 
 
 def cmd_synth(args) -> int:
-    cfg = load_generator_config(args.config) if args.config else GeneratorConfig()
-    overrides = {
+    flags = {
         "channels": args.channels,
         "hours": args.hours,
         "sample_period_seconds": args.period,
@@ -158,10 +143,7 @@ def cmd_synth(args) -> int:
         "severity": args.severity,
         "noise": args.noise,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.__post_init__()
+    cfg = GeneratorConfig(**{key: value for key, value in flags.items() if value is not None})
     series, ranges = synth_generate(cfg, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     save_signals(args.out / "signals.csv", series)
@@ -249,54 +231,6 @@ def cmd_simulate(args) -> int:
     print(f"finalized {finalized}/{len(rows)} blocks at vote threshold {cfg.vote_threshold}")
     print(report.format_table())
     print("row:", report.as_row())
-    return 0
-
-
-def _write_decomposition(out_dir: Path, series: MultiSeries, decomp: WaveletDecomposition):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = [
-        f"family={decomp.family.name}",
-        f"levels={decomp.levels}",
-        f"original_length={decomp.original_length}",
-        f"sample_period_seconds={series.sample_period_seconds!r}",
-        "channels=" + ",".join(series.channel_names),
-    ]
-    (out_dir / "manifest.txt").write_text("\n".join(meta) + "\n")
-    period = series.sample_period_seconds
-    for level, det in enumerate(decomp.details, start=1):
-        save_signals(out_dir / f"detail_{level}.csv", MultiSeries(series.channel_names, det, period))
-    save_signals(out_dir / "approx.csv", MultiSeries(series.channel_names, decomp.approximation, period))
-
-
-def _read_decomposition(coeff_dir: Path):
-    manifest = {}
-    for line in (coeff_dir / "manifest.txt").read_text().splitlines():
-        key, _, value = line.partition("=")
-        manifest[key] = value
-    family = get_family(manifest["family"])
-    levels = int(manifest["levels"])
-    names = manifest["channels"].split(",")
-    period = float(manifest["sample_period_seconds"])
-    details = [load_signals(coeff_dir / f"detail_{l}.csv").values for l in range(1, levels + 1)]
-    approx = load_signals(coeff_dir / "approx.csv").values
-    decomp = WaveletDecomposition(details, approx, family, int(manifest["original_length"]))
-    return decomp, names, period
-
-
-def cmd_dwt(args) -> int:
-    if args.inverse:
-        decomp, names, period = _read_decomposition(args.inverse)
-        series = MultiSeries(names, reconstruct(decomp), period)
-        save_signals(args.out, series)
-        print(f"reconstructed {series.channels}x{series.length} samples to {args.out}")
-        return 0
-    if not args.signals:
-        raise ConfigError("dwt needs --signals (or --inverse COEFF_DIR)")
-    series = load_signals(args.signals)
-    decomp = mdwd(series.values, get_family(args.family), args.levels)
-    _write_decomposition(args.out, series, decomp)
-    shapes = ", ".join(f"L{l + 1}:{d.shape[1]}" for l, d in enumerate(decomp.details))
-    print(f"wrote {decomp.levels} detail levels ({shapes}) plus approximation to {args.out}")
     return 0
 
 

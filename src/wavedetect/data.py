@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, IngestError
 
-DEFAULT_SAMPLE_PERIOD = 7.0
 DEFAULT_WINDOW = 512
 DEFAULT_POS_STEP = 16
 # Data lines parsed per np.loadtxt call: large enough that the call's fixed
@@ -38,11 +37,10 @@ _CHUNK_LINES = 512
 
 @dataclass
 class MultiSeries:
-    """A C-channel, length-T signal with channel names and sample period."""
+    """A C-channel, length-T signal with channel names."""
 
     channel_names: list
     values: np.ndarray
-    sample_period_seconds: float = DEFAULT_SAMPLE_PERIOD
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -55,8 +53,6 @@ class MultiSeries:
         if not np.isfinite(self.values).all():
             bad = np.argwhere(~np.isfinite(self.values))[0]
             raise DataError(f"non-finite value in channel {self.channel_names[bad[0]]!r}")
-        if self.sample_period_seconds <= 0:
-            raise ConfigError("sample period must be positive")
 
     @property
     def channels(self) -> int:

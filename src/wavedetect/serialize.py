@@ -1,4 +1,4 @@
-"""Model and detector container files.
+"""Detector container files: a trained model with its detector settings.
 
 Layout: a UTF-8 text manifest, one directive per line, terminated by a
 ``payload`` line, then the raw tensor bytes.
@@ -27,10 +27,9 @@ with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``).
 Saving writes version 3. Version 2 has the same layout; version 1 held 16
 per-gate tensors per LSTM. Which older files load:
 
-- Models and supervised detectors of either version load and score as
-  they did. A version-1 file's per-gate tensors are stacked and each bias
-  pair is summed in float64, the arithmetic the version-1 code did on
-  every call.
+- Supervised detectors of either version load and score as they did. A
+  version-1 file's per-gate tensors are stacked and each bias pair is
+  summed in float64, the arithmetic the version-1 code did on every call.
 - Semi detectors of either version raise ``DataError`` and must be
   retrained. Their threshold was calibrated on the losses of a decoder
   that fed back its own outputs, a score nothing computes any more.
@@ -157,22 +156,6 @@ def _fuse_v1_lstms(path, config: ModelConfig, tensors: dict):
             tensors[prefix + "b"] = stacked("b_i", (hid,)) + stacked("b_h", (hid,))
 
 
-def _fill_model(path, config: ModelConfig, tensors: dict) -> WaveletAutoencoder:
-    return WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
-
-
-def save_model(model: WaveletAutoencoder, path):
-    arrays = [(name, t.data) for name, t in model.named_parameters()]
-    _write_container(path, model.config, arrays, {"kind": "model"})
-
-
-def load_model(path) -> WaveletAutoencoder:
-    config, meta, tensors = _read_container(path)
-    if meta.get("kind", "model") != "model":
-        raise DataError(f"{path}: container holds a {meta.get('kind')!r}, not a model")
-    return _fill_model(path, config, tensors)
-
-
 def save_detector(detector, path):
     meta = {
         "kind": "detector",
@@ -203,7 +186,7 @@ def load_detector(path):
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))
     if not (std > 0).all():
         raise DataError(f"{path}: tensor 'norm.std' holds a non-positive value")
-    model = _fill_model(path, config, tensors)
+    model = WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
     try:
         return Detector(model=model, mode=meta["mode"], threshold=threshold,
                         train_loss_mean=train_loss_mean, norm_mean=mean, norm_std=std)

@@ -14,13 +14,13 @@ reporting the (now meaningless) anomaly windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from pathlib import Path
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_SAMPLE_PERIOD, AnomalyRanges, MultiSeries
-from .errors import ConfigError, IngestError
+from .data import AnomalyRanges, MultiSeries
+from .errors import ConfigError
 
 COUPLING_DROP = 0.55
 
@@ -29,7 +29,7 @@ COUPLING_DROP = 0.55
 class GeneratorConfig:
     channels: int = 8
     hours: float = 48.0
-    sample_period_seconds: float = DEFAULT_SAMPLE_PERIOD
+    sample_period_seconds: float = 7.0
     anomaly_count: int = 3
     anomaly_min_samples: int = 768
     anomaly_max_samples: int = 1536
@@ -40,6 +40,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.channels < 2:
             raise ConfigError("need at least a driver and one response channel")
+        if not all(map(math.isfinite, (self.hours, self.sample_period_seconds, self.severity, self.noise))):
+            raise ConfigError("hours, sample period, severity and noise must be finite")
         if self.hours <= 0 or self.sample_period_seconds <= 0:
             raise ConfigError("hours and sample period must be positive")
         if self.anomaly_count < 0:
@@ -144,30 +146,4 @@ def synth_generate(cfg: GeneratorConfig, seed: int):
             clean = (1.0 - COUPLING_DROP * env) * coupled
             values[ch] = clean + texture + env * drift + cfg.noise * rng.normal(size=n)
 
-    return MultiSeries(names, values, period), ranges
-
-
-def save_generator_config(path, cfg: GeneratorConfig):
-    lines = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_generator_config(path) -> GeneratorConfig:
-    path = Path(path)
-    casts = {f.name: type(getattr(GeneratorConfig(), f.name)) for f in fields(GeneratorConfig)}
-    kwargs = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise IngestError(f"{path} line {lineno}: expected 'key=value'")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in casts:
-            raise IngestError(f"{path} line {lineno}: unknown key {key!r}")
-        try:
-            kwargs[key] = casts[key](raw.strip())
-        except ValueError:
-            raise IngestError(f"{path} line {lineno}: bad value for {key!r}") from None
-    return GeneratorConfig(**kwargs)
+    return MultiSeries(names, values), ranges

@@ -73,8 +73,8 @@ class TrainConfig:
             raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 1.0 <= self.beta <= 2.0:
@@ -163,7 +163,8 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
     xn = (windows - mean[:, None]) / std[:, None]
     if not cfg.levels:
         return [xn]
-    return [xn, *mdwd(xn, get_family(cfg.wavelet), cfg.levels).details]
+    details, _ = mdwd(xn, get_family(cfg.wavelet), cfg.levels)
+    return [xn, *details]
 
 
 def _finish(model, mode, windows, mean, std, beta) -> Detector:

@@ -2,10 +2,11 @@
 
 The transform uses orthogonal two-channel filter banks with periodic
 boundary extension, so a length-N signal (N even) splits exactly into N/2
-approximation and N/2 detail coefficients, and the inverse reconstructs the
-input to machine precision. Cascading the lowpass branch yields the usual
-pyramid decomposition; per level l the detail array keeps T/2**l columns
-per channel.
+approximation and N/2 detail coefficients, and the split is invertible to
+machine precision. Cascading the lowpass branch yields the usual pyramid
+decomposition; per level l the detail array keeps T/2**l columns per
+channel. Only the analysis side lives here: the inverse, which checks that
+``mdwd`` is exact, lives in the tests.
 
 Filter conventions
 ------------------
@@ -17,7 +18,7 @@ quadrature-mirror relation ``hi[j] = (-1)**j * lo[K-1-j]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,62 +105,21 @@ def dwt_level(signal, family: WaveletFamily):
     return _fold(windows, family.lowpass), _fold(windows, family.highpass)
 
 
-def idwt_level(approx, detail, family: WaveletFamily) -> np.ndarray:
-    """Exact inverse of ``dwt_level`` under periodic extension."""
-    a = np.asarray(approx, dtype=np.float64)
-    d = np.asarray(detail, dtype=np.float64)
-    if a.shape != d.shape:
-        raise ShapeError(f"approx shape {a.shape} != detail shape {d.shape}")
-    half = a.shape[-1]
-    n = 2 * half
-    x = np.zeros(a.shape[:-1] + (n,))
-    lo, hi = family.lowpass, family.highpass
-    base = 2 * np.arange(half)
-    for j in range(len(family)):
-        x[..., (base + j) % n] += lo[j] * a + hi[j] * d
-    return x
+def mdwd(signal, family: WaveletFamily, levels: int):
+    """Multilevel decomposition of each channel via the pyramid cascade:
+    returns ``(details, approximation)``, where ``details[l-1]`` holds level
+    l with shape (C, T/2**l) and the approximation has shape (C, T/2**L). A
+    batched input adds a leading (B,) axis to every array.
 
-
-@dataclass
-class WaveletDecomposition:
-    """Pyramid coefficients: per-level details plus the final approximation.
-
-    ``details[l-1]`` holds level l with shape (C, T/2**l); ``approximation``
-    has shape (C, T/2**L). A batched input adds a leading (B,) axis to both.
+    Accepts a (C, T) array, a (B, C, T) batch or a 1-D signal. T must be
+    divisible by 2**levels and the coarsest stage must still be at least as
+    long as the filter.
     """
-
-    details: list = field(default_factory=list)
-    approximation: np.ndarray = None
-    family: WaveletFamily = None
-    original_length: int = 0
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-    @property
-    def channels(self) -> int:
-        return self.approximation.shape[-2]
-
-
-def _as_rows(series) -> np.ndarray:
-    values = getattr(series, "values", series)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim not in (2, 3):
-        raise ShapeError(f"expected a (C, T) or (B, C, T) array, got shape {arr.shape}")
-    return arr
-
-
-def mdwd(series, family: WaveletFamily, levels: int) -> WaveletDecomposition:
-    """Multilevel decomposition of each channel via the pyramid cascade.
-
-    Accepts a (C, T) array, a (B, C, T) batch, a 1-D signal, or anything
-    with a ``values`` attribute. T must be divisible by 2**levels and the
-    coarsest stage must still be at least as long as the filter.
-    """
-    x = _as_rows(series)
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"expected a (C, T) or (B, C, T) array, got shape {x.shape}")
     t = x.shape[-1]
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
@@ -172,13 +132,4 @@ def mdwd(series, family: WaveletFamily, levels: int) -> WaveletDecomposition:
     for _ in range(levels):
         approx, det = dwt_level(approx, family)
         details.append(det)
-    return WaveletDecomposition(details, approx, family, t)
-
-
-def reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
-    """Invert a multilevel decomposition back to the (C, T) signal."""
-    approx = decomp.approximation
-    for det in reversed(decomp.details):
-        approx = idwt_level(approx, det, decomp.family)
-    return approx
-
+    return details, approx

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavedetect.autodiff import Tensor, _as_tensor, _trace, reshape
+from wavedetect.errors import ShapeError
 from wavedetect.nn import lstm_sequence
 
 
@@ -57,3 +58,28 @@ def tanh(a) -> Tensor:
     if _trace((a,)):
         out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * (1.0 - t * t),)
     return out
+
+
+def idwt_level(approx, detail, family) -> np.ndarray:
+    """Exact inverse of ``wavelet.dwt_level`` under periodic extension: the
+    analysis taps scattered back, which inverts an orthonormal bank."""
+    a = np.asarray(approx, dtype=np.float64)
+    d = np.asarray(detail, dtype=np.float64)
+    if a.shape != d.shape:
+        raise ShapeError(f"approx shape {a.shape} != detail shape {d.shape}")
+    half = a.shape[-1]
+    n = 2 * half
+    x = np.zeros(a.shape[:-1] + (n,))
+    lo, hi = family.lowpass, family.highpass
+    base = 2 * np.arange(half)
+    for j in range(len(family)):
+        x[..., (base + j) % n] += lo[j] * a + hi[j] * d
+    return x
+
+
+def reconstruct(details, approximation, family) -> np.ndarray:
+    """Invert ``wavelet.mdwd``'s ``(details, approximation)`` back to the signal."""
+    approx = approximation
+    for det in reversed(details):
+        approx = idwt_level(approx, det, family)
+    return approx

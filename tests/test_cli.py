@@ -1,13 +1,19 @@
-"""End to end through the command line on a tiny model: synth, train in
-both modes, eval, simulate (plain and sweep), a series whose channel count
-does not match the detector, and the dwt round trip."""
+"""End to end through the command line on a tiny model: synth from flags,
+train in both modes, eval, simulate (plain and sweep), a series whose
+channel count does not match the detector, and bad input files and values
+that must end in one error line, not a traceback."""
 
 import re
 
 import numpy as np
+import pytest
 
 from wavedetect.cli import main
-from wavedetect.data import MultiSeries, load_signals, save_signals
+from wavedetect.data import MultiSeries, load_ranges, load_signals, save_ranges, save_signals
+from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
+from wavedetect.serialize import save_detector
+from wavedetect.synth import GeneratorConfig, synth_generate
+from wavedetect.training import Detector
 
 TINY = ["--window", "64", "--levels", "1", "--conv", "8:4:2", "--hidden", "4", "--epochs", "2"]
 
@@ -17,14 +23,22 @@ def _epoch_losses(text):
 
 
 def test_pipeline(tmp_path, capsys):
-    gen = tmp_path / "gen.txt"
-    gen.write_text("hours=2.8\nanomaly_count=1\nanomaly_min_samples=96\n"
-                   "anomaly_max_samples=128\nedge_margin=128\n")
-    data = tmp_path / "data"
-    assert main(["synth", "--config", str(gen), "--channels", "2", "--seed", "3", "--out", str(data)]) == 0
-    signals, ranges = data / "signals.csv", data / "ranges.csv"
-    assert signals.exists() and ranges.exists()
-    capsys.readouterr()
+    synthesized = tmp_path / "synth"
+    assert main(["synth", "--channels", "3", "--hours", "6", "--anomalies", "1", "--seed", "5",
+                 "--out", str(synthesized)]) == 0
+    assert "wrote 3x3085 samples and 1 anomaly ranges" in capsys.readouterr().out
+    series, ranges = synth_generate(GeneratorConfig(channels=3, hours=6.0, anomaly_count=1), 5)
+    written = load_signals(synthesized / "signals.csv")
+    assert written.channels == 3 and written.channel_names == series.channel_names
+    assert np.array_equal(written.values, series.values)
+    assert load_ranges(synthesized / "ranges.csv") == ranges
+
+    small = GeneratorConfig(channels=2, hours=2.8, anomaly_count=1, anomaly_min_samples=96,
+                            anomaly_max_samples=128, edge_margin=128)
+    series, spans = synth_generate(small, 3)
+    signals, ranges = tmp_path / "signals.csv", tmp_path / "ranges.csv"
+    save_signals(signals, series)
+    save_ranges(ranges, spans)
 
     detectors = {}
     for mode in ("semi", "supervised"):
@@ -62,12 +76,6 @@ def test_pipeline(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "3 channels" in err, (command, err)
 
-    coeffs, back = tmp_path / "coeffs", tmp_path / "back.csv"
-    assert main(["dwt", "--signals", str(signals), "--levels", "2", "--out", str(coeffs)]) == 0
-    assert (coeffs / "detail_2.csv").exists() and (coeffs / "approx.csv").exists()
-    assert main(["dwt", "--inverse", str(coeffs), "--out", str(back)]) == 0
-    assert np.allclose(load_signals(back).values, load_signals(signals).values, atol=1e-6)
-
 
 def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
     signals = tmp_path / "signals.csv"
@@ -79,8 +87,21 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
 
 
 def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
+    model = tmp_path / "detector.wdc"
+    cfg = ModelConfig(channels=1, fragment_length=64, levels=1, conv=(ConvLayer(8, 4, 2),), hidden=4)
+    save_detector(Detector(model=WaveletAutoencoder(cfg), mode="semi", threshold=1.0, train_loss_mean=1.0,
+                           norm_mean=np.zeros(1), norm_std=np.ones(1)), model)
     signals = tmp_path / "signals.csv"
     signals.write_text("t,a\n0," + "1" * 200_000 + "\n")
-    assert main(["dwt", "--signals", str(signals), "--out", str(tmp_path / "coeffs")]) == 1
+    assert main(["eval", "--model", str(model), "--signals", str(signals)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("hours", ["nan", "inf"])
+def test_non_finite_generator_value_is_one_error_line(tmp_path, capsys, hours):
+    out = tmp_path / "data"
+    assert main(["synth", "--hours", hours, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1, err
+    assert not out.exists()

@@ -20,10 +20,10 @@ from wavedetect.data import (
 from wavedetect.errors import ConfigError, DataError, IngestError
 
 
-def series_of(values, period=7.0):
+def series_of(values):
     values = np.asarray(values, dtype=np.float64)
     names = [f"ch{i}" for i in range(values.shape[0])]
-    return MultiSeries(names, values, period)
+    return MultiSeries(names, values)
 
 
 class TestContainers:
@@ -32,8 +32,6 @@ class TestContainers:
             MultiSeries(["a"], np.zeros((2, 4)))
         with pytest.raises(DataError):
             MultiSeries(["a", "b"], np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ConfigError):
-            MultiSeries(["a"], np.zeros((1, 4)), sample_period_seconds=0.0)
 
     def test_ranges_validation(self):
         AnomalyRanges(((0, 5), (5, 9)))  # touching is fine

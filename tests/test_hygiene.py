@@ -1,7 +1,9 @@
 """Source hygiene checks that need no linter: every name a module imports is
 used in that module (``__init__.py`` is skipped, because its imports are the
 package's re-exports), and every module-level function or class is used by
-some package code other than itself (the re-exports count)."""
+some package code other than itself, or read by the benchmark as
+``wd.<name>``. A re-export in ``__init__.py`` is no use: it keeps a name
+public, not alive."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import wavedetect
 
 SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+BENCH = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 
 
 def imported_names(tree):
@@ -61,9 +64,20 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def bench_reads(paths):
+    """Every ``<name>`` the benchmark reads off the package as ``wd.<name>``."""
+    reads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "wd":
+                reads.add(node.attr)
+    return reads
+
+
 def test_every_definition_is_used_by_the_package():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     used = {name: used_names(tree, imports=True) for name, tree in trees.items()}
+    bench = bench_reads(BENCH)
     dead = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -71,7 +85,7 @@ def test_every_definition_is_used_by_the_package():
                 continue
             # The defining module counts without the definition's own body.
             rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
-            users = [names for other, names in used.items() if other != name]
+            users = [names for other, names in used.items() if other != name] + [bench]
             if not any(node.name in names for names in users + [used_names(rest, imports=True)]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"module-level definitions no package code uses: {dead}"

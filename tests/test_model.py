@@ -30,7 +30,7 @@ def tiny_config(**overrides):
 def scales(x, levels):
     """The per-scale inputs of a (B, C, T) batch x: itself, then its haar
     details 1..levels."""
-    return [x, *mdwd(x, get_family("haar"), levels).details] if levels else [x]
+    return [x, *mdwd(x, get_family("haar"), levels)[0]] if levels else [x]
 
 
 def forward_loss(model, inputs):

@@ -767,7 +767,7 @@ class TestAgainstPerGateComposition:
                           conv=(ConvLayer(4, 4, 2), ConvLayer(5, 2, 2)), hidden=3, seed=11)
         self.model = WaveletAutoencoder(cfg)
         x = np.random.default_rng(5).normal(size=(1, 2, 32))
-        self.inputs = [x, *mdwd(x, get_family("haar"), 2).details]
+        self.inputs = [x, *mdwd(x, get_family("haar"), 2)[0]]
 
     def test_teacher_forced_loss_and_every_gradient_agree(self):
         model = self.model

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wavedetect.errors import DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
-from wavedetect.serialize import load_detector, load_model, save_detector, save_model
+from wavedetect.serialize import load_detector, save_detector
 from wavedetect.training import Detector, score_windows
 
 DATA = Path(__file__).parent / "data"
@@ -20,8 +20,8 @@ def small_model(seed=0, classifier=False):
     return WaveletAutoencoder(cfg)
 
 
-def small_detector(mode="semi"):
-    model = small_model(seed=4, classifier=(mode == "supervised"))
+def small_detector(mode="semi", seed=4):
+    model = small_model(seed=seed, classifier=(mode == "supervised"))
     return Detector(
         model=model,
         mode=mode,
@@ -33,64 +33,66 @@ def small_detector(mode="semi"):
 
 
 class TestModelContainer:
+    """The model a detector file holds: its weights, and the checks on what
+    the file claims to be."""
+
     def test_save_load_save_is_byte_exact(self, tmp_path):
-        model = small_model(seed=7)
         p1 = tmp_path / "a.bin"
         p2 = tmp_path / "b.bin"
-        save_model(model, p1)
-        save_model(load_model(p1), p2)
+        save_detector(small_detector("supervised", seed=7), p1)
+        save_detector(load_detector(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_weights_match_float32_rounding(self, tmp_path):
-        model = small_model(seed=1)
-        path = tmp_path / "m.bin"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        for (name_a, ta), (name_b, tb) in zip(model.named_parameters(), loaded.named_parameters()):
+        det = small_detector(seed=1)
+        path = tmp_path / "d.bin"
+        save_detector(det, path)
+        loaded = load_detector(path).model
+        assert loaded.config == det.model.config
+        for (name_a, ta), (name_b, tb) in zip(det.model.named_parameters(), loaded.named_parameters()):
             assert name_a == name_b
             assert np.array_equal(tb.data, ta.data.astype(np.float32).astype(np.float64))
 
     def test_load_builds_the_model_from_the_stored_tensors(self, tmp_path, monkeypatch):
         """Loading draws no random init to overwrite: every tensor is the
         stored one, trainable, under its own name."""
-        path = tmp_path / "m.bin"
-        model = small_model(seed=5, classifier=True)
-        save_model(model, path)
+        path = tmp_path / "d.bin"
+        det = small_detector("supervised", seed=5)
+        save_detector(det, path)
 
         def no_rng(*args, **kwargs):
-            raise AssertionError("load_model drew a random init")
+            raise AssertionError("load_detector drew a random init")
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
-        loaded = load_model(path)
-        assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in model.named_parameters()]
-        for (_, ta), tb in zip(model.named_parameters(), loaded.parameters()):
+        loaded = load_detector(path).model
+        assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in det.model.named_parameters()]
+        for (_, ta), tb in zip(det.model.named_parameters(), loaded.parameters()):
             assert tb.requires_grad
             assert np.array_equal(tb.data, ta.data.astype(np.float32).astype(np.float64))
 
     def test_loaded_model_runs(self, tmp_path, rng):
-        model = small_model(seed=2)
-        path = tmp_path / "m.bin"
-        save_model(model, path)
-        loaded = load_model(path)
+        path = tmp_path / "d.bin"
+        save_detector(small_detector(seed=2), path)
+        loaded = load_detector(path).model
         x = rng.normal(size=(1, 2, 32))
         from wavedetect.wavelet import get_family, mdwd
 
-        code, acts = loaded.encode([x, *mdwd(x, get_family("haar"), 1).details])
+        code, acts = loaded.encode([x, *mdwd(x, get_family("haar"), 1)[0]])
         assert code.data.shape == (1, 6)
 
     def test_rejects_wrong_kind(self, tmp_path):
-        det = small_detector()
+        """A file with no ``meta kind`` line is no detector file."""
         path = tmp_path / "d.bin"
-        save_detector(det, path)
-        with pytest.raises(DataError):
-            load_model(path)
+        save_detector(small_detector(), path)
+        path.write_bytes(path.read_bytes().replace(b"meta kind detector\n", b"", 1))
+        with pytest.raises(DataError, match="not a detector"):
+            load_detector(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a container at all")
         with pytest.raises(DataError):
-            load_model(path)
+            load_detector(path)
 
 
 class TestDetectorContainer:
@@ -126,8 +128,9 @@ class TestDetectorContainer:
 
     def test_rejects_model_container(self, tmp_path):
         path = tmp_path / "m.bin"
-        save_model(small_model(), path)
-        with pytest.raises(DataError):
+        save_detector(small_detector(), path)
+        path.write_bytes(_replace_line(path.read_bytes(), b"meta kind ", b"meta kind model"))
+        with pytest.raises(DataError, match="holds a 'model', not a detector"):
             load_detector(path)
 
 
@@ -302,10 +305,3 @@ class TestOlderVersions:
         path.write_bytes(_replace_line(blob, b"meta threshold ", b"meta threshold 1.0"))
         with pytest.raises(DataError, match="version 1 semi detector.*retrain"):
             load_detector(path)
-
-    def test_version_2_model_loads(self, tmp_path):
-        path = tmp_path / "m.bin"
-        save_model(small_model(seed=3), path)
-        path.write_bytes(_as_version(path.read_bytes(), b"2"))
-        assert [n for n, _ in load_model(path).named_parameters()] == [
-            n for n, _ in small_model(seed=3).named_parameters()]

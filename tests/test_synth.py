@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from wavedetect.errors import ConfigError, IngestError
-from wavedetect.synth import (
-    GeneratorConfig,
-    load_generator_config,
-    save_generator_config,
-    synth_generate,
-)
+from wavedetect.errors import ConfigError
+from wavedetect.synth import GeneratorConfig, synth_generate
 
 SMALL = GeneratorConfig(channels=6, hours=10.0, anomaly_count=2,
                         anomaly_min_samples=600, anomaly_max_samples=900,
@@ -28,20 +23,10 @@ class TestConfig:
             GeneratorConfig(anomaly_min_samples=100, anomaly_max_samples=50)
         with pytest.raises(ConfigError):
             GeneratorConfig(severity=-1.0)
-
-    def test_config_file_roundtrip(self, tmp_path):
-        path = tmp_path / "gen.cfg"
-        save_generator_config(path, SMALL)
-        assert load_generator_config(path) == SMALL
-
-    def test_config_file_errors(self, tmp_path):
-        path = tmp_path / "gen.cfg"
-        path.write_text("channels=8\nbogus=3\n")
-        with pytest.raises(IngestError, match="line 2"):
-            load_generator_config(path)
-        path.write_text("channels=eight\n")
-        with pytest.raises(IngestError, match="line 1"):
-            load_generator_config(path)
+        for field in ("hours", "sample_period_seconds", "severity", "noise"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError, match="finite"):
+                    GeneratorConfig(**{field: value})
 
 
 class TestGenerate:

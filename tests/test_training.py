@@ -174,6 +174,11 @@ class TestTrainRejectsBadInput:
         with pytest.raises(ConfigError, match="classifier"):
             train(_fragments(26, 2), TrainConfig(model=_model("semi"), mode="supervised", epochs=1))
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainConfig(model=_model("semi"), lr=lr)
+
 
 def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
     real = training.reconstruction_loss

@@ -2,18 +2,9 @@ import numpy as np
 import pytest
 
 from wavedetect.errors import ConfigError, ShapeError
-from wavedetect.wavelet import (
-    DB4,
-    FAMILIES,
-    HAAR,
-    WaveletDecomposition,
-    WaveletFamily,
-    dwt_level,
-    get_family,
-    idwt_level,
-    mdwd,
-    reconstruct,
-)
+from wavedetect.wavelet import DB4, FAMILIES, HAAR, WaveletFamily, dwt_level, get_family, mdwd
+
+from conftest import idwt_level, reconstruct
 
 SQRT2 = np.sqrt(2.0)
 
@@ -112,48 +103,47 @@ class TestSingleLevel:
 class TestMultilevel:
     def test_shapes_channels_2_length_512_levels_3(self, rng):
         x = rng.normal(size=(2, 512))
-        dec = mdwd(x, HAAR, 3)
-        assert [d.shape for d in dec.details] == [(2, 256), (2, 128), (2, 64)]
-        assert dec.approximation.shape == (2, 64)
+        details, approx = mdwd(x, HAAR, 3)
+        assert [d.shape for d in details] == [(2, 256), (2, 128), (2, 64)]
+        assert approx.shape == (2, 64)
 
     def test_constant_series_has_zero_details(self):
-        dec = mdwd(np.full((3, 128), 4.2), HAAR, 3)
-        for d in dec.details:
+        details, _ = mdwd(np.full((3, 128), 4.2), HAAR, 3)
+        for d in details:
             assert np.max(np.abs(d)) < 1e-12
 
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_matches_recursive_single_level_oracle(self, rng, family):
         x = rng.normal(size=(2, 256))
-        dec = mdwd(x, family, 3)
+        details, approximation = mdwd(x, family, 3)
         approx = x
         for level in range(3):
             approx, det = dwt_level(approx, family)
-            assert np.array_equal(dec.details[level], det)
-        assert np.array_equal(dec.approximation, approx)
+            assert np.array_equal(details[level], det)
+        assert np.array_equal(approximation, approx)
 
     @pytest.mark.parametrize("family", [HAAR, DB4])
     @pytest.mark.parametrize("length", [64, 128, 512])
     def test_perfect_reconstruction(self, rng, family, length):
         x = rng.normal(size=(3, length))
-        dec = mdwd(x, family, 3)
-        assert np.max(np.abs(reconstruct(dec) - x)) < 1e-9
+        assert np.max(np.abs(reconstruct(*mdwd(x, family, 3), family) - x)) < 1e-9
 
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_parseval_energy_identity(self, rng, family):
         x = rng.normal(size=(2, 512))
-        dec = mdwd(x, family, 4)
-        coeff_energy = sum(float((d * d).sum()) for d in dec.details)
-        coeff_energy += float((dec.approximation ** 2).sum())
+        details, approx = mdwd(x, family, 4)
+        coeff_energy = sum(float((d * d).sum()) for d in details)
+        coeff_energy += float((approx ** 2).sum())
         assert abs(coeff_energy - float((x * x).sum())) < 1e-9
 
     def test_channel_independence_is_exact(self, rng):
         x = rng.normal(size=(4, 256))
-        full = mdwd(x, DB4, 3)
+        details, approx = mdwd(x, DB4, 3)
         for c in range(4):
-            single = mdwd(x[c], DB4, 3)
+            one_details, one_approx = mdwd(x[c], DB4, 3)
             for level in range(3):
-                assert np.array_equal(full.details[level][c], single.details[level][0])
-            assert np.array_equal(full.approximation[c], single.approximation[0])
+                assert np.array_equal(details[level][c], one_details[level][0])
+            assert np.array_equal(approx[c], one_approx[0])
 
     def test_indivisible_length_rejected(self):
         with pytest.raises(ConfigError):
@@ -165,31 +155,33 @@ class TestMultilevel:
             mdwd(np.ones((1, 64)), DB4, 6)
 
 
-def mra_components(decomp):
-    """Time-domain parts of a decomposition, one per detail level plus the
-    approximation (last), each reconstructed with every other part zeroed."""
-    zeros = [np.zeros_like(d) for d in decomp.details]
+def mra_components(x, family, levels):
+    """Time-domain parts of ``mdwd(x, family, levels)``, one per detail level
+    plus the approximation (last), each reconstructed with every other part
+    zeroed."""
+    details, approx = mdwd(x, family, levels)
+    zeros = [np.zeros_like(d) for d in details]
     parts = []
-    for l in range(decomp.levels):
+    for l in range(levels):
         picked = list(zeros)
-        picked[l] = decomp.details[l]
-        parts.append(WaveletDecomposition(picked, np.zeros_like(decomp.approximation), decomp.family))
-    parts.append(WaveletDecomposition(zeros, decomp.approximation, decomp.family))
-    return [reconstruct(part) for part in parts]
+        picked[l] = details[l]
+        parts.append(reconstruct(picked, np.zeros_like(approx), family))
+    parts.append(reconstruct(zeros, approx, family))
+    return parts
 
 
 class TestMRAComponents:
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_components_sum_to_signal(self, rng, family):
         x = rng.normal(size=(2, 256))
-        comps = mra_components(mdwd(x, family, 3))
+        comps = mra_components(x, family, 3)
         assert len(comps) == 4
         assert np.max(np.abs(sum(comps) - x)) < 1e-9
 
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_cross_level_orthogonality(self, rng, family):
         x = rng.normal(size=(2, 512))
-        comps = mra_components(mdwd(x, family, 3))
+        comps = mra_components(x, family, 3)
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 assert abs(float(np.vdot(comps[i], comps[j]))) < 1e-8
@@ -198,7 +190,7 @@ class TestMRAComponents:
         # a signal lying entirely in the level-1 detail space comes back intact
         atom = np.zeros(8)
         atom[0], atom[1] = 1.0 / SQRT2, -1.0 / SQRT2
-        comps = mra_components(mdwd(atom, HAAR, 1))
+        comps = mra_components(atom, HAAR, 1)
         assert np.allclose(comps[0], atom[None, :], atol=1e-12)
         assert np.allclose(comps[1], 0.0, atol=1e-12)
 
@@ -206,14 +198,14 @@ class TestMRAComponents:
 @pytest.mark.parametrize("family", [HAAR, DB4])
 def test_batched_decomposition_equals_per_sample(rng, family):
     xs = rng.normal(size=(3, 2, 64))
-    dec = mdwd(xs, family, 3)
-    assert dec.channels == 2
-    assert [d.shape for d in dec.details] == [(3, 2, 32), (3, 2, 16), (3, 2, 8)]
+    details, approx = mdwd(xs, family, 3)
+    assert [d.shape for d in details] == [(3, 2, 32), (3, 2, 16), (3, 2, 8)]
+    assert approx.shape == (3, 2, 8)
     for i in range(3):
-        one = mdwd(xs[i], family, 3)
-        for got, want in zip(dec.details + [dec.approximation], one.details + [one.approximation]):
+        one_details, one_approx = mdwd(xs[i], family, 3)
+        for got, want in zip(details + [approx], one_details + [one_approx]):
             assert np.array_equal(got[i], want)
-    assert np.max(np.abs(reconstruct(dec) - xs)) < 1e-12
+    assert np.max(np.abs(reconstruct(details, approx, family) - xs)) < 1e-12
 
 
 def test_rejects_four_dimensional_input():
