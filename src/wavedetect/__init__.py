@@ -35,7 +35,6 @@ from .synth import GeneratorConfig, synth_generate
 from .training import (
     Detector,
     TrainConfig,
-    compute_threshold,
     evaluate_fragments,
     predict_fragment,
     score_fragment,

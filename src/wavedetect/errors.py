@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+its configs share."""
+
+import numbers
 
 
 class WaveDetectError(Exception):
@@ -27,3 +30,12 @@ class ContractError(WaveDetectError):
 
 class CapabilityError(WaveDetectError):
     """A requested operation needs a model component that was not built."""
+
+
+def require_integers(*named):
+    """Raise ``ConfigError`` for the first ``(name, value)`` pair whose value
+    is not an integer. A config checks this itself rather than leaving it to
+    numpy or ``range``, which fail later with a bare error, or not at all."""
+    for name, value in named:
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, add, concat, matmul, relu, reshape, sigmoid
-from .errors import CapabilityError, ConfigError, ContractError, ShapeError
+from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_integers
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, mse_loss
 from .wavelet import get_family
 
@@ -73,15 +73,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
-        # Checked here, not left to numpy: a model built from stored tensors
-        # creates no array from these sizes, so a float would pass unnoticed.
-        sizes = [("channels", self.channels), ("fragment_length", self.fragment_length),
-                 ("levels", self.levels), ("hidden", self.hidden), ("seed", self.seed)]
-        sizes += [(f"conv layer {i} {name}", getattr(layer, name))
-                  for i, layer in enumerate(self.conv) for name in ("features", "kernel", "stride")]
-        for name, value in sizes:
-            if not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # A model built from stored tensors creates no array from these
+        # sizes, so a float would pass unnoticed.
+        require_integers(("channels", self.channels), ("fragment_length", self.fragment_length),
+                         ("levels", self.levels), ("hidden", self.hidden), ("seed", self.seed),
+                         *((f"conv layer {i} {name}", getattr(layer, name))
+                           for i, layer in enumerate(self.conv) for name in ("features", "kernel", "stride")))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.channels < 1:

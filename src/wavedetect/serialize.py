@@ -24,21 +24,8 @@ float32 is lossless, a save/load/save cycle is byte-identical.
 Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
 with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``).
 
-Saving writes version 3. Version 2 has the same layout; version 1 held 16
-per-gate tensors per LSTM. Which older files load:
-
-- Supervised detectors of either version load and score as they did. A
-  version-1 file's per-gate tensors are stacked and each bias pair is
-  summed in float64, the arithmetic the version-1 code did on every call.
-- Semi detectors of either version raise ``DataError`` and must be
-  retrained. Their threshold was calibrated on the losses of a decoder
-  that fed back its own outputs, a score nothing computes any more.
-
-A summed version-1 bias is often not a float32 value, so a version-1 file
-saved again is rounded once: on the committed fixture its head scores move
-by about 2e-9. This is accepted. Rounding at load instead would change the
-scores of every version-1 file. From the first save on, save/load/save is
-byte-identical.
+Version 3 is the only version written or read. A file of any other version
+raises ``DataError``: such a detector must be retrained.
 """
 
 from __future__ import annotations
@@ -50,30 +37,45 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import ModelConfig, WaveletAutoencoder, config_from_dict, config_to_dict
+from .model import WaveletAutoencoder, config_from_dict, config_to_dict
 
 MAGIC = "wavedetect-container"
 VERSION = 3
 
 
-def _write_container(path, config: ModelConfig, named_arrays, meta: dict):
-    lines = [f"{MAGIC} {VERSION}"]
-    lines.append("config " + json.dumps(config_to_dict(config), sort_keys=True))
-    for key, value in meta.items():
-        lines.append(f"meta {key} {value}")
+def _tensor(path, tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in tensors:
+        raise DataError(f"{path}: container is missing tensor {name!r}")
+    if tensors[name].shape != shape:
+        raise DataError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
+    return tensors[name]
+
+
+def save_detector(detector, path):
+    lines = [
+        f"{MAGIC} {VERSION}",
+        "config " + json.dumps(config_to_dict(detector.model.config), sort_keys=True),
+        "meta kind detector",
+        f"meta mode {detector.mode}",
+        "meta threshold " + ("none" if detector.threshold is None else repr(detector.threshold)),
+        f"meta train_loss_mean {detector.train_loss_mean!r}",
+    ]
+    arrays = [(name, t.data) for name, t in detector.model.named_parameters()]
+    arrays += [("norm.mean", detector.norm_mean), ("norm.std", detector.norm_std)]
     payload = bytearray()
-    for name, array in named_arrays:
-        raw = np.ascontiguousarray(array, dtype="<f4").tobytes()
+    for name, array in arrays:
         shape = ",".join(str(d) for d in array.shape)
         lines.append(f"tensor {name} {shape} {len(payload)}")
-        payload.extend(raw)
+        payload.extend(np.ascontiguousarray(array, dtype="<f4").tobytes())
     lines.append("payload")
     Path(path).write_bytes("\n".join(lines).encode() + b"\n" + bytes(payload))
 
 
-def _read_container(path):
-    """(config, meta, tensors) of a container file. Anything malformed in
-    it raises ``DataError`` naming the file."""
+def load_detector(path):
+    """The detector a container file holds. Anything malformed in the file,
+    or a version other than 3, raises ``DataError`` naming the file."""
+    from .training import Detector
+
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     cut = blob.find(marker)
@@ -89,8 +91,9 @@ def _read_container(path):
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != MAGIC:
         raise DataError(f"{path}: bad magic line {lines[0]!r}")
-    if magic[1] not in ("1", "2", str(VERSION)):
-        raise DataError(f"{path}: unsupported format version {magic[1]!r}")
+    if magic[1] != str(VERSION):
+        raise DataError(f"{path}: a version {magic[1]} container cannot be read, only version {VERSION}; "
+                        "retrain the detector")
 
     config = None
     meta: dict = {}
@@ -124,55 +127,7 @@ def _read_container(path):
             raise DataError(f"{path}: line {number}: bad {kind} directive ({err})") from None
     if config is None:
         raise DataError(f"{path}: container has no config")
-    if magic[1] != str(VERSION) and meta.get("kind") == "detector" and meta.get("mode") == "semi":
-        raise DataError(f"{path}: a version {magic[1]} semi detector has a threshold calibrated on "
-                        "free-running decoder losses, which scoring no longer computes; retrain it")
-    if magic[1] == "1":
-        _fuse_v1_lstms(path, config, tensors)
-    return config, meta, tensors
 
-
-def _tensor(path, tensors: dict, name: str, shape: tuple) -> np.ndarray:
-    if name not in tensors:
-        raise DataError(f"{path}: container is missing tensor {name!r}")
-    if tensors[name].shape != shape:
-        raise DataError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-    return tensors[name]
-
-
-def _fuse_v1_lstms(path, config: ModelConfig, tensors: dict):
-    """Add the version-2 ``w_x``, ``w_h`` and ``b`` of every LSTM to the
-    tensors of a version-1 file, from its per-gate ``w_i?`` (H,in), ``w_h?``
-    (H,H) and bias pairs ``b_i?``, ``b_h?`` (H)."""
-    hid, nin = config.hidden, config.conv_features
-    for scale in range(config.levels + 1):
-        for prefix in (f"scale{scale}.enc.", f"scale{scale}.dec."):
-            def stacked(kind, shape):
-                return np.concatenate([_tensor(path, tensors, prefix + kind + gate, shape)
-                                       for gate in "ifog"])
-
-            tensors[prefix + "w_x"] = stacked("w_i", (hid, nin))
-            tensors[prefix + "w_h"] = stacked("w_h", (hid, hid))
-            tensors[prefix + "b"] = stacked("b_i", (hid,)) + stacked("b_h", (hid,))
-
-
-def save_detector(detector, path):
-    meta = {
-        "kind": "detector",
-        "mode": detector.mode,
-        "threshold": "none" if detector.threshold is None else repr(detector.threshold),
-        "train_loss_mean": repr(detector.train_loss_mean),
-    }
-    arrays = [(name, t.data) for name, t in detector.model.named_parameters()]
-    arrays.append(("norm.mean", detector.norm_mean))
-    arrays.append(("norm.std", detector.norm_std))
-    _write_container(path, detector.model.config, arrays, meta)
-
-
-def load_detector(path):
-    from .training import Detector
-
-    config, meta, tensors = _read_container(path)
     if meta.get("kind") != "detector":
         raise DataError(f"{path}: container holds a {meta.get('kind')!r}, not a detector")
     for key in ("mode", "threshold", "train_loss_mean"):
@@ -181,6 +136,8 @@ def load_detector(path):
     try:
         threshold = None if meta["threshold"] == "none" else float(meta["threshold"])
         train_loss_mean = float(meta["train_loss_mean"])
+        if not math.isfinite(train_loss_mean):
+            raise ValueError(f"train_loss_mean {train_loss_mean} is not finite")
     except ValueError as err:
         raise DataError(f"{path}: bad number in detector meta ({err})") from None
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AnomalyRanges, MultiSeries, label_block
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers
 from .metrics import compute_metrics
 from .training import Detector, predict_fragment, score_windows
 
@@ -42,6 +42,7 @@ class VoteConfig:
     vote_threshold: float = 0.5
 
     def __post_init__(self):
+        require_integers(("window", self.window), ("step", self.step))
         if self.step < 1 or self.window < 1:
             raise ConfigError("window and step must be positive")
         if self.window % self.step != 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnomalyRanges, MultiSeries
-from .errors import ConfigError
+from .errors import ConfigError, require_integers
 
 COUPLING_DROP = 0.55
 
@@ -38,12 +38,18 @@ class GeneratorConfig:
     edge_margin: int = 512
 
     def __post_init__(self):
+        require_integers(("channels", self.channels), ("anomaly_count", self.anomaly_count),
+                         ("anomaly_min_samples", self.anomaly_min_samples),
+                         ("anomaly_max_samples", self.anomaly_max_samples), ("edge_margin", self.edge_margin))
         if self.channels < 2:
             raise ConfigError("need at least a driver and one response channel")
         if not all(map(math.isfinite, (self.hours, self.sample_period_seconds, self.severity, self.noise))):
             raise ConfigError("hours, sample period, severity and noise must be finite")
         if self.hours <= 0 or self.sample_period_seconds <= 0:
             raise ConfigError("hours and sample period must be positive")
+        if self.n_samples < 1:
+            raise ConfigError(f"{self.hours} hours at a {self.sample_period_seconds} s sample period "
+                              "give no samples")
         if self.anomaly_count < 0:
             raise ConfigError("anomaly_count must be >= 0")
         if not 0 < self.anomaly_min_samples <= self.anomaly_max_samples:

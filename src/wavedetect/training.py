@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integers
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder, reconstruction_loss
 from .nn import bce_with_logits
@@ -71,8 +71,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("semi", "supervised"):
             raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
-        if self.epochs is not None and self.epochs < 1:
+        require_integers(("epochs", self.resolved_epochs), ("seed", self.seed))
+        if self.resolved_epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 <= self.alpha <= 1.0:
@@ -110,16 +113,6 @@ class Detector:
     def cut(self) -> float:
         """Score at or above which a window counts as anomalous."""
         return self.threshold if self.mode == "semi" else 0.5
-
-
-def compute_threshold(losses, beta: float) -> float:
-    """``beta`` times the arithmetic mean of the losses (correctly rounded)."""
-    losses = list(losses)
-    if not losses:
-        raise DataError("cannot derive a threshold from an empty loss list")
-    if not 1.0 <= beta <= 2.0:
-        raise ConfigError(f"beta must lie in [1, 2], got {beta}")
-    return beta * (math.fsum(losses) / len(losses))
 
 
 def _stored(array: np.ndarray) -> np.ndarray:
@@ -173,11 +166,12 @@ def _finish(model, mode, windows, mean, std, beta) -> Detector:
     for p in model.parameters():
         p.data = _stored(p.data)
     losses = _scores(model, mean, std, windows, head=False)
+    train_loss_mean = math.fsum(losses) / len(losses)
     return Detector(
         model=model,
         mode=mode,
-        threshold=compute_threshold(losses, beta) if mode == "semi" else None,
-        train_loss_mean=math.fsum(losses) / len(losses),
+        threshold=beta * train_loss_mean if mode == "semi" else None,
+        train_loss_mean=train_loss_mean,
         norm_mean=mean,
         norm_std=std,
     )

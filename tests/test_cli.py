@@ -86,11 +86,15 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and "missing.wdc" in err
 
 
-def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
-    model = tmp_path / "detector.wdc"
+def _save_one_channel_detector(path):
     cfg = ModelConfig(channels=1, fragment_length=64, levels=1, conv=(ConvLayer(8, 4, 2),), hidden=4)
     save_detector(Detector(model=WaveletAutoencoder(cfg), mode="semi", threshold=1.0, train_loss_mean=1.0,
-                           norm_mean=np.zeros(1), norm_std=np.ones(1)), model)
+                           norm_mean=np.zeros(1), norm_std=np.ones(1)), path)
+
+
+def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
+    model = tmp_path / "detector.wdc"
+    _save_one_channel_detector(model)
     signals = tmp_path / "signals.csv"
     signals.write_text("t,a\n0," + "1" * 200_000 + "\n")
     assert main(["eval", "--model", str(model), "--signals", str(signals)]) == 1
@@ -105,3 +109,25 @@ def test_non_finite_generator_value_is_one_error_line(tmp_path, capsys, hours):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_generator_config_without_samples_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["synth", "--hours", "0.0001", "--anomalies", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no samples" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", ["1", "2"])
+def test_older_container_version_is_one_error_line(tmp_path, capsys, version):
+    model = tmp_path / "detector.wdc"
+    _save_one_channel_detector(model)
+    model.write_bytes(model.read_bytes().replace(b"wavedetect-container 3\n",
+                                                 f"wavedetect-container {version}\n".encode(), 1))
+    signals = tmp_path / "signals.csv"
+    signals.write_text("t,a\n" + "".join(f"{i},0.0\n" for i in range(128)))
+    assert main(["simulate", "--model", str(model), "--signals", str(signals)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"version {version}" in err and "retrain" in err, err
+    assert err.count("\n") == 1, err

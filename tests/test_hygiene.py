@@ -3,7 +3,8 @@ used in that module (``__init__.py`` is skipped, because its imports are the
 package's re-exports), and every module-level function or class is used by
 some package code other than itself, or read by the benchmark as
 ``wd.<name>``. A re-export in ``__init__.py`` is no use: it keeps a name
-public, not alive."""
+public, not alive. Every file under ``tests/data`` is named in some test
+module, so that a fixture is not left behind by the code that read it."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,7 @@ import wavedetect
 SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 BENCH = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
+TESTS = Path(__file__).parent
 
 
 def imported_names(tree):
@@ -89,3 +91,9 @@ def test_every_definition_is_used_by_the_package():
             if not any(node.name in names for names in users + [used_names(rest, imports=True)]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"module-level definitions no package code uses: {dead}"
+
+
+def test_every_test_data_file_is_named_by_a_test():
+    text = "".join(path.read_text() for path in TESTS.glob("*.py"))
+    orphans = [path.name for path in sorted((TESTS / "data").iterdir()) if path.name not in text]
+    assert not orphans, f"files in tests/data that no test module names: {orphans}"

@@ -153,6 +153,10 @@ _DEFECTS = [
     pytest.param(lambda b: _replace_line(b, b"meta mode ", b"meta mode semi"), id="semi-without-threshold"),
     pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean lots"),
                  id="meta-number"),
+    pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean nan"),
+                 id="meta-nan"),
+    pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean -inf"),
+                 id="meta-inf"),
     pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1), id="negative-seed"),
     pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed": 4.5', 1), id="fractional-seed"),
     pytest.param(lambda b: b.replace(b'"hidden": 3', b'"hidden": 3.0', 1), id="float-hidden"),
@@ -172,8 +176,9 @@ def _assert_rejected(tmp_path, blob, edit, match=None):
 
 class TestMalformedContainers:
     """Every defect in a detector file raises DataError, never a bare error,
-    whether the file is version 3 (``blob``) or version 1 (the committed
-    ``data/v1_detector.wdc``, the same detector)."""
+    whether the file says version 3 (``blob``) or version 1 (``v1_blob``, the
+    same file with an older header, which must be refused however else it
+    is broken)."""
 
     @pytest.fixture(scope="class")
     def blob(self, tmp_path_factory):
@@ -182,8 +187,8 @@ class TestMalformedContainers:
         return path.read_bytes()
 
     @pytest.fixture(scope="class")
-    def v1_blob(self):
-        return (DATA / "v1_detector.wdc").read_bytes()
+    def v1_blob(self, blob):
+        return _as_version(blob, b"1")
 
     @pytest.mark.parametrize("edit", _DEFECTS)
     def test_defect(self, tmp_path, blob, edit):
@@ -193,18 +198,9 @@ class TestMalformedContainers:
     def test_version_1_defect(self, tmp_path, v1_blob, edit):
         _assert_rejected(tmp_path, v1_blob, edit)
 
-    @pytest.mark.parametrize("edit,name", [
-        (lambda b: _replace_line(b, b"tensor scale1.dec.b_ho ", b"meta dropped b_ho"), "scale1.dec.b_ho"),
-        (lambda b: b.replace(b"tensor scale0.enc.w_hf 3,3 ", b"tensor scale0.enc.w_hf 3,1 ", 1),
-         "scale0.enc.w_hf"),
-    ], ids=["missing", "shape"])
-    def test_version_1_gate_tensor_defect(self, tmp_path, v1_blob, edit, name):
-        _assert_rejected(tmp_path, v1_blob, edit, match=name)
-
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_corrupted_or_truncated_bytes(self, tmp_path, blob, v1_blob, data):
-        blob = data.draw(st.sampled_from([blob, v1_blob]), label="file")
+    def test_corrupted_or_truncated_bytes(self, tmp_path, blob, data):
         corrupted = bytearray(blob)
         if data.draw(st.booleans(), label="truncate"):
             corrupted = corrupted[: data.draw(st.integers(0, len(blob) - 1), label="length")]
@@ -221,13 +217,21 @@ class TestMalformedContainers:
             pass
 
 
-class TestVersion1File:
-    """``data/v1_detector.wdc`` is ``small_detector("supervised")`` as written
-    by commit 700cef6, the last one to write version 1 with 16 per-gate
-    tensors per LSTM. ``data/v1_detector_scores.npz`` holds a fixed batch of
-    windows and the scores that commit gave the file on them: from the head,
-    and the reconstruction loss of its teacher-forced ``decode(code, acts)``,
-    the pass every score now runs. Both files were made at that commit by:
+def _scores(det, windows):
+    """Head scores and teacher-forced reconstruction losses of a supervised
+    detector on ``windows``."""
+    semi = Detector(model=det.model, mode="semi", threshold=1.0, train_loss_mean=0.0,
+                    norm_mean=det.norm_mean, norm_std=det.norm_std)
+    return score_windows(det, windows), score_windows(semi, windows)
+
+
+class TestDetector700cef6:
+    """``data/detector_700cef6.wdc`` is ``small_detector("supervised")`` as
+    written by commit 700cef6, then converted to version 3. That commit wrote
+    version 1, with 16 per-gate tensors per LSTM, and gave the file the scores
+    in ``data/detector_700cef6_scores.npz`` on a fixed batch of windows: from
+    the head, and the reconstruction loss of its teacher-forced
+    ``decode(code, acts)``, the pass every score now runs. At that commit:
 
         save_detector(small_detector("supervised"), "tests/data/v1_detector.wdc")
         det = load_detector("tests/data/v1_detector.wdc")
@@ -239,39 +243,36 @@ class TestVersion1File:
             recon = reconstruction_loss([xn, *decomp.details], det.model.decode(code, acts)).data
         np.savez("tests/data/v1_detector_scores.npz", windows=windows,
                  head=score_windows(det, windows), recon=recon)
+
+    The file was converted at commit 257ebab, the last to read version 1,
+    which also recorded the converted file's scores, and the scores file was
+    then renamed:
+
+        save_detector(load_detector("tests/data/v1_detector.wdc"), "tests/data/detector_700cef6.wdc")
+        det = load_detector("tests/data/detector_700cef6.wdc")
+        head, recon = _scores(det, np.load("tests/data/v1_detector_scores.npz")["windows"])
+        np.savez("tests/data/detector_700cef6_converted_scores.npz", head=head, recon=recon)
+        git mv tests/data/v1_detector_scores.npz tests/data/detector_700cef6_scores.npz
+
+    Saving rounded each version-1 bias pair, summed in float64, to float32
+    once: that moved the head scores by 2.2e-9 and the reconstruction losses
+    by 3.6e-10.
     """
 
-    def test_scores_bit_identically_to_the_version_1_code(self):
-        det = load_detector(DATA / "v1_detector.wdc")
-        recorded = np.load(DATA / "v1_detector_scores.npz")
-        semi = Detector(model=det.model, mode="semi", threshold=1.0, train_loss_mean=0.0,
-                        norm_mean=det.norm_mean, norm_std=det.norm_std)
-        assert np.array_equal(score_windows(det, recorded["windows"]), recorded["head"])
-        assert np.array_equal(score_windows(semi, recorded["windows"]), recorded["recon"])
+    @pytest.fixture(scope="class")
+    def scores(self):
+        windows = np.load(DATA / "detector_700cef6_scores.npz")["windows"]
+        return _scores(load_detector(DATA / "detector_700cef6.wdc"), windows)
 
-    def test_is_written_again_as_version_3(self, tmp_path):
-        det = load_detector(DATA / "v1_detector.wdc")
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_detector(det, p1)
-        save_detector(load_detector(p1), p2)
-        assert p1.read_bytes().startswith(b"wavedetect-container 3\n")
-        assert p1.read_bytes() == p2.read_bytes()
-        names = [name for name, _ in load_detector(p1).model.named_parameters()]
-        assert [n for n in names if n.startswith("scale0.enc.")] == [
-            "scale0.enc.w_x", "scale0.enc.w_h", "scale0.enc.b"]
+    def test_scores_within_1e_8_of_commit_700cef6(self, scores):
+        recorded = np.load(DATA / "detector_700cef6_scores.npz")
+        for got, key in zip(scores, ("head", "recon")):
+            np.testing.assert_allclose(got, recorded[key], rtol=0, atol=1e-8)
 
-    def test_saving_again_rounds_the_summed_biases_once(self, tmp_path):
-        """The float64 bias sums are rounded to float32 by the first save,
-        which moves the head scores by about 2e-9; later saves are exact."""
-        det = load_detector(DATA / "v1_detector.wdc")
-        windows = np.load(DATA / "v1_detector_scores.npz")["windows"]
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_detector(det, p1)
-        resaved = load_detector(p1)
-        drift = np.abs(score_windows(resaved, windows) - score_windows(det, windows))
-        assert 0 < drift.max() < 1e-8
-        save_detector(resaved, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_scores_exactly_as_when_converted(self, scores):
+        recorded = np.load(DATA / "detector_700cef6_converted_scores.npz")
+        for got, key in zip(scores, ("head", "recon")):
+            assert np.array_equal(got, recorded[key])
 
 
 def _as_version(blob: bytes, version: bytes) -> bytes:
@@ -279,29 +280,25 @@ def _as_version(blob: bytes, version: bytes) -> bytes:
 
 
 class TestOlderVersions:
-    """Version 2 has the layout of version 3. A semi threshold stored in a
-    version 1 or 2 file was calibrated on free-running decoder losses, so
-    such a file must be retrained; supervised files score as before."""
+    """Only version 3 is read. A file of version 1 or 2 must be retrained,
+    whatever its mode; the error names the file and its version."""
 
-    def test_version_2_supervised_scores_like_version_3(self, tmp_path, rng):
-        p3, p2 = tmp_path / "v3.bin", tmp_path / "v2.bin"
-        save_detector(small_detector("supervised"), p3)
-        p2.write_bytes(_as_version(p3.read_bytes(), b"2"))
-        windows = rng.normal(size=(3, 2, 32))
-        assert np.array_equal(score_windows(load_detector(p2), windows),
-                              score_windows(load_detector(p3), windows))
-
-    def test_version_2_semi_must_be_retrained(self, tmp_path):
-        path = tmp_path / "v2.bin"
-        save_detector(small_detector("semi"), path)
-        path.write_bytes(_as_version(path.read_bytes(), b"2"))
-        with pytest.raises(DataError, match=f"{path}.*version 2 semi detector.*retrain"):
+    @staticmethod
+    def _assert_must_retrain(tmp_path, version, mode):
+        path = tmp_path / f"v{version}.bin"
+        save_detector(small_detector(mode), path)
+        path.write_bytes(_as_version(path.read_bytes(), str(version).encode()))
+        with pytest.raises(DataError, match=f"{path}: a version {version} container.*retrain"):
             load_detector(path)
 
     def test_version_1_semi_must_be_retrained(self, tmp_path):
-        blob = (DATA / "v1_detector.wdc").read_bytes()
-        blob = _replace_line(blob, b"meta mode ", b"meta mode semi")
-        path = tmp_path / "v1.bin"
-        path.write_bytes(_replace_line(blob, b"meta threshold ", b"meta threshold 1.0"))
-        with pytest.raises(DataError, match="version 1 semi detector.*retrain"):
-            load_detector(path)
+        self._assert_must_retrain(tmp_path, 1, "semi")
+
+    def test_version_1_supervised_must_be_retrained(self, tmp_path):
+        self._assert_must_retrain(tmp_path, 1, "supervised")
+
+    def test_version_2_semi_must_be_retrained(self, tmp_path):
+        self._assert_must_retrain(tmp_path, 2, "semi")
+
+    def test_version_2_supervised_must_be_retrained(self, tmp_path):
+        self._assert_must_retrain(tmp_path, 2, "supervised")

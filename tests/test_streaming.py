@@ -55,6 +55,10 @@ class TestVoteConfig:
             VoteConfig(vote_threshold=0.0)
         with pytest.raises(ConfigError):
             VoteConfig(vote_threshold=1.5)
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            VoteConfig(window=64.0, step=16)
+        with pytest.raises(ConfigError, match="step must be an integer"):
+            VoteConfig(window=64, step=16.0)
 
 
 class TestVoteDecide:

@@ -23,6 +23,11 @@ class TestConfig:
             GeneratorConfig(anomaly_min_samples=100, anomaly_max_samples=50)
         with pytest.raises(ConfigError):
             GeneratorConfig(severity=-1.0)
+        with pytest.raises(ConfigError, match="give no samples"):
+            GeneratorConfig(hours=0.0001, anomaly_count=0)
+        for field in ("channels", "anomaly_count", "anomaly_min_samples", "anomaly_max_samples", "edge_margin"):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                GeneratorConfig(**{field: getattr(GeneratorConfig, field) + 0.5})
         for field in ("hours", "sample_period_seconds", "severity", "noise"):
             for value in (float("nan"), float("inf"), float("-inf")):
                 with pytest.raises(ConfigError, match="finite"):

@@ -179,6 +179,16 @@ class TestTrainRejectsBadInput:
         with pytest.raises(ConfigError, match="learning rate"):
             TrainConfig(model=_model("semi"), lr=lr)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("epochs", 0, "epochs must be >= 1"),
+        ("epochs", 1.5, "epochs must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be an integer"),
+    ])
+    def test_counts_must_be_integers_in_range(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(model=_model("semi"), **{field: value})
+
 
 def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
     real = training.reconstruction_loss
