@@ -3,8 +3,12 @@
 A ``Tensor`` wraps a numpy array and, while grad recording is enabled,
 remembers the operation that produced it. Calling ``backward()`` on a scalar
 result walks the recorded graph once and accumulates d(result)/d(tensor)
-into the ``grad`` buffer of every participating tensor. Repeated backward
-calls keep accumulating until ``zero_grad()``.
+into the ``grad`` buffer of every leaf tensor that takes part: one that
+requires grad but no recorded op produced, such as a model parameter. As
+in PyTorch (Paszke et al. 2019, arXiv:1912.01703), an intermediate
+result's gradient lives only until the walk has passed it on, so a graph
+holds no gradient buffers of its own. Repeated backward calls keep
+accumulating until ``zero_grad()``.
 
 Only the operations the sequence model needs are provided: elementwise
 arithmetic with bias-style broadcasting, matrix products (a weight matrix
@@ -71,7 +75,8 @@ class Tensor:
         return f"Tensor(shape={tuple(self.shape)}{flag})"
 
     def backward(self):
-        """Accumulate d(self)/d(node) into every graph node's grad buffer."""
+        """Accumulate d(self)/d(leaf) into the grad buffer of every leaf
+        tensor of the graph; intermediate results keep no grad."""
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
@@ -100,8 +105,8 @@ class Tensor:
             g = pending.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:

@@ -177,6 +177,21 @@ def _finish(model, mode, windows, mean, std, beta) -> Detector:
     )
 
 
+def _step(model, optimizer, inputs, label, alpha) -> float:
+    """One optimizer step on a batch of scale inputs; returns its loss. With
+    a ``label`` the loss mixes in the head's cross-entropy. The step's graph
+    dies when this returns, before the next step builds its own."""
+    code, acts = model.encode(inputs)
+    loss = reconstruction_loss(inputs, model.decode(code, acts))
+    if label is not None:
+        loss_c = bce_with_logits(model.logit(code), label)
+        loss = loss * alpha + loss_c * (1.0 - alpha)
+    loss.backward()
+    optimizer.step()
+    optimizer.zero_grad()
+    return loss.item()
+
+
 def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     """Fit a detector, calling ``progress(epoch, mean_loss)`` after each epoch.
 
@@ -205,16 +220,8 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     for epoch in range(cfg.resolved_epochs):
         total = 0.0
         for idx in order_rng.permutation(len(windows)):
-            inputs = [s[idx : idx + 1] for s in scales]
-            code, acts = model.encode(inputs)
-            loss = reconstruction_loss(inputs, model.decode(code, acts))
-            if supervised:
-                loss_c = bce_with_logits(model.logit(code), labels[idx])
-                loss = loss * cfg.alpha + loss_c * (1.0 - cfg.alpha)
-            loss.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-            total += loss.item()
+            total += _step(model, optimizer, [s[idx : idx + 1] for s in scales],
+                           labels[idx] if supervised else None, cfg.alpha)
         mean_loss = total / len(windows)
         if not math.isfinite(mean_loss):
             raise DataError(f"training diverged: epoch {epoch + 1} has mean loss {mean_loss}")

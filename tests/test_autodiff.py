@@ -48,6 +48,17 @@ def test_repeated_backward_accumulates():
     assert x.grad is None
 
 
+def test_only_leaf_tensors_keep_a_grad():
+    x = Tensor([3.0], requires_grad=True)
+    y = Tensor([2.0], requires_grad=True)
+    prod = x * y
+    loss = tsum(prod * prod)
+    loss.backward()
+    assert prod.grad is None and loss.grad is None
+    assert np.allclose(x.grad, [2.0 * 3.0 * 2.0**2])
+    assert np.allclose(y.grad, [2.0 * 3.0**2 * 2.0])
+
+
 def test_no_grad_blocks_recording():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with no_grad():
