@@ -136,8 +136,6 @@ def load_detector(path):
     try:
         threshold = None if meta["threshold"] == "none" else float(meta["threshold"])
         train_loss_mean = float(meta["train_loss_mean"])
-        if not math.isfinite(train_loss_mean):
-            raise ValueError(f"train_loss_mean {train_loss_mean} is not finite")
     except ValueError as err:
         raise DataError(f"{path}: bad number in detector meta ({err})") from None
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))

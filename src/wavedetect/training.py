@@ -34,6 +34,7 @@ exactly like the one training returned.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,13 @@ class Detector:
             raise ConfigError(f"detector mode must be 'semi' or 'supervised', got {self.mode!r}")
         if self.mode == "supervised" and not self.model.config.classifier:
             raise ConfigError("a supervised detector needs a model with a classifier head")
-        if self.mode == "semi" and (self.threshold is None or not math.isfinite(self.threshold)):
-            raise ConfigError("a reconstruction-threshold detector needs a finite threshold")
+        # A reconstruction loss is never negative: a threshold <= 0 would
+        # flag every window.
+        if self.mode == "semi" and not (self.threshold is not None and 0 < self.threshold < math.inf):
+            raise ConfigError(f"a reconstruction-threshold detector needs a finite threshold > 0, "
+                              f"got {self.threshold}")
+        if not 0 <= self.train_loss_mean < math.inf:
+            raise ConfigError(f"train_loss_mean must be finite and >= 0, got {self.train_loss_mean}")
 
     @property
     def cut(self) -> float:
@@ -215,11 +221,13 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     scales = _scale_inputs(windows, cfg.model, mean, std)
     model = WaveletAutoencoder(cfg.model)
     optimizer = Adam(model.parameters(), lr=cfg.lr)
-    order_rng = np.random.default_rng(cfg.seed)
+    order = list(range(len(windows)))
+    shuffle = random.Random(cfg.seed).shuffle
 
     for epoch in range(cfg.resolved_epochs):
+        shuffle(order)
         total = 0.0
-        for idx in order_rng.permutation(len(windows)):
+        for idx in order:
             total += _step(model, optimizer, [s[idx : idx + 1] for s in scales],
                            labels[idx] if supervised else None, cfg.alpha)
         mean_loss = total / len(windows)

@@ -98,7 +98,34 @@ class TestModelConfig:
         assert cfg.conv_lengths(2) == [8, 4, 4]
 
 
+def fan_in(cfg, name):
+    """Inputs per output unit of the layer a tensor belongs to, by name."""
+    layer = name.split(".")[-2]
+    if layer in ("classifier", "dec_init"):
+        return cfg.code_length
+    if layer.startswith("conv"):
+        i = int(layer[4:])
+        return ([cfg.channels] + [c.features for c in cfg.conv])[i] * cfg.conv[i].kernel
+    if layer.startswith("deconv"):
+        i = int(layer[6:])
+        return cfg.conv[i].features * cfg.conv[i].kernel
+    return cfg.conv_features if name.endswith(".w_x") else cfg.hidden  # LSTMs and step head
+
+
 class TestBuild:
+    def test_init_is_uniform_within_the_fan_in_bound(self):
+        """Every tensor lies within ±1/sqrt(fan_in); pooled over the model,
+        value / bound has the mean and spread of a uniform draw on [-1, 1]."""
+        cfg = ModelConfig(channels=8, classifier=True)
+        ratios = []
+        for name, t in WaveletAutoencoder(cfg).named_parameters():
+            bound = np.sqrt(1.0 / fan_in(cfg, name))
+            assert np.abs(t.data).max() <= bound, name
+            ratios.append(t.data.reshape(-1) / bound)
+        ratios = np.concatenate(ratios)
+        assert abs(ratios.mean()) < 0.01
+        assert abs(ratios.std() * np.sqrt(3.0) - 1.0) < 0.02
+
     def test_same_seed_bit_identical(self):
         a = WaveletAutoencoder(tiny_config(seed=9))
         b = WaveletAutoencoder(tiny_config(seed=9))

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestModelContainer:
         def no_rng(*args, **kwargs):
             raise AssertionError("load_detector drew a random init")
 
-        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        monkeypatch.setattr(random, "Random", no_rng)
         loaded = load_detector(path).model
         assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in det.model.named_parameters()]
         for (_, ta), tb in zip(det.model.named_parameters(), loaded.parameters()):
@@ -157,6 +158,12 @@ _DEFECTS = [
                  id="meta-nan"),
     pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean -inf"),
                  id="meta-inf"),
+    pytest.param(lambda b: _replace_line(b, b"meta train_loss_mean ", b"meta train_loss_mean -0.5"),
+                 id="negative-train-loss-mean"),
+    pytest.param(lambda b: _replace_line(_replace_line(b, b"meta mode ", b"meta mode semi"),
+                                         b"meta threshold ", b"meta threshold 0.0"), id="semi-zero-threshold"),
+    pytest.param(lambda b: _replace_line(_replace_line(b, b"meta mode ", b"meta mode semi"),
+                                         b"meta threshold ", b"meta threshold -1.0"), id="semi-negative-threshold"),
     pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed":-4', 1), id="negative-seed"),
     pytest.param(lambda b: b.replace(b'"seed": 4', b'"seed": 4.5', 1), id="fractional-seed"),
     pytest.param(lambda b: b.replace(b'"hidden": 3', b'"hidden": 3.0', 1), id="float-hidden"),

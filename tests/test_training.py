@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,9 +108,9 @@ class TestDetectorRules:
     """A Detector checks its mode, its head and its threshold itself."""
 
     @staticmethod
-    def make(mode, threshold, classifier):
+    def make(mode, threshold, classifier, train_loss_mean=0.0):
         model = WaveletAutoencoder(_model("supervised" if classifier else "semi"))
-        return Detector(model=model, mode=mode, threshold=threshold, train_loss_mean=0.0,
+        return Detector(model=model, mode=mode, threshold=threshold, train_loss_mean=train_loss_mean,
                         norm_mean=np.zeros(2), norm_std=np.ones(2))
 
     @pytest.mark.parametrize("mode", ["bogus", "Semi", ""])
@@ -124,6 +128,19 @@ class TestDetectorRules:
         with pytest.raises(ConfigError, match="finite threshold"):
             self.make("semi", threshold, False)
         assert self.make("semi", 0.25, False).cut == 0.25
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_semi_needs_a_positive_threshold(self, threshold):
+        """A reconstruction loss is never negative, so such a threshold
+        would flag every window."""
+        with pytest.raises(ConfigError, match="threshold > 0"):
+            self.make("semi", threshold, False)
+
+    @pytest.mark.parametrize("mean", [-5.0, -1e-300, float("nan"), float("inf")])
+    @pytest.mark.parametrize("mode", ["semi", "supervised"])
+    def test_train_loss_mean_is_finite_and_not_negative(self, mode, mean):
+        with pytest.raises(ConfigError, match="train_loss_mean"):
+            self.make(mode, 0.25 if mode == "semi" else None, True, train_loss_mean=mean)
 
 
 class TestBatchScoringEquivalence:
@@ -203,3 +220,54 @@ def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
     with pytest.raises(DataError, match="epoch 2 has mean loss nan"):
         train(_fragments(27, 2), cfg, progress=lambda epoch, loss: epochs.append(loss))
     assert len(epochs) == 1 and np.isfinite(epochs[0])
+
+
+def _trained_weights(seed):
+    cfg = TrainConfig(model=_model("semi"), epochs=2, seed=seed)
+    return [t.data for t in train(_fragments(5, 6), cfg).model.parameters()]
+
+
+def test_same_seed_trains_bit_identically():
+    for got, want in zip(_trained_weights(4), _trained_weights(4)):
+        assert np.array_equal(got, want)
+
+
+def test_seed_sets_the_visit_order(monkeypatch):
+    """Each epoch visits every window once, in an order that the seed sets."""
+    step = training._step
+    visits = []
+
+    def recording(model, optimizer, inputs, label, alpha):
+        visits.append(float(inputs[0][0, 0, 0]))
+        return step(model, optimizer, inputs, label, alpha)
+
+    monkeypatch.setattr(training, "_step", recording)
+    orders = []
+    for seed in (4, 4, 5):
+        visits.clear()
+        _trained_weights(seed)
+        orders.append(list(visits))
+        assert len(set(visits[:6])) == len(set(visits[6:])) == 6
+    assert orders[0] == orders[1] != orders[2]
+
+
+def test_training_and_scoring_never_import_numpy_random(tmp_path):
+    """numpy.random pulls in hashlib and OpenSSL, megabytes of memory a
+    training or scoring process would never use."""
+    script = f"""
+import sys
+import numpy as np
+from wavedetect import Fragment, ModelConfig, TrainConfig, load_detector, save_detector, score_windows, train
+t = np.arange(64.0)
+windows = [np.stack([np.sin(t / (9 + i)), np.cos(t / (13 + i))]) for i in range(3)]
+cfg = ModelConfig(channels=2, fragment_length=64, levels=1, hidden=3)
+detector = train([Fragment(w, 0, 0) for w in windows], TrainConfig(model=cfg, epochs=1))
+save_detector(detector, {str(tmp_path / "d.wdc")!r})
+score_windows(load_detector({str(tmp_path / "d.wdc")!r}), windows)
+print(sorted({{"numpy.random", "_hashlib"}} & set(sys.modules)))
+"""
+    src = Path(training.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
