@@ -252,22 +252,22 @@ def test_seed_sets_the_visit_order(monkeypatch):
 
 
 def test_training_and_scoring_never_import_numpy_random(tmp_path):
-    """numpy.random pulls in hashlib and OpenSSL, megabytes of memory a
-    training or scoring process would never use."""
-    script = f"""
+    """numpy.random pulls in secrets, hashlib and OpenSSL: about 5 MB of
+    resident memory that training and scoring do not need."""
+    script = """
 import sys
 import numpy as np
 from wavedetect import Fragment, ModelConfig, TrainConfig, load_detector, save_detector, score_windows, train
 t = np.arange(64.0)
 windows = [np.stack([np.sin(t / (9 + i)), np.cos(t / (13 + i))]) for i in range(3)]
 cfg = ModelConfig(channels=2, fragment_length=64, levels=1, hidden=3)
-detector = train([Fragment(w, 0, 0) for w in windows], TrainConfig(model=cfg, epochs=1))
-save_detector(detector, {str(tmp_path / "d.wdc")!r})
-score_windows(load_detector({str(tmp_path / "d.wdc")!r}), windows)
-print(sorted({{"numpy.random", "_hashlib"}} & set(sys.modules)))
+save_detector(train([Fragment(w, 0, 0) for w in windows], TrainConfig(model=cfg, epochs=1)), sys.argv[1])
+score_windows(load_detector(sys.argv[1]), windows)
+print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
 """
-    src = Path(training.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    src = str(Path(training.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d.wdc")], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
