@@ -13,7 +13,11 @@ deconv layer is linear; every other conv/deconv layer uses ReLU.
 
 The decoder is teacher-forced: at step t it reads the encoder's conv
 activation at t + 1, so ``decode`` takes the code together with the
-activations ``encode`` returned. Training and scoring run this one pass.
+teacher buffers ``encode`` returned. A scale's teacher buffer is
+``[acts | 0]``: its (B, F, T) conv activations followed by one zero step,
+(B, F, T + 1). The encoder LSTM reads columns 0..T-1 and the decoder LSTM
+columns 1..T, both as views of the one buffer, so no shifted copy of the
+activations is ever made. Training and scoring run this one pass.
 Each step output is predicted from the next true activation and the
 decoder state, so the reconstruction loss is a one-step prediction error,
 the usual LSTM anomaly score (Malhotra et al. 2015, ESANN). A decoder that
@@ -263,13 +267,15 @@ class WaveletAutoencoder:
     # -- forward passes ---------------------------------------------------
 
     def encode(self, inputs):
-        """Run every scale branch; returns (code, per-scale conv activations).
+        """Run every scale branch; returns (code, per-scale teacher buffers).
 
         ``inputs`` holds one batch per scale in order 0..L: the normalized
         signals (B, C, T), then wavelet detail level l as (B, C, T >> l). The
         (B, code_length) code concatenates the final encoder hidden states in
         scale order 0..L, which is the fixed layout the decoder and
-        classifier rely on.
+        classifier rely on. Scale s's teacher buffer is its conv activations
+        plus one zero step, (B, F, T_s + 1) for the T_s steps of its LSTMs;
+        the encoder LSTM reads its first T_s columns.
         """
         cfg = self.config
         got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
@@ -277,7 +283,7 @@ class WaveletAutoencoder:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
         values = [np.asarray(x, dtype=np.float64) for x in inputs]
         nb = len(values[0]) if values[0].ndim == 3 else None
-        activations = []
+        teacher = []
         for scale, (x, branch) in enumerate(zip(values, self.branches)):
             want = (cfg.channels, cfg.fragment_length >> scale)
             if x.shape != (nb, *want):
@@ -286,38 +292,33 @@ class WaveletAutoencoder:
             acts = Tensor(x)
             for (kernels, bias), layer in zip(branch.conv, cfg.conv):
                 acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-            activations.append(acts)
+            teacher.append(concat([acts, np.zeros((nb, cfg.conv_features, 1))]))
         zeros = [np.zeros((nb, cfg.hidden))] * len(values)
-        runs = lstm_sequence(activations, zeros, zeros, [b.encoder for b in self.branches])
-        return concat([h for _, h, _ in runs]), activations
+        runs = lstm_sequence([buf[..., :-1] for buf in teacher], zeros, zeros,
+                             [b.encoder for b in self.branches])
+        return concat([h for _, h, _ in runs]), teacher
 
-    def decode(self, code, activations):
+    def decode(self, code, teacher):
         """Reconstruct the signal and every detail array from the code and
-        the encoder's per-scale conv activations, which the decoder LSTM
-        reads as its step inputs."""
+        the per-scale teacher buffers ``encode`` returned. Walking
+        t = T-1..0, the decoder LSTM's step t reads buffer column t + 1: the
+        conv activation at t + 1, or the zero step at t = T-1."""
         cfg = self.config
         code = code if isinstance(code, Tensor) else Tensor(code)
         if code.data.ndim != 2 or code.data.shape[1] != cfg.code_length:
             raise ShapeError(f"code shape {code.shape} does not match (B, {cfg.code_length})")
         nb = len(code.data)
-        if len(activations) != cfg.levels + 1:
-            raise ContractError(
-                f"expected {cfg.levels + 1} activation sequences, got {len(activations)}"
-            )
+        if len(teacher) != cfg.levels + 1:
+            raise ContractError(f"expected {cfg.levels + 1} teacher buffers, got {len(teacher)}")
         feats = cfg.conv_features
         inputs, h0s = [], []
         for scale, branch in enumerate(self.branches):
-            steps = cfg.conv_lengths(scale)[-1]
-            taught = activations[scale]
-            taught = taught if isinstance(taught, Tensor) else Tensor(taught)
-            if taught.data.shape != (nb, feats, steps):
-                raise ContractError(
-                    f"activations for scale {scale} have shape {taught.shape}, "
-                    f"expected {(nb, feats, steps)}"
-                )
-            # Walking t = T-1..0, step t consumes the activation at t + 1
-            # (zeros at the first step).
-            inputs.append(concat([taught[..., 1:], np.zeros((nb, feats, 1))]))
+            want = (nb, feats, cfg.conv_lengths(scale)[-1] + 1)
+            buf = teacher[scale]
+            buf = buf if isinstance(buf, Tensor) else Tensor(buf)
+            if buf.data.shape != want:
+                raise ContractError(f"teacher buffer for scale {scale} has shape {buf.shape}, expected {want}")
+            inputs.append(buf[..., 1:])
             h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
         zeros = [np.zeros((nb, cfg.hidden))] * len(h0s)
         runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)

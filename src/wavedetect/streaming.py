@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import AnomalyRanges, MultiSeries, label_block
 from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers
 from .metrics import compute_metrics
-from .training import Detector, predict_fragment, score_windows
+from .training import Detector, as_floats, predict_fragment, score_windows
 
 SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -110,7 +110,7 @@ class VoteState:
     def push_block(self, block):
         """Feed one block; returns (newly finalized verdicts, preliminary
         verdicts), each a list of ``BlockRow`` without a label."""
-        block = np.asarray(block, dtype=np.float64)
+        block = as_floats(block, f"block {self._pushed}")
         if block.shape != (self._channels, self.cfg.step):
             raise ShapeError(
                 f"block shape {block.shape} does not match ({self._channels}, {self.cfg.step})"
@@ -155,7 +155,9 @@ def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig)
 
 
 def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
-    """(positive votes, total votes, label) of every block of the stream."""
+    """(positive votes, total votes, label) of every block of the stream. A
+    range that ends past the stream raises ``DataError``."""
+    ranges.check_length(series.length)
     votes, n_blocks = window_predictions(series, detector, cfg)
     return [(*_tally(votes, i, cfg.votes_per_block), label_block((i * cfg.step, (i + 1) * cfg.step), ranges))
             for i in range(n_blocks)]

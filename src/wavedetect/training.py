@@ -11,10 +11,10 @@ taken from the head's logit; prediction uses the head's probability
 against 0.5.
 
 Training, calibration and scoring run one forward pass: ``encode`` the
-per-scale inputs, then ``decode`` the code with the encoder's activations
-(the teacher-forced decoder, see ``model``); scoring runs it under
-``no_grad``. The threshold is thus calibrated on, and later compared
-against, the loss the model was trained to minimize.
+per-scale inputs, then ``decode`` the code with the teacher buffers
+``encode`` returned (the teacher-forced decoder, see ``model``); scoring
+runs it under ``no_grad``. The threshold is thus calibrated on, and later
+compared against, the loss the model was trained to minimize.
 Training and scoring take their input through one check that stacks
 fragments or windows into a (N, C, T) array and rejects a wrong shape or a
 non-finite value. One helper then turns such a batch into the model's
@@ -53,10 +53,13 @@ STD_FLOOR = 1e-8
 # Windows scored per batch. A larger batch shares each LSTM step's Python
 # overhead among more windows, but every layer's activations and LSTM states
 # grow with it. On the benchmark's 65-window stream (2-vCPU box, one BLAS
-# thread), chunks of 4/8/16/65 took 203/179/171/161 ms per `simulate` call
-# (best of 21) at a process peak RSS of 36.0/38.1/42.6/63.4 MB: past 4, time
-# gains little while memory climbs.
-_SCORE_CHUNK = 4
+# thread), chunks of 4/6/8/16/65 took 165/145/137/129/156 ms per `simulate`
+# call (fastest of 15 interleaved rounds) at a process peak RSS of
+# 33.5/34.3/35.3/39.9/65.4 MB; one chunk of 6 default windows peaks at
+# 2.6 MB of allocations. 6 is the largest chunk that keeps the peak within
+# 1 MB of the 34.4 MB that chunks of 4 took before encode and decode shared
+# one teacher buffer per scale.
+_SCORE_CHUNK = 6
 
 
 @dataclass
@@ -134,17 +137,27 @@ def fit_channel_stats(windows: np.ndarray):
     return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
 
 
+def as_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array. A value numpy cannot convert, such as
+    a non-numeric string, a ragged list or an arbitrary object, raises
+    ``DataError`` naming ``what``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
+
+
 def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     """Fragments, (C, T) arrays or one (N, C, T) array as a (N, C, T)
-    float64 array. An empty input, a window of the wrong shape or a
-    non-finite value raises ``DataError``."""
+    float64 array. An empty input, a window that is not numeric or has the
+    wrong shape, or a non-finite value raises ``DataError``."""
     want = (cfg.channels, cfg.fragment_length)
     if not isinstance(items, np.ndarray):
-        items = [np.asarray(getattr(f, "values", f), dtype=np.float64) for f in items]
+        items = [as_floats(getattr(f, "values", f), f"window {i}") for i, f in enumerate(items)]
         for i, values in enumerate(items):
             if values.shape != want:
                 raise DataError(f"window {i} has shape {values.shape}, expected {want}")
-    windows = np.asarray(items, dtype=np.float64)
+    windows = as_floats(items, "the batch of windows")
     if windows.ndim != 3 or windows.shape[1:] != want or len(windows) == 0:
         raise DataError(f"expected a non-empty (N, {want[0]}, {want[1]}) batch of windows, "
                         f"got shape {windows.shape}")
@@ -187,8 +200,8 @@ def _step(model, optimizer, inputs, label, alpha) -> float:
     """One optimizer step on a batch of scale inputs; returns its loss. With
     a ``label`` the loss mixes in the head's cross-entropy. The step's graph
     dies when this returns, before the next step builds its own."""
-    code, acts = model.encode(inputs)
-    loss = reconstruction_loss(inputs, model.decode(code, acts))
+    code, teacher = model.encode(inputs)
+    loss = reconstruction_loss(inputs, model.decode(code, teacher))
     if label is not None:
         loss_c = bce_with_logits(model.logit(code), label)
         loss = loss * alpha + loss_c * (1.0 - alpha)
@@ -243,16 +256,17 @@ def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
     """Scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at a time:
     head probabilities, or the reconstruction losses of the training step's
     forward pass, run under ``no_grad``."""
-    scores = []
-    for start in range(0, len(windows), _SCORE_CHUNK):
-        inputs = _scale_inputs(windows[start : start + _SCORE_CHUNK], model.config, mean, std)
-        with no_grad():
-            code, acts = model.encode(inputs)
-            if head:
-                scores.append(model.classify(code).data[:, 0])
-            else:
-                scores.append(reconstruction_loss(inputs, model.decode(code, acts)).data)
-    return np.concatenate(scores)
+
+    def score(inputs):
+        # A chunk's activations die on return, before the next chunk's encode.
+        code, teacher = model.encode(inputs)
+        if head:
+            return model.classify(code).data[:, 0]
+        return reconstruction_loss(inputs, model.decode(code, teacher)).data
+
+    chunks = (windows[start : start + _SCORE_CHUNK] for start in range(0, len(windows), _SCORE_CHUNK))
+    with no_grad():
+        return np.concatenate([score(_scale_inputs(chunk, model.config, mean, std)) for chunk in chunks])
 
 
 def score_windows(detector: Detector, windows) -> np.ndarray:
@@ -276,7 +290,11 @@ def predict_fragment(detector: Detector, fragment):
 
 
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
+    """Metrics of the detector's predictions on 0/1-labeled fragments. An
+    item without a 0/1 ``label`` raises ``DataError``."""
+    labels = [getattr(f, "label", None) for f in fragments]
+    for i, label in enumerate(labels):
+        if label not in (0, 1):
+            raise DataError(f"fragment {i} is missing a 0/1 label")
     scores = score_windows(detector, fragments)
-    preds = [int(score >= detector.cut) for score in scores]
-    labels = [f.label for f in fragments]
-    return compute_metrics(preds, labels)
+    return compute_metrics([int(score >= detector.cut) for score in scores], labels)

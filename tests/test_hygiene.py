@@ -4,18 +4,27 @@ package's re-exports), and every module-level function or class is used by
 some package code other than itself, or read by the benchmark as
 ``wd.<name>``. A re-export in ``__init__.py`` is no use: it keeps a name
 public, not alive. Every file under ``tests/data`` is named in some test
-module, so that a fixture is not left behind by the code that read it."""
+module, so that a fixture is not left behind by the code that read it.
+Every lookup site the benchmark's tracer patches exists, so that a
+refactor can neither crash a traced run nor silently zero its span."""
 
 import ast
+import importlib.util
+import inspect
+import types
 from pathlib import Path
 
 import pytest
 
 import wavedetect
+from wavedetect.autodiff import Tensor
+from wavedetect.model import WaveletAutoencoder
+from wavedetect.optim import Adam
 
 SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
-BENCH = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
+BENCH_DIR = Path(__file__).parent.parent / "bench"
+BENCH = sorted(BENCH_DIR.glob("*.py"))
 TESTS = Path(__file__).parent
 
 
@@ -97,3 +106,23 @@ def test_every_test_data_file_is_named_by_a_test():
     text = "".join(path.read_text() for path in TESTS.glob("*.py"))
     orphans = [path.name for path in sorted((TESTS / "data").iterdir()) if path.name not in text]
     assert not orphans, f"files in tests/data that no test module names: {orphans}"
+
+
+def test_every_site_the_bench_tracer_patches_exists():
+    """``bench/spans.py`` patches the sites of ``Tracer._targets`` where they
+    exist, and always ``decode``, ``backward`` and ``zero_grad``. Only
+    ``model.lstm_cell`` is gone: it was folded into ``lstm_sequence``, and
+    the span keeps its name until the benchmark is next changed."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    sites = [(owner, attr) for owner, attr, _ in spans.Tracer()._targets(wavedetect)]
+    sites += [(WaveletAutoencoder, "decode"), (Tensor, "backward"), (Adam, "zero_grad")]
+
+    def where(owner):
+        return owner.__name__ if isinstance(owner, types.ModuleType) else f"{owner.__module__}.{owner.__qualname__}"
+
+    missing = [f"{where(owner)}.{attr}" for owner, attr in sites if attr not in owner.__dict__]
+    assert missing == ["wavedetect.model.lstm_cell"]
+    # The traced decode passes the teacher buffers as the second positional argument.
+    assert list(inspect.signature(WaveletAutoencoder.decode).parameters) == ["self", "code", "teacher"]

@@ -199,6 +199,19 @@ class TestEncode:
                 pieces.append(h.data)
         assert np.max(np.abs(code.data - np.concatenate(pieces, axis=1))) < 1e-12
 
+    def test_teacher_buffer_is_the_conv_activations_then_one_zero_step(self, rng):
+        model = WaveletAutoencoder(tiny_config(seed=7))
+        inputs = scales(rng.normal(size=(2, 2, 32)), 2)
+        _, teacher = model.encode(inputs)
+        for scale, (values, buf) in enumerate(zip(inputs, teacher)):
+            branch, acts = model.branches[scale], Tensor(values)
+            for (kernels, bias), layer in zip(branch.conv, model.config.conv):
+                acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
+            steps = model.config.conv_lengths(scale)[-1]
+            assert buf.data.shape == (2, 5, steps + 1)
+            assert np.array_equal(buf.data[..., :steps], acts.data)
+            assert not buf.data[..., steps].any()
+
     def test_wrong_fragment_shape(self, rng):
         model = WaveletAutoencoder(tiny_config())
         with pytest.raises(ShapeError):
@@ -244,8 +257,10 @@ class TestDecode:
         model = WaveletAutoencoder(cfg)
         assert cfg.conv_lengths(0)[-1] == 1
         code = Tensor(rng.normal(size=(1, 4)))
-        # The only step reads zeros: no activation follows it.
-        out = model.decode(code, [rng.normal(size=(1, 3, 1))])[0]
+        # The teacher buffer is the one activation, then the zero step. The
+        # only step reads the zero step: no activation follows it.
+        teacher = np.concatenate([rng.normal(size=(1, 3, 1)), np.zeros((1, 3, 1))], axis=2)
+        out = model.decode(code, [teacher])[0]
 
         branch = model.branches[0]
         with no_grad():
@@ -268,9 +283,10 @@ class TestDecode:
         code, acts = model.encode(scales(rng.normal(size=(1, 2, 32)), 2))
         with pytest.raises(ContractError):
             model.decode(code, acts[:-1])
-        bad = [Tensor(np.zeros((1, 3, 16)))] + list(acts[1:])
-        with pytest.raises(ContractError):
-            model.decode(code, bad)
+        for shape in ((1, 3, 17), (1, 5, 16)):  # wrong features; raw activations, no zero step
+            bad = [Tensor(np.zeros(shape))] + list(acts[1:])
+            with pytest.raises(ContractError, match="teacher buffer for scale 0"):
+                model.decode(code, bad)
 
 
 class TestClassify:

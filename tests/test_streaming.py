@@ -181,6 +181,15 @@ class TestSimulate:
         with pytest.raises(DataError):
             simulate(make_series(1, length=48), AnomalyRanges(), make_detector(), CFG)
 
+    @pytest.mark.parametrize("run", [simulate, sweep])
+    def test_ranges_past_the_stream_end_are_rejected(self, run):
+        """The ranges ``make_fragments`` would reject: the last one ends
+        past the 640-sample stream."""
+        detector, series = make_detector(), make_series(9)
+        with pytest.raises(DataError, match=r"range \(600, 5000\) exceeds series length 640"):
+            run(series, AnomalyRanges(((100, 200), (600, 5000))), detector, CFG)
+        run(series, AnomalyRanges(((100, 200), (600, 640))), detector, CFG)
+
     def test_monotone_shrinkage_in_vote_threshold(self):
         # Score the stream once; simulate reports each threshold from this tally.
         blocks = _blocks(make_series(7), AnomalyRanges(), make_detector(), CFG)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -91,6 +92,51 @@ class TestNonFiniteInputIsRejected:
         assert finals == [] and state._pushed == 6
 
 
+class TestScoringRejectsItemsThatAreNotNumbers:
+    @pytest.mark.parametrize("items,message", [
+        ([_series(5, 64), "x"], "window 1 is not an array of numbers: got str"),
+        ([object()], "window 0 is not an array of numbers: got object"),
+        ([[[1.0, 2.0], [3.0]]], "window 0 is not an array of numbers: got list"),
+        (np.full((1, 2, 64), "x"), "the batch of windows is not an array of numbers"),
+    ])
+    def test_score_windows(self, detector, items, message):
+        with pytest.raises(DataError, match=message):
+            score_windows(detector, items)
+
+    def test_push_block(self, detector):
+        state = VoteState(detector, VOTE)
+        state.push_block(_series(5, 16))
+        with pytest.raises(DataError, match="block 1 is not an array of numbers: got str"):
+            state.push_block("abc")
+        assert state._pushed == 1
+
+    def test_evaluate_fragments_needs_a_label(self, detector):
+        with pytest.raises(DataError, match="fragment 1 is missing a 0/1 label"):
+            evaluate_fragments(detector, [_fragments(5, 1)[0], _series(5, 64)])
+
+
+def test_scoring_memory_per_window_is_a_few_scale_inputs():
+    """One full chunk of default 8-channel windows, scored under no_grad,
+    peaks at fewer than 8 times the bytes of a window's scale inputs (the
+    signal and its 3 detail levels, 61 KB). An extra copy of every conv
+    activation, or a previous chunk's activations kept alive, would cost
+    more than that."""
+    cfg = ModelConfig(channels=8)
+    model = WaveletAutoencoder(cfg)
+    det = Detector(model=model, mode="semi", threshold=1.0, train_loss_mean=1.0,
+                   norm_mean=np.zeros(8), norm_std=np.ones(8))
+    windows = np.random.default_rng(6).normal(size=(2 * _SCORE_CHUNK, 8, 512))
+    score_windows(det, windows[:1])
+    tracemalloc.start()
+    try:
+        score_windows(det, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scale_input_bytes = 8 * sum(cfg.fragment_length >> s for s in range(cfg.levels + 1)) * 8
+    assert peak / _SCORE_CHUNK <= 8 * scale_input_bytes
+
+
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
     path, again = tmp_path / "d.wdc", tmp_path / "e.wdc"
     save_detector(detector, path)
@@ -156,7 +202,7 @@ class TestBatchScoringEquivalence:
         for k, window in enumerate(windows):
             vote, score = predict_fragment(detector, window)
             assert preds[k] == vote
-            assert abs(batch[k] - score) <= 1e-12 * abs(score)
+            assert batch[k] == score
 
     def test_online_verdicts_equal_simulate(self, detector):
         values = _series(10, 640)
