@@ -7,8 +7,13 @@ into the ``grad`` buffer of every leaf tensor that takes part: one that
 requires grad but no recorded op produced, such as a model parameter. As
 in PyTorch (Paszke et al. 2019, arXiv:1912.01703), an intermediate
 result's gradient lives only until the walk has passed it on, so a graph
-holds no gradient buffers of its own. Repeated backward calls keep
-accumulating until ``zero_grad()``.
+holds no gradient buffers of its own. The walk also consumes the graph:
+once a node has passed its gradient on, it drops its parents and the
+arrays its backward saved, so a step's activations are freed while the
+walk is still running rather than after it. A graph is therefore walked
+once; a second ``backward()`` through any consumed node raises
+``ContractError``. Leaf grads keep accumulating across graphs until
+``zero_grad()``.
 
 Only the operations the sequence model needs are provided: elementwise
 arithmetic with bias-style broadcasting, matrix products (a weight matrix
@@ -76,7 +81,13 @@ class Tensor:
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into the grad buffer of every leaf
-        tensor of the graph; intermediate results keep no grad."""
+        tensor of the graph; intermediate results keep no grad.
+
+        The walk consumes the graph: each recorded node drops its parents
+        and its saved arrays once its gradient has been passed on, so the
+        graph can be walked only once. Calling ``backward()`` again, or on
+        a new graph built on a consumed node, raises ``ContractError``
+        before any grad is touched."""
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
@@ -97,25 +108,30 @@ class Tensor:
                     advanced = True
                     break
             if not advanced:
+                if node._vjp is _consumed:  # raise before any grad moves
+                    _consumed(None)
                 topo.append(node)
                 stack.pop()
 
+        # Every id in ``pending`` belongs to a node still held by ``topo``.
         pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = pending.pop(id(node), None)
-            if g is None:
-                continue
             if node._vjp is None:
-                node.grad = g if node.grad is None else node.grad + g
+                if g is not None:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                pid = id(parent)
-                if pid in pending:
-                    pending[pid] = pending[pid] + pg
-                else:
-                    pending[pid] = pg
+            if g is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    pid = id(parent)
+                    if pid in pending:
+                        pending[pid] = pending[pid] + pg
+                    else:
+                        pending[pid] = pg
+            node._parents, node._vjp = (), _consumed
 
     # Arithmetic operators; scalars and arrays are wrapped as constants.
     def __add__(self, other):
@@ -139,6 +155,11 @@ class Tensor:
 
     def __getitem__(self, key):
         return index(self, key)
+
+
+def _consumed(g):
+    """The backward of a node whose graph ``backward()`` has walked."""
+    raise ContractError("this graph was already consumed by backward()")
 
 
 def _as_tensor(x) -> Tensor:

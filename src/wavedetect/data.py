@@ -19,6 +19,7 @@ Ranges CSV: one ``start,end`` pair per line, half-open sample indices.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,16 @@ DEFAULT_POS_STEP = 16
 _CHUNK_LINES = 512
 
 
+def as_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float64 array. A value numpy cannot convert, such as
+    a non-numeric string, a ragged list or an arbitrary object, raises
+    ``DataError`` naming ``what``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
+
+
 @dataclass
 class MultiSeries:
     """A C-channel, length-T signal with channel names."""
@@ -43,7 +54,7 @@ class MultiSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = as_floats(self.values, "series values")
         if self.values.ndim != 2:
             raise DataError(f"values must be (C, T), got shape {self.values.shape}")
         if len(self.channel_names) != self.values.shape[0]:
@@ -70,10 +81,19 @@ class AnomalyRanges:
     spans: tuple = ()
 
     def __post_init__(self):
-        spans = tuple((int(s), int(e)) for s, e in self.spans)
-        object.__setattr__(self, "spans", spans)
+        spans = []
+        for span in self.spans:
+            try:
+                s, e = span
+            except (TypeError, ValueError):
+                s = e = None
+            # numpy integers are integers too; a float bound is not rounded.
+            if not (isinstance(s, numbers.Integral) and isinstance(e, numbers.Integral)):
+                raise DataError(f"a range must be a (start, end) pair of integers, got {span!r}")
+            spans.append((int(s), int(e)))
+        object.__setattr__(self, "spans", tuple(spans))
         prev_end = -1
-        for s, e in spans:
+        for s, e in self.spans:
             if s < 0 or e <= s:
                 raise DataError(f"invalid range [{s}, {e})")
             if s < prev_end:
@@ -119,7 +139,7 @@ class Fragment:
     origin_offset: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = as_floats(self.values, "fragment values")
         if self.values.ndim != 2:
             raise DataError(f"fragment values must be (C, W), got {self.values.shape}")
         if self.label not in (0, 1):

@@ -67,6 +67,17 @@ class ConvLayer:
 DEFAULT_CONV = (ConvLayer(32, 8, 2), ConvLayer(64, 4, 2))
 
 
+def _conv_layer(i: int, layer) -> ConvLayer:
+    """Conv layer ``i`` given as a ``ConvLayer`` or a (features, kernel,
+    stride) triple; anything else raises ``ConfigError``."""
+    if isinstance(layer, ConvLayer):
+        return layer
+    try:
+        return ConvLayer(*layer)
+    except TypeError:
+        raise ConfigError(f"conv layer {i} must be a (features, kernel, stride) triple, got {layer!r}") from None
+
+
 @dataclass
 class ModelConfig:
     channels: int
@@ -79,9 +90,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.conv = tuple(
-            layer if isinstance(layer, ConvLayer) else ConvLayer(*layer) for layer in self.conv
-        )
+        self.conv = tuple(_conv_layer(i, layer) for i, layer in enumerate(self.conv))
         self.validate()
 
     def validate(self):
@@ -164,9 +173,7 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    kwargs = dict(data)
-    kwargs["conv"] = tuple(ConvLayer(*layer) for layer in kwargs.get("conv", []))
-    return ModelConfig(**kwargs)
+    return ModelConfig(**{"conv": (), **data})
 
 
 @dataclass

@@ -37,7 +37,9 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     """Multi-channel 1-D convolution of a batch: (B,Cin,T) -> (B,Cout,T').
 
     Every output channel sums over all input channels, so the very first
-    layer of an encoder mixes the full channel set.
+    layer of an encoder mixes the full channel set. For backward it keeps
+    only its parents: the padded input and its taps are rebuilt from the
+    unpadded ``x`` when the gradient arrives.
     """
     x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -56,25 +58,29 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     if k > padded:
         raise ContractError(f"kernel width {k} exceeds padded length {padded}")
 
-    xp = x.data
-    if padding:
-        xp = np.zeros((nb, cin, padded))
-        xp[:, :, padding : padding + t] = x.data
     tout = (padded - k) // stride + 1
     # Tap j sees input positions j, j + stride, ...: one product per tap.
     span = stride * (tout - 1) + 1
-    taps = [xp[:, :, j : j + span : stride] for j in range(k)]
+
+    def taps():
+        xp = x.data
+        if padding:
+            xp = np.zeros((nb, cin, padded))
+            xp[:, :, padding : padding + t] = x.data
+        return [xp[:, :, j : j + span : stride] for j in range(k)]
+
     w = kernels.data
-    y = w[:, :, 0] @ taps[0]
+    xt = taps()
+    y = w[:, :, 0] @ xt[0]
     for j in range(1, k):
-        y += w[:, :, j] @ taps[j]
+        y += w[:, :, j] @ xt[j]
     y += bias.data[:, None]
     out = Tensor(y)
 
     if _trace((x, kernels, bias)):
 
         def vjp(g):
-            dw = np.stack([np.tensordot(g, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
+            dw = np.stack([np.tensordot(g, tap, axes=([0, 2], [0, 2])) for tap in taps()], axis=2)
             db = g.sum(axis=(0, 2))
             dxp = np.zeros((nb, cin, padded))
             for j in range(k):
@@ -263,7 +269,8 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
 
 def _scan_grad(runs, wh, dhs_of, dc, lengths):
     """Backpropagation through time for ``_scan``, over its ``runs`` from the
-    last phase back.
+    last phase back; each run is (start, end, k, saved), without the hidden
+    states, which BPTT does not read.
 
     ``dhs_of(start, end, k)`` gives the loss gradient (n,k,B,H) arriving at
     each hidden state of a phase from outside the recurrence, and ``dc``
@@ -277,7 +284,7 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
     dz_seq = [np.empty((n, nb, g4)) for n in lengths]
     dh = np.zeros_like(dc)
     dc = np.array(dc)
-    for start, end, k, _, (acts, cs, tcs) in reversed(runs):
+    for start, end, k, (acts, cs, tcs) in reversed(runs):
         steps, hid = end - start, g4 // 4
         i, f, o, g = (acts[..., q * hid : (q + 1) * hid] for q in range(4))
         # d(pre-activation) per unit of the gradient reaching the cell state
@@ -340,6 +347,12 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     per sequence and phase, built when the loop reaches that phase. The
     backward pass is hand-written BPTT and returns gradients for every
     ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
+
+    For backward the node keeps the gate activations and the cell states
+    with their tanh, which ``_scan`` saved step by step; recomputing the
+    tanh in one vectorised call could round differently. The hidden state
+    entering each step is read back from the node's own packed output and
+    ``h0``, so the per-phase hidden-state arrays die once packed.
     """
     count = len(params)
     if not count or not len(xs) == len(h0s) == len(c0s) == count:
@@ -393,6 +406,8 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
         packed[..., offsets[s + 1] - 1] = c[s]
     core = Tensor(packed)
     if traced:
+        # Backward reads the hidden states from ``packed``, not from the phases.
+        runs = [(start, end, k, saved) for start, end, k, _, saved in runs]
 
         def vjp(grad):
             def dhs_of(start, end, k):
@@ -404,10 +419,14 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
 
             dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
             dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
-            # Per sequence, the hidden state entering each of its steps.
-            h_in = [np.concatenate([hs[:-1, s] for _, _, k, hs, _ in runs if s < k]) for s in range(count)]
             dx, dwx, dwh, db = [], [], [], []
-            for s, (dz, hin) in enumerate(zip(dz_seq, h_in)):
+            for s, (dz, n) in enumerate(zip(dz_seq, lengths)):
+                # The hidden state entering each step, in step order: h0,
+                # then the outputs of steps 0..n-2.
+                hin = np.empty((n, nb, hid))
+                hin[0] = h0s[s].data
+                seq = packed[..., offsets[s] : offsets[s + 1] - 1]
+                hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, reverse)], reverse)
                 if reverse:  # back to time order, like x
                     dz, hin = dz[::-1], hin[::-1]
                 dz = dz.transpose(1, 2, 0)  # (B,4H,T)

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import AnomalyRanges, MultiSeries, label_block
+from .data import AnomalyRanges, MultiSeries, as_floats, label_block
 from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers
 from .metrics import compute_metrics
-from .training import Detector, as_floats, predict_fragment, score_windows
+from .training import Detector, predict_fragment, score_windows
 
 SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 

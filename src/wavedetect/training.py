@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import no_grad
+from .data import as_floats
 from .errors import ConfigError, DataError, require_integers
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder, reconstruction_loss
@@ -137,22 +138,17 @@ def fit_channel_stats(windows: np.ndarray):
     return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
 
 
-def as_floats(value, what: str) -> np.ndarray:
-    """``value`` as a float64 array. A value numpy cannot convert, such as
-    a non-numeric string, a ragged list or an arbitrary object, raises
-    ``DataError`` naming ``what``."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
-
-
 def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     """Fragments, (C, T) arrays or one (N, C, T) array as a (N, C, T)
-    float64 array. An empty input, a window that is not numeric or has the
-    wrong shape, or a non-finite value raises ``DataError``."""
+    float64 array. An input that is not a collection, an empty one, a window
+    that is not numeric or has the wrong shape, or a non-finite value raises
+    ``DataError``."""
     want = (cfg.channels, cfg.fragment_length)
     if not isinstance(items, np.ndarray):
+        try:
+            items = list(items)
+        except TypeError:
+            raise DataError(f"expected an array or a sequence of windows, got {type(items).__name__}") from None
         items = [as_floats(getattr(f, "values", f), f"window {i}") for i, f in enumerate(items)]
         for i, values in enumerate(items):
             if values.shape != want:
@@ -198,13 +194,14 @@ def _finish(model, mode, windows, mean, std, beta) -> Detector:
 
 def _step(model, optimizer, inputs, label, alpha) -> float:
     """One optimizer step on a batch of scale inputs; returns its loss. With
-    a ``label`` the loss mixes in the head's cross-entropy. The step's graph
-    dies when this returns, before the next step builds its own."""
+    a ``label`` the loss mixes in the head's cross-entropy. Only ``loss``
+    refers to the graph when backward runs, so each activation is freed as
+    the walk consumes its node, and nothing of the graph outlives the step."""
     code, teacher = model.encode(inputs)
     loss = reconstruction_loss(inputs, model.decode(code, teacher))
     if label is not None:
-        loss_c = bce_with_logits(model.logit(code), label)
-        loss = loss * alpha + loss_c * (1.0 - alpha)
+        loss = loss * alpha + bce_with_logits(model.logit(code), label) * (1.0 - alpha)
+    del code, teacher
     loss.backward()
     optimizer.step()
     optimizer.zero_grad()

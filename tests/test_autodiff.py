@@ -38,14 +38,40 @@ def test_backward_rejects_unrecorded():
 
 
 def test_repeated_backward_accumulates():
+    """Leaf grads add up across graphs until zero_grad; each graph is
+    walked once."""
+    x = Tensor([3.0], requires_grad=True)
+    tsum(x * x).backward()
+    first = x.grad.copy()
+    tsum(x * x).backward()
+    assert np.allclose(x.grad, 2.0 * first)
+    x.zero_grad()
+    assert x.grad is None
+
+
+def test_second_backward_on_one_loss_raises():
     x = Tensor([3.0], requires_grad=True)
     loss = tsum(x * x)
     loss.backward()
     first = x.grad.copy()
-    loss.backward()
-    assert np.allclose(x.grad, 2.0 * first)
-    x.zero_grad()
-    assert x.grad is None
+    with pytest.raises(ContractError, match="already consumed"):
+        loss.backward()
+    assert np.array_equal(x.grad, first)
+    assert loss.grad is None
+
+
+def test_backward_through_a_consumed_intermediate_raises():
+    x = Tensor([3.0], requires_grad=True)
+    y = Tensor([2.0], requires_grad=True)
+    shared = x * x
+    tsum(shared).backward()
+    first = x.grad.copy()
+    # Walked in reverse, this graph reaches leaf y before the consumed node;
+    # backward checks the whole graph first, so no grad moves.
+    with pytest.raises(ContractError, match="already consumed"):
+        tsum(shared * y).backward()
+    assert np.array_equal(x.grad, first)
+    assert y.grad is None
 
 
 def test_only_leaf_tensors_keep_a_grad():

@@ -32,6 +32,8 @@ class TestContainers:
             MultiSeries(["a"], np.zeros((2, 4)))
         with pytest.raises(DataError):
             MultiSeries(["a", "b"], np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(DataError, match="series values is not an array of numbers"):
+            MultiSeries(["a"], [["x"]])
 
     def test_ranges_validation(self):
         AnomalyRanges(((0, 5), (5, 9)))  # touching is fine
@@ -51,6 +53,17 @@ class TestContainers:
     def test_fragment_validation(self):
         with pytest.raises(DataError):
             Fragment(np.zeros((2, 8)), 2, 0)
+        with pytest.raises(DataError, match="fragment values is not an array of numbers"):
+            Fragment([["x"]], 0, 0)
+
+    @pytest.mark.parametrize("span", [("a", 3), (1.5, 3), (1, 3.0), (1, 2, 3), 5])
+    def test_range_bounds_must_be_an_integer_pair(self, span):
+        with pytest.raises(DataError, match="pair of integers"):
+            AnomalyRanges((span,))
+
+    def test_numpy_integer_bounds_are_integers(self):
+        ranges = AnomalyRanges(((np.int64(2), np.int32(7)),))
+        assert ranges.spans == ((2, 7),) and type(ranges.spans[0][0]) is int
 
 
 class TestCsv:

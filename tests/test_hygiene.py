@@ -6,7 +6,8 @@ some package code other than itself, or read by the benchmark as
 public, not alive. Every file under ``tests/data`` is named in some test
 module, so that a fixture is not left behind by the code that read it.
 Every lookup site the benchmark's tracer patches exists, so that a
-refactor can neither crash a traced run nor silently zero its span."""
+refactor can neither crash a traced run nor silently zero its span, and a
+traced training run counts its graphs before ``backward`` consumes them."""
 
 import ast
 import importlib.util
@@ -14,12 +15,14 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavedetect
 from wavedetect.autodiff import Tensor
-from wavedetect.model import WaveletAutoencoder
+from wavedetect.model import ModelConfig, WaveletAutoencoder
 from wavedetect.optim import Adam
+from wavedetect.training import TrainConfig
 
 SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -108,15 +111,20 @@ def test_every_test_data_file_is_named_by_a_test():
     assert not orphans, f"files in tests/data that no test module names: {orphans}"
 
 
+def bench_spans():
+    """``bench/spans.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_site_the_bench_tracer_patches_exists():
     """``bench/spans.py`` patches the sites of ``Tracer._targets`` where they
     exist, and always ``decode``, ``backward`` and ``zero_grad``. Only
     ``model.lstm_cell`` is gone: it was folded into ``lstm_sequence``, and
     the span keeps its name until the benchmark is next changed."""
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    sites = [(owner, attr) for owner, attr, _ in spans.Tracer()._targets(wavedetect)]
+    sites = [(owner, attr) for owner, attr, _ in bench_spans().Tracer()._targets(wavedetect)]
     sites += [(WaveletAutoencoder, "decode"), (Tensor, "backward"), (Adam, "zero_grad")]
 
     def where(owner):
@@ -126,3 +134,25 @@ def test_every_site_the_bench_tracer_patches_exists():
     assert missing == ["wavedetect.model.lstm_cell"]
     # The traced decode passes the teacher buffers as the second positional argument.
     assert list(inspect.signature(WaveletAutoencoder.decode).parameters) == ["self", "code", "teacher"]
+
+
+def test_traced_training_counts_each_graph_before_backward_consumes_it():
+    """The bench tracer walks each loss's graph before ``backward`` runs.
+    A traced ``train`` returns what an untraced one does, and every count
+    covers a whole graph, not a loss whose parents are already gone."""
+    cfg = ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2)
+    windows = np.random.default_rng(3).normal(size=(3, 2, 64))
+
+    def run():
+        losses = []
+        det = wavedetect.train(windows, TrainConfig(model=cfg, epochs=2, seed=1),
+                               progress=lambda epoch, loss: losses.append(loss))
+        return losses, det.threshold, [p.data for p in det.model.parameters()]
+
+    tracer = bench_spans().Tracer()
+    with tracer.active(wavedetect):
+        traced = run()
+    untraced = run()
+    assert traced[:2] == untraced[:2]
+    assert all(np.array_equal(a, b) for a, b in zip(traced[2], untraced[2]))
+    assert len(tracer.backward_nodes) == 6 and min(tracer.backward_nodes) > 1

@@ -80,6 +80,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             tiny_config(**{field: value})
 
+    @pytest.mark.parametrize("layer", [(1, 2), 5])
+    def test_rejects_a_conv_layer_that_is_not_a_triple(self, layer):
+        with pytest.raises(ConfigError, match="conv layer 0 must be a"):
+            ModelConfig(channels=8, conv=(layer,))
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigError):
             ModelConfig(channels=2, fragment_length=64, levels=1, wavelet="coif1")

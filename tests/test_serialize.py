@@ -169,6 +169,7 @@ _DEFECTS = [
     pytest.param(lambda b: b.replace(b'"hidden": 3', b'"hidden": 3.0', 1), id="float-hidden"),
     pytest.param(lambda b: b.replace(b'"channels": 2', b'"channels": 2.0', 1), id="float-channels"),
     pytest.param(lambda b: b.replace(b'[[4, 4, 2]]', b'[[4, 4.0, 2]]', 1), id="float-kernel"),
+    pytest.param(lambda b: b.replace(b'[[4, 4, 2]]', b'[[4, 4]]', 1), id="conv-layer-pair"),
 ]
 
 

@@ -12,6 +12,7 @@ import wavedetect.training as training
 from wavedetect.data import AnomalyRanges, Fragment, MultiSeries
 from wavedetect.errors import ConfigError, DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
+from wavedetect.optim import Adam
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
 from wavedetect.training import (
@@ -98,6 +99,8 @@ class TestScoringRejectsItemsThatAreNotNumbers:
         ([object()], "window 0 is not an array of numbers: got object"),
         ([[[1.0, 2.0], [3.0]]], "window 0 is not an array of numbers: got list"),
         (np.full((1, 2, 64), "x"), "the batch of windows is not an array of numbers"),
+        (5, "expected an array or a sequence of windows, got int"),
+        (None, "expected an array or a sequence of windows, got NoneType"),
     ])
     def test_score_windows(self, detector, items, message):
         with pytest.raises(DataError, match=message):
@@ -135,6 +138,27 @@ def test_scoring_memory_per_window_is_a_few_scale_inputs():
         tracemalloc.stop()
     scale_input_bytes = 8 * sum(cfg.fragment_length >> s for s in range(cfg.levels + 1)) * 8
     assert peak / _SCORE_CHUNK <= 8 * scale_input_bytes
+
+
+def test_training_step_memory_is_a_few_parameter_sets():
+    """One default 8-channel training step on a batch of one (forward,
+    backward and Adam), measured once the model and its optimizer exist,
+    peaks at no more than 2.3 times the bytes of the model's parameters.
+    The peak holds the parameters' grads and whatever of the graph is still
+    alive; a graph kept whole through the backward walk, or a layer saving
+    a second copy of its input, costs more than that."""
+    cfg = ModelConfig(channels=8)
+    model = WaveletAutoencoder(cfg)
+    optimizer = Adam(model.parameters())
+    windows = np.random.default_rng(7).normal(size=(1, 8, 512))
+    inputs = training._scale_inputs(windows, cfg, np.zeros(8), np.ones(8))
+    tracemalloc.start()
+    try:
+        training._step(model, optimizer, inputs, None, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * sum(p.data.nbytes for p in model.parameters())
 
 
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
@@ -222,6 +246,7 @@ class TestTrainRejectsBadInput:
         ("semi", _fragments(20, 2) + [Fragment(np.zeros((2, 32)), 0, 0)], r"window 2 has shape \(2, 32\)"),
         ("semi", _fragments(21, 2) + _fragments(22, 1, label=1), "fragment 2 is labeled anomalous"),
         ("supervised", _fragments(23, 2) + [_series(24, 64)], "fragment 2 is missing a 0/1 label"),
+        ("semi", None, "expected an array or a sequence of windows, got NoneType"),
     ])
     def test_fragments(self, mode, fragments, message):
         with pytest.raises(DataError, match=message):
