@@ -19,9 +19,12 @@ Only the operations the sequence model needs are provided: elementwise
 arithmetic with bias-style broadcasting, matrix products (a weight matrix
 may multiply a stack of matrices with a leading batch axis), the usual
 activations, means over all or some axes, indexing and reshaping, and
-concatenation along the last axis. An op may also be coarse: ``nn``
-builds whole layers, such as a full LSTM sequence with its hand-written
-backward pass, as one graph node, which keeps graphs small.
+concatenation along the last axis. Every op, here and in ``nn``, computes
+its result, defines its backward as a function from the result's gradient
+to one gradient per parent, and returns ``_node(result, parents, vjp)``:
+``_node`` is the one way an op records itself in the graph. An op may be
+coarse: ``nn`` builds whole layers, such as a full LSTM sequence with its
+hand-written backward pass, as one node, which keeps graphs small.
 """
 
 from __future__ import annotations
@@ -172,6 +175,16 @@ def _trace(parents) -> bool:
     return any(p.requires_grad for p in parents)
 
 
+def _node(data, parents, vjp) -> Tensor:
+    """An op's result: ``data`` as a tensor that records its ``parents`` and
+    its backward ``vjp`` (the result's gradient to a tuple of one gradient,
+    or None, per parent) when ``_trace(parents)`` holds, and nothing else."""
+    out = Tensor(data)
+    if _trace(parents):
+        out.requires_grad, out._parents, out._vjp = True, parents, vjp
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     if g.shape == shape:
@@ -192,42 +205,32 @@ def _owned(res: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-    if _trace((a, b)):
-        ash, bsh = a.data.shape, b.data.shape
+    ash, bsh = a.data.shape, b.data.shape
 
-        def vjp(g):
-            return _owned(_unbroadcast(g, ash), g), _owned(_unbroadcast(g, bsh), g)
+    def vjp(g):
+        return _owned(_unbroadcast(g, ash), g), _owned(_unbroadcast(g, bsh), g)
 
-        out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
-    return out
+    return _node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-    if _trace((a, b)):
-        ash, bsh = a.data.shape, b.data.shape
+    ash, bsh = a.data.shape, b.data.shape
 
-        def vjp(g):
-            return _owned(_unbroadcast(g, ash), g), _unbroadcast(-g, bsh)
+    def vjp(g):
+        return _owned(_unbroadcast(g, ash), g), _unbroadcast(-g, bsh)
 
-        out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
-    return out
+    return _node(a.data - b.data, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-    if _trace((a, b)):
-        ash, bsh = a.data.shape, b.data.shape
-        ad, bd = a.data, b.data
+    ad, bd = a.data, b.data
 
-        def vjp(g):
-            return _unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)
+    def vjp(g):
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-        out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
-    return out
+    return _node(ad * bd, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -240,27 +243,17 @@ def matmul(a, b) -> Tensor:
         )
     if a.data.shape[1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    if _trace((a, b)):
-        ad, bd = a.data, b.data
+    ad, bd = a.data, b.data
+
+    def vjp(g):
         if bd.ndim == 1:
+            return np.outer(g, bd), ad.T @ g
+        if bd.ndim == 2:
+            return g @ bd.T, ad.T @ g
+        # Summed per-sample products: a batch of one gives the 2-D form's bits.
+        return np.matmul(g, bd.transpose(0, 2, 1)).sum(axis=0), ad.T @ g
 
-            def vjp(g):
-                return np.outer(g, bd), ad.T @ g
-
-        elif bd.ndim == 2:
-
-            def vjp(g):
-                return g @ bd.T, ad.T @ g
-
-        else:
-
-            # Summed per-sample products: a batch of one gives the 2-D form's bits.
-            def vjp(g):
-                return np.matmul(g, bd.transpose(0, 2, 1)).sum(axis=0), ad.T @ g
-
-        out.requires_grad, out._parents, out._vjp = True, (a, b), vjp
-    return out
+    return _node(ad @ bd, (a, b), vjp)
 
 
 def sigmoid(a) -> Tensor:
@@ -271,34 +264,25 @@ def sigmoid(a) -> Tensor:
     s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     s[~pos] = ex / (1.0 + ex)
-    out = Tensor(s)
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * s * (1.0 - s),)
-    return out
+    return _node(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0))
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * mask,)
-    return out
+    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def tmean(a, axis=None) -> Tensor:
     """Mean over all elements, or over the given axis or axes."""
     a = _as_tensor(a)
     kept = a.data.mean(axis=axis, keepdims=True)
-    out = Tensor(np.squeeze(kept, axis=axis))
-    if _trace((a,)):
-        shape, n = a.data.shape, a.data.size // kept.size
+    shape, n = a.data.shape, a.data.size // kept.size
 
-        def vjp(g):
-            return (np.broadcast_to(np.reshape(g, kept.shape) / n, shape).copy(),)
+    def vjp(g):
+        return (np.broadcast_to(np.reshape(g, kept.shape) / n, shape).copy(),)
 
-        out.requires_grad, out._parents, out._vjp = True, (a,), vjp
-    return out
+    return _node(np.squeeze(kept, axis=axis), (a,), vjp)
 
 
 def concat(parts) -> Tensor:
@@ -308,37 +292,28 @@ def concat(parts) -> Tensor:
     for p in parts:
         if p.data.ndim < 1 or p.data.shape[:-1] != lead:
             raise ShapeError(f"concat needs equal leading dimensions, got {[q.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
-    if _trace(parts):
-        offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
-        def vjp(g):
-            return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+    def vjp(g):
+        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
-        out.requires_grad, out._parents, out._vjp = True, parts, vjp
-    return out
+    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
 
 def index(a, key) -> Tensor:
     """``a.data[key]`` for basic (slice and integer) indexing."""
     a = _as_tensor(a)
-    out = Tensor(a.data[key])
-    if _trace((a,)):
-        shape = a.data.shape
+    shape = a.data.shape
 
-        def vjp(g):
-            buf = np.zeros(shape)
-            buf[key] = g
-            return (buf,)
+    def vjp(g):
+        buf = np.zeros(shape)
+        buf[key] = g
+        return (buf,)
 
-        out.requires_grad, out._parents, out._vjp = True, (a,), vjp
-    return out
+    return _node(a.data[key], (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    if _trace((a,)):
-        orig = a.data.shape
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g.reshape(orig),)
-    return out
+    orig = a.data.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))

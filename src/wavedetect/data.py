@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, IngestError
+from .errors import ConfigError, DataError, IngestError, require_integers
 
 DEFAULT_WINDOW = 512
 DEFAULT_POS_STEP = 16
@@ -81,8 +81,12 @@ class AnomalyRanges:
     spans: tuple = ()
 
     def __post_init__(self):
+        try:
+            given = list(self.spans)
+        except TypeError:
+            raise DataError(f"ranges must be a sequence of (start, end) pairs, got {self.spans!r}") from None
         spans = []
-        for span in self.spans:
+        for span in given:
             try:
                 s, e = span
             except (TypeError, ValueError):
@@ -250,6 +254,7 @@ def make_fragments(
     ranges are swept with a short-step sliding window so the positive class
     is augmented. Only windows fully inside a labeled region are emitted.
     """
+    require_integers(("window", window), ("pos_step", pos_step))
     if window < 1:
         raise ConfigError("window must be positive")
     if window > series.length:

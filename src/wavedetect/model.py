@@ -90,7 +90,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.conv = tuple(_conv_layer(i, layer) for i, layer in enumerate(self.conv))
+        try:
+            layers = list(self.conv)
+        except TypeError:
+            raise ConfigError(f"conv must be a sequence of conv layers, got {self.conv!r}") from None
+        self.conv = tuple(_conv_layer(i, layer) for i, layer in enumerate(layers))
         self.validate()
 
     def validate(self):

@@ -2,11 +2,14 @@
 layers, and the two loss functions used for training.
 
 Convolutions follow the cross-correlation convention common in sequence
-models (no kernel flip). ``deconv1d`` is the exact linear adjoint of
-``conv1d`` with the same stride and padding: reinterpreting a conv kernel
-bank of shape (out,in,k) as a deconv bank of shape (in,out,k) satisfies
-<conv(x), y> == <x, deconv(y)> whenever the conv consumed its input without
-a stride remainder.
+models (no kernel flip). The two conv layers share one tap layout, tap j of
+a width-k kernel reading padded positions j, j + stride, ..., and are each
+other's adjoint: reinterpreting a conv kernel bank of shape (out,in,k) as a
+deconv bank of shape (in,out,k) satisfies <conv(x), y> == <x, deconv(y)>
+whenever the conv consumed its input without a stride remainder. One
+gather over the taps (``_correlate``) is the conv forward pass and the
+deconv input gradient; its scatter (``_spread``) is the deconv forward pass
+and the conv input gradient.
 
 The LSTM has one implementation, ``lstm_sequence``. It runs a list of
 sequences, one LSTM each (the model's scales), in one Python time loop as
@@ -29,8 +32,64 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, _trace, mul, sigmoid, sub, tmean
+from .autodiff import Tensor, _as_tensor, _node, _trace, mul, sigmoid, sub, tmean
 from .errors import ContractError, ShapeError
+
+
+def _conv_args(name, x, kernels, bias, stride, padding, cin_axis):
+    """The tensors of a ``name`` layer call, checked; the kernel bank holds
+    Cin on axis ``cin_axis`` (0 or 1) and Cout on the other of its first two."""
+    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        layout = "(Cout,Cin,K)" if cin_axis else "(Cin,Cout,K)"
+        raise ShapeError(f"{name} expects (B,Cin,T) input, {layout} kernels; got {x.shape}, {kernels.shape}")
+    kcin, cout = kernels.data.shape[cin_axis], kernels.data.shape[1 - cin_axis]
+    if kcin != x.data.shape[1]:
+        raise ShapeError(f"kernel channel count {kcin} does not match input channels {x.data.shape[1]}")
+    if bias.data.shape != (cout,):
+        raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
+    if stride < 1:
+        raise ContractError(f"{name} stride must be >= 1")
+    if padding < 0:
+        raise ContractError(f"{name} padding must be >= 0")
+    return x, kernels, bias
+
+
+def _taps(a, k: int, stride: int, padding: int = 0) -> list:
+    """The k strided taps of a (B,C,T) array zero-padded by ``padding`` at
+    each end: tap j holds padded positions j, j + stride, ..., one per
+    output step of a width-k kernel. Without padding the taps are views."""
+    if padding:
+        padded = np.zeros(a.shape[:2] + (a.shape[2] + 2 * padding,))
+        padded[:, :, padding:-padding] = a
+        a = padded
+    end = a.shape[2] - k + 1
+    return [a[:, :, j : end + j : stride] for j in range(k)]
+
+
+def _correlate(w, taps) -> np.ndarray:
+    """Sum over j of w[:,:,j] @ tap j: the conv forward pass, and the deconv
+    input gradient."""
+    y = w[:, :, 0] @ taps[0]
+    for j in range(1, len(taps)):
+        y += w[:, :, j] @ taps[j]
+    return y
+
+
+def _spread(w, g, stride: int, padding: int, length: int) -> np.ndarray:
+    """The adjoint of ``_correlate``: w[:,:,j].T @ g added onto tap j of a
+    zero buffer, which is then cropped by ``padding`` at each end to
+    ``length``. The deconv forward pass, and the conv input gradient."""
+    buf = np.zeros((g.shape[0], w.shape[1], length + 2 * padding))
+    for j, tap in enumerate(_taps(buf, w.shape[2], stride)):
+        tap += w[:, :, j].T @ g
+    return buf[:, :, padding : padding + length]
+
+
+def _tap_grads(a, taps) -> np.ndarray:
+    """The kernel gradient of a ``_correlate`` or ``_spread``: a (B,X,n)
+    array contracted with each (B,Y,n) tap over batch and time, (X,Y,k)."""
+    return np.stack([np.tensordot(a, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
 
 
 def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -41,102 +100,36 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     only its parents: the padded input and its taps are rebuilt from the
     unpadded ``x`` when the gradient arrives.
     """
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d expects (B,Cin,T) input, (Cout,Cin,K) kernels; got {x.shape}, {kernels.shape}")
-    nb, cin, t = x.data.shape
-    cout, kcin, k = kernels.data.shape
-    if kcin != cin:
-        raise ShapeError(f"kernel channel count {kcin} does not match input channels {cin}")
-    if bias.data.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
-    if stride < 1:
-        raise ContractError("conv1d stride must be >= 1")
-    if padding < 0:
-        raise ContractError("conv1d padding must be >= 0")
-    padded = t + 2 * padding
-    if k > padded:
-        raise ContractError(f"kernel width {k} exceeds padded length {padded}")
-
-    tout = (padded - k) // stride + 1
-    # Tap j sees input positions j, j + stride, ...: one product per tap.
-    span = stride * (tout - 1) + 1
-
-    def taps():
-        xp = x.data
-        if padding:
-            xp = np.zeros((nb, cin, padded))
-            xp[:, :, padding : padding + t] = x.data
-        return [xp[:, :, j : j + span : stride] for j in range(k)]
-
-    w = kernels.data
-    xt = taps()
-    y = w[:, :, 0] @ xt[0]
-    for j in range(1, k):
-        y += w[:, :, j] @ xt[j]
+    x, kernels, bias = _conv_args("conv1d", x, kernels, bias, stride, padding, cin_axis=1)
+    t, k, w = x.data.shape[2], kernels.data.shape[2], kernels.data
+    if k > t + 2 * padding:
+        raise ContractError(f"kernel width {k} exceeds padded length {t + 2 * padding}")
+    y = _correlate(w, _taps(x.data, k, stride, padding))
     y += bias.data[:, None]
-    out = Tensor(y)
 
-    if _trace((x, kernels, bias)):
+    def vjp(g):
+        dw = _tap_grads(g, _taps(x.data, k, stride, padding))
+        return _spread(w, g, stride, padding, t), dw, g.sum(axis=(0, 2))
 
-        def vjp(g):
-            dw = np.stack([np.tensordot(g, tap, axes=([0, 2], [0, 2])) for tap in taps()], axis=2)
-            db = g.sum(axis=(0, 2))
-            dxp = np.zeros((nb, cin, padded))
-            for j in range(k):
-                dxp[:, :, j : j + span : stride] += w[:, :, j].T @ g
-            dx = dxp[:, :, padding : padding + t] if padding else dxp
-            return dx, dw, db
-
-        out.requires_grad, out._parents, out._vjp = True, (x, kernels, bias), vjp
-    return out
+    return _node(y, (x, kernels, bias), vjp)
 
 
 def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     """Transposed 1-D convolution of a batch:
     (B,Cin,T) -> (B,Cout,(T-1)*stride-2*padding+K)."""
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise ShapeError(f"deconv1d expects (B,Cin,T) input, (Cin,Cout,K) kernels; got {x.shape}, {kernels.shape}")
-    nb, cin, t = x.data.shape
-    kcin, cout, k = kernels.data.shape
-    if kcin != cin:
-        raise ShapeError(f"kernel channel count {kcin} does not match input channels {cin}")
-    if bias.data.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
-    if stride < 1:
-        raise ContractError("deconv1d stride must be >= 1")
-    if padding < 0:
-        raise ContractError("deconv1d padding must be >= 0")
-    tfull = (t - 1) * stride + k
-    tout = tfull - 2 * padding
+    x, kernels, bias = _conv_args("deconv1d", x, kernels, bias, stride, padding, cin_axis=0)
+    k, w = kernels.data.shape[2], kernels.data
+    tout = (x.data.shape[2] - 1) * stride + k - 2 * padding
     if tout < 1:
         raise ContractError("padding removes the entire deconv output")
-
-    # Tap j of every input step lands at output position stride * t + j.
-    ypad = np.zeros((nb, cout, tfull))
-    span = stride * (t - 1) + 1
-    for j in range(k):
-        ypad[:, :, j : j + span : stride] += kernels.data[:, :, j].T @ x.data
-    y = ypad[:, :, padding : padding + tout]
+    y = _spread(w, x.data, stride, padding, tout)
     y += bias.data[:, None]
-    out = Tensor(y)
 
-    if _trace((x, kernels, bias)):
+    def vjp(g):
+        taps = _taps(g, k, stride, padding)
+        return _correlate(w, taps), _tap_grads(x.data, taps), g.sum(axis=(0, 2))
 
-        def vjp(g):
-            gpad = np.zeros((nb, cout, tfull))
-            gpad[:, :, padding : padding + tout] = g
-            taps = [gpad[:, :, j : j + span : stride] for j in range(k)]
-            dker = np.stack([np.tensordot(x.data, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
-            dx = kernels.data[:, :, 0] @ taps[0]
-            for j in range(1, k):
-                dx += kernels.data[:, :, j] @ taps[j]
-            db = g.sum(axis=(0, 2))
-            return dx, dker, db
-
-        out.requires_grad, out._parents, out._vjp = True, (x, kernels, bias), vjp
-    return out
+    return _node(y, (x, kernels, bias), vjp)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -151,15 +144,12 @@ def linear(x, weight, bias) -> Tensor:
     # Row by row, like the LSTM's recurrent product.
     y = np.matmul(x.data[..., None, :], weight.data.T)[..., 0, :]
     y += bias.data
-    out = Tensor(y)
-    if _trace((x, weight, bias)):
 
-        def vjp(g):
-            g2 = g.reshape(-1, nout)
-            return g @ weight.data, g2.T @ x.data.reshape(-1, nin), g2.sum(axis=0)
+    def vjp(g):
+        g2 = g.reshape(-1, nout)
+        return g @ weight.data, g2.T @ x.data.reshape(-1, nin), g2.sum(axis=0)
 
-        out.requires_grad, out._parents, out._vjp = True, (x, weight, bias), vjp
-    return out
+    return _node(y, (x, weight, bias), vjp)
 
 
 @dataclass
@@ -390,9 +380,8 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     wh_half *= half[:, None]
     parents = (*xs, *h0s, *c0s, *(p.w_x for p in params), *(p.w_h for p in params),
                *(p.b for p in params))
-    traced = _trace(parents)
     runs, _, c = _scan(zx_of, np.stack([h0.data for h0 in h0s]), np.stack([c0.data for c0 in c0s]),
-                       wh_half.transpose(0, 2, 1)[:, None], lengths, keep=traced)
+                       wh_half.transpose(0, 2, 1)[:, None], lengths, keep=_trace(parents))
 
     # Sequence s owns columns off_s .. off_s + T_s: its hidden states in time
     # order, then its final cell state.
@@ -404,39 +393,37 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             seq[..., _window(lengths[s], start, end, reverse)] = _time_order(hs[1:, s], reverse)
     for s in range(count):
         packed[..., offsets[s + 1] - 1] = c[s]
-    core = Tensor(packed)
-    if traced:
-        # Backward reads the hidden states from ``packed``, not from the phases.
-        runs = [(start, end, k, saved) for start, end, k, _, saved in runs]
+    # Backward reads the hidden states from ``packed``, not from the phases.
+    runs = [(start, end, k, saved) for start, end, k, _, saved in runs]
 
-        def vjp(grad):
-            def dhs_of(start, end, k):
-                dhs = np.empty((end - start, k, nb, hid))
-                for s in range(k):
-                    seg = grad[..., offsets[s] : offsets[s + 1] - 1]
-                    dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, reverse)], reverse)
-                return dhs
+    def vjp(grad):
+        def dhs_of(start, end, k):
+            dhs = np.empty((end - start, k, nb, hid))
+            for s in range(k):
+                seg = grad[..., offsets[s] : offsets[s + 1] - 1]
+                dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, reverse)], reverse)
+            return dhs
 
-            dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
-            dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
-            dx, dwx, dwh, db = [], [], [], []
-            for s, (dz, n) in enumerate(zip(dz_seq, lengths)):
-                # The hidden state entering each step, in step order: h0,
-                # then the outputs of steps 0..n-2.
-                hin = np.empty((n, nb, hid))
-                hin[0] = h0s[s].data
-                seq = packed[..., offsets[s] : offsets[s + 1] - 1]
-                hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, reverse)], reverse)
-                if reverse:  # back to time order, like x
-                    dz, hin = dz[::-1], hin[::-1]
-                dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-                dx.append(np.matmul(params[s].w_x.data.T, dz))
-                dwx.append(np.tensordot(dz, xs[s].data, axes=([0, 2], [0, 2])))
-                dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
-                db.append(dz.sum(axis=(0, 2)))
-            return (*dx, *dh0, *dc0, *dwx, *dwh, *db)
+        dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
+        dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
+        dx, dwx, dwh, db = [], [], [], []
+        for s, (dz, n) in enumerate(zip(dz_seq, lengths)):
+            # The hidden state entering each step, in step order: h0,
+            # then the outputs of steps 0..n-2.
+            hin = np.empty((n, nb, hid))
+            hin[0] = h0s[s].data
+            seq = packed[..., offsets[s] : offsets[s + 1] - 1]
+            hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, reverse)], reverse)
+            if reverse:  # back to time order, like x
+                dz, hin = dz[::-1], hin[::-1]
+            dz = dz.transpose(1, 2, 0)  # (B,4H,T)
+            dx.append(np.matmul(params[s].w_x.data.T, dz))
+            dwx.append(np.tensordot(dz, xs[s].data, axes=([0, 2], [0, 2])))
+            dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
+            db.append(dz.sum(axis=(0, 2)))
+        return (*dx, *dh0, *dc0, *dwx, *dwh, *db)
 
-        core.requires_grad, core._parents, core._vjp = True, parents, vjp
+    core = _node(packed, parents, vjp)
     return [(core[..., off : off + n], core[..., off if reverse else off + n - 1], core[..., off + n])
             for off, n in zip(offsets, lengths)]
 
@@ -466,10 +453,11 @@ def bce_with_logits(logit, label: int) -> Tensor:
     if label not in (0, 1):
         raise ContractError(f"label must be 0 or 1, got {label!r}")
     z = float(logit.data.reshape(()))
-    out = Tensor(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))))
-    if _trace((logit,)):
+    shape = logit.data.shape
+
+    def vjp(g):
         # sigmoid(z) - 1 written as -sigmoid(-z) keeps its precision for z >> 0.
         grad = float(sigmoid(z).data) if label == 0 else -float(sigmoid(-z).data)
-        shape = logit.data.shape
-        out.requires_grad, out._parents, out._vjp = True, (logit,), lambda g: (np.full(shape, g * grad),)
-    return out
+        return (np.full(shape, g * grad),)
+
+    return _node(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))), (logit,), vjp)

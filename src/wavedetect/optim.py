@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -21,8 +23,8 @@ class Adam:
     """
 
     def __init__(self, params, lr: float = 0.001):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.step_count = 0

@@ -115,6 +115,9 @@ def _envelope(n: int, ranges: AnomalyRanges) -> np.ndarray:
 
 def synth_generate(cfg: GeneratorConfig, seed: int):
     """Build one (MultiSeries, AnomalyRanges) pair, deterministic per seed."""
+    require_integers(("seed", seed))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = cfg.n_samples
     period = cfg.sample_period_seconds

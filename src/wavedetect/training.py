@@ -138,6 +138,25 @@ def fit_channel_stats(windows: np.ndarray):
     return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
 
 
+def _listed(items):
+    """An array as it is, any other collection read once into a list; an
+    input that is not a collection raises ``DataError``."""
+    if isinstance(items, np.ndarray):
+        return items
+    try:
+        return list(items)
+    except TypeError:
+        raise DataError(f"expected an array or a sequence of windows, got {type(items).__name__}") from None
+
+
+def _labeled_windows(fragments, cfg: ModelConfig, default):
+    """The checked windows of ``fragments`` and the ``label`` of each item
+    (``default`` for one without), read from a single pass over them, so
+    that a generator serves both."""
+    items = _listed(fragments)
+    return _checked_windows(items, cfg), [getattr(f, "label", default) for f in items]
+
+
 def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     """Fragments, (C, T) arrays or one (N, C, T) array as a (N, C, T)
     float64 array. An input that is not a collection, an empty one, a window
@@ -145,11 +164,7 @@ def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
     ``DataError``."""
     want = (cfg.channels, cfg.fragment_length)
     if not isinstance(items, np.ndarray):
-        try:
-            items = list(items)
-        except TypeError:
-            raise DataError(f"expected an array or a sequence of windows, got {type(items).__name__}") from None
-        items = [as_floats(getattr(f, "values", f), f"window {i}") for i, f in enumerate(items)]
+        items = [as_floats(getattr(f, "values", f), f"window {i}") for i, f in enumerate(_listed(items))]
         for i, values in enumerate(items):
             if values.shape != want:
                 raise DataError(f"window {i} has shape {values.shape}, expected {want}")
@@ -216,9 +231,8 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     a classifier head, and adds the head's cross-entropy. An epoch whose
     mean loss is not finite stops training with ``DataError``.
     """
-    windows = _checked_windows(fragments, cfg.model)
     supervised = cfg.mode == "supervised"
-    labels = [getattr(f, "label", None if supervised else 0) for f in fragments]
+    windows, labels = _labeled_windows(fragments, cfg.model, None if supervised else 0)
     for i, label in enumerate(labels):
         if supervised and label not in (0, 1):
             raise DataError(f"fragment {i} is missing a 0/1 label")
@@ -289,9 +303,9 @@ def predict_fragment(detector: Detector, fragment):
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     """Metrics of the detector's predictions on 0/1-labeled fragments. An
     item without a 0/1 ``label`` raises ``DataError``."""
-    labels = [getattr(f, "label", None) for f in fragments]
+    windows, labels = _labeled_windows(fragments, detector.model.config, None)
     for i, label in enumerate(labels):
         if label not in (0, 1):
             raise DataError(f"fragment {i} is missing a 0/1 label")
-    scores = score_windows(detector, fragments)
+    scores = score_windows(detector, windows)
     return compute_metrics([int(score >= detector.cut) for score in scores], labels)

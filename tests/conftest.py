@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, _as_tensor, _trace, reshape
+from wavedetect.autodiff import Tensor, _as_tensor, _node, reshape
 from wavedetect.errors import ShapeError
 from wavedetect.nn import lstm_sequence
 
@@ -43,21 +43,15 @@ def lstm_step(a, h, c, params):
 def tsum(a) -> Tensor:
     """Sum of all elements as a scalar graph node: the loss of a gradcheck."""
     a = _as_tensor(a)
-    out = Tensor(a.data.sum())
-    if _trace((a,)):
-        shape = a.data.shape
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (np.full(shape, float(g)),)
-    return out
+    shape = a.data.shape
+    return _node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def tanh(a) -> Tensor:
     """Elementwise tanh as a graph node, for the per-gate LSTM reference."""
     a = _as_tensor(a)
     t = np.tanh(a.data)
-    out = Tensor(t)
-    if _trace((a,)):
-        out.requires_grad, out._parents, out._vjp = True, (a,), lambda g: (g * (1.0 - t * t),)
-    return out
+    return _node(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def idwt_level(approx, detail, family) -> np.ndarray:

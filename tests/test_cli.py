@@ -131,3 +131,11 @@ def test_older_container_version_is_one_error_line(tmp_path, capsys, version):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"version {version}" in err and "retrain" in err, err
     assert err.count("\n") == 1, err
+
+
+def test_negative_synth_seed_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert main(["synth", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err and err.count("\n") == 1, err
+    assert not out.exists()

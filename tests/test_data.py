@@ -18,6 +18,7 @@ from wavedetect.data import (
     save_signals,
 )
 from wavedetect.errors import ConfigError, DataError, IngestError
+from wavedetect.model import ModelConfig
 
 
 def series_of(values):
@@ -64,6 +65,19 @@ class TestContainers:
     def test_numpy_integer_bounds_are_integers(self):
         ranges = AnomalyRanges(((np.int64(2), np.int32(7)),))
         assert ranges.spans == ((2, 7),) and type(ranges.spans[0][0]) is int
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: ModelConfig(channels=8, conv=5), ConfigError, "conv must be a sequence of conv layers"),
+    (lambda: AnomalyRanges(5), DataError, r"ranges must be a sequence of \(start, end\) pairs"),
+    (lambda: make_fragments(series_of(np.zeros((1, 256))), None, window=64.0), ConfigError,
+     "window must be an integer"),
+    (lambda: make_fragments(series_of(np.zeros((1, 256))), None, window=64, pos_step=8.0), ConfigError,
+     "pos_step must be an integer"),
+])
+def test_config_of_the_wrong_type_is_a_package_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestCsv:

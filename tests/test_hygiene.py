@@ -7,7 +7,9 @@ public, not alive. Every file under ``tests/data`` is named in some test
 module, so that a fixture is not left behind by the code that read it.
 Every lookup site the benchmark's tracer patches exists, so that a
 refactor can neither crash a traced run nor silently zero its span, and a
-traced training run counts its graphs before ``backward`` consumes them."""
+traced training run counts its graphs before ``backward`` consumes them.
+No module but ``autodiff`` assigns a tensor's graph record, so every op
+records itself through ``autodiff._node``."""
 
 import ast
 import importlib.util
@@ -103,6 +105,19 @@ def test_every_definition_is_used_by_the_package():
             if not any(node.name in names for names in users + [used_names(rest, imports=True)]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
     assert not dead, f"module-level definitions no package code uses: {dead}"
+
+
+# The graph record of a ``Tensor``; a leaf sets ``requires_grad`` through the constructor.
+GRAPH_SLOTS = {"requires_grad", "_parents", "_vjp"}
+NOT_AUTODIFF = [p for p in MODULES if p.name != "autodiff.py"]
+
+
+@pytest.mark.parametrize("path", NOT_AUTODIFF, ids=[p.name for p in NOT_AUTODIFF])
+def test_only_autodiff_writes_graph_slots(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr in GRAPH_SLOTS]
+    assert not writes, f"{path.name} writes a tensor's graph record by hand; return autodiff._node instead: {writes}"
 
 
 def test_every_test_data_file_is_named_by_a_test():

@@ -158,6 +158,28 @@ class TestDeconv1d:
         assert dy.shape == (1, cin, t)
         assert abs(float(np.vdot(cx, y)) - float(np.vdot(x, dy))) < 1e-10
 
+    @pytest.mark.parametrize("cin,cout,t,k,stride,padding", [
+        (3, 5, 16, 4, 2, 1),
+        (2, 4, 21, 3, 1, 0),
+        (4, 2, 10, 6, 2, 2),
+        (1, 7, 10, 4, 3, 0),
+    ])
+    def test_each_layer_records_the_other_as_its_input_gradient(self, rng, cin, cout, t, k, stride, padding):
+        """Bit for bit: the two layers share one tap gather and its scatter."""
+        w = rng.normal(size=(cout, cin, k))
+
+        def input_grad(layer, x, g, nbias):
+            x = Tensor(x, requires_grad=True)
+            tsum(mul(layer(x, Tensor(w), Tensor(np.zeros(nbias)), stride, padding), g)).backward()
+            return x.grad
+
+        x = rng.normal(size=(1, cin, t))
+        g = rng.normal(size=conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).shape)
+        want = deconv1d(Tensor(g), Tensor(w), Tensor(np.zeros(cin)), stride, padding).data
+        assert input_grad(conv1d, x, g, cout).tobytes() == want.tobytes()
+        want = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).data
+        assert input_grad(deconv1d, g, x, cin).tobytes() == want.tobytes()
+
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             deconv1d(Tensor(np.ones((1, 3, 8))), Tensor(np.ones((2, 4, 3))), Tensor(np.zeros(4)))

@@ -95,3 +95,9 @@ def test_zero_grad_clears_buffers():
     opt = Adam([p])
     opt.zero_grad()
     assert p.grad is None
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_learning_rate_must_be_positive_and_finite(lr):
+    with pytest.raises(ConfigError, match="learning rate must be positive and finite"):
+        Adam([Tensor([1.0], requires_grad=True)], lr=lr)

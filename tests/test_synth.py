@@ -88,3 +88,8 @@ class TestGenerate:
     def test_anomalies_must_fit(self):
         with pytest.raises(ConfigError):
             synth_generate(GeneratorConfig(channels=4, hours=1.0, anomaly_count=2), seed=0)
+
+    @pytest.mark.parametrize("seed,message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer")])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_generate(SMALL, seed)

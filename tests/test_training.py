@@ -278,6 +278,27 @@ class TestTrainRejectsBadInput:
             TrainConfig(model=_model("semi"), **{field: value})
 
 
+class TestFragmentGenerators:
+    """``train`` and ``evaluate_fragments`` read windows and labels in one
+    pass, so a generator gives what the equivalent list gives."""
+
+    @pytest.mark.parametrize("mode", ["semi", "supervised"])
+    def test_a_generator_trains_and_evaluates_like_a_list(self, mode):
+        fragments = _fragments(30, 3) + (_fragments(31, 2, label=1) if mode == "supervised" else [])
+        cfg = TrainConfig(model=_model(mode), mode=mode, epochs=2, seed=3)
+        listed, generated = train(fragments, cfg), train((f for f in fragments), cfg)
+        assert (listed.threshold, listed.train_loss_mean) == (generated.threshold, generated.train_loss_mean)
+        for a, b in zip(listed.model.parameters(), generated.model.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()
+        labeled = _fragments(32, 2) + _fragments(33, 2, label=1)
+        assert evaluate_fragments(listed, labeled) == evaluate_fragments(generated, iter(labeled))
+
+    def test_a_semi_generator_with_an_anomalous_fragment_is_rejected(self):
+        fragments = _fragments(34, 2) + _fragments(35, 1, label=1)
+        with pytest.raises(DataError, match="fragment 2 is labeled anomalous"):
+            train((f for f in fragments), TrainConfig(model=_model("semi"), epochs=1))
+
+
 def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
     real = training.reconstruction_loss
     epochs = []
