@@ -263,6 +263,8 @@ def make_fragments(
         raise ConfigError(f"pos_step must be in [1, window], got {pos_step}")
     if ranges is None:
         ranges = AnomalyRanges()
+    elif not isinstance(ranges, AnomalyRanges):
+        raise DataError(f"ranges must be an AnomalyRanges or None, got {type(ranges).__name__}")
     ranges.check_length(series.length)
 
     regions = [(s, e, 0) for s, e in ranges.complement(series.length)]

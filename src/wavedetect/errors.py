@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer check
-its configs share."""
+"""Exception hierarchy shared across the package, and the type checks its
+configs share."""
 
 import numbers
 
@@ -39,3 +39,13 @@ def require_integers(*named):
     for name, value in named:
         if not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_reals(*named):
+    """Raise ``ConfigError`` for the first ``(name, value)`` pair whose value
+    is not a real number. A config checks this before its range checks,
+    whose comparisons and ``math.isfinite`` would fail on a string or None
+    with a bare ``TypeError``."""
+    for name, value in named:
+        if not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")

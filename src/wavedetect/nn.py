@@ -22,7 +22,9 @@ The model's encoder and its teacher-forced decoder both run through it.
 
 Every layer takes a batch, (B,C,T); a lone sample is a batch of one. Each
 sample is computed with the same products whatever its batch, so batched
-results equal per-sample ones bit for bit.
+outputs and input gradients equal per-sample ones bit for bit. Weight
+gradients are summed over the batch inside their products, so they need
+not equal the sum of the per-sample ones in the last bits.
 """
 
 from __future__ import annotations
@@ -88,8 +90,22 @@ def _spread(w, g, stride: int, padding: int, length: int) -> np.ndarray:
 
 def _tap_grads(a, taps) -> np.ndarray:
     """The kernel gradient of a ``_correlate`` or ``_spread``: a (B,X,n)
-    array contracted with each (B,Y,n) tap over batch and time, (X,Y,k)."""
-    return np.stack([np.tensordot(a, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
+    array contracted with each (B,Y,n) tap over batch and time, (X,Y,k).
+
+    The taps are unrolled into one contiguous (k, B·n, Y) stack, which the
+    (X, B·n) array multiplies in one matmul call (unrolled convolution;
+    Chellapilla et al. 2006, "High Performance Convolutional Neural
+    Networks for Document Processing"). Per tap this is the (X, B·n) @
+    (B·n, Y) product of a ``tensordot`` over batch and time, so the bits
+    are those of k such calls at any B. A single (X, B·n) @ (B·n, k·Y)
+    product rounds differently under OpenBLAS: at B=1 when Y is 4, and for
+    some shapes at B > 1."""
+    nb, x, n = a.shape
+    unrolled = np.empty((len(taps), nb, n, taps[0].shape[1]))
+    for j, tap in enumerate(taps):
+        unrolled[j] = tap.transpose(0, 2, 1)
+    rows = a.transpose(1, 0, 2).reshape(x, nb * n)
+    return (rows @ unrolled.reshape(len(taps), nb * n, -1)).transpose(1, 2, 0)
 
 
 def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
@@ -98,7 +114,8 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     Every output channel sums over all input channels, so the very first
     layer of an encoder mixes the full channel set. For backward it keeps
     only its parents: the padded input and its taps are rebuilt from the
-    unpadded ``x`` when the gradient arrives.
+    unpadded ``x`` when the gradient arrives. An ``x`` that needs no grad,
+    such as a scale input, gets None rather than an input gradient.
     """
     x, kernels, bias = _conv_args("conv1d", x, kernels, bias, stride, padding, cin_axis=1)
     t, k, w = x.data.shape[2], kernels.data.shape[2], kernels.data
@@ -108,8 +125,8 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     y += bias.data[:, None]
 
     def vjp(g):
-        dw = _tap_grads(g, _taps(x.data, k, stride, padding))
-        return _spread(w, g, stride, padding, t), dw, g.sum(axis=(0, 2))
+        dx = _spread(w, g, stride, padding, t) if x.requires_grad else None
+        return dx, _tap_grads(g, _taps(x.data, k, stride, padding)), g.sum(axis=(0, 2))
 
     return _node(y, (x, kernels, bias), vjp)
 
@@ -269,6 +286,10 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
     recurrent matrices and ``lengths`` the sequence lengths. Returns the
     gradients of the true (unhalved) pre-activations, one (T_s,B,4H) array
     per sequence in step order, and of the initial states (S,B,H).
+
+    The running gradients at the hidden and cell states are updated in
+    place through ``out=`` buffers, so a step allocates nothing; the
+    products and their order are those of the out-of-place form.
     """
     nb, g4 = dc.shape[1], wh.shape[1]
     dz_seq = [np.empty((n, nb, g4)) for n in lengths]
@@ -290,14 +311,14 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
         dz_flat = dz.reshape(steps, k, nb, g4)
         dhs = dhs_of(start, end, k)
         dhk, dck, w = dh[:k], dc[:k], wh[:k]
+        dc_h = np.empty_like(dhk)
         for t in range(steps - 1, -1, -1):
-            dhk = dhk + dhs[t]
-            dck = dck + dhk * dc_dh[t]
+            dhk += dhs[t]
+            dck += np.multiply(dhk, dc_dh[t], out=dc_h)
             np.multiply(coef[t], dck[..., None, :], out=dz[t])
             np.multiply(dhk, coef_o[t], out=dz_o[t])
-            dhk = dz_flat[t] @ w
-            dck = dck * f[t]
-        dh[:k], dc[:k] = dhk, dck
+            np.matmul(dz_flat[t], w, out=dhk)
+            dck *= f[t]
         for s in range(k):
             dz_seq[s][start:end] = dz_flat[:, s]
     return dz_seq, dh, dc

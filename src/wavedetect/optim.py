@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_reals
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -23,6 +23,7 @@ class Adam:
     """
 
     def __init__(self, params, lr: float = 0.001):
+        require_reals(("lr", lr))
         if not 0 < lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         self.params: list[Tensor] = list(params)

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import AnomalyRanges, MultiSeries, as_floats, label_block
-from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers
+from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers, require_reals
 from .metrics import compute_metrics
 from .training import Detector, predict_fragment, score_windows
 
@@ -43,6 +43,7 @@ class VoteConfig:
 
     def __post_init__(self):
         require_integers(("window", self.window), ("step", self.step))
+        require_reals(("vote_threshold", self.vote_threshold))
         if self.step < 1 or self.window < 1:
             raise ConfigError("window and step must be positive")
         if self.window % self.step != 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnomalyRanges, MultiSeries
-from .errors import ConfigError, require_integers
+from .errors import ConfigError, require_integers, require_reals
 
 COUPLING_DROP = 0.55
 
@@ -41,6 +41,8 @@ class GeneratorConfig:
         require_integers(("channels", self.channels), ("anomaly_count", self.anomaly_count),
                          ("anomaly_min_samples", self.anomaly_min_samples),
                          ("anomaly_max_samples", self.anomaly_max_samples), ("edge_margin", self.edge_margin))
+        require_reals(("hours", self.hours), ("sample_period_seconds", self.sample_period_seconds),
+                      ("severity", self.severity), ("noise", self.noise))
         if self.channels < 2:
             raise ConfigError("need at least a driver and one response channel")
         if not all(map(math.isfinite, (self.hours, self.sample_period_seconds, self.severity, self.noise))):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .data import as_floats
-from .errors import ConfigError, DataError, require_integers
+from .errors import ConfigError, DataError, require_integers, require_reals
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder, reconstruction_loss
 from .nn import bce_with_logits
@@ -77,6 +77,7 @@ class TrainConfig:
         if self.mode not in ("semi", "supervised"):
             raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
         require_integers(("epochs", self.resolved_epochs), ("seed", self.seed))
+        require_reals(("lr", self.lr), ("alpha", self.alpha), ("beta", self.beta))
         if self.resolved_epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.seed < 0:

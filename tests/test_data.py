@@ -74,6 +74,8 @@ class TestContainers:
      "window must be an integer"),
     (lambda: make_fragments(series_of(np.zeros((1, 256))), None, window=64, pos_step=8.0), ConfigError,
      "pos_step must be an integer"),
+    (lambda: make_fragments(series_of(np.zeros((1, 600))), [(0, 5)], window=64), DataError,
+     "ranges must be an AnomalyRanges or None, got list"),
 ])
 def test_config_of_the_wrong_type_is_a_package_error(build, error, message):
     with pytest.raises(error, match=message):

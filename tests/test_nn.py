@@ -21,6 +21,7 @@ from wavedetect.nn import (
     deconv1d,
     linear,
     _phases,
+    _taps,
     lstm_sequence,
     mse_loss,
 )
@@ -199,6 +200,65 @@ class TestDeconv1d:
 
         for t in (x, w, b):
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-4
+
+
+def _tap_grads_per_tap(a, taps):
+    """The reference for ``nn._tap_grads``: one ``tensordot`` per tap of
+    (B,X,n) with each (B,Y,n) tap over batch and time, stacked to (X,Y,k)."""
+    return np.stack([np.tensordot(a, tap, axes=([0, 2], [0, 2])) for tap in taps], axis=2)
+
+
+def _conv_layer_shapes(cfg):
+    """(cin, cout, t, k, stride, padding) of each conv layer of each scale;
+    each deconv layer mirrors one of them."""
+    shapes = []
+    for scale in range(cfg.levels + 1):
+        cin = cfg.channels
+        for layer, t in zip(cfg.conv, cfg.conv_lengths(scale)):
+            shapes.append((cin, layer.features, t, layer.kernel, layer.stride, padding_for(layer)))
+            cin = layer.features
+    return shapes
+
+
+# The default 8-channel model's 8 layer shapes, then the tiny model's 2,
+# whose 4 input channels take a different BLAS kernel than 8 or more.
+_LAYER_SHAPES = (_conv_layer_shapes(ModelConfig(channels=8))
+                 + _conv_layer_shapes(ModelConfig(channels=4, fragment_length=64, levels=1,
+                                                  conv=((8, 4, 2),), hidden=4)))
+
+
+class TestKernelGradients:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("cin,cout,t,k,stride,padding", _LAYER_SHAPES)
+    def test_equal_the_per_tap_products(self, rng, batch, cin, cout, t, k, stride, padding):
+        """Bit for bit at any batch: the unrolled product runs, per tap, the
+        same (X, B·n) @ (B·n, Y) product as a ``tensordot``."""
+
+        def kernel_grad(layer, x, nbias):
+            # A conv bank is (out,in,k) and its adjoint deconv's (in,out,k).
+            kernels = Tensor(rng.normal(size=(cout, cin, k)), requires_grad=True)
+            y = layer(Tensor(x), kernels, Tensor(np.zeros(nbias)), stride, padding)
+            g = rng.normal(size=y.shape)
+            tsum(mul(y, g)).backward()
+            return kernels.grad, g
+
+        x = rng.normal(size=(batch, cin, t))
+        dw, g = kernel_grad(conv1d, x, cout)
+        assert dw.tobytes() == _tap_grads_per_tap(g, _taps(x, k, stride, padding)).tobytes()
+        y = rng.normal(size=g.shape)
+        dw, g = kernel_grad(deconv1d, y, cin)
+        assert dw.tobytes() == _tap_grads_per_tap(y, _taps(g, k, stride, padding)).tobytes()
+
+    def test_conv_skips_the_input_gradient_of_a_constant(self, rng):
+        """The vjp gives None for an input that needs no grad, and the same
+        kernel and bias grads as for one that does."""
+        x, w, b = rng.normal(size=(2, 3, 16)), rng.normal(size=(4, 3, 4)), rng.normal(size=4)
+        g = rng.normal(size=(2, 4, 8))
+        grads = [conv1d(Tensor(x, requires_grad=needs), Tensor(w, requires_grad=True), Tensor(b), 2, 1)._vjp(g)
+                 for needs in (False, True)]
+        assert grads[0][0] is None and grads[1][0].shape == x.shape
+        for constant, variable in zip(grads[0][1:], grads[1][1:]):
+            assert constant.tobytes() == variable.tobytes()
 
 
 class TestLstmCell:
