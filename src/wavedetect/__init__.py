@@ -26,8 +26,8 @@ from .errors import (
     WaveDetectError,
 )
 from .metrics import MetricsReport, compute_metrics
-from .model import ConvLayer, ModelConfig, WaveletAutoencoder, reconstruction_loss
-from .nn import LSTMParams, bce_with_logits, conv1d, deconv1d, linear, lstm_sequence, mse_loss
+from .model import ConvLayer, ModelConfig, WaveletAutoencoder
+from .nn import LSTMParams, bce_with_logits, conv1d, deconv1d, linear, lstm_sequence, reconstruction_loss
 from .optim import Adam
 from .serialize import load_detector, save_detector
 from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep, vote_decide

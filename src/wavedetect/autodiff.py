@@ -16,15 +16,16 @@ once; a second ``backward()`` through any consumed node raises
 ``zero_grad()``.
 
 Only the operations the sequence model needs are provided: elementwise
-arithmetic with bias-style broadcasting, matrix products (a weight matrix
-may multiply a stack of matrices with a leading batch axis), the usual
-activations, means over all or some axes, indexing and reshaping, and
-concatenation along the last axis. Every op, here and in ``nn``, computes
+sums and products with bias-style broadcasting, matrix products (a weight
+matrix may multiply a stack of matrices with a leading batch axis), the
+usual activations, indexing and reshaping, and concatenation along the
+last axis. Every op, here and in ``nn``, computes
 its result, defines its backward as a function from the result's gradient
 to one gradient per parent, and returns ``_node(result, parents, vjp)``:
 ``_node`` is the one way an op records itself in the graph. An op may be
 coarse: ``nn`` builds whole layers, such as a full LSTM sequence with its
-hand-written backward pass, as one node, which keeps graphs small.
+hand-written backward pass, and the whole multiscale reconstruction loss
+as one node each, which keeps graphs small.
 """
 
 from __future__ import annotations
@@ -140,21 +141,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return index(self, key)
@@ -213,16 +201,6 @@ def add(a, b) -> Tensor:
     return _node(a.data + b.data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def vjp(g):
-        return _owned(_unbroadcast(g, ash), g), _unbroadcast(-g, bsh)
-
-    return _node(a.data - b.data, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
@@ -271,18 +249,6 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def tmean(a, axis=None) -> Tensor:
-    """Mean over all elements, or over the given axis or axes."""
-    a = _as_tensor(a)
-    kept = a.data.mean(axis=axis, keepdims=True)
-    shape, n = a.data.shape, a.data.size // kept.size
-
-    def vjp(g):
-        return (np.broadcast_to(np.reshape(g, kept.shape) / n, shape).copy(),)
-
-    return _node(np.squeeze(kept, axis=axis), (a,), vjp)
 
 
 def concat(parts) -> Tensor:

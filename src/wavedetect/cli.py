@@ -26,7 +26,7 @@ from .model import ConvLayer, ModelConfig
 from .serialize import load_detector, save_detector
 from .streaming import VoteConfig, simulate, sweep
 from .synth import GeneratorConfig, synth_generate
-from .training import TrainConfig, evaluate_fragments, train
+from .training import SEMI_EPOCHS, SUPERVISED_EPOCHS, TrainConfig, evaluate_fragments, train
 from .wavelet import FAMILIES
 
 
@@ -63,30 +63,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector")
-    p.add_argument("--mode", choices=("semi", "supervised"), default="semi",
+    p.add_argument("--mode", choices=("semi", "supervised"), default=TrainConfig.mode,
                    help="training regime (default: %(default)s)")
     p.add_argument("--signals", type=Path, required=True, help="signals CSV")
     p.add_argument("--ranges", type=Path, help="anomaly ranges CSV")
     p.add_argument("--out", type=Path, required=True, help="detector file to write")
-    p.add_argument("--epochs", type=int, help="training epochs (default: 16 semi, 11 supervised)")
-    p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate (default: %(default)s)")
-    p.add_argument("--alpha", type=float, default=0.5,
+    p.add_argument("--epochs", type=int,
+                   help=f"training epochs (default: {SEMI_EPOCHS} semi, {SUPERVISED_EPOCHS} supervised)")
+    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="Adam learning rate (default: %(default)s)")
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha,
                    help="reconstruction weight in the supervised loss (default: %(default)s; implementation choice)")
-    p.add_argument("--beta", type=float, default=1.5,
+    p.add_argument("--beta", type=float, default=TrainConfig.beta,
                    help="threshold factor over mean training loss (default: %(default)s)")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
                    help="fragment length in samples (default: %(default)s)")
     p.add_argument("--pos-step", type=int, default=DEFAULT_POS_STEP,
                    help="sliding step for positive-fragment augmentation (default: %(default)s)")
-    p.add_argument("--levels", type=int, default=3,
+    p.add_argument("--levels", type=int, default=ModelConfig.levels,
                    help="wavelet decomposition depth (default: %(default)s; implementation choice)")
-    p.add_argument("--hidden", type=int, default=32,
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden,
                    help="LSTM hidden size (default: %(default)s; implementation choice)")
-    p.add_argument("--family", choices=sorted(FAMILIES), default="haar",
+    p.add_argument("--family", choices=sorted(FAMILIES), default=ModelConfig.wavelet,
                    help="wavelet family (default: %(default)s; implementation choice)")
-    p.add_argument("--conv", type=str, default="32:8:2,64:4:2",
+    conv = ",".join(f"{c.features}:{c.kernel}:{c.stride}" for c in ModelConfig.conv)
+    p.add_argument("--conv", type=str, default=conv,
                    help="conv stack as features:kernel:stride,... (default: %(default)s; implementation choice)")
-    p.add_argument("--seed", type=int, default=0, help="training seed (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed, help="training seed (default: %(default)s)")
     p.add_argument("--drop-anomalous", action="store_true",
                    help="in semi mode, silently drop anomalous fragments instead of refusing")
     p.set_defaults(func=cmd_train)
@@ -103,9 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True, help="detector file")
     p.add_argument("--signals", type=Path, required=True, help="signals CSV")
     p.add_argument("--ranges", type=Path, help="anomaly ranges CSV")
-    p.add_argument("--tw", type=int, default=512, help="vote window length in samples (default: %(default)s)")
-    p.add_argument("--ts", type=int, default=16, help="block length in samples (default: %(default)s)")
-    p.add_argument("--vote-threshold", type=float, default=0.5,
+    p.add_argument("--tw", type=int, default=VoteConfig.window,
+                   help="vote window length in samples (default: %(default)s)")
+    p.add_argument("--ts", type=int, default=VoteConfig.step, help="block length in samples (default: %(default)s)")
+    p.add_argument("--vote-threshold", type=float, default=VoteConfig.vote_threshold,
                    help="positive-vote ratio declaring a block anomalous (default: %(default)s)")
     p.add_argument("--sweep", action="store_true",
                    help="report metrics for vote thresholds 0.1..0.9 instead of one run")

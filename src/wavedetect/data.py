@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, IngestError, require_integers
+from .errors import ConfigError, DataError, IngestError, require_instances, require_integers
 
 DEFAULT_WINDOW = 512
 DEFAULT_POS_STEP = 16
@@ -240,6 +240,7 @@ def load_ranges(path) -> AnomalyRanges:
 
 def label_block(span, ranges: AnomalyRanges) -> int:
     """1 iff at least half of the half-open span lies inside anomaly ranges."""
+    require_instances(DataError, ("ranges", ranges, AnomalyRanges))
     start, end = span
     return int(2 * ranges.overlap(start, end) >= end - start)
 
@@ -254,6 +255,8 @@ def make_fragments(
     ranges are swept with a short-step sliding window so the positive class
     is augmented. Only windows fully inside a labeled region are emitted.
     """
+    require_instances(DataError, ("series", series, MultiSeries),
+                      ("ranges", ranges, (AnomalyRanges, type(None))))
     require_integers(("window", window), ("pos_step", pos_step))
     if window < 1:
         raise ConfigError("window must be positive")
@@ -261,10 +264,7 @@ def make_fragments(
         raise DataError(f"window {window} exceeds series length {series.length}")
     if not 1 <= pos_step <= window:
         raise ConfigError(f"pos_step must be in [1, window], got {pos_step}")
-    if ranges is None:
-        ranges = AnomalyRanges()
-    elif not isinstance(ranges, AnomalyRanges):
-        raise DataError(f"ranges must be an AnomalyRanges or None, got {type(ranges).__name__}")
+    ranges = AnomalyRanges() if ranges is None else ranges
     ranges.check_length(series.length)
 
     regions = [(s, e, 0) for s, e in ranges.complement(series.length)]

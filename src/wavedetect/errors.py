@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the type checks its
-configs share."""
+configs and public calls share."""
 
 import numbers
 
@@ -49,3 +49,14 @@ def require_reals(*named):
     for name, value in named:
         if not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def require_instances(error, *named):
+    """Raise ``error`` for the first ``(name, value, cls)`` triple whose value
+    is not a ``cls`` (a class or a tuple of them), before an attribute read
+    fails with a bare ``AttributeError``."""
+    for name, value, cls in named:
+        if not isinstance(value, cls):
+            kinds = " or ".join("None" if c is type(None) else ("an " if c.__name__[0] in "AEIOU" else "a ")
+                                + c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+            raise error(f"{name} must be {kinds}, got {type(value).__name__}")

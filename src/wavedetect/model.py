@@ -28,7 +28,9 @@ Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
 all scales in one time loop, a single graph node with its own backward
 pass. ``encode`` takes the list of scale inputs (the normalized signal,
 then its detail arrays), which ``training`` builds; the model itself
-neither normalizes nor decomposes. Every pass takes a batch: a scale
+neither normalizes nor decomposes, nor computes its loss: the scale inputs
+are also the reconstruction targets of ``nn.reconstruction_loss``, one
+graph node that treats them as constants. Every pass takes a batch: a scale
 input is (B, C, T >> l) and the code (B, code_length); a lone window is a
 batch of one.
 
@@ -52,8 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, add, concat, matmul, relu, reshape, sigmoid
+from .data import DEFAULT_WINDOW
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_integers
-from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, mse_loss
+from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence
 from .wavelet import get_family
 
 
@@ -81,7 +84,7 @@ def _conv_layer(i: int, layer) -> ConvLayer:
 @dataclass
 class ModelConfig:
     channels: int
-    fragment_length: int = 512
+    fragment_length: int = DEFAULT_WINDOW
     levels: int = 3
     conv: tuple = DEFAULT_CONV
     hidden: int = 32
@@ -357,16 +360,3 @@ class WaveletAutoencoder:
         """Anomaly probability from the code, the sigmoid of ``logit``."""
         return sigmoid(self.logit(code))
 
-
-def reconstruction_loss(targets, reconstructions) -> Tensor:
-    """Sum of per-scale mean-squared errors: signal term plus one term per
-    detail level, one loss per sample of the (B, C, T) batches."""
-    if len(targets) != len(reconstructions):
-        raise ShapeError(
-            f"{len(targets)} targets vs {len(reconstructions)} reconstructions"
-        )
-    total = None
-    for target, recon in zip(targets, reconstructions):
-        term = mse_loss(recon, target)
-        total = term if total is None else add(total, term)
-    return total

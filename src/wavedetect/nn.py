@@ -1,5 +1,5 @@
 """Differentiable building blocks: 1-D convolutions, the LSTM, dense
-layers, and the two loss functions used for training.
+layers, and the two training losses, each one graph node.
 
 Convolutions follow the cross-correlation convention common in sequence
 models (no kernel flip). The two conv layers share one tap layout, tap j of
@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, _node, _trace, mul, sigmoid, sub, tmean
+from .autodiff import Tensor, _as_tensor, _node, _trace, sigmoid
 from .errors import ContractError, ShapeError
 
 
@@ -449,16 +449,6 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             for off, n in zip(offsets, lengths)]
 
 
-def mse_loss(pred, target) -> Tensor:
-    """Mean of squared elementwise differences of a (B,C,T) batch, the
-    layout of the model: one mean per sample, shape (B,)."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.data.ndim != 3 or pred.data.shape != target.data.shape:
-        raise ShapeError(f"mse_loss expects two (B,C,T) batches of one shape; got {pred.shape}, {target.shape}")
-    d = sub(pred, target)
-    return tmean(mul(d, d), axis=(1, 2))
-
-
 def bce_with_logits(logit, label: int) -> Tensor:
     """Binary cross-entropy of sigmoid(logit) against a 0/1 label, as one
     graph node.
@@ -482,3 +472,30 @@ def bce_with_logits(logit, label: int) -> Tensor:
         return (np.full(shape, g * grad),)
 
     return _node(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))), (logit,), vjp)
+
+
+
+def reconstruction_loss(targets, reconstructions) -> Tensor:
+    """The training objective as one graph node: per sample, the mean
+    squared error of each scale's (B,C,T_s) reconstruction against its
+    target, one term per scale, summed left to right from scale 0.
+
+    The targets are constants. Backward keeps only the inputs: it recomputes
+    each d = recon - target and returns t + t, t = (g / (C·T_s)) d, the
+    products and sums of the loss composed of subtract, square and mean.
+    """
+    recons = tuple(_as_tensor(r) for r in reconstructions)
+    targets = [_as_tensor(t).data for t in targets]
+    if not recons or len(targets) != len(recons):
+        raise ShapeError(f"reconstruction_loss got {len(targets)} targets for {len(recons)} reconstructions")
+    for s, (recon, target) in enumerate(zip(recons, targets)):
+        if recon.data.ndim != 3 or recon.data.shape != target.shape or len(recon.data) != len(targets[0]):
+            raise ShapeError(f"reconstruction_loss expects (B,C,T) batches of one B, each target of its "
+                             f"reconstruction's shape; scale {s} has {recon.shape} and {target.shape}")
+
+    def vjp(g):
+        halves = ((g[:, None, None] / r.data[0].size) * (r.data - t) for r, t in zip(recons, targets))
+        return tuple(h + h for h in halves)
+
+    terms = [(d * d).mean(axis=(1, 2)) for d in (r.data - t for r, t in zip(recons, targets))]
+    return _node(sum(terms[1:], terms[0]), recons, vjp)

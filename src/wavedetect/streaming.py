@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import AnomalyRanges, MultiSeries, as_floats, label_block
-from .errors import ConfigError, ContractError, DataError, ShapeError, require_integers, require_reals
+from .data import DEFAULT_WINDOW, AnomalyRanges, MultiSeries, as_floats, label_block
+from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import require_instances, require_integers, require_reals
 from .metrics import compute_metrics
 from .training import Detector, predict_fragment, score_windows
 
@@ -37,7 +38,7 @@ SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 @dataclass(frozen=True)
 class VoteConfig:
-    window: int = 512
+    window: int = DEFAULT_WINDOW
     step: int = 16
     vote_threshold: float = 0.5
 
@@ -95,6 +96,7 @@ class VoteState:
     """Per-stream buffer of the newest window's blocks and the newest votes."""
 
     def __init__(self, detector: Detector, cfg: VoteConfig):
+        require_instances(ConfigError, ("detector", detector, Detector), ("cfg", cfg, VoteConfig))
         if cfg.window != detector.model.config.fragment_length:
             raise ConfigError(
                 f"vote window {cfg.window} does not match the detector's fragment "
@@ -158,6 +160,8 @@ def window_predictions(series: MultiSeries, detector: Detector, cfg: VoteConfig)
 def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg: VoteConfig):
     """(positive votes, total votes, label) of every block of the stream. A
     range that ends past the stream raises ``DataError``."""
+    require_instances(DataError, ("series", series, MultiSeries), ("ranges", ranges, AnomalyRanges))
+    require_instances(ConfigError, ("detector", detector, Detector), ("cfg", cfg, VoteConfig))
     ranges.check_length(series.length)
     votes, n_blocks = window_predictions(series, detector, cfg)
     return [(*_tally(votes, i, cfg.votes_per_block), label_block((i * cfg.step, (i + 1) * cfg.step), ranges))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import AnomalyRanges, MultiSeries
-from .errors import ConfigError, require_integers, require_reals
+from .errors import ConfigError, require_instances, require_integers, require_reals
 
 COUPLING_DROP = 0.55
 
@@ -117,6 +117,7 @@ def _envelope(n: int, ranges: AnomalyRanges) -> np.ndarray:
 
 def synth_generate(cfg: GeneratorConfig, seed: int):
     """Build one (MultiSeries, AnomalyRanges) pair, deterministic per seed."""
+    require_instances(ConfigError, ("cfg", cfg, GeneratorConfig))
     require_integers(("seed", seed))
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")

@@ -20,10 +20,11 @@ fragments or windows into a (N, C, T) array and rejects a wrong shape or a
 non-finite value. One helper then turns such a batch into the model's
 per-scale inputs: the windows z-scored per channel, then their wavelet
 details. Each scale input is both the encoder's input and the
-reconstruction target of that scale. Training builds them once for all
-windows and takes each step on a batch of one; scoring builds them per
-chunk. All scoring goes through one
-no-grad path that takes a batch of windows (``score_windows``). The
+reconstruction target of that scale; the loss, ``nn.reconstruction_loss``,
+is one graph node that takes the targets as constants. Training builds
+them once for all windows and takes each step on a batch of one; scoring
+builds them per chunk. All scoring goes through one no-grad path that
+takes a batch of windows (``score_windows``). The
 z-score statistics are fitted on the training set only and travel with
 the detector.
 Statistics and trained weights are rounded to float32, the precision of a
@@ -41,10 +42,10 @@ import numpy as np
 
 from .autodiff import no_grad
 from .data import as_floats
-from .errors import ConfigError, DataError, require_integers, require_reals
+from .errors import ConfigError, DataError, require_instances, require_integers, require_reals
 from .metrics import MetricsReport, compute_metrics
-from .model import ModelConfig, WaveletAutoencoder, reconstruction_loss
-from .nn import bce_with_logits
+from .model import ModelConfig, WaveletAutoencoder
+from .nn import bce_with_logits, reconstruction_loss
 from .optim import Adam
 from .wavelet import get_family, mdwd
 
@@ -74,6 +75,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_instances(ConfigError, ("model", self.model, ModelConfig))
         if self.mode not in ("semi", "supervised"):
             raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
         require_integers(("epochs", self.resolved_epochs), ("seed", self.seed))
@@ -108,6 +110,7 @@ class Detector:
     norm_std: np.ndarray
 
     def __post_init__(self):
+        require_instances(ConfigError, ("model", self.model, WaveletAutoencoder))
         if self.mode not in ("semi", "supervised"):
             raise ConfigError(f"detector mode must be 'semi' or 'supervised', got {self.mode!r}")
         if self.mode == "supervised" and not self.model.config.classifier:
@@ -232,6 +235,7 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     a classifier head, and adds the head's cross-entropy. An epoch whose
     mean loss is not finite stops training with ``DataError``.
     """
+    require_instances(ConfigError, ("cfg", cfg, TrainConfig))
     supervised = cfg.mode == "supervised"
     windows, labels = _labeled_windows(fragments, cfg.model, None if supervised else 0)
     for i, label in enumerate(labels):

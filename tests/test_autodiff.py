@@ -10,7 +10,6 @@ from wavedetect.autodiff import (
     relu,
     reshape,
     sigmoid,
-    tmean,
 )
 from wavedetect.errors import ContractError, ShapeError
 
@@ -161,12 +160,6 @@ def test_matmul_shape_errors():
         matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
-def test_mean_gradient_is_uniform():
-    x = Tensor(np.arange(8.0), requires_grad=True)
-    tmean(x).backward()
-    assert np.allclose(x.grad, np.full(8, 1.0 / 8.0))
-
-
 def test_concat_splits_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0], requires_grad=True)
@@ -219,15 +212,6 @@ def test_batched_matmul_gradients(rng):
 
     assert max_rel_err(a.grad, numeric_grad(f, a)) < 1e-6
     assert max_rel_err(b.grad, numeric_grad(f, b)) < 1e-6
-
-
-def test_mean_over_axes():
-    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-    per = tmean(x, axis=(1, 2))
-    assert np.allclose(per.data, [5.5, 17.5])
-    tsum(per * Tensor([1.0, 3.0])).backward()
-    assert np.allclose(x.grad[0], 1.0 / 12.0)
-    assert np.allclose(x.grad[1], 3.0 / 12.0)
 
 
 def test_concat_along_last_axis(rng):

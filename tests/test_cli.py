@@ -8,12 +8,13 @@ import re
 import numpy as np
 import pytest
 
-from wavedetect.cli import main
-from wavedetect.data import MultiSeries, load_ranges, load_signals, save_ranges, save_signals
+from wavedetect.cli import _parse_conv, build_parser, main
+from wavedetect.data import DEFAULT_WINDOW, MultiSeries, load_ranges, load_signals, save_ranges, save_signals
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import save_detector
 from wavedetect.synth import GeneratorConfig, synth_generate
-from wavedetect.training import Detector
+from wavedetect.streaming import VoteConfig
+from wavedetect.training import SEMI_EPOCHS, SUPERVISED_EPOCHS, Detector, TrainConfig
 
 TINY = ["--window", "64", "--levels", "1", "--conv", "8:4:2", "--hidden", "4", "--epochs", "2"]
 
@@ -139,3 +140,24 @@ def test_negative_synth_seed_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be >= 0" in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_parsed_defaults_are_the_config_defaults(capsys):
+    """Each flag's default is read from the config that owns it, so the CLI
+    and the API train and vote alike when no flag is given."""
+    parser = build_parser()
+    args = parser.parse_args(["train", "--signals", "s.csv", "--out", "d.wdc"])
+    model = ModelConfig(channels=1)
+    cfg = TrainConfig(model=model)
+    assert (args.mode, args.epochs, args.lr, args.alpha, args.beta, args.seed) == \
+           (cfg.mode, cfg.epochs, cfg.lr, cfg.alpha, cfg.beta, cfg.seed)
+    assert (args.window, args.levels, args.hidden, args.family, _parse_conv(args.conv)) == \
+           (model.fragment_length, model.levels, model.hidden, model.wavelet, model.conv)
+    args = parser.parse_args(["simulate", "--model", "d.wdc", "--signals", "s.csv"])
+    assert (args.tw, args.ts, args.vote_threshold) == (VoteConfig().window, VoteConfig().step,
+                                                         VoteConfig().vote_threshold)
+    assert DEFAULT_WINDOW == model.fragment_length == VoteConfig().window
+    with pytest.raises(SystemExit):
+        parser.parse_args(["train", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())  # unwrapped
+    assert f"(default: {SEMI_EPOCHS} semi, {SUPERVISED_EPOCHS} supervised)" in help_text

@@ -1,5 +1,6 @@
 """Every float field of a config is type-checked before its range check, so
-a value that is not a number raises ``ConfigError`` naming the field."""
+a value that is not a number raises ``ConfigError`` naming the field; a
+missing config raises ``ConfigError`` naming the argument."""
 
 import pytest
 
@@ -8,8 +9,8 @@ from wavedetect.errors import ConfigError
 from wavedetect.model import ModelConfig
 from wavedetect.optim import Adam
 from wavedetect.streaming import VoteConfig
-from wavedetect.synth import GeneratorConfig
-from wavedetect.training import TrainConfig
+from wavedetect.synth import GeneratorConfig, synth_generate
+from wavedetect.training import Detector, TrainConfig, train
 
 
 def _train_config(**field):
@@ -30,3 +31,15 @@ _FLOAT_FIELDS = [
 def test_a_float_field_that_is_not_a_number_is_a_config_error(build, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a real number, got {value!r}"):
         build(**{name: value})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: TrainConfig(model=None), "model must be a ModelConfig, got NoneType"),
+    (lambda: train([], None), "cfg must be a TrainConfig, got NoneType"),
+    (lambda: synth_generate(None, 0), "cfg must be a GeneratorConfig, got NoneType"),
+    (lambda: Detector(model=None, mode="semi", threshold=1.0, train_loss_mean=1.0, norm_mean=None, norm_std=None),
+     "model must be a WaveletAutoencoder, got NoneType"),
+], ids=["TrainConfig-model", "train-cfg", "synth_generate-cfg", "Detector-model"])
+def test_a_missing_config_is_a_config_error(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()

@@ -9,7 +9,8 @@ Every lookup site the benchmark's tracer patches exists, so that a
 refactor can neither crash a traced run nor silently zero its span, and a
 traced training run counts its graphs before ``backward`` consumes them.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
-records itself through ``autodiff._node``."""
+records itself through ``autodiff._node``. A training step's graph holds a
+known number of nodes, so any change to its size is a deliberate one."""
 
 import ast
 import importlib.util
@@ -23,6 +24,7 @@ import pytest
 import wavedetect
 from wavedetect.autodiff import Tensor
 from wavedetect.model import ModelConfig, WaveletAutoencoder
+from wavedetect.nn import reconstruction_loss
 from wavedetect.optim import Adam
 from wavedetect.training import TrainConfig
 
@@ -171,3 +173,23 @@ def test_traced_training_counts_each_graph_before_backward_consumes_it():
     assert traced[:2] == untraced[:2]
     assert all(np.array_equal(a, b) for a, b in zip(traced[2], untraced[2]))
     assert len(tracer.backward_nodes) == 6 and min(tracer.backward_nodes) > 1
+
+
+@pytest.mark.parametrize("cfg,nodes", [
+    (ModelConfig(channels=8), 140),
+    (ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2), 56),
+], ids=["default", "tiny"])
+def test_one_training_step_records_a_known_number_of_graph_nodes(cfg, nodes):
+    """A step's graph holds every parameter, 4K + 8 op nodes per scale for K
+    conv layers (each conv and its ReLU, the teacher buffer, its two views,
+    the decoder's initial state, the final hidden state's and the hidden
+    states' views, the step head's three ops, each deconv and the ReLUs
+    between them), and four shared ones: the two LSTM passes, the code and
+    the loss. A change to the graph's size must change this count."""
+    model = WaveletAutoencoder(cfg)
+    inputs = [np.ones((1, cfg.channels, cfg.fragment_length >> s)) for s in range(cfg.levels + 1)]
+    code, teacher = model.encode(inputs)
+    loss = reconstruction_loss(inputs, model.decode(code, teacher))
+    per_scale = 4 * len(cfg.conv) + 8
+    assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 == nodes
+    assert bench_spans().count_graph_nodes(loss) == nodes

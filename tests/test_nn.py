@@ -13,7 +13,7 @@ from wavedetect.autodiff import (
     sigmoid,
 )
 from wavedetect.errors import ContractError, ShapeError
-from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for, reconstruction_loss
+from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for
 from wavedetect.nn import (
     LSTMParams,
     bce_with_logits,
@@ -23,7 +23,7 @@ from wavedetect.nn import (
     _phases,
     _taps,
     lstm_sequence,
-    mse_loss,
+    reconstruction_loss,
 )
 from wavedetect.wavelet import get_family, mdwd
 
@@ -117,7 +117,7 @@ class TestConv1d:
         w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=3), requires_grad=True)
         target = rng.normal(size=(1, 3, 6))
-        mse_loss(conv1d(x, w, b, stride=2, padding=1), Tensor(target)).backward()
+        reconstruction_loss([target], [conv1d(x, w, b, stride=2, padding=1)]).backward()
 
         def f():
             pred = conv1d_naive(x.data[0], w.data, b.data, 2, 1)
@@ -190,7 +190,7 @@ class TestDeconv1d:
         w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
         target = rng.normal(size=(1, 2, 12))  # (6 - 1) * 2 - 2 * 1 + 4
-        mse_loss(deconv1d(x, w, b, stride=2, padding=1), Tensor(target)).backward()
+        reconstruction_loss([target], [deconv1d(x, w, b, stride=2, padding=1)]).backward()
 
         def f():
             from wavedetect.autodiff import no_grad
@@ -330,17 +330,19 @@ class TestLinear:
 
 
 class TestLosses:
+    """A one-scale ``reconstruction_loss`` is the per-sample mean squared error."""
+
     def test_mse_zero_when_equal(self, rng):
         x = rng.normal(size=(1, 3, 4))
-        assert mse_loss(Tensor(x), Tensor(x.copy())).item() == 0.0
+        assert reconstruction_loss([x.copy()], [Tensor(x)]).item() == 0.0
 
     def test_mse_value(self):
-        assert mse_loss(Tensor([[[2.0]]]), Tensor([[[0.0]]])).item() == 4.0
+        assert reconstruction_loss([[[[0.0]]]], [Tensor([[[2.0]]])]).item() == 4.0
 
     def test_mse_gradient_formula(self, rng):
         pred = Tensor(rng.normal(size=(1, 1, 6)), requires_grad=True)
         target = rng.normal(size=(1, 1, 6))
-        mse_loss(pred, Tensor(target)).backward()
+        reconstruction_loss([target], [pred]).backward()
         assert max_rel_err(pred.grad, 2.0 * (pred.data - target) / 6.0) < 1e-12
 
         def f():
@@ -350,7 +352,54 @@ class TestLosses:
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mse_loss(Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 4))))
+            reconstruction_loss([np.ones((1, 1, 4))], [Tensor(np.ones((1, 1, 3)))])
+
+    def test_three_scales_match_the_subtract_square_mean_fold_bit_for_bit(self, rng):
+        """The loss and every reconstruction gradient are those of the loss
+        composed of ops: d = recon - target, the mean of d * d per sample,
+        the terms added left to right, and the gradient of d * d doubled as
+        t + t."""
+        # Seven channels and these weights make g / n and g * (1 / n) differ.
+        targets = [rng.normal(size=(2, 7, n)) for n in (16, 8, 4)]
+        recons = [Tensor(rng.normal(size=(2, 7, n)), requires_grad=True) for n in (16, 8, 4)]
+        weights = np.array([0.3, 1.7])
+        loss = reconstruction_loss(targets, recons)
+        tsum(mul(loss, Tensor(weights))).backward()
+
+        terms = [((r.data - t) * (r.data - t)).mean(axis=(1, 2)) for r, t in zip(recons, targets)]
+        assert np.array_equal(loss.data, (terms[0] + terms[1]) + terms[2])
+        for r, t in zip(recons, targets):
+            d = r.data - t
+            half = (weights[:, None, None] / (7 * t.shape[2])) * d
+            assert np.array_equal(r.grad, half + half)
+
+    def test_gradients_match_finite_differences(self, rng):
+        targets = [rng.normal(size=(2, 2, n)) for n in (8, 4)]
+        recons = [Tensor(rng.normal(size=(2, 2, n)), requires_grad=True) for n in (8, 4)]
+        weights = Tensor([0.6, -1.1])
+        tsum(mul(reconstruction_loss(targets, recons), weights)).backward()
+
+        def f():
+            with no_grad():
+                return tsum(mul(reconstruction_loss(targets, recons), weights)).item()
+
+        for r in recons:
+            assert max_rel_err(r.grad, numeric_grad(f, r)) < 1e-6
+
+    def test_targets_are_constants(self, rng):
+        target = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+        recon = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+        reconstruction_loss([target], [recon]).backward()
+        assert target.grad is None and recon.grad is not None
+
+    @pytest.mark.parametrize("targets,recons", [
+        ([np.zeros((2, 1, 4)), np.zeros((1, 1, 2))], [np.zeros((2, 1, 4)), np.zeros((1, 1, 2))]),
+        ([np.zeros((1, 1, 4))], [np.zeros((1, 1, 4)), np.zeros((1, 1, 2))]),
+        ([], []),
+    ], ids=["batch-sizes-differ", "count-mismatch", "no-scales"])
+    def test_inconsistent_scales_raise(self, targets, recons):
+        with pytest.raises(ShapeError):
+            reconstruction_loss(targets, [Tensor(r) for r in recons])
 
     def test_bce_values(self):
         assert abs(bce_with_logits(Tensor([0.0]), 0).item() - np.log(2.0)) < 1e-12
@@ -424,7 +473,7 @@ def _clamped_probability_bce(z, label):
 
 
 def test_composite_chain_gradients_match_finite_differences(rng):
-    """conv -> lstm -> linear -> mse, checked end to end against FD."""
+    """conv -> lstm -> linear -> reconstruction loss, checked end to end against FD."""
     x = rng.normal(size=(1, 2, 10))
     conv_w = Tensor(rng.normal(size=(3, 2, 4)) * 0.5, requires_grad=True)
     conv_b = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
@@ -439,7 +488,7 @@ def test_composite_chain_gradients_match_finite_differences(rng):
         c = Tensor(np.zeros((1, 2)))
         for t in range(acts.data.shape[2]):
             h, c = lstm_step(acts[..., t], h, c, p)
-        return mse_loss(reshape(linear(h, out_w, out_b), (1, 2, 1)), Tensor(target))
+        return reconstruction_loss([target], [reshape(linear(h, out_w, out_b), (1, 2, 1))])
 
     forward().backward()
     params = [conv_w, conv_b, out_w, out_b] + [t for _, t in p.named()]
@@ -496,10 +545,10 @@ class TestBatchAxis:
 
     def test_mse_loss_per_sample(self, rng):
         pred, target = rng.normal(size=(3, 2, 8)), rng.normal(size=(3, 2, 8))
-        per = mse_loss(Tensor(pred), Tensor(target)).data
+        per = reconstruction_loss([target], [Tensor(pred)]).data
         assert per.shape == (3,)
         for i in range(3):
-            assert per[i] == mse_loss(Tensor(pred[i : i + 1]), Tensor(target[i : i + 1])).item()
+            assert per[i] == reconstruction_loss([target[i : i + 1]], [Tensor(pred[i : i + 1])]).item()
 
 
 def _unbatched_calls():
@@ -515,7 +564,7 @@ def _unbatched_calls():
         ("conv1d", lambda: conv1d(Tensor(x), Tensor(np.ones((3, 2, 4))), Tensor(np.zeros(3)))),
         ("deconv1d", lambda: deconv1d(Tensor(x), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros(3)))),
         ("lstm_sequence", lambda: lstm_sequence([np.zeros((3, 4))], [np.zeros(2)], [np.zeros(2)], [p])),
-        ("mse_loss", lambda: mse_loss(Tensor(x), Tensor(x))),
+        ("reconstruction_loss", lambda: reconstruction_loss([x], [Tensor(x)])),
         ("encode", lambda: model.encode([x, np.zeros((2, 8))])),
         ("decode", lambda: model.decode(code[0], [a[0] for a in acts])),
     ]

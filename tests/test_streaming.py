@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.data import AnomalyRanges, MultiSeries
+from wavedetect.data import AnomalyRanges, MultiSeries, label_block, make_fragments
 from wavedetect.errors import ConfigError, ContractError, DataError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.streaming import (
@@ -211,3 +211,33 @@ class TestSimulate:
         for tau, report in results:
             cfg = VoteConfig(window=64, step=16, vote_threshold=tau)
             assert simulate(series, AnomalyRanges(((100, 260),)), detector, cfg)[1] == report
+
+
+# Each call hands a public function one series, ranges, detector or config
+# of the wrong type; before the shared type check each raised a bare
+# ``AttributeError`` at its first attribute read.
+_WRONG_TYPES = {
+    "make_fragments-series": (lambda: make_fragments([[0.0] * 600], None, window=64),
+                              DataError, "series must be a MultiSeries, got list"),
+    "label_block-ranges": (lambda: label_block((0, 5), [(0, 5)]),
+                           DataError, "ranges must be an AnomalyRanges, got list"),
+    "simulate-ranges": (lambda: simulate(make_series(1), [(0, 5)], make_detector(), CFG),
+                        DataError, "ranges must be an AnomalyRanges, got list"),
+    "sweep-ranges": (lambda: sweep(make_series(1), [(0, 5)], make_detector(), CFG),
+                     DataError, "ranges must be an AnomalyRanges, got list"),
+    "simulate-series": (lambda: simulate(make_series(1).values, AnomalyRanges(), make_detector(), CFG),
+                        DataError, "series must be a MultiSeries, got ndarray"),
+    "simulate-detector": (lambda: simulate(make_series(1), AnomalyRanges(), None, CFG),
+                          ConfigError, "detector must be a Detector, got NoneType"),
+    "VoteState-detector": (lambda: VoteState(None, VoteConfig()),
+                           ConfigError, "detector must be a Detector, got NoneType"),
+    "VoteState-cfg": (lambda: VoteState(make_detector(), None),
+                      ConfigError, "cfg must be a VoteConfig, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_is_a_package_error(name):
+    call, error, message = _WRONG_TYPES[name]
+    with pytest.raises(error, match=message):
+        call()
