@@ -155,6 +155,7 @@ class Fragment:
 
 
 def save_signals(path, series: MultiSeries):
+    require_instances(DataError, ("series", series, MultiSeries))
     with Path(path).open("w") as fh:
         fh.write("t," + ",".join(series.channel_names) + "\n")
         for t, row in enumerate(series.values.T):

@@ -55,7 +55,7 @@ import numpy as np
 
 from .autodiff import Tensor, add, concat, matmul, relu, reshape, sigmoid
 from .data import DEFAULT_WINDOW
-from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_integers
+from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence
 from .wavelet import get_family
 
@@ -201,6 +201,7 @@ class WaveletAutoencoder:
     def __init__(self, config: ModelConfig):
         """A model with a fresh uniform init: each tensor's values lie in
         ±1/sqrt(fan_in), drawn from ``random.Random(config.seed)``."""
+        require_instances(ConfigError, ("config", config, ModelConfig))
         config.validate()
         draw = random.Random(config.seed).randbytes
 

@@ -217,20 +217,24 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
     """S recurrences in one time loop; sequence s runs ``lengths[s]`` steps.
 
     ``zx_of(start, end, k)`` gives the input pre-activations of steps
-    start..end-1 of the first k sequences, step-major (n,k,B,4H): input
-    projection plus bias with the sigmoid columns halved. The states ``h0``
-    and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H) holds the halved
-    recurrent weights, transposed.
+    start..end-1 of the first k sequences, step- and gate-major
+    (n,4,k,B,H): input projection plus bias with the sigmoid gates halved.
+    The states ``h0`` and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H) holds
+    the halved recurrent weights, transposed.
+
+    The gates are gate-major, (4,k,B,H), so that every elementwise call of
+    a step reads and writes whole contiguous blocks; only the recurrent
+    product's (k,B,1,4H) rows are gate-minor, and the step's first add
+    reads them through a transposed view.
 
     Returns (runs, h, c): one (start, end, k, hs, saved) per phase of
     ``_phases``, where hs (n+1,k,B,H) holds the phase's hidden states with
     its entry state at index 0, then every sequence's final hidden and cell
     states (S,B,H). With ``keep``, ``saved`` holds what backward needs: the
-    gate activations (n,k,B,4H), the cell states (n+1,k,B,H) and their tanh
-    (n,k,B,H); otherwise it is None.
+    gate activations (n,4,k,B,H), the cell states (n+1,k,B,H) and their
+    tanh (n,k,B,H); otherwise it is None.
     """
     _, nb, hid = h0.shape
-    g4 = 4 * hid
     h = np.array(h0, dtype=np.float64)
     c = np.array(c0, dtype=np.float64)
     runs = []
@@ -243,22 +247,23 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
         # result depends neither on its batch nor on the other sequences.
         h_rows = hs[..., None, :]
         w = wh_t[:k]
-        z_rows = np.empty((k, nb, 1, g4))
-        a = z_rows.reshape(k, nb, g4)
-        sig, i, f, o, g = a[..., : 3 * hid], *(a[..., q * hid : (q + 1) * hid] for q in range(4))
+        z_rows = np.empty((k, nb, 1, 4 * hid))
+        zh = z_rows.reshape(k, nb, 4, hid).transpose(2, 0, 1, 3)
+        a = np.empty((4, k, nb, hid))
+        sig, i, f, o, g = a[:3], *a
         ck = c[:k]  # a view: the loop updates c in place
         ig = np.empty((k, nb, hid))
         tc = np.empty((k, nb, hid))
         saved = None
         if keep:
-            acts = np.empty((steps, k, nb, g4))
+            acts = np.empty((steps, 4, k, nb, hid))
             cs = np.empty((steps + 1, k, nb, hid))
             tcs = np.empty((steps, k, nb, hid))
             cs[0] = ck
             saved = acts, cs, tcs
         for t in range(steps):
             np.matmul(h_rows[t], w, out=z_rows)
-            a += zx[t]
+            np.add(zh, zx[t], out=a)
             np.tanh(a, out=a)
             sig *= 0.5
             sig += 0.5
@@ -277,7 +282,8 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
 def _scan_grad(runs, wh, dhs_of, dc, lengths):
     """Backpropagation through time for ``_scan``, over its ``runs`` from the
     last phase back; each run is (start, end, k, saved), without the hidden
-    states, which BPTT does not read.
+    states, which BPTT does not read. The saved gate activations are
+    gate-major, (n,4,k,B,H), so gate q of every step is ``acts[:, q]``.
 
     ``dhs_of(start, end, k)`` gives the loss gradient (n,k,B,H) arriving at
     each hidden state of a phase from outside the recurrence, and ``dc``
@@ -297,7 +303,7 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
     dc = np.array(dc)
     for start, end, k, (acts, cs, tcs) in reversed(runs):
         steps, hid = end - start, g4 // 4
-        i, f, o, g = (acts[..., q * hid : (q + 1) * hid] for q in range(4))
+        i, f, o, g = (acts[:, q] for q in range(4))
         # d(pre-activation) per unit of the gradient reaching the cell state
         # (input, forget and candidate gates) or the hidden state (output gate).
         coef = np.empty((steps, k, nb, 4, hid))
@@ -359,11 +365,12 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     backward pass is hand-written BPTT and returns gradients for every
     ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
 
-    For backward the node keeps the gate activations and the cell states
-    with their tanh, which ``_scan`` saved step by step; recomputing the
-    tanh in one vectorised call could round differently. The hidden state
-    entering each step is read back from the node's own packed output and
-    ``h0``, so the per-phase hidden-state arrays die once packed.
+    For backward the node keeps the gate activations, gate-major per phase
+    (n,4,k,B,H), and the cell states with their tanh, which ``_scan`` saved
+    step by step; recomputing the tanh in one vectorised call could round
+    differently. The hidden state entering each step is read back from the
+    node's own packed output and ``h0``, so the per-phase hidden-state
+    arrays die once packed.
     """
     count = len(params)
     if not count or not len(xs) == len(h0s) == len(c0s) == count:
@@ -389,11 +396,11 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     half = _halving(hid)
 
     def zx_of(start, end, k):
-        zx = np.empty((end - start, k, nb, 4 * hid))
+        zx = np.empty((end - start, 4, k, nb, hid))
         for s, p in enumerate(params[:k]):
             z = (p.w_x.data * half[:, None]) @ xs[s].data[..., _window(lengths[s], start, end, reverse)]
             z += (p.b.data * half)[:, None]
-            zx[:, s] = _time_major(z, reverse)
+            zx[:, :, s] = _time_major(z, reverse).reshape(end - start, nb, 4, hid).transpose(0, 2, 1, 3)
         return zx
 
     whs = [p.w_h.data for p in params]

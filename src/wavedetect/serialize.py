@@ -36,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_instances
 from .model import WaveletAutoencoder, config_from_dict, config_to_dict
+from .training import Detector
 
 MAGIC = "wavedetect-container"
 VERSION = 3
@@ -52,6 +53,7 @@ def _tensor(path, tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def save_detector(detector, path):
+    require_instances(ConfigError, ("detector", detector, Detector))
     lines = [
         f"{MAGIC} {VERSION}",
         "config " + json.dumps(config_to_dict(detector.model.config), sort_keys=True),
@@ -74,8 +76,6 @@ def save_detector(detector, path):
 def load_detector(path):
     """The detector a container file holds. Anything malformed in the file,
     or a version other than 3, raises ``DataError`` naming the file."""
-    from .training import Detector
-
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     cut = blob.find(marker)

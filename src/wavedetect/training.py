@@ -290,6 +290,7 @@ def score_windows(detector: Detector, windows) -> np.ndarray:
     windows: the reconstruction loss (threshold mode) or anomaly probability
     (head mode) of each. A window of the wrong shape or holding NaN or
     infinity raises ``DataError``."""
+    require_instances(ConfigError, ("detector", detector, Detector))
     return _scores(detector.model, detector.norm_mean, detector.norm_std,
                    _checked_windows(windows, detector.model.config), head=detector.mode == "supervised")
 
@@ -308,6 +309,7 @@ def predict_fragment(detector: Detector, fragment):
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     """Metrics of the detector's predictions on 0/1-labeled fragments. An
     item without a 0/1 ``label`` raises ``DataError``."""
+    require_instances(ConfigError, ("detector", detector, Detector))
     windows, labels = _labeled_windows(fragments, detector.model.config, None)
     for i, label in enumerate(labels):
         if label not in (0, 1):

@@ -165,6 +165,13 @@ class TestCsv:
         save_signals(path, MultiSeries(["a", "b"], [[0.1, -2.0], [1e-07, 3.0]]))
         assert path.read_bytes() == b"t,a,b\n0,0.1,1e-07\n1,-2.0,3.0\n"
 
+    def test_save_signals_checks_series_before_it_opens_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"keep\n")
+        with pytest.raises(DataError, match="series must be a MultiSeries, got list"):
+            save_signals(path, [[0.0]])
+        assert path.read_bytes() == b"keep\n"
+
     def test_load_signals_streams_into_one_buffer(self, tmp_path):
         series = series_of(np.random.default_rng(5).normal(size=(4, 5000)))
         path = tmp_path / "s.csv"

@@ -2,15 +2,17 @@
 a value that is not a number raises ``ConfigError`` naming the field; a
 missing config raises ``ConfigError`` naming the argument."""
 
+import numpy as np
 import pytest
 
 from wavedetect.autodiff import Tensor
 from wavedetect.errors import ConfigError
-from wavedetect.model import ModelConfig
+from wavedetect.model import ModelConfig, WaveletAutoencoder
 from wavedetect.optim import Adam
+from wavedetect.serialize import save_detector
 from wavedetect.streaming import VoteConfig
 from wavedetect.synth import GeneratorConfig, synth_generate
-from wavedetect.training import Detector, TrainConfig, train
+from wavedetect.training import Detector, TrainConfig, evaluate_fragments, score_windows, train
 
 
 def _train_config(**field):
@@ -43,3 +45,17 @@ def test_a_float_field_that_is_not_a_number_is_a_config_error(build, name, value
 def test_a_missing_config_is_a_config_error(call, message):
     with pytest.raises(ConfigError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda path: score_windows(None, np.zeros((1, 2, 64))), "detector must be a Detector, got NoneType"),
+    (lambda path: evaluate_fragments(None, []), "detector must be a Detector, got NoneType"),
+    (lambda path: save_detector(None, path), "detector must be a Detector, got NoneType"),
+    (lambda path: WaveletAutoencoder(None), "config must be a ModelConfig, got NoneType"),
+], ids=["score_windows-detector", "evaluate_fragments-detector", "save_detector-detector",
+        "WaveletAutoencoder-config"])
+def test_a_missing_detector_or_model_config_is_a_config_error(tmp_path, call, message):
+    path = tmp_path / "detector.wdc"
+    with pytest.raises(ConfigError, match=message):
+        call(path)
+    assert not path.exists()

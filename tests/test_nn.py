@@ -727,6 +727,9 @@ def single_sequence_reference(x, h0, c0, p, reverse, d_hs, d_h, d_c):
 # (input size, steps).
 _SPECS = ((3, 6), (2, 3), (4, 2))
 _ALIGNED = ((3, 24), (2, 16), (4, 8))
+# Four aligned sequences shaped like the default model's scales: every phase
+# is a multiple of 8 steps wide.
+_SCALES = ((5, 64), (3, 32), (4, 16), (2, 8))
 
 
 def _multi_inputs(rng, batch, specs=_SPECS, hid=2):
@@ -781,6 +784,22 @@ class TestMultiSequence:
                 check(got.data, want)
             for t, want in zip([x, h0, c0, p.w_x, p.w_h, p.b], ref_grads):
                 check(t.grad, want)
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_scoring_path_matches_single_sequence_reference(self, rng, batch, reverse):
+        """Under ``no_grad``, the path scoring runs, the scan saves nothing
+        for backward; its outputs still equal the reference bit for bit."""
+        seqs = _multi_inputs(rng, batch, _SCALES, hid=32)
+        with no_grad():
+            outputs = _run_multi(seqs, reverse)
+        for (x, h0, c0, p), triple in zip(seqs, outputs):
+            # The upstream gradients feed only the reference's gradients.
+            zeros = (np.zeros((batch, 32, x.shape[2])), np.zeros((batch, 32)), np.zeros((batch, 32)))
+            ref_out, _ = single_sequence_reference(x.data, h0.data, c0.data, p, reverse, *zeros)
+            for got, want in zip(triple, ref_out):
+                assert not got.requires_grad
+                assert np.array_equal(got.data, want)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
