@@ -31,6 +31,7 @@ as one node each, which keeps graphs small.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -247,8 +248,10 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    x = a.data
+    # For finite input this equals np.where(x > 0, x, 0.0), -0.0 included;
+    # the mask is built only if the gradient is asked for.
+    return _node(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0),))
 
 
 def concat(parts) -> Tensor:
@@ -258,7 +261,7 @@ def concat(parts) -> Tensor:
     for p in parts:
         if p.data.ndim < 1 or p.data.shape[:-1] != lead:
             raise ShapeError(f"concat needs equal leading dimensions, got {[q.shape for q in parts]}")
-    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+    offsets = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
 
     def vjp(g):
         return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))

@@ -74,6 +74,16 @@ class MultiSeries:
         return self.values.shape[1]
 
 
+def _span_fault(start: int, end: int, prev_end: int):
+    """Why the range [start, end) cannot follow one that ends at
+    ``prev_end``, or None if it can."""
+    if start < 0 or end <= start:
+        return f"invalid range [{start}, {end})"
+    if start < prev_end:
+        return f"range [{start}, {end}) overlaps the one before it; ranges must be sorted and non-overlapping"
+    return None
+
+
 @dataclass(frozen=True)
 class AnomalyRanges:
     """Sorted, non-overlapping half-open [start, end) intervals."""
@@ -98,10 +108,9 @@ class AnomalyRanges:
         object.__setattr__(self, "spans", tuple(spans))
         prev_end = -1
         for s, e in self.spans:
-            if s < 0 or e <= s:
-                raise DataError(f"invalid range [{s}, {e})")
-            if s < prev_end:
-                raise DataError("ranges must be sorted and non-overlapping")
+            fault = _span_fault(s, e, prev_end)
+            if fault:
+                raise DataError(fault)
             prev_end = e
 
     def __iter__(self):
@@ -233,9 +242,13 @@ def load_ranges(path) -> AnomalyRanges:
         if len(parts) != 2:
             raise IngestError(f"{path} line {lineno}: expected 'start,end'")
         try:
-            spans.append((int(parts[0]), int(parts[1])))
+            span = int(parts[0]), int(parts[1])
         except ValueError:
             raise IngestError(f"{path} line {lineno}: non-integer bound") from None
+        fault = _span_fault(*span, spans[-1][1] if spans else -1)
+        if fault:
+            raise IngestError(f"{path} line {lineno}: {fault}")
+        spans.append(span)
     return AnomalyRanges(tuple(spans))
 
 

@@ -35,9 +35,10 @@ class CapabilityError(WaveDetectError):
 def require_integers(*named):
     """Raise ``ConfigError`` for the first ``(name, value)`` pair whose value
     is not an integer. A config checks this itself rather than leaving it to
-    numpy or ``range``, which fail later with a bare error, or not at all."""
+    numpy or ``range``, which fail later with a bare error, or not at all.
+    A ``bool`` is not taken for a number, here or in ``require_reals``."""
     for name, value in named:
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
@@ -47,7 +48,7 @@ def require_reals(*named):
     whose comparisons and ``math.isfinite`` would fail on a string or None
     with a bare ``TypeError``."""
     for name, value in named:
-        if not isinstance(value, numbers.Real):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -196,8 +197,8 @@ class LSTMParams:
 
 
 # A sigmoid is evaluated as 0.5 + 0.5 * tanh(z / 2); halving the sigmoid
-# rows of the weights (exact in floating point) lets one tanh call cover
-# all four gates.
+# rows of the pre-activations (exact in floating point) lets one tanh call
+# cover all four gates.
 def _halving(hid: int) -> np.ndarray:
     return np.repeat([0.5, 1.0], [3 * hid, hid])
 
@@ -235,6 +236,10 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
     tanh (n,k,B,H); otherwise it is None.
     """
     _, nb, hid = h0.shape
+    # A step is ten calls on arrays of a few hundred elements, so their
+    # fixed cost dominates: the loop calls local names with positional
+    # ``out`` arguments and walks its per-step views with ``zip``.
+    matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
     h = np.array(h0, dtype=np.float64)
     c = np.array(c0, dtype=np.float64)
     runs = []
@@ -261,21 +266,21 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
             tcs = np.empty((steps, k, nb, hid))
             cs[0] = ck
             saved = acts, cs, tcs
-        for t in range(steps):
-            np.matmul(h_rows[t], w, out=z_rows)
-            np.add(zh, zx[t], out=a)
-            np.tanh(a, out=a)
-            sig *= 0.5
-            sig += 0.5
-            ck *= f
-            ck += np.multiply(i, g, out=ig)
-            np.tanh(ck, out=tc)
-            np.multiply(o, tc, out=hs[t + 1])
+        for t, (h_in, z_in, h_out) in enumerate(zip(h_rows, zx, hs[1:])):
+            matmul(h_in, w, z_rows)
+            add(zh, z_in, a)
+            tanh(a, a)
+            multiply(sig, 0.5, sig)
+            add(sig, 0.5, sig)
+            multiply(ck, f, ck)
+            add(ck, multiply(i, g, ig), ck)
+            tanh(ck, tc)
+            multiply(o, tc, h_out)
             if keep:
                 acts[t], cs[t + 1], tcs[t] = a, ck, tc
         h[:k] = hs[steps]
         runs.append((start, end, k, hs, saved))
-        del zx  # before the next phase builds its own
+        del zx, z_in  # before the next phase builds its own
     return runs, h, c
 
 
@@ -398,8 +403,12 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     def zx_of(start, end, k):
         zx = np.empty((end - start, 4, k, nb, hid))
         for s, p in enumerate(params[:k]):
-            z = (p.w_x.data * half[:, None]) @ xs[s].data[..., _window(lengths[s], start, end, reverse)]
-            z += (p.b.data * half)[:, None]
+            # Halving after the product and bias add gives the bits of the
+            # halved weights and bias: scaling by a power of two commutes
+            # with every rounding step unless a value is subnormal.
+            z = p.w_x.data @ xs[s].data[..., _window(lengths[s], start, end, reverse)]
+            z += p.b.data[:, None]
+            z *= half[:, None]
             zx[:, :, s] = _time_major(z, reverse).reshape(end - start, nb, 4, hid).transpose(0, 2, 1, 3)
         return zx
 
@@ -413,7 +422,7 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
 
     # Sequence s owns columns off_s .. off_s + T_s: its hidden states in time
     # order, then its final cell state.
-    offsets = np.cumsum([0] + [n + 1 for n in lengths]).tolist()
+    offsets = list(accumulate((n + 1 for n in lengths), initial=0))
     packed = np.empty((nb, hid, offsets[-1]))
     for start, end, k, hs, _ in runs:
         for s in range(k):

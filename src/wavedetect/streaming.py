@@ -121,7 +121,8 @@ class VoteState:
         if not np.isfinite(block).all():
             raise DataError(f"block {self._pushed} holds a non-finite value")
         self._pushed += 1
-        self._buffer.append(block)
+        # A copy: the caller may refill the same array with the next block.
+        self._buffer.append(block.copy())
         full = self.cfg.votes_per_block
         if len(self._buffer) < full:
             return [], []

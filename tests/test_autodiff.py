@@ -128,6 +128,18 @@ def test_relu_gradient_masks_negative_side():
     assert np.allclose(x.grad, [0.0, 0.0, 1.0, 1.0])
 
 
+def test_relu_maps_signed_zeros_and_negatives_to_positive_zero():
+    """Over a vector long enough to take numpy's SIMD path, and one element;
+    the backward mask is 1 only where the input is strictly positive."""
+    for x in ([-0.0, 0.0, -1.0, -5e-324, 5e-324, 3.0] * 7, [-0.0]):
+        x = Tensor(x, requires_grad=True)
+        y = relu(x)
+        assert y.data.tobytes() == np.where(x.data > 0, x.data, 0.0).tobytes()
+        assert not np.signbit(y.data).any()
+        tsum(y).backward()
+        assert x.grad.tobytes() == (x.data > 0).astype(float).tobytes()
+
+
 def test_matmul_gradients(rng):
     w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     x = Tensor(rng.normal(size=4), requires_grad=True)

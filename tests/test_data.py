@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,19 @@ class TestCsv:
         assert ranges.spans == ((100, 200),)
         save_ranges(path, ranges)
         assert load_ranges(path).spans == ((100, 200),)
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("100,200\n300,250\n", 2, "invalid range [300, 250)"),
+        ("100,100\n", 1, "invalid range [100, 100)"),
+        ("-5,10\n", 1, "invalid range [-5, 10)"),
+        ("100,200\n\n150,300\n", 3, "range [150, 300) overlaps the one before it"),
+        ("300,400\n100,200\n", 2, "range [100, 200) overlaps the one before it"),
+    ], ids=["reversed", "empty", "negative", "overlapping", "unsorted"])
+    def test_a_bad_range_names_its_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=re.escape(f"{path} line {line}: {message}")):
+            load_ranges(path)
 
 
 class TestLabelBlock:

@@ -1,6 +1,7 @@
 """Every float field of a config is type-checked before its range check, so
-a value that is not a number raises ``ConfigError`` naming the field; a
-missing config raises ``ConfigError`` naming the argument."""
+a value that is not a number, a bool included, raises ``ConfigError``
+naming the field, as does a bool in an integer field; a missing config
+raises ``ConfigError`` naming the argument."""
 
 import numpy as np
 import pytest
@@ -32,6 +33,25 @@ _FLOAT_FIELDS = [
 @pytest.mark.parametrize("build,name", _FLOAT_FIELDS)
 def test_a_float_field_that_is_not_a_number_is_a_config_error(build, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a real number, got {value!r}"):
+        build(**{name: value})
+
+
+_INTEGER_FIELDS = [
+    pytest.param(ModelConfig, "channels", id="ModelConfig-channels"),
+    pytest.param(lambda **field: ModelConfig(channels=2, **field), "hidden", id="ModelConfig-hidden"),
+    *(pytest.param(VoteConfig, name, id=f"VoteConfig-{name}") for name in ("window", "step")),
+    *(pytest.param(_train_config, name, id=f"TrainConfig-{name}") for name in ("epochs", "seed")),
+    pytest.param(GeneratorConfig, "channels", id="GeneratorConfig-channels"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("build,name,kind", [
+    *(pytest.param(*p.values, "an integer", id=p.id) for p in _INTEGER_FIELDS),
+    *(pytest.param(*p.values, "a real number", id=p.id) for p in _FLOAT_FIELDS),
+])
+def test_a_bool_is_not_a_number(build, name, kind, value):
+    with pytest.raises(ConfigError, match=f"{name} must be {kind}, got {value!r}"):
         build(**{name: value})
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from wavedetect.nn import (
     deconv1d,
     linear,
     _phases,
+    _scan,
     _taps,
     lstm_sequence,
     reconstruction_loss,
@@ -749,6 +752,22 @@ class TestMultiSequence:
         assert list(_phases([5, 5, 0])) == [(0, 5, 2)]
         # The default model's LSTMs: 128 loop steps per pass, not 128+64+32+16.
         assert sum(end - start for start, end, _ in _phases([128, 64, 32, 16])) == 128
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_each_phase_projection_dies_before_the_next_is_built(self, rng, keep):
+        """No loop variable of a phase keeps its input projections alive, so
+        a pass holds one phase's projections at a time."""
+        hid, built = 2, []
+
+        def zx_of(start, end, k):
+            assert all(ref() is None for ref in built)
+            zx = rng.normal(size=(end - start, 4, k, 1, hid))
+            built.append(weakref.ref(zx))
+            return zx
+
+        states = np.zeros((3, 1, hid))
+        _scan(zx_of, states, states, rng.normal(size=(3, 1, hid, 4 * hid)), [6, 4, 2], keep)
+        assert len(built) == 3
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])

@@ -137,6 +137,17 @@ class TestVoteState:
         for v in prelims:
             assert v.verdict == vote_decide(v.positive, v.total, CFG.vote_threshold)
 
+    def test_a_reused_block_buffer_gives_the_verdicts_of_fresh_arrays(self):
+        """A caller that reads every block into one buffer: the state keeps
+        a copy of each block, not the caller's array."""
+        series, det = make_series(5), make_detector()
+        fresh, reused = VoteState(det, CFG), VoteState(det, CFG)
+        buffer = np.empty((2, CFG.step))
+        for i in range(series.length // CFG.step):
+            block = series.values[:, i * CFG.step:(i + 1) * CFG.step]
+            buffer[...] = block
+            assert reused.push_block(buffer) == fresh.push_block(block.copy())
+
 
 class TestSimulate:
     def test_stream_and_batch_agree(self):
