@@ -12,20 +12,19 @@ once a node has passed its gradient on, it drops its parents and the
 arrays its backward saved, so a step's activations are freed while the
 walk is still running rather than after it. A graph is therefore walked
 once; a second ``backward()`` through any consumed node raises
-``ContractError``. Leaf grads keep accumulating across graphs until
-``zero_grad()``.
+``ContractError``. Leaf grads keep accumulating across graphs until their
+owner clears them (``optim.Adam.zero_grad``).
 
 Only the operations the sequence model needs are provided: elementwise
-sums and products with bias-style broadcasting, matrix products (a weight
-matrix may multiply a stack of matrices with a leading batch axis), the
-usual activations, indexing and reshaping, and concatenation along the
-last axis. Every op, here and in ``nn``, computes
-its result, defines its backward as a function from the result's gradient
-to one gradient per parent, and returns ``_node(result, parents, vjp)``:
-``_node`` is the one way an op records itself in the graph. An op may be
-coarse: ``nn`` builds whole layers, such as a full LSTM sequence with its
-hand-written backward pass, and the whole multiscale reconstruction loss
-as one node each, which keeps graphs small.
+sums and products with bias-style broadcasting, the sigmoid and ReLU
+activations, basic indexing, and concatenation along the last axis. Every
+op, here and in ``nn``, computes its result, defines its backward as a
+function from the result's gradient to one gradient per parent, and
+returns ``_node(result, parents, vjp)``: ``_node`` is the one way an op
+records itself in the graph. An op may be coarse: ``nn`` builds whole
+layers, such as a full LSTM sequence with its hand-written backward pass,
+the decoder's step head, and the whole multiscale reconstruction loss as
+one node each, which keeps graphs small.
 """
 
 from __future__ import annotations
@@ -68,17 +67,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -212,29 +204,6 @@ def mul(a, b) -> Tensor:
     return _node(ad * bd, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    """(m,n)@(n,), (m,n)@(n,k), or (m,n)@(B,n,k) applied to every matrix of
-    a batch."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2, 3):
-        raise ShapeError(
-            f"matmul supports (m,n)@(n,), (m,n)@(n,k) and (m,n)@(B,n,k); got {a.shape} @ {b.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        if bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        # Summed per-sample products: a batch of one gives the 2-D form's bits.
-        return np.matmul(g, bd.transpose(0, 2, 1)).sum(axis=0), ad.T @ g
-
-    return _node(ad @ bd, (a, b), vjp)
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
@@ -280,9 +249,3 @@ def index(a, key) -> Tensor:
         return (buf,)
 
     return _node(a.data[key], (a,), vjp)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    orig = a.data.shape
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))

@@ -101,8 +101,9 @@ class AnomalyRanges:
                 s, e = span
             except (TypeError, ValueError):
                 s = e = None
-            # numpy integers are integers too; a float bound is not rounded.
-            if not (isinstance(s, numbers.Integral) and isinstance(e, numbers.Integral)):
+            # numpy integers are integers too; a float bound is not rounded,
+            # and a bool is not taken for a number.
+            if not all(isinstance(b, numbers.Integral) and not isinstance(b, bool) for b in (s, e)):
                 raise DataError(f"a range must be a (start, end) pair of integers, got {span!r}")
             spans.append((int(s), int(e)))
         object.__setattr__(self, "spans", tuple(spans))

@@ -7,9 +7,10 @@ so channel correlations are mixed from the first layer), then an LSTM
 encoder whose final hidden state is that branch's slice of the global
 code. Decoding mirrors this: a dense layer re-initializes the decoder
 hidden state from the global code, an LSTM walks the sequence in reverse
-order, a dense step head maps hidden states back to conv-activation space,
-and a transposed-conv stack restores the signal or detail array. The last
-deconv layer is linear; every other conv/deconv layer uses ReLU.
+order, a dense step head (``nn.step_dense``, one graph node) maps hidden
+states back to conv-activation space, and a transposed-conv stack restores
+the signal or detail array. The last deconv layer is linear; every other
+conv/deconv layer uses ReLU.
 
 The decoder is teacher-forced: at step t it reads the encoder's conv
 activation at t + 1, so ``decode`` takes the code together with the
@@ -53,10 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, matmul, relu, reshape, sigmoid
+from .autodiff import Tensor, concat, relu, sigmoid
 from .data import DEFAULT_WINDOW
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
-from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence
+from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, step_dense
 from .wavelet import get_family
 
 
@@ -337,7 +338,7 @@ class WaveletAutoencoder:
             h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
         zeros = [np.zeros((nb, cfg.hidden))] * len(h0s)
         runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)
-        return [self._deconv(branch, add(matmul(branch.step_w, hs), reshape(branch.step_b, (feats, 1))))
+        return [self._deconv(branch, step_dense(hs, branch.step_w, branch.step_b))
                 for branch, (hs, _, _) in zip(self.branches, runs)]
 
     def _deconv(self, branch, acts):

@@ -170,6 +170,26 @@ def linear(x, weight, bias) -> Tensor:
     return _node(y, (x, weight, bias), vjp)
 
 
+def step_dense(x, weight, bias) -> Tensor:
+    """Dense map over axis 1 of a (B,in,T) batch: the (out,in) weight is
+    applied at every time step and the bias added, giving (B,out,T)."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.data.ndim != 3 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
+        raise ShapeError(f"step_dense expects (B,in,T) input and an (out,in) weight; got {x.shape}, {weight.shape}")
+    if bias.data.shape != weight.data.shape[:1]:
+        raise ShapeError(f"bias shape {bias.shape} does not match {weight.data.shape[0]} outputs")
+    w, xd = weight.data, x.data
+    y = w @ xd
+    y += bias.data[:, None]
+
+    def vjp(g):
+        # Summed per-sample weight products; one tensordot over batch and
+        # time would round differently at B > 1.
+        return w.T @ g, np.matmul(g, xd.transpose(0, 2, 1)).sum(axis=0), g.sum(axis=0).sum(axis=1)
+
+    return _node(y, (x, weight, bias), vjp)
+
+
 @dataclass
 class LSTMParams:
     """The weights of one LSTM, each fused over the four gates in the order

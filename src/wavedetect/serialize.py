@@ -139,8 +139,6 @@ def load_detector(path):
     except ValueError as err:
         raise DataError(f"{path}: bad number in detector meta ({err})") from None
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))
-    if not (std > 0).all():
-        raise DataError(f"{path}: tensor 'norm.std' holds a non-positive value")
     model = WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
     try:
         return Detector(model=model, mode=meta["mode"], threshold=threshold,

@@ -92,16 +92,20 @@ class BlockRow:
         return f"{self.index},{self.label},{self.verdict},{self.positive},{self.total}"
 
 
+def _check_voting(detector: Detector, cfg: VoteConfig):
+    """Raise ``ConfigError`` unless ``detector`` is a ``Detector`` and
+    ``cfg`` a ``VoteConfig`` whose window is the detector's fragment length."""
+    require_instances(ConfigError, ("detector", detector, Detector), ("cfg", cfg, VoteConfig))
+    if cfg.window != detector.model.config.fragment_length:
+        raise ConfigError(f"vote window {cfg.window} does not match the detector's fragment "
+                          f"length {detector.model.config.fragment_length}")
+
+
 class VoteState:
     """Per-stream buffer of the newest window's blocks and the newest votes."""
 
     def __init__(self, detector: Detector, cfg: VoteConfig):
-        require_instances(ConfigError, ("detector", detector, Detector), ("cfg", cfg, VoteConfig))
-        if cfg.window != detector.model.config.fragment_length:
-            raise ConfigError(
-                f"vote window {cfg.window} does not match the detector's fragment "
-                f"length {detector.model.config.fragment_length}"
-            )
+        _check_voting(detector, cfg)
         self.detector = detector
         self.cfg = cfg
         self._channels = detector.model.config.channels
@@ -162,7 +166,7 @@ def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg:
     """(positive votes, total votes, label) of every block of the stream. A
     range that ends past the stream raises ``DataError``."""
     require_instances(DataError, ("series", series, MultiSeries), ("ranges", ranges, AnomalyRanges))
-    require_instances(ConfigError, ("detector", detector, Detector), ("cfg", cfg, VoteConfig))
+    _check_voting(detector, cfg)
     ranges.check_length(series.length)
     votes, n_blocks = window_predictions(series, detector, cfg)
     return [(*_tally(votes, i, cfg.votes_per_block), label_block((i * cfg.step, (i + 1) * cfg.step), ranges))

@@ -122,6 +122,16 @@ class Detector:
                               f"got {self.threshold}")
         if not 0 <= self.train_loss_mean < math.inf:
             raise ConfigError(f"train_loss_mean must be finite and >= 0, got {self.train_loss_mean}")
+        # Bad statistics would otherwise score NaN, and NaN >= cut is False.
+        channels = self.model.config.channels
+        for name, stats in (("norm_mean", self.norm_mean), ("norm_std", self.norm_std)):
+            if not (isinstance(stats, np.ndarray) and stats.dtype.kind == "f" and stats.shape == (channels,)):
+                got = f"{stats.dtype} array of shape {stats.shape}" if isinstance(stats, np.ndarray) else stats
+                raise ConfigError(f"{name} must be a float array of shape ({channels},), got {got}")
+            if not np.isfinite(stats).all():
+                raise ConfigError(f"{name} holds a non-finite value: {stats}")
+        if not (self.norm_std > 0).all():
+            raise ConfigError(f"norm_std holds a non-positive value: {self.norm_std}")
 
     @property
     def cut(self) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, _as_tensor, _node, reshape
+from wavedetect.autodiff import Tensor, _as_tensor, _node
 from wavedetect.errors import ShapeError
 from wavedetect.nn import lstm_sequence
 
@@ -45,6 +45,26 @@ def tsum(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
     return _node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def matmul(w, x) -> Tensor:
+    """(m,n) @ (n,), or (m,n) @ (B,n,k) on every matrix of a batch, as a
+    graph node: the per-gate LSTM reference and the composed step head."""
+    w, x = _as_tensor(w), _as_tensor(x)
+    wd, xd = w.data, x.data
+
+    def vjp(g):
+        dw = np.outer(g, xd) if xd.ndim == 1 else np.matmul(g, xd.transpose(0, 2, 1)).sum(axis=0)
+        return dw, wd.T @ g
+
+    return _node(wd @ xd, (w, x), vjp)
+
+
+def reshape(a, shape) -> Tensor:
+    """``a.data.reshape(shape)`` as a graph node."""
+    a = _as_tensor(a)
+    orig = a.data.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def tanh(a) -> Tensor:

@@ -58,7 +58,7 @@ class TestContainers:
         with pytest.raises(DataError, match="fragment values is not an array of numbers"):
             Fragment([["x"]], 0, 0)
 
-    @pytest.mark.parametrize("span", [("a", 3), (1.5, 3), (1, 3.0), (1, 2, 3), 5])
+    @pytest.mark.parametrize("span", [("a", 3), (1.5, 3), (1, 3.0), (1, 2, 3), 5, (False, True), (0, True)])
     def test_range_bounds_must_be_an_integer_pair(self, span):
         with pytest.raises(DataError, match="pair of integers"):
             AnomalyRanges((span,))

@@ -9,8 +9,9 @@ Every lookup site the benchmark's tracer patches exists, so that a
 refactor can neither crash a traced run nor silently zero its span, and a
 traced training run counts its graphs before ``backward`` consumes them.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
-records itself through ``autodiff._node``. A training step's graph holds a
-known number of nodes, so any change to its size is a deliberate one."""
+records itself through ``autodiff._node``, and ``autodiff`` itself defines
+a fixed set of ops. A training step's graph holds a known number of nodes,
+so any change to its size is a deliberate one."""
 
 import ast
 import importlib.util
@@ -122,6 +123,19 @@ def test_only_autodiff_writes_graph_slots(path):
     assert not writes, f"{path.name} writes a tensor's graph record by hand; return autodiff._node instead: {writes}"
 
 
+def test_autodiff_defines_exactly_the_six_generic_ops():
+    """The module-level functions of ``autodiff`` that return ``_node(...)``
+    are these six. Layers and losses are ops of ``nn``; adding a generic op
+    is a deliberate change to this list."""
+    path = next(p for p in MODULES if p.name == "autodiff.py")
+    ops = {node.name for node in ast.parse(path.read_text(), filename=str(path)).body
+           if isinstance(node, ast.FunctionDef)
+           and any(isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
+                   and isinstance(ret.value.func, ast.Name) and ret.value.func.id == "_node"
+                   for ret in ast.walk(node))}
+    assert ops == {"add", "mul", "sigmoid", "relu", "concat", "index"}
+
+
 def test_every_test_data_file_is_named_by_a_test():
     text = "".join(path.read_text() for path in TESTS.glob("*.py"))
     orphans = [path.name for path in sorted((TESTS / "data").iterdir()) if path.name not in text]
@@ -176,20 +190,20 @@ def test_traced_training_counts_each_graph_before_backward_consumes_it():
 
 
 @pytest.mark.parametrize("cfg,nodes", [
-    (ModelConfig(channels=8), 140),
-    (ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2), 56),
+    (ModelConfig(channels=8), 132),
+    (ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2), 52),
 ], ids=["default", "tiny"])
 def test_one_training_step_records_a_known_number_of_graph_nodes(cfg, nodes):
-    """A step's graph holds every parameter, 4K + 8 op nodes per scale for K
+    """A step's graph holds every parameter, 4K + 6 op nodes per scale for K
     conv layers (each conv and its ReLU, the teacher buffer, its two views,
     the decoder's initial state, the final hidden state's and the hidden
-    states' views, the step head's three ops, each deconv and the ReLUs
+    states' views, the step head's one op, each deconv and the ReLUs
     between them), and four shared ones: the two LSTM passes, the code and
     the loss. A change to the graph's size must change this count."""
     model = WaveletAutoencoder(cfg)
     inputs = [np.ones((1, cfg.channels, cfg.fragment_length >> s)) for s in range(cfg.levels + 1)]
     code, teacher = model.encode(inputs)
     loss = reconstruction_loss(inputs, model.decode(code, teacher))
-    per_scale = 4 * len(cfg.conv) + 8
+    per_scale = 4 * len(cfg.conv) + 6
     assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 == nodes
     assert bench_spans().count_graph_nodes(loss) == nodes

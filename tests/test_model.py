@@ -466,7 +466,7 @@ class TestBatchAxis:
         tsum(loss).backward()
         batched = [t.grad.copy() for t in model.parameters()]
         for t in model.parameters():
-            t.zero_grad()
+            t.grad = None
         for i in range(2):
             forward_loss(model, scales(xs[i : i + 1], 1)).backward()
         for got, want in zip(batched, (t.grad for t in model.parameters())):

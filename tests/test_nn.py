@@ -7,11 +7,9 @@ from wavedetect.autodiff import (
     Tensor,
     add,
     concat,
-    matmul,
     mul,
     no_grad,
     relu,
-    reshape,
     sigmoid,
 )
 from wavedetect.errors import ContractError, ShapeError
@@ -27,10 +25,11 @@ from wavedetect.nn import (
     _taps,
     lstm_sequence,
     reconstruction_loss,
+    step_dense,
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import lstm_step, max_rel_err, numeric_grad, tanh, tsum
+from conftest import lstm_step, matmul, max_rel_err, numeric_grad, reshape, tanh, tsum
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -332,6 +331,52 @@ class TestLinear:
         assert np.max(np.abs(out.data - ref)) < 1e-12
 
 
+class TestStepDense:
+    """The decoder's step head: one (out,in) weight at every time step of a
+    (B,in,T) batch, then the bias. The input is a strided view, as ``decode``
+    passes its slice of the LSTM output."""
+
+    def operands(self, rng, batch):
+        wide = rng.normal(size=(batch, 3, 9))
+        x = Tensor(wide[..., 2:7], requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        return x, w, b, rng.normal(size=(batch, 4, 5))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_gradients_match_finite_differences(self, rng, batch):
+        x, w, b, weights = self.operands(rng, batch)
+        x.data = x.data.copy()  # numeric_grad perturbs a flat view of the data
+        tsum(mul(step_dense(x, w, b), weights)).backward()
+
+        def f():
+            return float((step_dense(x, w, b).data * weights).sum())
+
+        for t in (x, w, b):
+            assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equals_the_composed_matmul_reshape_add_bit_for_bit(self, rng, batch):
+        """The output and every gradient of the add(matmul, reshape) graph
+        the model built before the op."""
+        x, w, b, weights = self.operands(rng, batch)
+        runs = []
+        for head in (lambda: step_dense(x, w, b), lambda: add(matmul(w, x), reshape(b, (4, 1)))):
+            y = head()
+            tsum(mul(y, weights)).backward()
+            runs.append([y.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
+            for t in (x, w, b):
+                t.grad = None
+        assert runs[0] == runs[1]
+
+    def test_shape_errors(self):
+        x = Tensor(np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeError):
+            step_dense(x, Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            step_dense(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+
 class TestLosses:
     """A one-scale ``reconstruction_loss`` is the per-sample mean squared error."""
 
@@ -568,6 +613,7 @@ def _unbatched_calls():
         ("deconv1d", lambda: deconv1d(Tensor(x), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros(3)))),
         ("lstm_sequence", lambda: lstm_sequence([np.zeros((3, 4))], [np.zeros(2)], [np.zeros(2)], [p])),
         ("reconstruction_loss", lambda: reconstruction_loss([x], [Tensor(x)])),
+        ("step_dense", lambda: step_dense(Tensor(x), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))),
         ("encode", lambda: model.encode([x, np.zeros((2, 8))])),
         ("decode", lambda: model.decode(code[0], [a[0] for a in acts])),
     ]
@@ -944,7 +990,7 @@ class TestAgainstPerGateComposition:
         ref_loss.backward()
         ref_grads = {name: t.grad.copy() for name, t in model.named_parameters()}
         for t in model.parameters():
-            t.zero_grad()
+            t.grad = None
 
         code, acts = model.encode(self.inputs)
         loss = reconstruction_loss(self.inputs, model.decode(code, acts))

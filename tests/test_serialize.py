@@ -127,6 +127,19 @@ class TestDetectorContainer:
         save_detector(det, path)
         assert load_detector(path).threshold == det.threshold
 
+    def test_a_zero_std_in_the_file_is_a_data_error_naming_it(self, tmp_path):
+        """``Detector`` refuses the statistics; ``load_detector`` names the file."""
+        path = tmp_path / "d.bin"
+        save_detector(small_detector(), path)
+        blob = bytearray(path.read_bytes())
+        head, _, _ = bytes(blob).partition(b"\npayload\n")
+        offset = int(next(line for line in head.split(b"\n") if line.startswith(b"tensor norm.std ")).split()[-1])
+        start = len(head) + len(b"\npayload\n") + offset
+        blob[start : start + 8] = bytes(8)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"{path.name}: norm_std holds a non-positive value"):
+            load_detector(path)
+
     def test_rejects_model_container(self, tmp_path):
         path = tmp_path / "m.bin"
         save_detector(small_detector(), path)

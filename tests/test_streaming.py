@@ -224,6 +224,16 @@ class TestSimulate:
             assert simulate(series, AnomalyRanges(((100, 260),)), detector, cfg)[1] == report
 
 
+@pytest.mark.parametrize("call", [
+    lambda det, cfg: VoteState(det, cfg),
+    lambda det, cfg: simulate(make_series(1), AnomalyRanges(), det, cfg),
+    lambda det, cfg: sweep(make_series(1), AnomalyRanges(), det, cfg),
+], ids=["VoteState", "simulate", "sweep"])
+def test_a_vote_window_other_than_the_fragment_length_is_one_config_error(call):
+    with pytest.raises(ConfigError, match="^vote window 128 does not match the detector's fragment length 64$"):
+        call(make_detector(threshold=1.0), VoteConfig(window=128, step=16))
+
+
 # Each call hands a public function one series, ranges, detector or config
 # of the wrong type; before the shared type check each raised a bare
 # ``AttributeError`` at its first attribute read.

@@ -178,10 +178,10 @@ class TestDetectorRules:
     """A Detector checks its mode, its head and its threshold itself."""
 
     @staticmethod
-    def make(mode, threshold, classifier, train_loss_mean=0.0):
+    def make(mode, threshold, classifier, train_loss_mean=0.0, norm_mean=np.zeros(2), norm_std=np.ones(2)):
         model = WaveletAutoencoder(_model("supervised" if classifier else "semi"))
         return Detector(model=model, mode=mode, threshold=threshold, train_loss_mean=train_loss_mean,
-                        norm_mean=np.zeros(2), norm_std=np.ones(2))
+                        norm_mean=norm_mean, norm_std=norm_std)
 
     @pytest.mark.parametrize("mode", ["bogus", "Semi", ""])
     def test_mode_is_semi_or_supervised(self, mode):
@@ -211,6 +211,23 @@ class TestDetectorRules:
     def test_train_loss_mean_is_finite_and_not_negative(self, mode, mean):
         with pytest.raises(ConfigError, match="train_loss_mean"):
             self.make(mode, 0.25 if mode == "semi" else None, True, train_loss_mean=mean)
+
+
+    @pytest.mark.parametrize("mean,std,message", [
+        (np.zeros(2), np.zeros(2), r"norm_std holds a non-positive value"),
+        (np.zeros(2), np.array([1.0, -2.0]), r"norm_std holds a non-positive value"),
+        (np.zeros(2), np.array([1.0, np.nan]), r"norm_std holds a non-finite value"),
+        (np.array([np.inf, 0.0]), np.ones(2), r"norm_mean holds a non-finite value"),
+        (np.zeros(3), np.ones(2), r"norm_mean must be a float array of shape \(2,\), got float64 array of shape"),
+        (np.zeros(2), np.ones((1, 2)), r"norm_std must be a float array of shape \(2,\)"),
+        (np.zeros(2, dtype=int), np.ones(2), r"norm_mean must be a float array of shape \(2,\), got int64"),
+        (np.zeros(2), [1.0, 1.0], r"norm_std must be a float array of shape \(2,\), got \[1.0, 1.0\]"),
+    ], ids=["zero-std", "negative-std", "nan-std", "inf-mean", "mean-too-long", "std-2d", "int-mean", "list-std"])
+    def test_normalisation_statistics_are_finite_per_channel_floats(self, mean, std, message):
+        """Statistics that would score every window NaN, and so never flag
+        one, or fail at scoring with a bare numpy error, are refused."""
+        with pytest.raises(ConfigError, match=message):
+            self.make("semi", 0.25, False, norm_mean=mean, norm_std=std)
 
 
 class TestBatchScoringEquivalence:
