@@ -15,16 +15,17 @@ once; a second ``backward()`` through any consumed node raises
 ``ContractError``. Leaf grads keep accumulating across graphs until their
 owner clears them (``optim.Adam.zero_grad``).
 
-Only the operations the sequence model needs are provided: elementwise
-sums and products with bias-style broadcasting, the sigmoid and ReLU
-activations, basic indexing, and concatenation along the last axis. Every
-op, here and in ``nn``, computes its result, defines its backward as a
-function from the result's gradient to one gradient per parent, and
-returns ``_node(result, parents, vjp)``: ``_node`` is the one way an op
-records itself in the graph. An op may be coarse: ``nn`` builds whole
-layers, such as a full LSTM sequence with its hand-written backward pass,
-the decoder's step head, and the whole multiscale reconstruction loss as
-one node each, which keeps graphs small.
+Only three generic operations are provided: the ReLU activation, basic
+indexing (``tensor[key]``), and concatenation along the last axis. A
+tensor has no arithmetic operators; every sum, product and sigmoid of the
+model happens inside one of the coarse ops of ``nn``. Every op, here and
+in ``nn``, computes its result, defines its backward as a function from
+the result's gradient to one gradient per parent, and returns
+``_node(result, parents, vjp)``: ``_node`` is the one way an op records
+itself in the graph. ``nn`` builds whole layers, such as a full LSTM
+sequence with its hand-written backward pass and the decoder's step head,
+and each training loss, the multiscale reconstruction loss and the
+supervised objective, as one node each, which keeps graphs small.
 """
 
 from __future__ import annotations
@@ -130,13 +131,6 @@ class Tensor:
                         pending[pid] = pg
             node._parents, node._vjp = (), _consumed
 
-    # Arithmetic operators; scalars and arrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
     def __getitem__(self, key):
         return index(self, key)
 
@@ -164,55 +158,6 @@ def _node(data, parents, vjp) -> Tensor:
     if _trace(parents):
         out.requires_grad, out._parents, out._vjp = True, parents, vjp
     return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (got, want) in enumerate(zip(g.shape, shape)) if want == 1 and got != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _owned(res: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Gradients stored per-parent must not alias the incoming buffer.
-    return res.copy() if res is g else res
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ash, bsh = a.data.shape, b.data.shape
-
-    def vjp(g):
-        return _owned(_unbroadcast(g, ash), g), _owned(_unbroadcast(g, bsh), g)
-
-    return _node(a.data + b.data, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _node(ad * bd, (a, b), vjp)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    s = np.empty_like(x)
-    pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
-    return _node(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def relu(a) -> Tensor:

@@ -101,12 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sliding step for positive-fragment augmentation (default: %(default)s)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("simulate", help="replay a series through the streaming vote engine")
+    p = sub.add_parser("simulate", help="replay a series through the streaming vote engine; "
+                                         "the vote window is the detector's fragment length")
     p.add_argument("--model", type=Path, required=True, help="detector file")
     p.add_argument("--signals", type=Path, required=True, help="signals CSV")
     p.add_argument("--ranges", type=Path, help="anomaly ranges CSV")
-    p.add_argument("--tw", type=int, default=VoteConfig.window,
-                   help="vote window length in samples (default: %(default)s)")
     p.add_argument("--ts", type=int, default=VoteConfig.step, help="block length in samples (default: %(default)s)")
     p.add_argument("--vote-threshold", type=float, default=VoteConfig.vote_threshold,
                    help="positive-vote ratio declaring a block anomalous (default: %(default)s)")
@@ -215,7 +214,8 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     detector, series, ranges = _load_detector_and_dataset(args)
-    cfg = VoteConfig(window=args.tw, step=args.ts, vote_threshold=args.vote_threshold)
+    cfg = VoteConfig(window=detector.model.config.fragment_length, step=args.ts,
+                     vote_threshold=args.vote_threshold)
     if args.sweep:
         print("vote_threshold,tp,fp,tn,fn,accuracy,precision,recall,f1")
         for tau, report in sweep(series, ranges, detector, cfg):

@@ -229,6 +229,7 @@ def _read_chunk(path, chunk, width, buffer):
 
 
 def save_ranges(path, ranges: AnomalyRanges):
+    require_instances(DataError, ("ranges", ranges, AnomalyRanges))
     Path(path).write_text("".join(f"{s},{e}\n" for s, e in ranges))
 
 
@@ -254,9 +255,13 @@ def load_ranges(path) -> AnomalyRanges:
 
 
 def label_block(span, ranges: AnomalyRanges) -> int:
-    """1 iff at least half of the half-open span lies inside anomaly ranges."""
+    """1 iff at least half of the half-open span lies inside anomaly ranges.
+    An empty, reversed or negative span raises ``DataError``."""
     require_instances(DataError, ("ranges", ranges, AnomalyRanges))
     start, end = span
+    fault = _span_fault(start, end, -1)
+    if fault:
+        raise DataError(f"cannot label block {span}: {fault}")
     return int(2 * ranges.overlap(start, end) >= end - start)
 
 

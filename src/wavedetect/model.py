@@ -54,10 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, relu, sigmoid
+from .autodiff import Tensor, concat, relu
 from .data import DEFAULT_WINDOW
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
-from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, step_dense
+from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, sigmoid, step_dense
 from .wavelet import get_family
 
 
@@ -108,6 +108,9 @@ class ModelConfig:
                          ("levels", self.levels), ("hidden", self.hidden), ("seed", self.seed),
                          *((f"conv layer {i} {name}", getattr(layer, name))
                            for i, layer in enumerate(self.conv) for name in ("features", "kernel", "stride")))
+        # Any truthy value would build a head, and a detector file would store it as given.
+        if not isinstance(self.classifier, bool):
+            raise ConfigError(f"classifier must be True or False, got {self.classifier!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.channels < 1:
@@ -353,12 +356,13 @@ class WaveletAutoencoder:
     def logit(self, code):
         """The classifier head's logits of a (B, code_length) batch of codes,
         shape (B, 1). Training takes its loss from the logit
-        (``nn.bce_with_logits``)."""
+        (``nn.supervised_loss``)."""
         if self.classifier_w is None:
             raise CapabilityError("model was built without a classifier head")
         return linear(code, self.classifier_w, self.classifier_b)
 
-    def classify(self, code):
-        """Anomaly probability from the code, the sigmoid of ``logit``."""
-        return sigmoid(self.logit(code))
+    def classify(self, code) -> np.ndarray:
+        """The anomaly probability of each code of a batch, shape (B,): the
+        sigmoid of ``logit``, a plain array outside the graph."""
+        return sigmoid(self.logit(code).data[:, 0])
 

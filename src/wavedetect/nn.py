@@ -35,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .autodiff import Tensor, _as_tensor, _node, _trace, sigmoid
+from .autodiff import Tensor, _as_tensor, _node, _trace
 from .errors import ContractError, ShapeError
 
 
@@ -485,30 +485,45 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             for off, n in zip(offsets, lengths)]
 
 
-def bce_with_logits(logit, label: int) -> Tensor:
-    """Binary cross-entropy of sigmoid(logit) against a 0/1 label, as one
-    graph node.
+def sigmoid(x) -> np.ndarray:
+    """The logistic function of an array, outside the graph: 1 / (1 +
+    exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, so that
+    neither side overflows."""
+    x = np.asarray(x, dtype=np.float64)
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
 
-    The loss is softplus(z) - y z, evaluated as max(z, 0) - y z +
+
+def supervised_loss(reconstruction, logit, label: int, alpha: float) -> Tensor:
+    """The supervised objective of one sample as one graph node:
+    ``alpha * reconstruction + (1 - alpha) * bce``, where ``bce`` is the
+    binary cross-entropy of sigmoid(logit) against a 0/1 label.
+
+    The cross-entropy is softplus(z) - y z, evaluated as max(z, 0) - y z +
     log1p(exp(-|z|)) so it neither overflows nor rounds to a constant, and
     its gradient is sigmoid(z) - y: a head that is confidently wrong gets a
     gradient of magnitude near 1, not 0.
     """
-    logit = _as_tensor(logit)
-    if logit.data.size != 1:
-        raise ShapeError(f"bce_with_logits expects a scalar logit, got shape {logit.shape}")
+    reconstruction, logit = _as_tensor(reconstruction), _as_tensor(logit)
+    if reconstruction.data.size != 1 or logit.data.size != 1:
+        raise ShapeError(f"supervised_loss expects a one-sample loss and logit, got shapes "
+                         f"{reconstruction.shape} and {logit.shape}")
     if label not in (0, 1):
         raise ContractError(f"label must be 0 or 1, got {label!r}")
     z = float(logit.data.reshape(()))
+    bce = max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z)))
     shape = logit.data.shape
 
     def vjp(g):
         # sigmoid(z) - 1 written as -sigmoid(-z) keeps its precision for z >> 0.
-        grad = float(sigmoid(z).data) if label == 0 else -float(sigmoid(-z).data)
-        return (np.full(shape, g * grad),)
+        grad = float(sigmoid(z)) if label == 0 else -float(sigmoid(-z))
+        return g * alpha, np.full(shape, g.sum() * (1.0 - alpha) * grad)
 
-    return _node(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))), (logit,), vjp)
-
+    return _node(reconstruction.data * alpha + bce * (1.0 - alpha), (reconstruction, logit), vjp)
 
 
 def reconstruction_loss(targets, reconstructions) -> Tensor:

@@ -7,8 +7,9 @@ the mean training loss; prediction then flags any fragment whose
 reconstruction loss reaches the threshold. Labeled (``supervised``)
 training adds a classifier head on the global code and minimizes
 ``alpha * reconstruction + (1 - alpha) * cross_entropy``, the cross-entropy
-taken from the head's logit; prediction uses the head's probability
-against 0.5.
+taken from the head's logit, as one graph node (``nn.supervised_loss``);
+prediction compares the head's probability, a sigmoid taken outside the
+graph (``model.classify``), against 0.5.
 
 Training, calibration and scoring run one forward pass: ``encode`` the
 per-scale inputs, then ``decode`` the code with the teacher buffers
@@ -45,7 +46,7 @@ from .data import as_floats
 from .errors import ConfigError, DataError, require_instances, require_integers, require_reals
 from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder
-from .nn import bce_with_logits, reconstruction_loss
+from .nn import reconstruction_loss, supervised_loss
 from .optim import Adam
 from .wavelet import get_family, mdwd
 
@@ -98,9 +99,11 @@ class TrainConfig:
         return SEMI_EPOCHS if self.mode == "semi" else SUPERVISED_EPOCHS
 
 
-@dataclass
+@dataclass(frozen=True)
 class Detector:
-    """A trained model plus everything prediction needs."""
+    """A trained model plus everything prediction needs. Frozen, so that
+    every field has passed the checks below; ``dataclasses.replace`` builds
+    a changed copy and checks it again."""
 
     model: WaveletAutoencoder
     mode: str
@@ -223,13 +226,14 @@ def _finish(model, mode, windows, mean, std, beta) -> Detector:
 
 def _step(model, optimizer, inputs, label, alpha) -> float:
     """One optimizer step on a batch of scale inputs; returns its loss. With
-    a ``label`` the loss mixes in the head's cross-entropy. Only ``loss``
-    refers to the graph when backward runs, so each activation is freed as
-    the walk consumes its node, and nothing of the graph outlives the step."""
+    a ``label`` the loss is the supervised objective, which mixes in the
+    head's cross-entropy. Only ``loss`` refers to the graph when backward
+    runs, so each activation is freed as the walk consumes its node, and
+    nothing of the graph outlives the step."""
     code, teacher = model.encode(inputs)
     loss = reconstruction_loss(inputs, model.decode(code, teacher))
     if label is not None:
-        loss = loss * alpha + bce_with_logits(model.logit(code), label) * (1.0 - alpha)
+        loss = supervised_loss(loss, model.logit(code), label, alpha)
     del code, teacher
     loss.backward()
     optimizer.step()
@@ -287,7 +291,7 @@ def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
         # A chunk's activations die on return, before the next chunk's encode.
         code, teacher = model.encode(inputs)
         if head:
-            return model.classify(code).data[:, 0]
+            return model.classify(code)
         return reconstruction_loss(inputs, model.decode(code, teacher)).data
 
     chunks = (windows[start : start + _SCORE_CHUNK] for start in range(0, len(windows), _SCORE_CHUNK))

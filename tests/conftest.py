@@ -3,6 +3,7 @@ import pytest
 
 from wavedetect.autodiff import Tensor, _as_tensor, _node
 from wavedetect.errors import ShapeError
+from wavedetect import nn
 from wavedetect.nn import lstm_sequence
 
 
@@ -45,6 +46,38 @@ def tsum(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
     return _node(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back to the shape of its operand."""
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def add(a, b) -> Tensor:
+    """Elementwise a + b with numpy broadcasting, as a graph node: the
+    engine tests and the composed references of fused ops."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    ash, bsh = a.data.shape, b.data.shape
+    # The two gradients must not share one buffer.
+    return _node(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, ash), _unbroadcast(g.copy(), bsh)))
+
+
+def mul(a, b) -> Tensor:
+    """Elementwise a * b with numpy broadcasting, as a graph node."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    ad, bd = a.data, b.data
+    return _node(ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
+
+
+def sigmoid(a) -> Tensor:
+    """Elementwise ``nn.sigmoid`` as a graph node, for the per-gate LSTM
+    reference."""
+    a = _as_tensor(a)
+    s = nn.sigmoid(a.data)
+    return _node(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def matmul(w, x) -> Tensor:

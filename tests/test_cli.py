@@ -60,7 +60,7 @@ def test_pipeline(tmp_path, capsys):
 
     report = tmp_path / "blocks.csv"
     sim = ["simulate", "--model", str(detectors["semi"]), "--signals", str(signals),
-           "--ranges", str(ranges), "--tw", "64", "--ts", "16"]
+           "--ranges", str(ranges), "--ts", "16"]
     assert main(sim + ["--out", str(report)]) == 0
     lines = report.read_text().splitlines()
     assert lines[0] == "block_index,label,final_verdict,votes_positive,votes_total"
@@ -72,7 +72,7 @@ def test_pipeline(tmp_path, capsys):
     wide = tmp_path / "wide.csv"
     two = load_signals(signals).values
     save_signals(wide, MultiSeries(["a", "b", "c"], np.vstack([two, two[:1]])))
-    for command in (["eval"], ["simulate", "--tw", "64", "--ts", "16"]):
+    for command in (["eval"], ["simulate", "--ts", "16"]):
         assert main(command + ["--model", str(detectors["semi"]), "--signals", str(wide)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "3 channels" in err, (command, err)
@@ -91,6 +91,21 @@ def _save_one_channel_detector(path):
     cfg = ModelConfig(channels=1, fragment_length=64, levels=1, conv=(ConvLayer(8, 4, 2),), hidden=4)
     save_detector(Detector(model=WaveletAutoencoder(cfg), mode="semi", threshold=1.0, train_loss_mean=1.0,
                            norm_mean=np.zeros(1), norm_std=np.ones(1)), path)
+
+
+def test_simulate_takes_the_vote_window_from_the_detector(tmp_path, capsys):
+    """A detector trained at a window other than the default replays with
+    no window flag: the vote window has one legal value, its fragment length."""
+    model = tmp_path / "detector.wdc"
+    _save_one_channel_detector(model)
+    signals = tmp_path / "signals.csv"
+    signals.write_text("t,a\n" + "".join(f"{i},{np.sin(i / 5.0):.6f}\n" for i in range(256)))
+    report = tmp_path / "blocks.csv"
+    assert main(["simulate", "--model", str(model), "--signals", str(signals), "--out", str(report)]) == 0
+    assert len(report.read_text().splitlines()) - 1 == 256 // VoteConfig().step
+    assert "finalized 10/16 blocks" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["simulate", "--model", str(model), "--signals", str(signals), "--tw", "64"])
 
 
 def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
@@ -154,8 +169,7 @@ def test_parsed_defaults_are_the_config_defaults(capsys):
     assert (args.window, args.levels, args.hidden, args.family, _parse_conv(args.conv)) == \
            (model.fragment_length, model.levels, model.hidden, model.wavelet, model.conv)
     args = parser.parse_args(["simulate", "--model", "d.wdc", "--signals", "s.csv"])
-    assert (args.tw, args.ts, args.vote_threshold) == (VoteConfig().window, VoteConfig().step,
-                                                         VoteConfig().vote_threshold)
+    assert (args.ts, args.vote_threshold) == (VoteConfig().step, VoteConfig().vote_threshold)
     assert DEFAULT_WINDOW == model.fragment_length == VoteConfig().window
     with pytest.raises(SystemExit):
         parser.parse_args(["train", "--help"])

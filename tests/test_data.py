@@ -197,6 +197,16 @@ class TestCsv:
         save_ranges(path, ranges)
         assert load_ranges(path).spans == ((100, 200),)
 
+    @pytest.mark.parametrize("ranges", [[(50, 10)], [(10, 50)], ((10, 20), (15, 30))])
+    def test_save_ranges_takes_only_checked_ranges(self, tmp_path, ranges):
+        """A list of spans could be written as a file ``load_ranges`` then
+        refuses; only an ``AnomalyRanges`` is written, and nothing is
+        written before the check."""
+        path = tmp_path / "r.csv"
+        with pytest.raises(DataError, match="ranges must be"):
+            save_ranges(path, ranges)
+        assert not path.exists()
+
     @pytest.mark.parametrize("text,line,message", [
         ("100,200\n300,250\n", 2, "invalid range [300, 250)"),
         ("100,100\n", 1, "invalid range [100, 100)"),
@@ -223,6 +233,13 @@ class TestLabelBlock:
     def test_fully_inside_is_anomalous(self):
         ranges = AnomalyRanges(((0, 64),))
         assert label_block((16, 32), ranges) == 1
+
+    @pytest.mark.parametrize("span", [(5, 5), (300, 250), (-16, 0)], ids=["empty", "reversed", "negative"])
+    def test_a_span_that_is_not_a_block_is_rejected(self, span):
+        """These spans were labeled anomalous: 2 * overlap >= end - start
+        holds for any end <= start."""
+        with pytest.raises(DataError, match=re.escape(f"cannot label block {span}: invalid range")):
+            label_block(span, AnomalyRanges(((0, 400),)))
 
     @given(st.integers(0, 50), st.integers(1, 50), st.integers(0, 100))
     @settings(max_examples=60, deadline=None)

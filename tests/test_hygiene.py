@@ -25,7 +25,7 @@ import pytest
 import wavedetect
 from wavedetect.autodiff import Tensor
 from wavedetect.model import ModelConfig, WaveletAutoencoder
-from wavedetect.nn import reconstruction_loss
+from wavedetect.nn import reconstruction_loss, supervised_loss
 from wavedetect.optim import Adam
 from wavedetect.training import TrainConfig
 
@@ -123,17 +123,17 @@ def test_only_autodiff_writes_graph_slots(path):
     assert not writes, f"{path.name} writes a tensor's graph record by hand; return autodiff._node instead: {writes}"
 
 
-def test_autodiff_defines_exactly_the_six_generic_ops():
+def test_autodiff_defines_exactly_the_three_generic_ops():
     """The module-level functions of ``autodiff`` that return ``_node(...)``
-    are these six. Layers and losses are ops of ``nn``; adding a generic op
-    is a deliberate change to this list."""
+    are these three. Layers, losses, sums, products and the sigmoid are ops
+    of ``nn``; adding a generic op is a deliberate change to this list."""
     path = next(p for p in MODULES if p.name == "autodiff.py")
     ops = {node.name for node in ast.parse(path.read_text(), filename=str(path)).body
            if isinstance(node, ast.FunctionDef)
            and any(isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
                    and isinstance(ret.value.func, ast.Name) and ret.value.func.id == "_node"
                    for ret in ast.walk(node))}
-    assert ops == {"add", "mul", "sigmoid", "relu", "concat", "index"}
+    assert ops == {"relu", "concat", "index"}
 
 
 def test_every_test_data_file_is_named_by_a_test():
@@ -189,21 +189,30 @@ def test_traced_training_counts_each_graph_before_backward_consumes_it():
     assert len(tracer.backward_nodes) == 6 and min(tracer.backward_nodes) > 1
 
 
+TINY = dict(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2)
+
+
 @pytest.mark.parametrize("cfg,nodes", [
     (ModelConfig(channels=8), 132),
-    (ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2), 52),
-], ids=["default", "tiny"])
+    (ModelConfig(**TINY), 52),
+    (ModelConfig(channels=8, classifier=True), 136),
+    (ModelConfig(**TINY, classifier=True), 56),
+], ids=["default", "tiny", "default-supervised", "tiny-supervised"])
 def test_one_training_step_records_a_known_number_of_graph_nodes(cfg, nodes):
     """A step's graph holds every parameter, 4K + 6 op nodes per scale for K
     conv layers (each conv and its ReLU, the teacher buffer, its two views,
     the decoder's initial state, the final hidden state's and the hidden
     states' views, the step head's one op, each deconv and the ReLUs
     between them), and four shared ones: the two LSTM passes, the code and
-    the loss. A change to the graph's size must change this count."""
+    the reconstruction loss. A supervised step adds the head's logit and the
+    one node of its objective. A change to the graph's size must change this
+    count."""
     model = WaveletAutoencoder(cfg)
     inputs = [np.ones((1, cfg.channels, cfg.fragment_length >> s)) for s in range(cfg.levels + 1)]
     code, teacher = model.encode(inputs)
     loss = reconstruction_loss(inputs, model.decode(code, teacher))
+    if cfg.classifier:
+        loss = supervised_loss(loss, model.logit(code), 1, 0.5)
     per_scale = 4 * len(cfg.conv) + 6
-    assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 == nodes
+    assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 + 2 * cfg.classifier == nodes
     assert bench_spans().count_graph_nodes(loss) == nodes

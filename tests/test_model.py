@@ -12,7 +12,7 @@ from wavedetect.model import (
     padding_for,
 )
 import wavedetect.nn as nn
-from wavedetect.nn import bce_with_logits, conv1d, deconv1d, lstm_sequence, reconstruction_loss
+from wavedetect.nn import conv1d, deconv1d, lstm_sequence, reconstruction_loss, supervised_loss
 from wavedetect.wavelet import get_family, mdwd
 
 from conftest import lstm_step, max_rel_err, numeric_grad, tsum
@@ -78,6 +78,12 @@ class TestModelConfig:
     def test_rejects_a_size_that_is_not_an_integer(self, field, value):
         with pytest.raises(ConfigError, match="must be an integer"):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_])
+    def test_rejects_a_classifier_flag_that_is_not_a_bool(self, value):
+        """Any truthy value used to build a head and be stored as given."""
+        with pytest.raises(ConfigError, match="classifier must be True or False"):
+            tiny_config(classifier=value)
 
     @pytest.mark.parametrize("layer", [(1, 2), 5])
     def test_rejects_a_conv_layer_that_is_not_a_triple(self, layer):
@@ -312,7 +318,7 @@ class TestClassify:
         model = WaveletAutoencoder(tiny_config(classifier=True))
         model.classifier_w.data[...] = 0.0
         model.classifier_b.data[...] = -50.0
-        loss = bce_with_logits(model.logit(Tensor(np.zeros((1, 12)))), 1)
+        loss = supervised_loss(Tensor([0.0]), model.logit(Tensor(np.zeros((1, 12)))), 1, 0.0)
         loss.backward()
         assert abs(loss.item() - 50.0) < 1e-12
         assert abs(model.classifier_b.grad[0] + 1.0) < 1e-12
@@ -447,13 +453,13 @@ class TestBatchAxis:
             taught = model.decode(code, acts)
             probs = model.classify(code)
         assert code.data.shape == (3, 12)
-        assert probs.data.shape == (3, 1)
+        assert probs.shape == (3,)
         for i in range(3):
             with no_grad():
                 code_i, acts_i = model.encode(scales(inputs[0][i : i + 1], 2))
                 taught_i = model.decode(code_i, acts_i)
             assert np.array_equal(code.data[i : i + 1], code_i.data)
-            assert np.array_equal(probs.data[i : i + 1], model.classify(code_i).data)
+            assert np.array_equal(probs[i : i + 1], model.classify(code_i))
             for a, b in zip(taught, taught_i):
                 assert np.array_equal(a.data[i : i + 1], b.data)
 

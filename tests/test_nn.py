@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -5,18 +6,15 @@ import pytest
 
 from wavedetect.autodiff import (
     Tensor,
-    add,
+    _node,
     concat,
-    mul,
     no_grad,
     relu,
-    sigmoid,
 )
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for
 from wavedetect.nn import (
     LSTMParams,
-    bce_with_logits,
     conv1d,
     deconv1d,
     linear,
@@ -26,10 +24,11 @@ from wavedetect.nn import (
     lstm_sequence,
     reconstruction_loss,
     step_dense,
+    supervised_loss,
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import lstm_step, matmul, max_rel_err, numeric_grad, reshape, tanh, tsum
+from conftest import add, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape, sigmoid, tanh, tsum
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -377,6 +376,12 @@ class TestStepDense:
             step_dense(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
 
 
+def bce(logit, label):
+    """The head's cross-entropy alone: the supervised objective at alpha 0,
+    whose reconstruction term is then exactly 0."""
+    return supervised_loss(Tensor([0.0]), logit, label, 0.0)
+
+
 class TestLosses:
     """A one-scale ``reconstruction_loss`` is the per-sample mean squared error."""
 
@@ -450,33 +455,35 @@ class TestLosses:
             reconstruction_loss(targets, [Tensor(r) for r in recons])
 
     def test_bce_values(self):
-        assert abs(bce_with_logits(Tensor([0.0]), 0).item() - np.log(2.0)) < 1e-12
-        assert abs(bce_with_logits(Tensor([0.0]), 1).item() - np.log(2.0)) < 1e-12
-        assert abs(bce_with_logits(Tensor([np.log(9.0)]), 0).item() - (-np.log(0.1))) < 1e-12
-        assert bce_with_logits(Tensor([25.0]), 1).item() < 1e-10
+        assert abs(bce(Tensor([0.0]), 0).item() - np.log(2.0)) < 1e-12
+        assert abs(bce(Tensor([0.0]), 1).item() - np.log(2.0)) < 1e-12
+        assert abs(bce(Tensor([np.log(9.0)]), 0).item() - (-np.log(0.1))) < 1e-12
+        assert bce(Tensor([25.0]), 1).item() < 1e-10
         # far in the wrong tail the loss grows linearly instead of sticking
-        assert bce_with_logits(Tensor([-800.0]), 1).item() == 800.0
+        assert bce(Tensor([-800.0]), 1).item() == 800.0
 
     def test_bce_domain_error(self):
         with pytest.raises(ShapeError):
-            bce_with_logits(Tensor([0.5, 0.5]), 1)
+            bce(Tensor([0.5, 0.5]), 1)
+        with pytest.raises(ShapeError, match="one-sample"):
+            supervised_loss(Tensor([0.5, 0.5]), Tensor([0.0]), 1, 0.5)
         with pytest.raises(ContractError):
-            bce_with_logits(Tensor([0.5]), 2)
+            bce(Tensor([0.5]), 2)
 
     def test_bce_gradient(self):
         z = Tensor([np.log(0.3 / 0.7)], requires_grad=True)  # sigmoid(z) = 0.3
-        bce_with_logits(z, 1).backward()
+        bce(z, 1).backward()
         assert abs(z.grad[0] - (0.3 - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("label", [0, 1])
     @pytest.mark.parametrize("z", [-50.0, -3.0, 0.0, 3.0, 50.0])
     def test_bce_with_logits_gradcheck(self, z, label):
         logit = Tensor([z], requires_grad=True)
-        bce_with_logits(logit, label).backward()
+        bce(logit, label).backward()
 
         def f():
             with no_grad():
-                return bce_with_logits(Tensor(logit.data), label).item()
+                return bce(Tensor(logit.data), label).item()
 
         assert max_rel_err(logit.grad, numeric_grad(f, logit)) < 1e-6
 
@@ -490,7 +497,7 @@ class TestLosses:
         for z in (-6.0, -3.0, -0.5, 0.0, 0.7, 3.0, 6.0):
             loss, grad = _clamped_probability_bce(z, label)
             logit = Tensor([z], requires_grad=True)
-            new = bce_with_logits(logit, label)
+            new = bce(logit, label)
             new.backward()
             assert abs(new.item() - loss) < 1e-12, z
             assert abs(logit.grad[0] - grad) < 1e-12, z
@@ -500,7 +507,7 @@ class TestLosses:
         # The probability form clamps sigmoid(z) at 1e-7 from either end, so
         # past |z| ~ 16.1 its loss sticks at 16.1 and its gradient is 0.
         logit = Tensor([z], requires_grad=True)
-        loss = bce_with_logits(logit, label)
+        loss = bce(logit, label)
         loss.backward()
         assert abs(loss.item() - 30.0) < 1e-12
         assert abs(logit.grad[0] - (1.0 - 2.0 * label)) < 1e-12
@@ -518,6 +525,77 @@ def _clamped_probability_bce(z, label):
     dq = -1.0 / q
     dp = dq if label == 1 else -dq
     return loss, dp * s * (1.0 - s)
+
+
+def _composed_supervised(recon, logit, label, alpha):
+    """The supervised objective as the training step composed it before it
+    became one node: a cross-entropy node on the logit, mixed in by graph
+    products and a sum."""
+    z = float(logit.data.reshape(()))
+    shape = logit.data.shape
+
+    def vjp(g):
+        grad = float(sigmoid(z).data) if label == 0 else -float(sigmoid(-z).data)
+        return (np.full(shape, g * grad),)
+
+    cross_entropy = _node(max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z))), (logit,), vjp)
+    return add(mul(recon, alpha), mul(cross_entropy, 1.0 - alpha))
+
+
+class TestSupervisedLoss:
+    """``supervised_loss`` is alpha * reconstruction + (1 - alpha) * the
+    head's cross-entropy as one node, with the arithmetic of the graph it
+    replaced."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_gradcheck(self, label, alpha):
+        recon = Tensor([0.8], requires_grad=True)
+        logit = Tensor([[-1.3]], requires_grad=True)
+        supervised_loss(recon, logit, label, alpha).backward()
+
+        def f():
+            with no_grad():
+                return supervised_loss(Tensor(recon.data), Tensor(logit.data), label, alpha).item()
+
+        for t in (recon, logit):
+            assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_loss_and_gradients_bit_equal_the_composed_graph(self, label, alpha):
+        """Under an upstream gradient other than 1, so that reordering the
+        logit gradient's products would change its last bits."""
+        for r, z in ((0.1234567, -2.5), (3.3, 0.0), (0.01, 17.25), (1e-3, -40.0), (0.7, 0.3)):
+            results = []
+            for objective in (supervised_loss, _composed_supervised):
+                recon, logit = Tensor([r], requires_grad=True), Tensor([[z]], requires_grad=True)
+                loss = objective(recon, logit, label, alpha)
+                mul(loss, 0.37).backward()
+                results.append((loss.data.tobytes(), recon.grad.tobytes(), logit.grad.tobytes()))
+            assert results[0] == results[1], (r, z)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_every_parameter_gradient_bit_equals_the_composed_graph(self, label):
+        cfg = ModelConfig(channels=2, fragment_length=32, levels=1, conv=(ConvLayer(4, 4, 2),), hidden=3,
+                          classifier=True, seed=7)
+        x = np.random.default_rng(8).normal(size=(1, 2, 32))
+        inputs = [x, *mdwd(x, get_family("haar"), 1)[0]]
+        runs = []
+        for objective in (supervised_loss, _composed_supervised):
+            model = WaveletAutoencoder(cfg)
+            code, teacher = model.encode(inputs)
+            loss = objective(reconstruction_loss(inputs, model.decode(code, teacher)), model.logit(code), label, 0.3)
+            loss.backward()
+            runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()])
+        assert runs[0] == runs[1]
+
+    def test_stable_far_in_either_tail(self):
+        recon = Tensor([0.25])
+        assert supervised_loss(recon, Tensor([-800.0]), 1, 0.5).item() == 0.125 + 400.0
+        assert 0.125 <= supervised_loss(recon, Tensor([25.0]), 1, 0.5).item() < 0.125 + 1e-10
+        expected = 0.125 - 0.5 * np.log(0.1)
+        assert abs(supervised_loss(recon, Tensor([np.log(9.0)]), 0, 0.5).item() - expected) < 1e-12
 
 
 def test_composite_chain_gradients_match_finite_differences(rng):

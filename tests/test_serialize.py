@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +122,7 @@ class TestDetectorContainer:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_threshold_full_precision(self, tmp_path):
-        det = small_detector()
-        det.threshold = 0.1 + 0.2  # full float64 precision must survive the text manifest
+        det = replace(small_detector(), threshold=0.1 + 0.2)  # full float64 precision must survive the text manifest
         path = tmp_path / "d.bin"
         save_detector(det, path)
         assert load_detector(path).threshold == det.threshold

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,7 @@ def make_detector(seed=0, threshold=None):
         probe = np.random.default_rng(99).normal(size=(2, 64 * 8))
         scores = [score_fragment(det, probe[:, s:s + 64]) for s in range(0, 64 * 7, 16)]
         threshold = float(np.median(scores))
-    det.threshold = threshold
-    return det
+    return replace(det, threshold=threshold)
 
 
 def make_series(seed, length=640):
@@ -180,7 +181,7 @@ class TestSimulate:
         assert report.total == len(finals)
 
     def test_always_positive_detector_has_full_recall(self):
-        detector = make_detector(threshold=-1.0)
+        detector = make_detector(threshold=5e-324)  # the least threshold a Detector accepts
         series = make_series(6)
         ranges = AnomalyRanges(((64, 320),))
         for tau in (0.1, 0.5, 0.9):

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,8 @@ from wavedetect.training import (
     score_windows,
     train,
 )
+
+from conftest import mul
 
 VOTE = VoteConfig(window=64, step=16)
 
@@ -229,6 +231,18 @@ class TestDetectorRules:
         with pytest.raises(ConfigError, match=message):
             self.make("semi", 0.25, False, norm_mean=mean, norm_std=std)
 
+    @pytest.mark.parametrize("field,value", [("norm_std", np.zeros(2)), ("threshold", float("nan")),
+                                             ("mode", "supervised")])
+    def test_a_built_detector_cannot_be_changed_past_its_checks(self, field, value):
+        """Assigning a field raises; a changed copy from ``replace`` is
+        checked again, so a bad value cannot make every verdict a silent 0."""
+        det = self.make("semi", 0.25, False)
+        with pytest.raises(FrozenInstanceError):
+            setattr(det, field, value)
+        with pytest.raises(ConfigError):
+            replace(det, **{field: value})
+        assert replace(det, threshold=0.5).threshold == 0.5
+
 
 class TestBatchScoringEquivalence:
     def test_window_predictions_match_per_window_prediction(self, detector):
@@ -322,7 +336,7 @@ def test_diverging_training_stops_and_names_the_epoch(monkeypatch):
 
     def diverging(targets, reconstructions):
         loss = real(targets, reconstructions)
-        return loss * (float("nan") if len(epochs) == 1 else 1.0)
+        return mul(loss, float("nan") if len(epochs) == 1 else 1.0)
 
     monkeypatch.setattr(training, "reconstruction_loss", diverging)
     cfg = TrainConfig(model=_model("semi"), epochs=3, seed=4)
