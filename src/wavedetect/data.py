@@ -46,17 +46,26 @@ def as_floats(value, what: str) -> np.ndarray:
         raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiSeries:
-    """A C-channel, length-T signal with channel names."""
+    """A C-channel, length-T signal with channel names, C and T >= 1. The
+    names are a list or tuple of ``str``, each without a comma, newline or
+    carriage return and without leading or trailing whitespace, so that
+    every series ``save_signals`` writes, ``load_signals`` reads back."""
 
     channel_names: list
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = as_floats(self.values, "series values")
-        if self.values.ndim != 2:
-            raise DataError(f"values must be (C, T), got shape {self.values.shape}")
+        object.__setattr__(self, "values", as_floats(self.values, "series values"))
+        if self.values.ndim != 2 or 0 in self.values.shape:
+            raise DataError(f"values must be (C, T) with C, T >= 1, got shape {self.values.shape}")
+        if not isinstance(self.channel_names, (list, tuple)):
+            raise DataError(f"channel names must be a list or tuple, got {type(self.channel_names).__name__}")
+        for name in self.channel_names:
+            if not isinstance(name, str) or name != name.strip() or any(c in name for c in ",\n\r"):
+                raise DataError(f"a channel name must be a str without ',', a line break or surrounding "
+                                f"whitespace, got {name!r}")
         if len(self.channel_names) != self.values.shape[0]:
             raise DataError(
                 f"{len(self.channel_names)} channel names for {self.values.shape[0]} channels"
@@ -144,7 +153,7 @@ class AnomalyRanges:
         return spans
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fragment:
     """A fixed-length labeled window cut from a series."""
 
@@ -153,7 +162,7 @@ class Fragment:
     origin_offset: int
 
     def __post_init__(self):
-        self.values = as_floats(self.values, "fragment values")
+        object.__setattr__(self, "values", as_floats(self.values, "fragment values"))
         if self.values.ndim != 2:
             raise DataError(f"fragment values must be (C, W), got {self.values.shape}")
         if self.label not in (0, 1):

@@ -39,6 +39,10 @@ Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
 decode are then exact shape inverses.
 
+``ModelConfig`` is a frozen dataclass that checks its fields once, when it
+is built; ``dataclasses.replace`` builds a changed copy and checks it
+again. A model therefore trusts the config it is given.
+
 A fresh model draws every tensor uniformly from ±1/sqrt(fan_in), taking
 32-bit words from the standard library's ``random.Random(config.seed)``,
 one ``randbytes`` call per tensor. ``numpy.random`` is never imported: it
@@ -82,7 +86,7 @@ def _conv_layer(i: int, layer) -> ConvLayer:
         raise ConfigError(f"conv layer {i} must be a (features, kernel, stride) triple, got {layer!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     channels: int
     fragment_length: int = DEFAULT_WINDOW
@@ -98,10 +102,7 @@ class ModelConfig:
             layers = list(self.conv)
         except TypeError:
             raise ConfigError(f"conv must be a sequence of conv layers, got {self.conv!r}") from None
-        self.conv = tuple(_conv_layer(i, layer) for i, layer in enumerate(layers))
-        self.validate()
-
-    def validate(self):
+        object.__setattr__(self, "conv", tuple(_conv_layer(i, layer) for i, layer in enumerate(layers)))
         # A model built from stored tensors creates no array from these
         # sizes, so a float would pass unnoticed.
         require_integers(("channels", self.channels), ("fragment_length", self.fragment_length),
@@ -206,7 +207,6 @@ class WaveletAutoencoder:
         """A model with a fresh uniform init: each tensor's values lie in
         ±1/sqrt(fan_in), drawn from ``random.Random(config.seed)``."""
         require_instances(ConfigError, ("config", config, ModelConfig))
-        config.validate()
         draw = random.Random(config.seed).randbytes
 
         def uniform(name, fan_in, shape):
@@ -221,7 +221,6 @@ class WaveletAutoencoder:
     def _from_arrays(cls, config: ModelConfig, array) -> "WaveletAutoencoder":
         """The model whose tensor ``name`` is ``array(name, shape)``, built
         without drawing a random init."""
-        config.validate()
         model = cls.__new__(cls)
         model._build(config, lambda name, fan_in, shape: Tensor(array(name, shape), requires_grad=True))
         return model

@@ -25,7 +25,7 @@ from .errors import ConfigError, require_instances, require_integers, require_re
 COUPLING_DROP = 0.55
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorConfig:
     channels: int = 8
     hours: float = 48.0
@@ -58,6 +58,12 @@ class GeneratorConfig:
             raise ConfigError("anomaly duration bounds must satisfy 0 < min <= max")
         if self.severity < 0 or self.noise < 0 or self.edge_margin < 0:
             raise ConfigError("severity, noise and edge_margin must be non-negative")
+        usable = self.n_samples - 2 * self.edge_margin
+        if self.anomaly_count and usable // self.anomaly_count <= self.anomaly_max_samples:
+            raise ConfigError(
+                f"{self.anomaly_count} anomalies of up to {self.anomaly_max_samples} samples "
+                f"do not fit in {self.n_samples} samples with margin {self.edge_margin}"
+            )
 
     @property
     def n_samples(self) -> int:
@@ -85,13 +91,8 @@ def _ar1(rng, n, phi, sigma):
 def _place_anomalies(cfg: GeneratorConfig, rng, n: int) -> AnomalyRanges:
     if cfg.anomaly_count == 0:
         return AnomalyRanges()
-    usable = n - 2 * cfg.edge_margin
-    slot = usable // cfg.anomaly_count
-    if slot <= cfg.anomaly_max_samples:
-        raise ConfigError(
-            f"{cfg.anomaly_count} anomalies of up to {cfg.anomaly_max_samples} samples "
-            f"do not fit in {n} samples with margin {cfg.edge_margin}"
-        )
+    # The config has checked that each slot outlasts its longest anomaly.
+    slot = (n - 2 * cfg.edge_margin) // cfg.anomaly_count
     spans = []
     for i in range(cfg.anomaly_count):
         length = int(rng.integers(cfg.anomaly_min_samples, cfg.anomaly_max_samples + 1))

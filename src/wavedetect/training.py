@@ -31,6 +31,9 @@ the detector.
 Statistics and trained weights are rounded to float32, the precision of a
 detector file, before calibration, so a detector reloaded from disk scores
 exactly like the one training returned.
+``TrainConfig`` and ``Detector`` are frozen dataclasses that check their
+fields once, when they are built, and a detector's statistics are
+read-only arrays; so ``train`` and scoring repeat none of those checks.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ STD_FLOOR = 1e-8
 _SCORE_CHUNK = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     model: ModelConfig
     mode: str = "semi"
@@ -79,6 +82,8 @@ class TrainConfig:
         require_instances(ConfigError, ("model", self.model, ModelConfig))
         if self.mode not in ("semi", "supervised"):
             raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
+        if self.mode == "supervised" and not self.model.classifier:
+            raise ConfigError("supervised training requires a model config with classifier=True")
         require_integers(("epochs", self.resolved_epochs), ("seed", self.seed))
         require_reals(("lr", self.lr), ("alpha", self.alpha), ("beta", self.beta))
         if self.resolved_epochs < 1:
@@ -103,7 +108,8 @@ class TrainConfig:
 class Detector:
     """A trained model plus everything prediction needs. Frozen, so that
     every field has passed the checks below; ``dataclasses.replace`` builds
-    a changed copy and checks it again."""
+    a changed copy and checks it again. ``norm_mean`` and ``norm_std`` are
+    read-only copies of the arrays given, so no write can reach them either."""
 
     model: WaveletAutoencoder
     mode: str
@@ -133,6 +139,9 @@ class Detector:
                 raise ConfigError(f"{name} must be a float array of shape ({channels},), got {got}")
             if not np.isfinite(stats).all():
                 raise ConfigError(f"{name} holds a non-finite value: {stats}")
+            stats = stats.copy()
+            stats.flags.writeable = False
+            object.__setattr__(self, name, stats)
         if not (self.norm_std > 0).all():
             raise ConfigError(f"norm_std holds a non-positive value: {self.norm_std}")
 
@@ -257,8 +266,6 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
             raise DataError(f"fragment {i} is missing a 0/1 label")
         if not supervised and label != 0:
             raise DataError(f"fragment {i} is labeled anomalous; normal-only training requires clean data")
-    if supervised and not cfg.model.classifier:
-        raise ConfigError("supervised training requires a model config with classifier=True")
 
     mean, std = fit_channel_stats(windows)
     scales = _scale_inputs(windows, cfg.model, mean, std)

@@ -37,6 +37,19 @@ class TestContainers:
         with pytest.raises(DataError, match="series values is not an array of numbers"):
             MultiSeries(["a"], [["x"]])
 
+    @pytest.mark.parametrize("names,shape", [
+        ([1, 2], (2, 3)), ("ab", (2, 3)), (["a,b", "c"], (2, 3)), (["a", "b\nc"], (2, 3)),
+        (["a\rb", "c"], (2, 3)), ([" a", "b"], (2, 3)), (["a", "b\t"], (2, 3)),
+        (["a", "b"], (2, 0)), ([], (0, 4)),
+    ], ids=["int-names", "str-names", "comma", "newline", "carriage-return", "leading-space",
+            "trailing-tab", "no-samples", "no-channels"])
+    def test_a_series_that_would_not_load_back_is_refused(self, names, shape):
+        """Each of these used to build, and ``save_signals`` then raised a
+        bare error or wrote a file that ``load_signals`` refused or read
+        back with other names."""
+        with pytest.raises(DataError):
+            MultiSeries(names, np.zeros(shape))
+
     def test_ranges_validation(self):
         AnomalyRanges(((0, 5), (5, 9)))  # touching is fine
         with pytest.raises(DataError):
@@ -91,6 +104,22 @@ class TestCsv:
         loaded = load_signals(path)
         assert loaded.channel_names == series.channel_names
         assert np.array_equal(loaded.values, series.values)
+
+    def test_names_with_inner_blanks_round_trip(self, tmp_path):
+        series = MultiSeries(("wind speed", "a\tb", ""), np.arange(6.0).reshape(3, 2))
+        path = tmp_path / "s.csv"
+        save_signals(path, series)
+        loaded = load_signals(path)
+        assert loaded.channel_names == list(series.channel_names)
+        assert np.array_equal(loaded.values, series.values)
+
+    def test_a_series_that_cannot_be_saved_leaves_the_file_intact(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_signals(path, series_of(np.ones((2, 3))))
+        before = path.read_bytes()
+        with pytest.raises(DataError, match="channel name"):
+            save_signals(path, MultiSeries([1, 2], np.ones((2, 3))))
+        assert path.read_bytes() == before
 
     def test_small_file_shape(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -11,7 +11,8 @@ traced training run counts its graphs before ``backward`` consumes them.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
 records itself through ``autodiff._node``, and ``autodiff`` itself defines
 a fixed set of ops. A training step's graph holds a known number of nodes,
-so any change to its size is a deliberate one."""
+so any change to its size is a deliberate one. Every class that checks its
+fields in ``__post_init__`` is a frozen dataclass."""
 
 import ast
 import importlib.util
@@ -134,6 +135,27 @@ def test_autodiff_defines_exactly_the_three_generic_ops():
                    and isinstance(ret.value.func, ast.Name) and ret.value.func.id == "_node"
                    for ret in ast.walk(node))}
     assert ops == {"relu", "concat", "index"}
+
+
+def _frozen_dataclass(decorator) -> bool:
+    return (isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Name)
+            and decorator.func.id == "dataclass"
+            and any(k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                    for k in decorator.keywords))
+
+
+def test_every_class_that_checks_its_fields_is_a_frozen_dataclass():
+    """A class whose ``__post_init__`` checks its fields is decorated
+    ``@dataclass(frozen=True)``, so its checks hold for its whole life: a
+    field cannot be assigned, and ``dataclasses.replace`` checks the copy."""
+    mutable = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ClassDef)
+                    and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body)
+                    and not any(map(_frozen_dataclass, node.decorator_list))):
+                mutable.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not mutable, f"classes that check their fields but can be changed after: {mutable}"
 
 
 def test_every_test_data_file_is_named_by_a_test():

@@ -15,6 +15,7 @@ from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.optim import Adam
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
+from wavedetect.synth import GeneratorConfig
 from wavedetect.training import (
     _SCORE_CHUNK,
     Detector,
@@ -242,6 +243,38 @@ class TestDetectorRules:
         with pytest.raises(ConfigError):
             replace(det, **{field: value})
         assert replace(det, threshold=0.5).threshold == 0.5
+
+    @pytest.mark.parametrize("build,field,value,error", [
+        (lambda: TrainConfig(model=_model("semi")), "epochs", 0, ConfigError),
+        (lambda: _model("semi"), "levels", -1, ConfigError),
+        (lambda: GeneratorConfig(), "anomaly_count", 50, ConfigError),
+        (lambda: MultiSeries(["a", "b"], np.ones((2, 4))), "values", np.full((2, 4), np.nan), DataError),
+        (lambda: _fragments(2, 1)[0], "label", 2, DataError),
+    ], ids=["TrainConfig", "ModelConfig", "GeneratorConfig", "MultiSeries", "Fragment"])
+    def test_a_built_config_cannot_be_changed_past_its_checks(self, build, field, value, error):
+        """Like a detector, every object that checks its fields refuses an
+        assignment, and ``replace`` checks the changed copy. An untrained
+        detector came from ``cfg.epochs = 0`` on a built config."""
+        checked = build()
+        with pytest.raises(FrozenInstanceError):
+            setattr(checked, field, value)
+        with pytest.raises(error):
+            replace(checked, **{field: value})
+
+    def test_a_built_detectors_statistics_cannot_be_written(self):
+        """The detector keeps read-only copies of the statistics it was
+        given: neither a write into its arrays nor into the caller's can
+        make it score NaN, and so never flag a window."""
+        mean, std = np.zeros(2), np.ones(2)
+        det = self.make("semi", 0.25, False, norm_mean=mean, norm_std=std)
+        windows = np.stack([f.values for f in _fragments(5, 2)])
+        scores = score_windows(det, windows)
+        for stats in (det.norm_mean, det.norm_std):
+            with pytest.raises(ValueError, match="read-only"):
+                stats[:] = 0
+        mean[:], std[:] = np.nan, 0
+        assert np.array_equal(score_windows(det, windows), scores)
+        assert np.isfinite(scores).all()
 
 
 class TestBatchScoringEquivalence:
