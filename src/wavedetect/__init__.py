@@ -36,8 +36,6 @@ from .training import (
     Detector,
     TrainConfig,
     evaluate_fragments,
-    predict_fragment,
-    score_fragment,
     score_windows,
     train,
 )

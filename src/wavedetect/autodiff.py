@@ -85,7 +85,8 @@ class Tensor:
         and its saved arrays once its gradient has been passed on, so the
         graph can be walked only once. Calling ``backward()`` again, or on
         a new graph built on a consumed node, raises ``ContractError``
-        before any grad is touched."""
+        before any grad is touched. A node whose backward returns more or
+        fewer gradients than it has parents raises ``ContractError`` too."""
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
@@ -121,7 +122,11 @@ class Tensor:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
             if g is not None:
-                for parent, pg in zip(node._parents, node._vjp(g)):
+                grads = node._vjp(g)
+                if len(grads) != len(node._parents):
+                    raise ContractError(f"a backward returned {len(grads)} gradients for "
+                                        f"{len(node._parents)} parents")
+                for parent, pg in zip(node._parents, grads):
                     if pg is None or not parent.requires_grad:
                         continue
                     pid = id(parent)

@@ -3,7 +3,7 @@ generation with positive-sample augmentation.
 
 File formats
 ------------
-Signals CSV: header ``t,<ch1>,...,<chC>`` followed by one row per sample;
+Signals CSV (UTF-8): header ``t,<ch1>,...,<chC>``, then one row per sample;
 floats are written with ``repr`` so a write/read round trip is bit-exact.
 Fields are split on every comma, with no quoting. A cell after ``t`` is a
 plain ASCII float as ``repr`` writes it, optionally padded with whitespace:
@@ -51,9 +51,10 @@ class MultiSeries:
     """A C-channel, length-T signal with channel names, C and T >= 1. The
     names are a list or tuple of ``str``, each without a comma, newline or
     carriage return and without leading or trailing whitespace, so that
-    every series ``save_signals`` writes, ``load_signals`` reads back."""
+    every series ``save_signals`` writes, ``load_signals`` reads back. They
+    are stored as a tuple, which the caller cannot change."""
 
-    channel_names: list
+    channel_names: tuple
     values: np.ndarray
 
     def __post_init__(self):
@@ -62,6 +63,7 @@ class MultiSeries:
             raise DataError(f"values must be (C, T) with C, T >= 1, got shape {self.values.shape}")
         if not isinstance(self.channel_names, (list, tuple)):
             raise DataError(f"channel names must be a list or tuple, got {type(self.channel_names).__name__}")
+        object.__setattr__(self, "channel_names", tuple(self.channel_names))
         for name in self.channel_names:
             if not isinstance(name, str) or name != name.strip() or any(c in name for c in ",\n\r"):
                 raise DataError(f"a channel name must be a str without ',', a line break or surrounding "
@@ -175,8 +177,14 @@ class Fragment:
 
 def save_signals(path, series: MultiSeries):
     require_instances(DataError, ("series", series, MultiSeries))
-    with Path(path).open("w") as fh:
-        fh.write("t," + ",".join(series.channel_names) + "\n")
+    # Encoded before the file is opened: a name that UTF-8 cannot hold leaves the file as it was.
+    header = "t," + ",".join(series.channel_names) + "\n"
+    try:
+        header.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise DataError(f"channel names {series.channel_names!r} are not UTF-8 text: {err.reason}") from None
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(header)
         for t, row in enumerate(series.values.T):
             fh.write(str(t) + "," + ",".join(map(repr, row.tolist())) + "\n")
 
@@ -184,7 +192,7 @@ def save_signals(path, series: MultiSeries):
 def load_signals(path) -> MultiSeries:
     path = Path(path)
     buffer = array("d")
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise IngestError(f"{path}: file is empty")

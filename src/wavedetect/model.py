@@ -4,13 +4,14 @@ One branch per scale: the raw signal is scale 0 and each wavelet detail
 level l in 1..L is its own scale with C channels and T/2**l samples. A
 branch runs a strided conv stack (every kernel spans all input channels,
 so channel correlations are mixed from the first layer), then an LSTM
-encoder whose final hidden state is that branch's slice of the global
-code. Decoding mirrors this: a dense layer re-initializes the decoder
-hidden state from the global code, an LSTM walks the sequence in reverse
-order, a dense step head (``nn.step_dense``, one graph node) maps hidden
-states back to conv-activation space, and a transposed-conv stack restores
-the signal or detail array. The last deconv layer is linear; every other
-conv/deconv layer uses ReLU.
+encoder whose last hidden state is that branch's slice of the global
+code; as in EncDec-AD (Malhotra et al. 2016, arXiv:1607.00148), no cell
+state is read. Decoding mirrors this: a dense layer re-initializes the
+decoder hidden state from the global code, an LSTM walks the sequence in
+reverse order, a dense step head (``nn.step_dense``, one graph node) maps
+hidden states back to conv-activation space, and a transposed-conv stack
+restores the signal or detail array. The last deconv layer is linear;
+every other conv/deconv layer uses ReLU.
 
 The decoder is teacher-forced: at step t it reads the encoder's conv
 activation at t + 1, so ``decode`` takes the code together with the
@@ -289,8 +290,8 @@ class WaveletAutoencoder:
 
         ``inputs`` holds one batch per scale in order 0..L: the normalized
         signals (B, C, T), then wavelet detail level l as (B, C, T >> l). The
-        (B, code_length) code concatenates the final encoder hidden states in
-        scale order 0..L, which is the fixed layout the decoder and
+        (B, code_length) code concatenates each scale's last encoder hidden
+        state in scale order 0..L, which is the fixed layout the decoder and
         classifier rely on. Scale s's teacher buffer is its conv activations
         plus one zero step, (B, F, T_s + 1) for the T_s steps of its LSTMs;
         the encoder LSTM reads its first T_s columns.
@@ -312,9 +313,8 @@ class WaveletAutoencoder:
                 acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
             teacher.append(concat([acts, np.zeros((nb, cfg.conv_features, 1))]))
         zeros = [np.zeros((nb, cfg.hidden))] * len(values)
-        runs = lstm_sequence([buf[..., :-1] for buf in teacher], zeros, zeros,
-                             [b.encoder for b in self.branches])
-        return concat([h for _, h, _ in runs]), teacher
+        runs = lstm_sequence([buf[..., :-1] for buf in teacher], zeros, [b.encoder for b in self.branches])
+        return concat([hs[..., -1] for hs in runs]), teacher
 
     def decode(self, code, teacher):
         """Reconstruct the signal and every detail array from the code and
@@ -338,10 +338,9 @@ class WaveletAutoencoder:
                 raise ContractError(f"teacher buffer for scale {scale} has shape {buf.shape}, expected {want}")
             inputs.append(buf[..., 1:])
             h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
-        zeros = [np.zeros((nb, cfg.hidden))] * len(h0s)
-        runs = lstm_sequence(inputs, h0s, zeros, [b.decoder for b in self.branches], reverse=True)
+        runs = lstm_sequence(inputs, h0s, [b.decoder for b in self.branches], reverse=True)
         return [self._deconv(branch, step_dense(hs, branch.step_w, branch.step_b))
-                for branch, (hs, _, _) in zip(self.branches, runs)]
+                for branch, hs in zip(self.branches, runs)]
 
     def _deconv(self, branch, acts):
         cfg = self.config

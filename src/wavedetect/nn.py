@@ -19,6 +19,8 @@ shorter sequence drops out once its own steps are done, so the default
 model's four scales of 128, 64, 32 and 16 steps take 128 iterations, not
 240. One sequence is a list of one, and one step a sequence of length one.
 The model's encoder and its teacher-forced decoder both run through it.
+Each LSTM starts from a given hidden state and a zero cell state, and
+returns its hidden states alone: the model reads no cell state.
 
 Every layer takes a batch, (B,C,T); a lone sample is a batch of one. Each
 sample is computed with the same products whatever its batch, so batched
@@ -234,26 +236,26 @@ def _phases(lengths):
             start = lengths[k - 1]
 
 
-def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
+def _scan(zx_of, h0, wh_t, lengths, keep: bool):
     """S recurrences in one time loop; sequence s runs ``lengths[s]`` steps.
 
     ``zx_of(start, end, k)`` gives the input pre-activations of steps
     start..end-1 of the first k sequences, step- and gate-major
     (n,4,k,B,H): input projection plus bias with the sigmoid gates halved.
-    The states ``h0`` and ``c0`` are (S,B,H) and ``wh_t`` (S,1,H,4H) holds
-    the halved recurrent weights, transposed.
+    The initial hidden states ``h0`` are (S,B,H), every cell state starts at
+    zero, and ``wh_t`` (S,1,H,4H) holds the halved recurrent weights,
+    transposed.
 
     The gates are gate-major, (4,k,B,H), so that every elementwise call of
     a step reads and writes whole contiguous blocks; only the recurrent
     product's (k,B,1,4H) rows are gate-minor, and the step's first add
     reads them through a transposed view.
 
-    Returns (runs, h, c): one (start, end, k, hs, saved) per phase of
-    ``_phases``, where hs (n+1,k,B,H) holds the phase's hidden states with
-    its entry state at index 0, then every sequence's final hidden and cell
-    states (S,B,H). With ``keep``, ``saved`` holds what backward needs: the
-    gate activations (n,4,k,B,H), the cell states (n+1,k,B,H) and their
-    tanh (n,k,B,H); otherwise it is None.
+    Returns one (start, end, k, hs, saved) per phase of ``_phases``, where
+    hs (n+1,k,B,H) holds the phase's hidden states with its entry state at
+    index 0. With ``keep``, ``saved`` holds what backward needs: the gate
+    activations (n,4,k,B,H), the cell states (n+1,k,B,H) and their tanh
+    (n,k,B,H); otherwise it is None.
     """
     _, nb, hid = h0.shape
     # A step is ten calls on arrays of a few hundred elements, so their
@@ -261,7 +263,7 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
     # ``out`` arguments and walks its per-step views with ``zip``.
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
     h = np.array(h0, dtype=np.float64)
-    c = np.array(c0, dtype=np.float64)
+    c = np.zeros_like(h)
     runs = []
     for start, end, k in _phases(lengths):
         steps = end - start
@@ -301,31 +303,31 @@ def _scan(zx_of, h0, c0, wh_t, lengths, keep: bool):
         h[:k] = hs[steps]
         runs.append((start, end, k, hs, saved))
         del zx, z_in  # before the next phase builds its own
-    return runs, h, c
+    return runs
 
 
-def _scan_grad(runs, wh, dhs_of, dc, lengths):
+def _scan_grad(runs, wh, dhs_of, lengths):
     """Backpropagation through time for ``_scan``, over its ``runs`` from the
     last phase back; each run is (start, end, k, saved), without the hidden
     states, which BPTT does not read. The saved gate activations are
     gate-major, (n,4,k,B,H), so gate q of every step is ``acts[:, q]``.
 
     ``dhs_of(start, end, k)`` gives the loss gradient (n,k,B,H) arriving at
-    each hidden state of a phase from outside the recurrence, and ``dc``
-    (S,B,H) the one at each sequence's final cell state, which enters at
-    that sequence's own last step; ``wh`` (S,4H,H) holds the unhalved
+    each hidden state of a phase from outside the recurrence; no gradient
+    arrives at a cell state from outside. ``wh`` (S,4H,H) holds the unhalved
     recurrent matrices and ``lengths`` the sequence lengths. Returns the
     gradients of the true (unhalved) pre-activations, one (T_s,B,4H) array
-    per sequence in step order, and of the initial states (S,B,H).
+    per sequence in step order, and of the initial hidden states (S,B,H).
 
     The running gradients at the hidden and cell states are updated in
     place through ``out=`` buffers, so a step allocates nothing; the
     products and their order are those of the out-of-place form.
     """
-    nb, g4 = dc.shape[1], wh.shape[1]
+    # The first phase runs every sequence: its gate activations are (n,4,S,B,H).
+    dh = np.zeros(runs[0][3][0].shape[2:])
+    dc = np.zeros_like(dh)
+    nb, g4 = dh.shape[1], wh.shape[1]
     dz_seq = [np.empty((n, nb, g4)) for n in lengths]
-    dh = np.zeros_like(dc)
-    dc = np.array(dc)
     for start, end, k, (acts, cs, tcs) in reversed(runs):
         steps, hid = end - start, g4 // 4
         i, f, o, g = (acts[:, q] for q in range(4))
@@ -352,7 +354,7 @@ def _scan_grad(runs, wh, dhs_of, dc, lengths):
             dck *= f[t]
         for s in range(k):
             dz_seq[s][start:end] = dz_flat[:, s]
-    return dz_seq, dh, dc
+    return dz_seq, dh
 
 
 def _window(length: int, start: int, end: int, reverse: bool) -> slice:
@@ -370,16 +372,17 @@ def _time_order(hs: np.ndarray, reverse: bool) -> np.ndarray:
     return (hs[::-1] if reverse else hs).transpose(1, 2, 0)
 
 
-def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
+def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
     """Run one LSTM per sequence, all in one time loop, as one graph node.
 
     ``xs[s]`` is a batch (B,in_s,T_s), every sequence with the same batch
-    size B, and the lengths T_s do not increase with s. ``h0s[s]`` and
-    ``c0s[s]`` are (B,H), and ``params[s]`` holds sequence s's weights; all
-    share the hidden size H. Steps run over t = 0..T_s-1, or T_s-1..0 with
-    ``reverse``. Returns one (hs, h, c) per sequence: every hidden state,
-    (B,H,T_s) indexed by t, and the (B,H) hidden and cell states after the
-    last step. A single sequence is a list of one.
+    size B, and the lengths T_s do not increase with s. ``h0s[s]`` is the
+    (B,H) initial hidden state, the cell state starts at zero, and
+    ``params[s]`` holds sequence s's weights; all share the hidden size H.
+    Steps run over t = 0..T_s-1, or T_s-1..0 with ``reverse``. Returns one
+    (B,H,T_s) tensor per sequence: its hidden states, indexed by t, so the
+    last step's is column T_s-1, or column 0 with ``reverse``. A single
+    sequence is a list of one.
 
     The loop runs max T_s steps and a sequence drops out once its own steps
     are done. Each step's recurrent products are one stacked
@@ -388,7 +391,7 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     ``w_x`` (Appleyard et al. 2016, arXiv:1604.01946), one matrix product
     per sequence and phase, built when the loop reaches that phase. The
     backward pass is hand-written BPTT and returns gradients for every
-    ``x``, ``h0``, ``c0``, ``w_x``, ``w_h`` and ``b``.
+    ``x``, ``h0``, ``w_x``, ``w_h`` and ``b``.
 
     For backward the node keeps the gate activations, gate-major per phase
     (n,4,k,B,H), and the cell states with their tanh, which ``_scan`` saved
@@ -398,23 +401,23 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     arrays die once packed.
     """
     count = len(params)
-    if not count or not len(xs) == len(h0s) == len(c0s) == count:
-        raise ShapeError(f"lstm_sequence needs one input, h0, c0 and weight set per sequence, got "
-                         f"{len(xs)}, {len(h0s)}, {len(c0s)} and {count}")
-    xs, h0s, c0s = ([_as_tensor(t) for t in group] for group in (xs, h0s, c0s))
+    if not count or not len(xs) == len(h0s) == count:
+        raise ShapeError(f"lstm_sequence needs one input, h0 and weight set per sequence, got "
+                         f"{len(xs)}, {len(h0s)} and {count}")
+    xs, h0s = [_as_tensor(x) for x in xs], [_as_tensor(h0) for h0 in h0s]
     hid = params[0].hidden_size
     if xs[0].data.ndim != 3:
         raise ShapeError(f"lstm_sequence expects (B,in,T) inputs, got shape {xs[0].shape}")
     nb = xs[0].data.shape[0]
-    for s, (x, h0, c0, p) in enumerate(zip(xs, h0s, c0s, params)):
+    for s, (x, h0, p) in enumerate(zip(xs, h0s, params)):
         if p.hidden_size != hid:
             raise ShapeError(f"lstm_sequence hidden size {p.hidden_size} of sequence {s} is not {hid}")
         if x.data.ndim != 3 or x.data.shape[:2] != (nb, p.input_size) or x.data.shape[2] < 1:
             raise ShapeError(f"lstm_sequence input {s} has shape {x.shape}, expected "
                              f"({nb}, {p.input_size}, T) with T >= 1")
-        if h0.data.shape != (nb, hid) or c0.data.shape != (nb, hid):
-            raise ShapeError(f"lstm_sequence state shapes {h0.shape}, {c0.shape} of sequence {s} "
-                             f"do not match ({nb}, {hid})")
+        if h0.data.shape != (nb, hid):
+            raise ShapeError(f"lstm_sequence initial state shape {h0.shape} of sequence {s} "
+                             f"does not match ({nb}, {hid})")
     lengths = [x.data.shape[2] for x in xs]
     if any(a < b for a, b in zip(lengths, lengths[1:])):
         raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
@@ -435,21 +438,18 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
     whs = [p.w_h.data for p in params]
     wh_half = np.stack(whs)
     wh_half *= half[:, None]
-    parents = (*xs, *h0s, *c0s, *(p.w_x for p in params), *(p.w_h for p in params),
-               *(p.b for p in params))
-    runs, _, c = _scan(zx_of, np.stack([h0.data for h0 in h0s]), np.stack([c0.data for c0 in c0s]),
-                       wh_half.transpose(0, 2, 1)[:, None], lengths, keep=_trace(parents))
+    parents = (*xs, *h0s, *(p.w_x for p in params), *(p.w_h for p in params), *(p.b for p in params))
+    runs = _scan(zx_of, np.stack([h0.data for h0 in h0s]), wh_half.transpose(0, 2, 1)[:, None], lengths,
+                 keep=_trace(parents))
 
-    # Sequence s owns columns off_s .. off_s + T_s: its hidden states in time
-    # order, then its final cell state.
-    offsets = list(accumulate((n + 1 for n in lengths), initial=0))
+    # Sequence s owns columns off_s .. off_s + T_s - 1: its hidden states in
+    # time order.
+    offsets = list(accumulate(lengths, initial=0))
     packed = np.empty((nb, hid, offsets[-1]))
     for start, end, k, hs, _ in runs:
         for s in range(k):
-            seq = packed[..., offsets[s] : offsets[s + 1] - 1]
+            seq = packed[..., offsets[s] : offsets[s + 1]]
             seq[..., _window(lengths[s], start, end, reverse)] = _time_order(hs[1:, s], reverse)
-    for s in range(count):
-        packed[..., offsets[s + 1] - 1] = c[s]
     # Backward reads the hidden states from ``packed``, not from the phases.
     runs = [(start, end, k, saved) for start, end, k, _, saved in runs]
 
@@ -457,19 +457,18 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
         def dhs_of(start, end, k):
             dhs = np.empty((end - start, k, nb, hid))
             for s in range(k):
-                seg = grad[..., offsets[s] : offsets[s + 1] - 1]
+                seg = grad[..., offsets[s] : offsets[s + 1]]
                 dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, reverse)], reverse)
             return dhs
 
-        dc = np.stack([grad[..., off - 1] for off in offsets[1:]])
-        dz_seq, dh0, dc0 = _scan_grad(runs, np.stack(whs), dhs_of, dc, lengths)
+        dz_seq, dh0 = _scan_grad(runs, np.stack(whs), dhs_of, lengths)
         dx, dwx, dwh, db = [], [], [], []
         for s, (dz, n) in enumerate(zip(dz_seq, lengths)):
             # The hidden state entering each step, in step order: h0,
             # then the outputs of steps 0..n-2.
             hin = np.empty((n, nb, hid))
             hin[0] = h0s[s].data
-            seq = packed[..., offsets[s] : offsets[s + 1] - 1]
+            seq = packed[..., offsets[s] : offsets[s + 1]]
             hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, reverse)], reverse)
             if reverse:  # back to time order, like x
                 dz, hin = dz[::-1], hin[::-1]
@@ -478,11 +477,10 @@ def lstm_sequence(xs, h0s, c0s, params, reverse: bool = False) -> list:
             dwx.append(np.tensordot(dz, xs[s].data, axes=([0, 2], [0, 2])))
             dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
             db.append(dz.sum(axis=(0, 2)))
-        return (*dx, *dh0, *dc0, *dwx, *dwh, *db)
+        return (*dx, *dh0, *dwx, *dwh, *db)
 
     core = _node(packed, parents, vjp)
-    return [(core[..., off : off + n], core[..., off if reverse else off + n - 1], core[..., off + n])
-            for off, n in zip(offsets, lengths)]
+    return [core[..., start:end] for start, end in zip(offsets, offsets[1:])]
 
 
 def sigmoid(x) -> np.ndarray:

@@ -316,17 +316,6 @@ def score_windows(detector: Detector, windows) -> np.ndarray:
                    _checked_windows(windows, detector.model.config), head=detector.mode == "supervised")
 
 
-def score_fragment(detector: Detector, fragment) -> float:
-    """Reconstruction loss (threshold mode) or anomaly probability (head mode)."""
-    return float(score_windows(detector, [fragment])[0])
-
-
-def predict_fragment(detector: Detector, fragment):
-    """Returns (label, score); the label comparison is >= in both modes."""
-    score = score_fragment(detector, fragment)
-    return int(score >= detector.cut), score
-
-
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     """Metrics of the detector's predictions on 0/1-labeled fragments. An
     item without a 0/1 ``label`` raises ``DataError``."""

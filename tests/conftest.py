@@ -4,7 +4,6 @@ import pytest
 from wavedetect.autodiff import Tensor, _as_tensor, _node
 from wavedetect.errors import ShapeError
 from wavedetect import nn
-from wavedetect.nn import lstm_sequence
 
 
 @pytest.fixture
@@ -31,14 +30,6 @@ def numeric_grad(f, tensor, h=1e-5):
 def max_rel_err(analytic, numeric, floor=1e-8):
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
-
-
-def lstm_step(a, h, c, params):
-    """One LSTM step of a batch: ``a`` is (B,in), ``h`` and ``c`` are (B,H).
-    Runs as a one-step, one-sequence ``lstm_sequence``; returns (h, c)."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    [(_, h, c)] = lstm_sequence([reshape(a, a.shape + (1,))], [h], [c], [params])
-    return h, c
 
 
 def tsum(a) -> Tensor:
@@ -105,6 +96,29 @@ def tanh(a) -> Tensor:
     a = _as_tensor(a)
     t = np.tanh(a.data)
     return _node(t, (a,), lambda g: (g * (1.0 - t * t),))
+
+
+def gate_params(p, gate):
+    """(w_i, b_i, w_h, b_h) of one gate, as index slices of the fused
+    tensors (gate order ifog); the one fused bias takes the b_i slot and
+    zero the b_h slot."""
+    k = "ifog".index(gate)
+    rows = slice(k * p.hidden_size, (k + 1) * p.hidden_size)
+    return p.w_x[rows], p.b[rows], p.w_h[rows], Tensor(np.zeros(p.hidden_size))
+
+
+def lstm_step(a, h, c, p):
+    """One LSTM step of one sample as four per-gate graphs, the composition
+    that the fused ``nn.lstm_sequence`` replaced: ``a`` is (in,), ``h`` and
+    ``c`` are (H,) and ``p`` holds the ``LSTMParams``. Returns (h, c)."""
+
+    def gate(name, activation):
+        w_i, b_i, w_h, b_h = gate_params(p, name)
+        return activation(add(add(matmul(w_i, a), b_i), add(matmul(w_h, h), b_h)))
+
+    i, f, g, o = gate("i", sigmoid), gate("f", sigmoid), gate("g", tanh), gate("o", sigmoid)
+    c = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c)), c
 
 
 def idwt_level(approx, detail, family) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from wavedetect.autodiff import (
     Tensor,
+    _node,
     concat,
     index,
     no_grad,
@@ -75,6 +76,19 @@ def test_backward_through_a_consumed_intermediate_raises():
         tsum(mul(shared, y)).backward()
     assert np.array_equal(x.grad, first)
     assert y.grad is None
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_backward_returning_the_wrong_gradient_count_raises(count):
+    """A vjp must return exactly one gradient, or None, per parent; a
+    miscount raises rather than dropping or misplacing a gradient."""
+    a = Tensor([1.0], requires_grad=True)
+    b = Tensor([2.0], requires_grad=True)
+    ones = np.ones(1)
+    loss = _node(1.0, (a, b), lambda g: (ones,) * count)
+    with pytest.raises(ContractError, match=f"{count} gradients for 2 parents"):
+        loss.backward()
+    assert a.grad is None and b.grad is None
 
 
 def test_only_leaf_tensors_keep_a_grad():

@@ -110,7 +110,7 @@ class TestCsv:
         path = tmp_path / "s.csv"
         save_signals(path, series)
         loaded = load_signals(path)
-        assert loaded.channel_names == list(series.channel_names)
+        assert loaded.channel_names == series.channel_names
         assert np.array_equal(loaded.values, series.values)
 
     def test_a_series_that_cannot_be_saved_leaves_the_file_intact(self, tmp_path):
@@ -119,6 +119,25 @@ class TestCsv:
         before = path.read_bytes()
         with pytest.raises(DataError, match="channel name"):
             save_signals(path, MultiSeries([1, 2], np.ones((2, 3))))
+        assert path.read_bytes() == before
+
+    def test_the_names_are_a_tuple_the_caller_cannot_change(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_signals(path, series_of(np.ones((2, 3))))
+        names = ["a", "b"]
+        series = MultiSeries(names, np.ones((2, 3)))
+        names[0] = 5
+        with pytest.raises(TypeError):
+            series.channel_names[0] = 5
+        save_signals(path, series)
+        assert load_signals(path).channel_names == ("a", "b")
+
+    def test_a_name_utf8_cannot_hold_leaves_the_file_intact(self, tmp_path):
+        path = tmp_path / "s.csv"
+        save_signals(path, series_of(np.ones((2, 3))))
+        before = path.read_bytes()
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            save_signals(path, MultiSeries(["a", "\udc80"], np.ones((2, 3))))
         assert path.read_bytes() == before
 
     def test_small_file_shape(self, tmp_path):

@@ -174,9 +174,11 @@ def bench_spans():
 
 def test_every_site_the_bench_tracer_patches_exists():
     """``bench/spans.py`` patches the sites of ``Tracer._targets`` where they
-    exist, and always ``decode``, ``backward`` and ``zero_grad``. Only
-    ``model.lstm_cell`` is gone: it was folded into ``lstm_sequence``, and
-    the span keeps its name until the benchmark is next changed."""
+    exist, and always ``decode``, ``backward`` and ``zero_grad``. Two are
+    gone, and each span keeps its name, reading zero calls, until the
+    benchmark is next changed: ``model.lstm_cell`` was folded into
+    ``lstm_sequence``, and ``training.score_fragment`` into
+    ``score_windows``, which ``VoteState.push_block`` now calls directly."""
     sites = [(owner, attr) for owner, attr, _ in bench_spans().Tracer()._targets(wavedetect)]
     sites += [(WaveletAutoencoder, "decode"), (Tensor, "backward"), (Adam, "zero_grad")]
 
@@ -184,7 +186,7 @@ def test_every_site_the_bench_tracer_patches_exists():
         return owner.__name__ if isinstance(owner, types.ModuleType) else f"{owner.__module__}.{owner.__qualname__}"
 
     missing = [f"{where(owner)}.{attr}" for owner, attr in sites if attr not in owner.__dict__]
-    assert missing == ["wavedetect.model.lstm_cell"]
+    assert missing == ["wavedetect.model.lstm_cell", "wavedetect.training.score_fragment"]
     # The traced decode passes the teacher buffers as the second positional argument.
     assert list(inspect.signature(WaveletAutoencoder.decode).parameters) == ["self", "code", "teacher"]
 
@@ -215,26 +217,26 @@ TINY = dict(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=
 
 
 @pytest.mark.parametrize("cfg,nodes", [
-    (ModelConfig(channels=8), 132),
-    (ModelConfig(**TINY), 52),
-    (ModelConfig(channels=8, classifier=True), 136),
-    (ModelConfig(**TINY, classifier=True), 56),
+    (ModelConfig(channels=8), 136),
+    (ModelConfig(**TINY), 54),
+    (ModelConfig(channels=8, classifier=True), 140),
+    (ModelConfig(**TINY, classifier=True), 58),
 ], ids=["default", "tiny", "default-supervised", "tiny-supervised"])
 def test_one_training_step_records_a_known_number_of_graph_nodes(cfg, nodes):
-    """A step's graph holds every parameter, 4K + 6 op nodes per scale for K
+    """A step's graph holds every parameter, 4K + 7 op nodes per scale for K
     conv layers (each conv and its ReLU, the teacher buffer, its two views,
-    the decoder's initial state, the final hidden state's and the hidden
-    states' views, the step head's one op, each deconv and the ReLUs
-    between them), and four shared ones: the two LSTM passes, the code and
-    the reconstruction loss. A supervised step adds the head's logit and the
-    one node of its objective. A change to the graph's size must change this
-    count."""
+    the encoder's hidden states' view and its last column, the decoder's
+    initial state and its hidden states' view, the step head's one op, each
+    deconv and the ReLUs between them), and four shared ones: the two LSTM
+    passes, the code and the reconstruction loss. A supervised step adds
+    the head's logit and the one node of its objective. A change to the
+    graph's size must change this count."""
     model = WaveletAutoencoder(cfg)
     inputs = [np.ones((1, cfg.channels, cfg.fragment_length >> s)) for s in range(cfg.levels + 1)]
     code, teacher = model.encode(inputs)
     loss = reconstruction_loss(inputs, model.decode(code, teacher))
     if cfg.classifier:
         loss = supervised_loss(loss, model.logit(code), 1, 0.5)
-    per_scale = 4 * len(cfg.conv) + 6
+    per_scale = 4 * len(cfg.conv) + 7
     assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 + 2 * cfg.classifier == nodes
     assert bench_spans().count_graph_nodes(loss) == nodes

@@ -38,14 +38,13 @@ def forward_loss(model, inputs):
 
 
 def encode_one_scale(model, scale, values):
-    """The final encoder hidden states of one branch, its LSTM run alone."""
+    """The last encoder hidden states of one branch, its LSTM run alone."""
     cfg, branch = model.config, model.branches[scale]
     acts = Tensor(values)
     for (kernels, bias), layer in zip(branch.conv, cfg.conv):
         acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-    zeros = np.zeros((len(values), cfg.hidden))
-    [(_, h, _)] = lstm_sequence([acts], [zeros], [zeros], [branch.encoder])
-    return h.data
+    [hs] = lstm_sequence([acts], [np.zeros((len(values), cfg.hidden))], [branch.encoder])
+    return hs.data[..., -1]
 
 
 class TestModelConfig:
@@ -202,11 +201,10 @@ class TestEncode:
                 for (kern, bias), layer in zip(branch.conv, cfg.conv):
                     pre = conv1d(a, kern, bias, layer.stride, padding_for(layer))
                     a = Tensor(np.maximum(pre.data, 0.0))
-                h = Tensor(np.zeros((1, cfg.hidden)))
-                c = Tensor(np.zeros((1, cfg.hidden)))
+                h = c = Tensor(np.zeros(cfg.hidden))
                 for t in range(a.data.shape[2]):
-                    h, c = lstm_step(Tensor(a.data[..., t]), h, c, branch.encoder)
-                pieces.append(h.data)
+                    h, c = lstm_step(Tensor(a.data[0, :, t]), h, c, branch.encoder)
+                pieces.append(h.data[None])
         assert np.max(np.abs(code.data - np.concatenate(pieces, axis=1))) < 1e-12
 
     def test_teacher_buffer_is_the_conv_activations_then_one_zero_step(self, rng):
@@ -275,9 +273,8 @@ class TestDecode:
         branch = model.branches[0]
         with no_grad():
             h0 = branch.dec_init_w.data @ code.data[0] + branch.dec_init_b.data
-            h, _ = lstm_step(Tensor(np.zeros((1, 3))), Tensor(h0[None]), Tensor(np.zeros((1, 4))),
-                             branch.decoder)
-            step = branch.step_w.data @ h.data[0] + branch.step_b.data
+            h, _ = lstm_step(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
+            step = branch.step_w.data @ h.data + branch.step_b.data
             kern, bias = branch.deconv[0]
             ref = deconv1d(Tensor(step[None, :, None]), kern, bias, 4, 0)
         assert np.max(np.abs(out.data - ref.data)) < 1e-12
@@ -431,9 +428,9 @@ def test_all_scales_share_one_lstm_time_loop(rng, monkeypatch):
     scan = nn._scan
 
     def counted(*args, **kwargs):
-        runs, h, c = scan(*args, **kwargs)
+        runs = scan(*args, **kwargs)
         iterations.append(sum(end - start for start, end, *_ in runs))
-        return runs, h, c
+        return runs
 
     monkeypatch.setattr(nn, "_scan", counted)
     model = WaveletAutoencoder(ModelConfig(channels=8))

@@ -28,7 +28,7 @@ from wavedetect.nn import (
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import add, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape, sigmoid, tanh, tsum
+from conftest import add, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape, sigmoid, tsum
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -61,15 +61,6 @@ def lstm_params(input_size, hidden_size, seed):
     return LSTMParams(w_x=uniform(input_size, (4 * hidden_size, input_size)),
                       w_h=uniform(hidden_size, (4 * hidden_size, hidden_size)),
                       b=uniform(hidden_size, (4 * hidden_size,)))
-
-
-def gate_params(p, gate):
-    """(w_i, b_i, w_h, b_h) of one gate, as index slices of the fused
-    tensors (gate order ifog); the one fused bias takes the b_i slot and
-    zero the b_h slot."""
-    k = "ifog".index(gate)
-    rows = slice(k * p.hidden_size, (k + 1) * p.hidden_size)
-    return p.w_x[rows], p.b[rows], p.w_h[rows], Tensor(np.zeros(p.hidden_size))
 
 
 def lstm_reference(a, h, c, p):
@@ -263,7 +254,9 @@ class TestKernelGradients:
 
 
 class TestLstmCell:
-    """One step of the LSTM: a one-step ``lstm_sequence`` on a batch of one."""
+    """The LSTM step, run as a one- or two-step ``lstm_sequence`` on a batch
+    of one. Every sequence starts from a zero cell state, so the cell-state
+    arithmetic shows at step 2, which reads what step 1 wrote."""
 
     def make_params(self, input_size, hidden_size, seed=3):
         return lstm_params(input_size, hidden_size, seed)
@@ -276,41 +269,56 @@ class TestLstmCell:
 
     def test_all_zero_weights_and_state(self):
         p = self.zero_params(2, 3)
-        h, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), p)
-        # i = f = o = 0.5 and g = 0, so both outputs stay zero
-        assert np.allclose(c.data, 0.0)
-        assert np.allclose(h.data, 0.0)
+        [hs] = lstm_sequence([np.zeros((1, 2, 1))], [np.zeros((1, 3))], [p])
+        # i = f = o = 0.5 and g = 0, so the cell and hidden states stay zero
+        assert np.allclose(hs.data, 0.0)
 
     def test_forget_gate_arithmetic(self):
+        """Step 1 saturates the input gate and the candidate, writing c = 1.
+        Step 2 reads a zero input, so every gate is 0.5 and the candidate 0:
+        it keeps half the cell state, c = 0.5, and h = 0.5 tanh(0.5)."""
         p = self.zero_params(1, 1)
-        h, c = lstm_step(Tensor([[0.0]]), Tensor([[0.0]]), Tensor([[1.0]]), p)
-        assert np.allclose(c.data, [[0.5]])
-        assert np.allclose(h.data, [[0.5 * np.tanh(0.5)]])
-        assert abs(h.data[0, 0] - 0.23105857863) < 1e-9
+        p.w_x.data[[0, 3], 0] = 40.0  # input gate and candidate rows
+        [hs] = lstm_sequence([[[[1.0, 0.0]]]], [np.zeros((1, 1))], [p])
+        h1, c1 = lstm_reference(np.ones(1), np.zeros(1), np.zeros(1), p)
+        h2, c2 = lstm_reference(np.zeros(1), h1, c1, p)
+        assert c1[0] == 1.0 and c2[0] == 0.5
+        assert np.allclose(hs.data[0, 0], [h1[0], h2[0]], rtol=0, atol=1e-15)
+        assert abs(hs.data[0, 0, 1] - 0.23105857863) < 1e-9
 
     def test_matches_six_equation_oracle(self, rng):
         p = self.make_params(3, 2, seed=11)
-        a, h0, c0 = rng.normal(size=3), rng.normal(size=2), rng.normal(size=2)
-        h, c = lstm_step(Tensor(a[None]), Tensor(h0[None]), Tensor(c0[None]), p)
-        h_ref, c_ref = lstm_reference(a, h0, c0, p)
-        assert np.max(np.abs(h.data[0] - h_ref)) < 1e-12
-        assert np.max(np.abs(c.data[0] - c_ref)) < 1e-12
+        a, h0 = rng.normal(size=3), rng.normal(size=2)
+        [hs] = lstm_sequence([a[None, :, None]], [h0[None]], [p])
+        h_ref, _ = lstm_reference(a, h0, np.zeros(2), p)
+        assert np.max(np.abs(hs.data[0, :, 0] - h_ref)) < 1e-12
 
     def test_cell_state_conservation(self):
-        # saturate the forget gate open and the input gate closed
+        """Step 1 opens the input gate and writes tanh(w_g) into the cell
+        state. Step 2 saturates the forget gate open and the input gate
+        closed, so the cell state carries over, and with the output gate at
+        0.5 at both steps so does the hidden state."""
         p = self.zero_params(2, 3)
-        p.b.data[3:6] = 40.0  # forget rows
-        p.b.data[0:3] = -40.0  # input rows
-        c_prev = np.array([0.3, -1.2, 2.0])
-        _, c = lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), Tensor(c_prev[None]), p)
-        assert np.allclose(c.data[0], c_prev, atol=1e-12)
+        p.b.data[3:6] = 40.0  # forget rows: open at both steps
+        p.w_x.data[0:3, 0] = 80.0  # input rows: open when channel 0 is 1 ...
+        p.b.data[0:3] = -40.0  # ... and closed when it is 0
+        w_g = np.array([0.3, -1.2, 2.0])
+        p.w_x.data[9:12, 0] = w_g  # candidate rows read channel 0
+        x = np.eye(2)  # channel 0 at step 1, channel 1 at step 2
+        [hs] = lstm_sequence([x[None]], [np.zeros((1, 3))], [p])
+        h1, c1 = lstm_reference(x[:, 0], np.zeros(3), np.zeros(3), p)
+        h2, c2 = lstm_reference(x[:, 1], h1, c1, p)
+        assert np.allclose(c1, np.tanh(w_g), atol=1e-12)
+        assert np.allclose(c2, c1, atol=1e-12)
+        assert np.allclose(hs.data[0].T, [h1, h2], atol=1e-12)
+        assert np.allclose(hs.data[0, :, 1], hs.data[0, :, 0], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         p = self.make_params(3, 2)
         with pytest.raises(ShapeError):
-            lstm_step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), p)
+            lstm_sequence([np.zeros((1, 4, 1))], [np.zeros((1, 2))], [p])
         with pytest.raises(ShapeError):
-            lstm_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 2))), p)
+            lstm_sequence([np.zeros((1, 3, 1))], [np.zeros((1, 5))], [p])
 
 
 class TestLinear:
@@ -610,11 +618,8 @@ def test_composite_chain_gradients_match_finite_differences(rng):
 
     def forward():
         acts = conv1d(Tensor(x), conv_w, conv_b, stride=2, padding=1)
-        h = Tensor(np.zeros((1, 2)))
-        c = Tensor(np.zeros((1, 2)))
-        for t in range(acts.data.shape[2]):
-            h, c = lstm_step(acts[..., t], h, c, p)
-        return reconstruction_loss([target], [reshape(linear(h, out_w, out_b), (1, 2, 1))])
+        [hs] = lstm_sequence([acts], [np.zeros((1, 2))], [p])
+        return reconstruction_loss([target], [reshape(linear(hs[..., -1], out_w, out_b), (1, 2, 1))])
 
     forward().backward()
     params = [conv_w, conv_b, out_w, out_b] + [t for _, t in p.named()]
@@ -689,7 +694,7 @@ def _unbatched_calls():
     return [
         ("conv1d", lambda: conv1d(Tensor(x), Tensor(np.ones((3, 2, 4))), Tensor(np.zeros(3)))),
         ("deconv1d", lambda: deconv1d(Tensor(x), Tensor(np.ones((2, 3, 4))), Tensor(np.zeros(3)))),
-        ("lstm_sequence", lambda: lstm_sequence([np.zeros((3, 4))], [np.zeros(2)], [np.zeros(2)], [p])),
+        ("lstm_sequence", lambda: lstm_sequence([np.zeros((3, 4))], [np.zeros(2)], [p])),
         ("reconstruction_loss", lambda: reconstruction_loss([x], [Tensor(x)])),
         ("step_dense", lambda: step_dense(Tensor(x), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))),
         ("encode", lambda: model.encode([x, np.zeros((2, 8))])),
@@ -709,8 +714,7 @@ def test_unbatched_input_is_rejected(name):
 def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4, seed=17):
     x = Tensor(rng.normal(size=(batch, nin, steps)), requires_grad=True)
     h0 = Tensor(rng.normal(size=(batch, hid)) * 0.5, requires_grad=True)
-    c0 = Tensor(rng.normal(size=(batch, hid)) * 0.5, requires_grad=True)
-    return x, h0, c0, lstm_params(nin, hid, seed)
+    return x, h0, lstm_params(nin, hid, seed)
 
 
 class TestLstmSequence:
@@ -719,29 +723,25 @@ class TestLstmSequence:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_step_by_step_oracle(self, rng, batch, reverse):
-        x, h0, c0, p = _lstm_inputs(rng, batch)
-        [(hs, h, c)] = lstm_sequence([x], [h0], [c0], [p], reverse=reverse)
+        x, h0, p = _lstm_inputs(rng, batch)
+        [hs] = lstm_sequence([x], [h0], [p], reverse=reverse)
         for i in range(batch):
-            hi, ci = h0.data[i], c0.data[i]
+            hi, ci = h0.data[i], np.zeros(2)
             order = range(3, -1, -1) if reverse else range(4)
             for t in order:
                 hi, ci = lstm_reference(x.data[i, :, t], hi, ci, p)
                 assert np.max(np.abs(hs.data[i, :, t] - hi)) < 1e-14
-            assert np.max(np.abs(h.data[i] - hi)) < 1e-14
-            assert np.max(np.abs(c.data[i] - ci)) < 1e-14
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_finite_differences(self, rng, batch, reverse):
-        """Every input and all three parameter tensors, through all three outputs."""
-        x, h0, c0, p = _lstm_inputs(rng, batch)
+        """Every input and all three parameter tensors."""
+        x, h0, p = _lstm_inputs(rng, batch)
         w_seq = Tensor(rng.normal(size=(batch, 2, 4)))
-        w_h = Tensor(rng.normal(size=(batch, 2)))
-        w_c = Tensor(rng.normal(size=(batch, 2)))
 
         def forward():
-            [(hs, h, c)] = lstm_sequence([x], [h0], [c0], [p], reverse=reverse)
-            return add(add(tsum(mul(hs, w_seq)), tsum(mul(h, w_h))), tsum(mul(c, w_c)))
+            [hs] = lstm_sequence([x], [h0], [p], reverse=reverse)
+            return tsum(mul(hs, w_seq))
 
         forward().backward()
 
@@ -749,31 +749,25 @@ class TestLstmSequence:
             with no_grad():
                 return forward().item()
 
-        named = [("x", x), ("h0", h0), ("c0", c0)] + list(p.named())
-        assert len(named) == 6
+        named = [("x", x), ("h0", h0)] + list(p.named())
+        assert len(named) == 5
         for name, t in named:
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, name
 
-    def test_cell_is_one_step_sequence(self, rng):
-        x, h0, c0, p = _lstm_inputs(rng, 3, steps=1)
-        [(_, h_seq, c_seq)] = lstm_sequence([x], [h0], [c0], [p])
-        h, c = lstm_step(Tensor(x.data[:, :, 0]), h0, c0, p)
-        assert np.array_equal(h.data, h_seq.data)
-        assert np.array_equal(c.data, c_seq.data)
-
     def test_shape_errors(self, rng):
-        x, h0, c0, p = _lstm_inputs(rng, 2)
+        x, h0, p = _lstm_inputs(rng, 2)
         with pytest.raises(ShapeError):
-            lstm_sequence([Tensor(np.zeros((2, 4, 5)))], [h0], [c0], [p])
+            lstm_sequence([Tensor(np.zeros((2, 4, 5)))], [h0], [p])
         with pytest.raises(ShapeError):
-            lstm_sequence([x], [Tensor(np.zeros((2, 3)))], [c0], [p])
+            lstm_sequence([x], [Tensor(np.zeros((2, 3)))], [p])
         with pytest.raises(ShapeError):
-            lstm_sequence([Tensor(np.zeros((2, 3, 0)))], [h0], [c0], [p])
+            lstm_sequence([Tensor(np.zeros((2, 3, 0)))], [h0], [p])
 
 
 # The single-sequence scan and BPTT that ran one call per sequence before
 # all sequences shared one time loop, kept as the reference the shared loop
-# must reproduce bit for bit.
+# must reproduce bit for bit. They take the cell state the fused op no
+# longer does; the reference passes zero for it.
 
 
 def _single_scan(zx, h0, c0, wh_t):
@@ -827,27 +821,27 @@ def _single_scan_grad(acts, cs, tcs, wh, dhs, dc):
     return dz_flat, dh, dc
 
 
-def single_sequence_reference(x, h0, c0, p, reverse, d_hs, d_h, d_c):
-    """(hs, h, c) of one sequence, and the gradients of x, h0, c0, w_x, w_h
-    and b given upstream gradients of the three outputs, all (B,...)."""
+def single_sequence_reference(x, h0, p, reverse, d_hs):
+    """The (B,H,T) hidden states of one sequence run from a zero cell state,
+    and the gradients of x, h0, w_x, w_h and b given the upstream gradient
+    ``d_hs`` of the hidden states."""
     nb, nin, steps = x.shape
     hid = p.hidden_size
     wx, wh, b = p.w_x.data, p.w_h.data, p.b.data
     half = np.repeat([0.5, 1.0], [3 * hid, hid])
+    zero = np.zeros((nb, hid))
     zx = ((wx * half[:, None]) @ x + (b * half)[:, None]).transpose(2, 0, 1)
-    hs, c, saved = _single_scan(zx[::-1] if reverse else zx, h0, c0, (wh * half[:, None]).T)
+    hs, _, saved = _single_scan(zx[::-1] if reverse else zx, h0, zero, (wh * half[:, None]).T)
     hs_time = (hs[:0:-1] if reverse else hs[1:]).transpose(1, 2, 0)
-    dhs = d_hs.copy()
-    dhs[..., 0 if reverse else steps - 1] += d_h
-    dhs = dhs.transpose(2, 0, 1)
-    dz, dh0, dc0 = _single_scan_grad(*saved, wh, dhs[::-1] if reverse else dhs, d_c)
+    dhs = d_hs.transpose(2, 0, 1)
+    dz, dh0, _ = _single_scan_grad(*saved, wh, dhs[::-1] if reverse else dhs, zero)
     h_in = hs[:-1]
     if reverse:
         dz, h_in = dz[::-1], h_in[::-1]
     dz = dz.transpose(1, 2, 0)
-    grads = (np.matmul(wx.T, dz), dh0, dc0, np.tensordot(dz, x, axes=([0, 2], [0, 2])),
+    grads = (np.matmul(wx.T, dz), dh0, np.tensordot(dz, x, axes=([0, 2], [0, 2])),
              np.tensordot(dz, h_in, axes=([0, 2], [1, 0])), dz.sum(axis=(0, 2)))
-    return (hs_time, hs_time[..., 0 if reverse else steps - 1], c), grads
+    return hs_time, grads
 
 
 # Three sequences of unequal lengths and input sizes, as the model's scales:
@@ -864,7 +858,7 @@ def _multi_inputs(rng, batch, specs=_SPECS, hid=2):
 
 
 def _run_multi(seqs, reverse):
-    return lstm_sequence(*([s[q] for s in seqs] for q in range(4)), reverse=reverse)
+    return lstm_sequence(*([s[q] for s in seqs] for q in range(3)), reverse=reverse)
 
 
 class TestMultiSequence:
@@ -889,8 +883,7 @@ class TestMultiSequence:
             built.append(weakref.ref(zx))
             return zx
 
-        states = np.zeros((3, 1, hid))
-        _scan(zx_of, states, states, rng.normal(size=(3, 1, hid, 4 * hid)), [6, 4, 2], keep)
+        _scan(zx_of, np.zeros((3, 1, hid)), rng.normal(size=(3, 1, hid, 4 * hid)), [6, 4, 2], keep)
         assert len(built) == 3
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -908,11 +901,10 @@ class TestMultiSequence:
         """
         seqs = _multi_inputs(rng, batch, specs)
         outputs = _run_multi(seqs, reverse)
-        ups = [[rng.normal(size=out.shape) for out in triple] for triple in outputs]
+        ups = [rng.normal(size=hs.shape) for hs in outputs]
         loss = Tensor(0.0)
-        for triple, up in zip(outputs, ups):
-            for out, w in zip(triple, up):
-                loss = add(loss, tsum(mul(out, Tensor(w))))
+        for hs, up in zip(outputs, ups):
+            loss = add(loss, tsum(mul(hs, Tensor(up))))
         loss.backward()
 
         def check(got, want):
@@ -921,11 +913,10 @@ class TestMultiSequence:
             else:
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-        for (x, h0, c0, p), triple, up in zip(seqs, outputs, ups):
-            ref_out, ref_grads = single_sequence_reference(x.data, h0.data, c0.data, p, reverse, *up)
-            for got, want in zip(triple, ref_out):
-                check(got.data, want)
-            for t, want in zip([x, h0, c0, p.w_x, p.w_h, p.b], ref_grads):
+        for (x, h0, p), hs, up in zip(seqs, outputs, ups):
+            ref_hs, ref_grads = single_sequence_reference(x.data, h0.data, p, reverse, up)
+            check(hs.data, ref_hs)
+            for t, want in zip([x, h0, p.w_x, p.w_h, p.b], ref_grads):
                 check(t.grad, want)
 
     @pytest.mark.parametrize("batch", [1, 6])
@@ -936,27 +927,23 @@ class TestMultiSequence:
         seqs = _multi_inputs(rng, batch, _SCALES, hid=32)
         with no_grad():
             outputs = _run_multi(seqs, reverse)
-        for (x, h0, c0, p), triple in zip(seqs, outputs):
-            # The upstream gradients feed only the reference's gradients.
-            zeros = (np.zeros((batch, 32, x.shape[2])), np.zeros((batch, 32)), np.zeros((batch, 32)))
-            ref_out, _ = single_sequence_reference(x.data, h0.data, c0.data, p, reverse, *zeros)
-            for got, want in zip(triple, ref_out):
-                assert not got.requires_grad
-                assert np.array_equal(got.data, want)
+        for (x, h0, p), hs in zip(seqs, outputs):
+            # The upstream gradient feeds only the reference's gradients.
+            ref_hs, _ = single_sequence_reference(x.data, h0.data, p, reverse, np.zeros((batch, 32, x.shape[2])))
+            assert not hs.requires_grad
+            assert np.array_equal(hs.data, ref_hs)
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_finite_differences(self, rng, batch, reverse):
-        """Every input and parameter of every sequence, through all outputs."""
+        """Every input and parameter of every sequence, through every output."""
         seqs = _multi_inputs(rng, batch)
-        weights = [[Tensor(rng.normal(size=(batch, 2) + extra)) for extra in ((steps,), (), ())]
-                   for _, steps in _SPECS]
+        weights = [Tensor(rng.normal(size=(batch, 2, steps))) for _, steps in _SPECS]
 
         def forward():
             loss = Tensor(0.0)
-            for triple, ws in zip(_run_multi(seqs, reverse), weights):
-                for out, w in zip(triple, ws):
-                    loss = add(loss, tsum(mul(out, w)))
+            for hs, w in zip(_run_multi(seqs, reverse), weights):
+                loss = add(loss, tsum(mul(hs, w)))
             return loss
 
         forward().backward()
@@ -965,8 +952,8 @@ class TestMultiSequence:
             with no_grad():
                 return forward().item()
 
-        for s, (x, h0, c0, p) in enumerate(seqs):
-            named = [("x", x), ("h0", h0), ("c0", c0)] + list(p.named())
+        for s, (x, h0, p) in enumerate(seqs):
+            named = [("x", x), ("h0", h0)] + list(p.named())
             for name, t in named:
                 assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, (s, name)
 
@@ -976,43 +963,25 @@ class TestMultiSequence:
         with no_grad():
             batched = _run_multi(seqs, reverse)
             for i in range(3):
-                one = _run_multi([[Tensor(t.data[i : i + 1]) for t in s[:3]] + [s[3]] for s in seqs], reverse)
-                for triple, single in zip(batched, one):
-                    for got, want in zip(triple, single):
-                        assert np.array_equal(got.data[i : i + 1], want.data)
+                one = _run_multi([[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs], reverse)
+                for got, want in zip(batched, one):
+                    assert np.array_equal(got.data[i : i + 1], want.data)
 
     def test_shape_errors(self, rng):
         seqs = _multi_inputs(rng, 2)
-        x, h0, c0, p = (list(group) for group in zip(*seqs))
+        x, h0, p = (list(group) for group in zip(*seqs))
         with pytest.raises(ShapeError, match="must not increase"):
-            lstm_sequence(x[::-1], h0[::-1], c0[::-1], p[::-1])
+            lstm_sequence(x[::-1], h0[::-1], p[::-1])
         with pytest.raises(ShapeError):  # one sequence without the batch axis
-            lstm_sequence([x[0], Tensor(x[1].data[0]), x[2]], h0, c0, p)
+            lstm_sequence([x[0], Tensor(x[1].data[0]), x[2]], h0, p)
         with pytest.raises(ShapeError):  # batch sizes differ
-            lstm_sequence([x[0], Tensor(x[1].data[:1]), x[2]], h0, c0, p)
+            lstm_sequence([x[0], Tensor(x[1].data[:1]), x[2]], h0, p)
         with pytest.raises(ShapeError):  # wrong input size for its weights
-            lstm_sequence([x[0], x[2], x[2]], h0, c0, p)
+            lstm_sequence([x[0], x[2], x[2]], h0, p)
         with pytest.raises(ShapeError):  # one weight set too few
-            lstm_sequence(x, h0, c0, p[:2])
+            lstm_sequence(x, h0, p[:2])
         with pytest.raises(ShapeError):  # hidden sizes differ
-            lstm_sequence(x[:2], h0[:2], c0[:2], [p[0], lstm_params(2, 3, 0)])
-
-
-# The LSTM composition the model used before the fused sequence op: four
-# per-gate graphs per step, built from the autodiff primitives.
-
-
-def _per_gate(w_i, b_i, w_h, b_h, a, h, activation):
-    return activation(add(add(matmul(w_i, a), b_i), add(matmul(w_h, h), b_h)))
-
-
-def _per_gate_lstm_cell(a, h, c, p):
-    i = _per_gate(*gate_params(p, "i"), a, h, sigmoid)
-    f = _per_gate(*gate_params(p, "f"), a, h, sigmoid)
-    g = _per_gate(*gate_params(p, "g"), a, h, tanh)
-    o = _per_gate(*gate_params(p, "o"), a, h, sigmoid)
-    c = add(mul(f, c), mul(i, g))
-    return mul(o, tanh(c)), c
+            lstm_sequence(x[:2], h0[:2], [p[0], lstm_params(2, 3, 0)])
 
 
 def _per_gate_reconstructions(model, inputs):
@@ -1027,7 +996,7 @@ def _per_gate_reconstructions(model, inputs):
         acts = acts[0]
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
-            h, c = _per_gate_lstm_cell(acts[:, t], h, c, branch.encoder)
+            h, c = lstm_step(acts[:, t], h, c, branch.encoder)
         finals.append(h)
         taught.append(acts)
     code = concat(finals)
@@ -1039,7 +1008,7 @@ def _per_gate_reconstructions(model, inputs):
         step_in = Tensor(np.zeros(cfg.conv_features))
         slots = [None] * steps
         for t in range(steps - 1, -1, -1):
-            h, c = _per_gate_lstm_cell(step_in, h, c, branch.decoder)
+            h, c = lstm_step(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
             step_in = acts[:, t]
         out = concat([reshape(slot, (1, cfg.conv_features, 1)) for slot in slots])

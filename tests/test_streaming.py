@@ -16,7 +16,7 @@ from wavedetect.streaming import (
     sweep,
     vote_decide,
 )
-from wavedetect.training import Detector, score_fragment
+from wavedetect.training import Detector, score_windows
 
 CFG = VoteConfig(window=64, step=16, vote_threshold=0.5)
 
@@ -32,7 +32,7 @@ def make_detector(seed=0, threshold=None):
     if threshold is None:
         # median score over a probe stream makes the votes land mixed
         probe = np.random.default_rng(99).normal(size=(2, 64 * 8))
-        scores = [score_fragment(det, probe[:, s:s + 64]) for s in range(0, 64 * 7, 16)]
+        scores = score_windows(det, [probe[:, s:s + 64] for s in range(0, 64 * 7, 16)])
         threshold = float(np.median(scores))
     return replace(det, threshold=threshold)
 

@@ -21,7 +21,6 @@ from wavedetect.training import (
     Detector,
     TrainConfig,
     evaluate_fragments,
-    predict_fragment,
     score_windows,
     train,
 )
@@ -62,11 +61,11 @@ def detector(request):
 
 
 class TestNonFiniteInputIsRejected:
-    def test_predict_fragment(self, detector):
+    def test_score_windows(self, detector):
         window = _series(5, 64)
         window[1, 10] = np.nan
-        with pytest.raises(DataError, match="non-finite"):
-            predict_fragment(detector, window)
+        with pytest.raises(DataError, match="window 0 holds a non-finite value"):
+            score_windows(detector, window[None])
 
     def test_window_predictions(self, detector):
         values = _series(6, 64 * 4)
@@ -288,8 +287,8 @@ class TestBatchScoringEquivalence:
         windows = [values[:, VOTE.step * k : VOTE.step * k + VOTE.window] for k in range(n_windows)]
         batch = score_windows(detector, np.stack(windows))
         for k, window in enumerate(windows):
-            vote, score = predict_fragment(detector, window)
-            assert preds[k] == vote
+            [score] = score_windows(detector, window[None])
+            assert preds[k] == int(score >= detector.cut)
             assert batch[k] == score
 
     def test_online_verdicts_equal_simulate(self, detector):
