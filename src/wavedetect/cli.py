@@ -1,6 +1,10 @@
 """Command-line pipeline: synthesize data, train, evaluate, and simulate
 streaming deployment.
 
+``train --mode supervised`` gives the model a classifier head, which alone
+makes the kind; ``semi`` trains a head-less model on normal fragments.
+A detector file's ``meta mode`` must agree with its config.
+
 Defaults marked "(implementation choice)" are tunable knobs this package
 picked; the rest mirror the detector's standard operating values.
 """
@@ -52,12 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--channels", type=int, help="number of channels (default: 8)")
-    p.add_argument("--hours", type=float, help="duration in hours (default: 48)")
-    p.add_argument("--period", type=float, help="sample period in seconds (default: 7)")
-    p.add_argument("--anomalies", type=int, help="number of anomaly windows (default: 3)")
-    p.add_argument("--severity", type=float, help="anomaly strength, 0 disables effects (default: 1.0)")
-    p.add_argument("--noise", type=float, help="measurement noise level (default: 0.15)")
+    p.add_argument("--channels", type=int, default=GeneratorConfig.channels,
+                   help="number of channels (default: %(default)s)")
+    p.add_argument("--hours", type=float, default=GeneratorConfig.hours,
+                   help="duration in hours (default: %(default)s)")
+    p.add_argument("--period", type=float, default=GeneratorConfig.sample_period_seconds,
+                   help="sample period in seconds (default: %(default)s)")
+    p.add_argument("--anomalies", type=int, default=GeneratorConfig.anomaly_count,
+                   help="number of anomaly windows (default: %(default)s)")
+    p.add_argument("--severity", type=float, default=GeneratorConfig.severity,
+                   help="anomaly strength, 0 disables effects (default: %(default)s)")
+    p.add_argument("--noise", type=float, default=GeneratorConfig.noise,
+                   help="measurement noise level (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
     p.add_argument("--out", type=Path, required=True, help="output directory for signals.csv and ranges.csv")
     p.set_defaults(func=cmd_synth)
@@ -89,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv", type=str, default=conv,
                    help="conv stack as features:kernel:stride,... (default: %(default)s; implementation choice)")
     p.add_argument("--seed", type=int, default=TrainConfig.seed, help="training seed (default: %(default)s)")
-    p.add_argument("--drop-anomalous", action="store_true",
-                   help="in semi mode, silently drop anomalous fragments instead of refusing")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="fragment-level metrics for a trained detector")
@@ -137,15 +145,8 @@ def _load_detector_and_dataset(args):
 
 
 def cmd_synth(args) -> int:
-    flags = {
-        "channels": args.channels,
-        "hours": args.hours,
-        "sample_period_seconds": args.period,
-        "anomaly_count": args.anomalies,
-        "severity": args.severity,
-        "noise": args.noise,
-    }
-    cfg = GeneratorConfig(**{key: value for key, value in flags.items() if value is not None})
+    cfg = GeneratorConfig(channels=args.channels, hours=args.hours, sample_period_seconds=args.period,
+                          anomaly_count=args.anomalies, severity=args.severity, noise=args.noise)
     series, ranges = synth_generate(cfg, args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     save_signals(args.out / "signals.csv", series)
@@ -158,13 +159,10 @@ def cmd_train(args) -> int:
     series, ranges = _load_dataset(args.signals, args.ranges)
     fragments = make_fragments(series, ranges, window=args.window, pos_step=args.pos_step)
     if args.mode == "semi":
-        anomalous = sum(f.label for f in fragments)
-        if anomalous and not args.drop_anomalous:
-            raise DataError(
-                f"{anomalous} anomalous fragments in the training data; normal-only "
-                "training refuses them (pass --drop-anomalous to filter)"
-            )
-        fragments = [f for f in fragments if f.label == 0]
+        normal = [f for f in fragments if f.label == 0]
+        if len(normal) < len(fragments):
+            print(f"left out {len(fragments) - len(normal)} anomalous fragments; semi training takes normal ones only")
+        fragments = normal
 
     model_cfg = ModelConfig(
         channels=series.channels,

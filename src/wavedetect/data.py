@@ -14,7 +14,8 @@ error names the file's physical line. Neither function holds the whole file:
 checks each line's column count in Python, converts up to 512 pending lines
 at a time with numpy's C reader (``np.loadtxt``, which rounds exactly as
 ``float`` does) and appends them to one float buffer.
-Ranges CSV: one ``start,end`` pair per line, half-open sample indices.
+Ranges CSV (UTF-8): one ``start,end`` pair per line, half-open sample
+indices. A byte that is not UTF-8 raises ``IngestError`` naming the file.
 """
 
 from __future__ import annotations
@@ -192,27 +193,30 @@ def save_signals(path, series: MultiSeries):
 def load_signals(path) -> MultiSeries:
     path = Path(path)
     buffer = array("d")
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise IngestError(f"{path}: file is empty")
-        header = header.rstrip("\n").split(",")
-        if len(header) < 2 or header[0].strip() != "t":
-            raise IngestError(f"{path} line 1: header must be 't,<ch1>,...,<chC>'")
-        names = [h.strip() for h in header[1:]]
-        width = len(header)
-        chunk = []
-        for lineno, line in enumerate(fh, start=2):
-            if line == "\n":
-                continue
-            if line.count(",") != width - 1:
-                _read_chunk(path, chunk, width, buffer)  # an earlier line may be bad too
-                raise IngestError(f"{path} line {lineno}: expected {width} columns, got {line.count(',') + 1}")
-            chunk.append((lineno, line))
-            if len(chunk) == _CHUNK_LINES:
-                _read_chunk(path, chunk, width, buffer)
-                chunk = []
-        _read_chunk(path, chunk, width, buffer)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise IngestError(f"{path}: file is empty")
+            header = header.rstrip("\n").split(",")
+            if len(header) < 2 or header[0].strip() != "t":
+                raise IngestError(f"{path} line 1: header must be 't,<ch1>,...,<chC>'")
+            names = [h.strip() for h in header[1:]]
+            width = len(header)
+            chunk = []
+            for lineno, line in enumerate(fh, start=2):
+                if line == "\n":
+                    continue
+                if line.count(",") != width - 1:
+                    _read_chunk(path, chunk, width, buffer)  # an earlier line may be bad too
+                    raise IngestError(f"{path} line {lineno}: expected {width} columns, got {line.count(',') + 1}")
+                chunk.append((lineno, line))
+                if len(chunk) == _CHUNK_LINES:
+                    _read_chunk(path, chunk, width, buffer)
+                    chunk = []
+            _read_chunk(path, chunk, width, buffer)
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}: not UTF-8 text") from None
     if not buffer:
         raise IngestError(f"{path}: no data rows")
     # The (C, T) transpose of a (T, C) C-order view of the parsed rows.
@@ -247,13 +251,17 @@ def _read_chunk(path, chunk, width, buffer):
 
 def save_ranges(path, ranges: AnomalyRanges):
     require_instances(DataError, ("ranges", ranges, AnomalyRanges))
-    Path(path).write_text("".join(f"{s},{e}\n" for s, e in ranges))
+    Path(path).write_text("".join(f"{s},{e}\n" for s, e in ranges), encoding="utf-8")
 
 
 def load_ranges(path) -> AnomalyRanges:
     path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}: not UTF-8 text") from None
     spans = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -313,6 +321,7 @@ def make_fragments(
         step = pos_step if label else window
         offset = start
         while offset + window <= end:
+            # A copy: a view would keep the whole series alive while any fragment is.
             fragments.append(Fragment(series.values[:, offset : offset + window].copy(), label, offset))
             offset += step
     return fragments

@@ -32,7 +32,7 @@ not equal the sum of the per-sample ones in the last bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -204,10 +204,6 @@ class LSTMParams:
     w_x: Tensor
     w_h: Tensor
     b: Tensor
-
-    def named(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
 
     @property
     def hidden_size(self) -> int:

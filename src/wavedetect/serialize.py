@@ -22,7 +22,9 @@ float32; loading widens back to float64. Because float32 -> float64 ->
 float32 is lossless, a save/load/save cycle is byte-identical.
 
 Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
-with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``).
+with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``). The
+config's ``classifier`` flag decides the detector's kind: ``meta mode``
+must agree with it, and ``meta threshold`` is ``none`` just for a head.
 
 Version 3 is the only version written or read. A file of any other version
 raises ``DataError``: such a detector must be retrained.
@@ -75,7 +77,8 @@ def save_detector(detector, path):
 
 def load_detector(path):
     """The detector a container file holds. Anything malformed in the file,
-    or a version other than 3, raises ``DataError`` naming the file."""
+    such as a ``meta mode`` that disagrees with its config, or a version
+    other than 3, raises ``DataError`` naming the file."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     cut = blob.find(marker)
@@ -141,7 +144,10 @@ def load_detector(path):
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))
     model = WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
     try:
-        return Detector(model=model, mode=meta["mode"], threshold=threshold,
-                        train_loss_mean=train_loss_mean, norm_mean=mean, norm_std=std)
+        detector = Detector(model=model, threshold=threshold, train_loss_mean=train_loss_mean,
+                            norm_mean=mean, norm_std=std)
     except ConfigError as err:
         raise DataError(f"{path}: {err}") from None
+    if meta["mode"] != detector.mode:
+        raise DataError(f"{path}: meta mode {meta['mode']!r} disagrees with the config's classifier flag")
+    return detector

@@ -1,11 +1,12 @@
 """The training loop and fragment-level prediction.
 
-One loop, ``train``, serves two regimes; the mode chooses only the label
-check and the loss. Normal-only (``semi``) training fits the autoencoder on
-reconstruction alone and calibrates an anomaly threshold as ``beta`` times
-the mean training loss; prediction then flags any fragment whose
-reconstruction loss reaches the threshold. Labeled (``supervised``)
-training adds a classifier head on the global code and minimizes
+One loop, ``train``, serves two kinds of detector, and the model's
+classifier head alone decides the kind, which chooses only the label
+check, the loss and the score. A model without a head (``semi``) is fit
+on normal fragments by reconstruction alone, with an anomaly threshold of
+``beta`` times the mean training loss; prediction then flags any fragment
+whose reconstruction loss reaches the threshold. A model with a head
+(``supervised``) is fit on labeled fragments and minimizes
 ``alpha * reconstruction + (1 - alpha) * cross_entropy``, the cross-entropy
 taken from the head's logit, as one graph node (``nn.supervised_loss``);
 prediction compares the head's probability, a sigmoid taken outside the
@@ -80,10 +81,9 @@ class TrainConfig:
 
     def __post_init__(self):
         require_instances(ConfigError, ("model", self.model, ModelConfig))
-        if self.mode not in ("semi", "supervised"):
-            raise ConfigError(f"mode must be 'semi' or 'supervised', got {self.mode!r}")
-        if self.mode == "supervised" and not self.model.classifier:
-            raise ConfigError("supervised training requires a model config with classifier=True")
+        if self.mode != ("supervised" if self.model.classifier else "semi"):
+            raise ConfigError(f"mode {self.mode!r} disagrees with a model config with "
+                              f"classifier={self.model.classifier}")
         require_integers(("epochs", self.resolved_epochs), ("seed", self.seed))
         require_reals(("lr", self.lr), ("alpha", self.alpha), ("beta", self.beta))
         if self.resolved_epochs < 1:
@@ -106,13 +106,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Detector:
-    """A trained model plus everything prediction needs. Frozen, so that
-    every field has passed the checks below; ``dataclasses.replace`` builds
-    a changed copy and checks it again. ``norm_mean`` and ``norm_std`` are
-    read-only copies of the arrays given, so no write can reach them either."""
+    """A trained model plus everything prediction needs; the model's head
+    decides the kind (``mode``), and only a model without one takes a
+    threshold. Frozen, so that every field has passed the checks below;
+    ``dataclasses.replace`` builds a changed copy and checks it again.
+    ``norm_mean`` and ``norm_std`` are read-only copies of the arrays given,
+    so no write can reach them either."""
 
     model: WaveletAutoencoder
-    mode: str
     threshold: float | None
     train_loss_mean: float
     norm_mean: np.ndarray
@@ -120,13 +121,12 @@ class Detector:
 
     def __post_init__(self):
         require_instances(ConfigError, ("model", self.model, WaveletAutoencoder))
-        if self.mode not in ("semi", "supervised"):
-            raise ConfigError(f"detector mode must be 'semi' or 'supervised', got {self.mode!r}")
-        if self.mode == "supervised" and not self.model.config.classifier:
-            raise ConfigError("a supervised detector needs a model with a classifier head")
-        # A reconstruction loss is never negative: a threshold <= 0 would
-        # flag every window.
-        if self.mode == "semi" and not (self.threshold is not None and 0 < self.threshold < math.inf):
+        if self.model.config.classifier:
+            if self.threshold is not None:
+                raise ConfigError(f"a model with a classifier head takes no threshold, got {self.threshold}")
+        elif not (self.threshold is not None and 0 < self.threshold < math.inf):
+            # A reconstruction loss is never negative: a threshold <= 0
+            # would flag every window.
             raise ConfigError(f"a reconstruction-threshold detector needs a finite threshold > 0, "
                               f"got {self.threshold}")
         if not 0 <= self.train_loss_mean < math.inf:
@@ -146,9 +146,14 @@ class Detector:
             raise ConfigError(f"norm_std holds a non-positive value: {self.norm_std}")
 
     @property
+    def mode(self) -> str:
+        """``supervised`` for a model with a classifier head, else ``semi``."""
+        return "supervised" if self.model.config.classifier else "semi"
+
+    @property
     def cut(self) -> float:
         """Score at or above which a window counts as anomalous."""
-        return self.threshold if self.mode == "semi" else 0.5
+        return 0.5 if self.model.config.classifier else self.threshold
 
 
 def _stored(array: np.ndarray) -> np.ndarray:
@@ -178,9 +183,14 @@ def _listed(items):
 def _labeled_windows(fragments, cfg: ModelConfig, default):
     """The checked windows of ``fragments`` and the ``label`` of each item
     (``default`` for one without), read from a single pass over them, so
-    that a generator serves both."""
+    that a generator serves both. A label other than 0 or 1 raises
+    ``DataError``."""
     items = _listed(fragments)
-    return _checked_windows(items, cfg), [getattr(f, "label", default) for f in items]
+    windows, labels = _checked_windows(items, cfg), [getattr(f, "label", default) for f in items]
+    for i, label in enumerate(labels):
+        if label not in (0, 1):
+            raise DataError(f"fragment {i} is missing a 0/1 label")
+    return windows, labels
 
 
 def _checked_windows(items, cfg: ModelConfig) -> np.ndarray:
@@ -216,7 +226,7 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
     return [xn, *details]
 
 
-def _finish(model, mode, windows, mean, std, beta) -> Detector:
+def _finish(model, windows, mean, std, beta) -> Detector:
     """Round the weights to stored precision, then calibrate on the
     reconstruction losses ``_scores`` gives the training windows."""
     for p in model.parameters():
@@ -225,8 +235,7 @@ def _finish(model, mode, windows, mean, std, beta) -> Detector:
     train_loss_mean = math.fsum(losses) / len(losses)
     return Detector(
         model=model,
-        mode=mode,
-        threshold=beta * train_loss_mean if mode == "semi" else None,
+        threshold=None if model.config.classifier else beta * train_loss_mean,
         train_loss_mean=train_loss_mean,
         norm_mean=mean,
         norm_std=std,
@@ -253,19 +262,16 @@ def _step(model, optimizer, inputs, label, alpha) -> float:
 def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
     """Fit a detector, calling ``progress(epoch, mean_loss)`` after each epoch.
 
-    ``semi`` mode takes normal-only fragments and minimizes reconstruction
-    alone; ``supervised`` mode takes 0/1-labeled fragments and a model with
-    a classifier head, and adds the head's cross-entropy. An epoch whose
-    mean loss is not finite stops training with ``DataError``.
+    A model without a classifier head takes normal-only fragments and
+    minimizes reconstruction alone; one with a head takes 0/1-labeled
+    fragments and adds the head's cross-entropy. An epoch whose mean loss
+    is not finite stops training with ``DataError``.
     """
     require_instances(ConfigError, ("cfg", cfg, TrainConfig))
-    supervised = cfg.mode == "supervised"
+    supervised = cfg.model.classifier
     windows, labels = _labeled_windows(fragments, cfg.model, None if supervised else 0)
-    for i, label in enumerate(labels):
-        if supervised and label not in (0, 1):
-            raise DataError(f"fragment {i} is missing a 0/1 label")
-        if not supervised and label != 0:
-            raise DataError(f"fragment {i} is labeled anomalous; normal-only training requires clean data")
+    if not supervised and 1 in labels:
+        raise DataError(f"fragment {labels.index(1)} is labeled anomalous; normal-only training requires clean data")
 
     mean, std = fit_channel_stats(windows)
     scales = _scale_inputs(windows, cfg.model, mean, std)
@@ -286,7 +292,7 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
         if progress is not None:
             progress(epoch, mean_loss)
 
-    return _finish(model, cfg.mode, windows, mean, std, cfg.beta)
+    return _finish(model, windows, mean, std, cfg.beta)
 
 
 def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
@@ -313,7 +319,7 @@ def score_windows(detector: Detector, windows) -> np.ndarray:
     infinity raises ``DataError``."""
     require_instances(ConfigError, ("detector", detector, Detector))
     return _scores(detector.model, detector.norm_mean, detector.norm_std,
-                   _checked_windows(windows, detector.model.config), head=detector.mode == "supervised")
+                   _checked_windows(windows, detector.model.config), head=detector.model.config.classifier)
 
 
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
@@ -321,8 +327,5 @@ def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     item without a 0/1 ``label`` raises ``DataError``."""
     require_instances(ConfigError, ("detector", detector, Detector))
     windows, labels = _labeled_windows(fragments, detector.model.config, None)
-    for i, label in enumerate(labels):
-        if label not in (0, 1):
-            raise DataError(f"fragment {i} is missing a 0/1 label")
     scores = score_windows(detector, windows)
     return compute_metrics([int(score >= detector.cut) for score in scores], labels)

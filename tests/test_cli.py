@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from wavedetect.cli import _parse_conv, build_parser, main
-from wavedetect.data import DEFAULT_WINDOW, MultiSeries, load_ranges, load_signals, save_ranges, save_signals
+from wavedetect.data import (
+    DEFAULT_WINDOW,
+    MultiSeries,
+    load_ranges,
+    load_signals,
+    make_fragments,
+    save_ranges,
+    save_signals,
+)
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import save_detector
 from wavedetect.synth import GeneratorConfig, synth_generate
@@ -41,15 +49,18 @@ def test_pipeline(tmp_path, capsys):
     save_signals(signals, series)
     save_ranges(ranges, spans)
 
+    anomalous = sum(f.label for f in make_fragments(series, spans, window=64))
+    assert anomalous > 0
     detectors = {}
     for mode in ("semi", "supervised"):
         out = tmp_path / f"{mode}.wdc"
         args = ["train", "--mode", mode, "--signals", str(signals), "--ranges", str(ranges),
                 "--out", str(out)] + TINY
-        if mode == "semi":
-            args.append("--drop-anomalous")
         assert main(args) == 0
-        losses = _epoch_losses(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        left_out = "anomalous fragments; semi training takes normal ones only"
+        assert (f"left out {anomalous} {left_out}" in printed) == (mode == "semi"), printed
+        losses = _epoch_losses(printed)
         assert len(losses) == 2 and losses[1] < losses[0], (mode, losses)
         assert out.exists()
         detectors[mode] = out
@@ -89,7 +100,7 @@ def test_missing_input_file_is_an_error_not_a_traceback(tmp_path, capsys):
 
 def _save_one_channel_detector(path):
     cfg = ModelConfig(channels=1, fragment_length=64, levels=1, conv=(ConvLayer(8, 4, 2),), hidden=4)
-    save_detector(Detector(model=WaveletAutoencoder(cfg), mode="semi", threshold=1.0, train_loss_mean=1.0,
+    save_detector(Detector(model=WaveletAutoencoder(cfg), threshold=1.0, train_loss_mean=1.0,
                            norm_mean=np.zeros(1), norm_std=np.ones(1)), path)
 
 
@@ -116,6 +127,14 @@ def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--signals", str(signals)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1, err
+
+
+def test_signals_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    signals = tmp_path / "latin1.csv"
+    signals.write_bytes(b"t,\xff\n0,1.0\n")
+    assert main(["train", "--signals", str(signals), "--out", str(tmp_path / "d.wdc")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {signals}: not UTF-8 text\n", err
 
 
 @pytest.mark.parametrize("hours", ["nan", "inf"])
@@ -168,6 +187,10 @@ def test_parsed_defaults_are_the_config_defaults(capsys):
            (cfg.mode, cfg.epochs, cfg.lr, cfg.alpha, cfg.beta, cfg.seed)
     assert (args.window, args.levels, args.hidden, args.family, _parse_conv(args.conv)) == \
            (model.fragment_length, model.levels, model.hidden, model.wavelet, model.conv)
+    args = parser.parse_args(["synth", "--out", "d"])
+    gen = GeneratorConfig()
+    assert (args.channels, args.hours, args.period, args.anomalies, args.severity, args.noise) == \
+           (gen.channels, gen.hours, gen.sample_period_seconds, gen.anomaly_count, gen.severity, gen.noise)
     args = parser.parse_args(["simulate", "--model", "d.wdc", "--signals", "s.csv"])
     assert (args.ts, args.vote_threshold) == (VoteConfig().step, VoteConfig().vote_threshold)
     assert DEFAULT_WINDOW == model.fragment_length == VoteConfig().window

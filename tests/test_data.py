@@ -171,6 +171,13 @@ class TestCsv:
         with pytest.raises(IngestError):
             load_signals(path)
 
+    @pytest.mark.parametrize("blob", [b"t,\xff\n0,1.0\n", b"t,a\n0,1.0\n1,\xff\n"], ids=["header", "data-line"])
+    def test_signals_that_are_not_utf8_name_the_file(self, tmp_path, blob):
+        path = tmp_path / "s.csv"
+        path.write_bytes(blob)
+        with pytest.raises(IngestError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_signals(path)
+
     @pytest.mark.parametrize("text, error", [
         ("t,a,b\n\n", "no data rows"),
         ("time,a\n0,1.0\n", "line 1"),
@@ -236,6 +243,12 @@ class TestCsv:
         assert np.array_equal(loaded.values, series.values)
         # The same (C, T) view of a (T, C) C-order array as np.array(rows).T.
         assert loaded.values.strides == (8, 32)
+
+    def test_ranges_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"\xff,9\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_ranges(path)
 
     def test_ranges_file_roundtrip(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -59,7 +59,7 @@ def test_a_bool_is_not_a_number(build, name, kind, value):
     (lambda: TrainConfig(model=None), "model must be a ModelConfig, got NoneType"),
     (lambda: train([], None), "cfg must be a TrainConfig, got NoneType"),
     (lambda: synth_generate(None, 0), "cfg must be a GeneratorConfig, got NoneType"),
-    (lambda: Detector(model=None, mode="semi", threshold=1.0, train_loss_mean=1.0, norm_mean=None, norm_std=None),
+    (lambda: Detector(model=None, threshold=1.0, train_loss_mean=1.0, norm_mean=None, norm_std=None),
      "model must be a WaveletAutoencoder, got NoneType"),
 ], ids=["TrainConfig-model", "train-cfg", "synth_generate-cfg", "Detector-model"])
 def test_a_missing_config_is_a_config_error(call, message):

@@ -2,9 +2,11 @@
 used in that module (``__init__.py`` is skipped, because its imports are the
 package's re-exports), and every module-level function or class is used by
 some package code other than itself, or read by the benchmark as
-``wd.<name>``. A re-export in ``__init__.py`` is no use: it keeps a name
-public, not alive. Every file under ``tests/data`` is named in some test
-module, so that a fixture is not left behind by the code that read it.
+``wd.<name>``; every method or property of such a class is read as an
+attribute by package or benchmark code outside its own body. A re-export
+in ``__init__.py`` is no use: it keeps a name public, not alive. Every
+file under ``tests/data`` is named in some test module, so that a fixture
+is not left behind by the code that read it.
 Every lookup site the benchmark's tracer patches exists, so that a
 refactor can neither crash a traced run nor silently zero its span, and a
 traced training run counts its graphs before ``backward`` consumes them.
@@ -18,6 +20,7 @@ import ast
 import importlib.util
 import inspect
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -94,10 +97,22 @@ def bench_reads(paths):
     return reads
 
 
+def attribute_reads(tree) -> Counter:
+    """How often the tree reads each attribute name, as ``<expr>.<name>``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def test_every_definition_is_used_by_the_package():
+    """A module-level function or class is used when package code outside
+    it names it; a method or property, other than a dunder, when package or
+    benchmark code outside its own body reads an attribute of its name."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
     used = {name: used_names(tree, imports=True) for name, tree in trees.items()}
     bench = bench_reads(BENCH)
+    reads = Counter()
+    for tree in [*trees.values(), *(ast.parse(path.read_text()) for path in BENCH)]:
+        reads += attribute_reads(tree)
     dead = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -108,7 +123,13 @@ def test_every_definition_is_used_by_the_package():
             users = [names for other, names in used.items() if other != name] + [bench]
             if not any(node.name in names for names in users + [used_names(rest, imports=True)]):
                 dead.append(f"{name}:{node.lineno} {node.name}")
-    assert not dead, f"module-level definitions no package code uses: {dead}"
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("__")
+                        and reads[method.name] == attribute_reads(method)[method.name]):
+                    dead.append(f"{name}:{method.lineno} {node.name}.{method.name}")
+    assert not dead, f"definitions no package code uses: {dead}"
 
 
 # The graph record of a ``Tensor``; a leaf sets ``requires_grad`` through the constructor.

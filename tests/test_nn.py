@@ -1,5 +1,6 @@
 import math
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -263,8 +264,8 @@ class TestLstmCell:
 
     def zero_params(self, input_size, hidden_size):
         p = self.make_params(input_size, hidden_size)
-        for _, t in p.named():
-            t.data[...] = 0.0
+        for f in fields(p):
+            getattr(p, f.name).data[...] = 0.0
         return p
 
     def test_all_zero_weights_and_state(self):
@@ -622,7 +623,7 @@ def test_composite_chain_gradients_match_finite_differences(rng):
         return reconstruction_loss([target], [reshape(linear(hs[..., -1], out_w, out_b), (1, 2, 1))])
 
     forward().backward()
-    params = [conv_w, conv_b, out_w, out_b] + [t for _, t in p.named()]
+    params = [conv_w, conv_b, out_w, out_b] + [getattr(p, f.name) for f in fields(p)]
 
     def f():
         from wavedetect.autodiff import no_grad
@@ -749,7 +750,7 @@ class TestLstmSequence:
             with no_grad():
                 return forward().item()
 
-        named = [("x", x), ("h0", h0)] + list(p.named())
+        named = [("x", x), ("h0", h0)] + [(f.name, getattr(p, f.name)) for f in fields(p)]
         assert len(named) == 5
         for name, t in named:
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, name
@@ -953,7 +954,7 @@ class TestMultiSequence:
                 return forward().item()
 
         for s, (x, h0, p) in enumerate(seqs):
-            named = [("x", x), ("h0", h0)] + list(p.named())
+            named = [("x", x), ("h0", h0)] + [(f.name, getattr(p, f.name)) for f in fields(p)]
             for name, t in named:
                 assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, (s, name)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wavedetect.training as training
 from wavedetect.errors import DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import load_detector, save_detector
@@ -26,7 +27,6 @@ def small_detector(mode="semi", seed=4):
     model = small_model(seed=seed, classifier=(mode == "supervised"))
     return Detector(
         model=model,
-        mode=mode,
         threshold=0.0123456789 if mode == "semi" else None,
         train_loss_mean=0.4567,
         norm_mean=np.array([0.5, -1.25]),
@@ -140,6 +140,25 @@ class TestDetectorContainer:
         with pytest.raises(DataError, match=f"{path.name}: norm_std holds a non-positive value"):
             load_detector(path)
 
+    def test_a_mode_line_that_disagrees_with_the_config_is_refused(self, tmp_path):
+        """The config's classifier flag decides the kind; a ``meta mode``
+        line that says otherwise makes the file a DataError naming it."""
+        path = tmp_path / "d.bin"
+        save_detector(small_detector("semi"), path)
+        path.write_bytes(_replace_line(path.read_bytes(), b"meta mode ", b"meta mode supervised"))
+        with pytest.raises(DataError, match=f"{path}: meta mode 'supervised' disagrees with the config"):
+            load_detector(path)
+
+    def test_a_semi_file_with_a_head_is_refused(self, tmp_path):
+        """Semi training on a head model once wrote a threshold beside the
+        head's untrained init; such a file is refused, naming it."""
+        path = tmp_path / "d.bin"
+        save_detector(small_detector("supervised"), path)
+        blob = _replace_line(path.read_bytes(), b"meta mode ", b"meta mode semi")
+        path.write_bytes(_replace_line(blob, b"meta threshold ", b"meta threshold 0.5"))
+        with pytest.raises(DataError, match=f"{path}: .*classifier head takes no threshold"):
+            load_detector(path)
+
     def test_rejects_model_container(self, tmp_path):
         path = tmp_path / "m.bin"
         save_detector(small_detector(), path)
@@ -241,9 +260,8 @@ class TestMalformedContainers:
 def _scores(det, windows):
     """Head scores and teacher-forced reconstruction losses of a supervised
     detector on ``windows``."""
-    semi = Detector(model=det.model, mode="semi", threshold=1.0, train_loss_mean=0.0,
-                    norm_mean=det.norm_mean, norm_std=det.norm_std)
-    return score_windows(det, windows), score_windows(semi, windows)
+    recon = training._scores(det.model, det.norm_mean, det.norm_std, windows, head=False)
+    return score_windows(det, windows), recon
 
 
 class TestDetector700cef6:
@@ -289,6 +307,11 @@ class TestDetector700cef6:
         recorded = np.load(DATA / "detector_700cef6_scores.npz")
         for got, key in zip(scores, ("head", "recon")):
             np.testing.assert_allclose(got, recorded[key], rtol=0, atol=1e-8)
+
+    def test_saved_again_byte_for_byte(self, tmp_path):
+        path = tmp_path / "again.wdc"
+        save_detector(load_detector(DATA / "detector_700cef6.wdc"), path)
+        assert path.read_bytes() == (DATA / "detector_700cef6.wdc").read_bytes()
 
     def test_scores_exactly_as_when_converted(self, scores):
         recorded = np.load(DATA / "detector_700cef6_converted_scores.npz")

@@ -27,7 +27,7 @@ def make_detector(seed=0, threshold=None):
     model_cfg = ModelConfig(channels=2, fragment_length=64, levels=1,
                             conv=(ConvLayer(4, 4, 2),), hidden=3, seed=seed)
     model = WaveletAutoencoder(model_cfg)
-    det = Detector(model=model, mode="semi", threshold=1.0,
+    det = Detector(model=model, threshold=1.0,
                    train_loss_mean=1.0, norm_mean=np.zeros(2), norm_std=np.ones(2))
     if threshold is None:
         # median score over a probe stream makes the votes land mixed

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +128,7 @@ def test_scoring_memory_per_window_is_a_few_scale_inputs():
     more than that."""
     cfg = ModelConfig(channels=8)
     model = WaveletAutoencoder(cfg)
-    det = Detector(model=model, mode="semi", threshold=1.0, train_loss_mean=1.0,
+    det = Detector(model=model, threshold=1.0, train_loss_mean=1.0,
                    norm_mean=np.zeros(8), norm_std=np.ones(8))
     windows = np.random.default_rng(6).normal(size=(2 * _SCORE_CHUNK, 8, 512))
     score_windows(det, windows[:1])
@@ -177,42 +177,59 @@ def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
 
 
 class TestDetectorRules:
-    """A Detector checks its mode, its head and its threshold itself."""
+    """A Detector checks its threshold against its model's classifier head,
+    which alone decides its kind, and checks its statistics itself."""
 
     @staticmethod
-    def make(mode, threshold, classifier, train_loss_mean=0.0, norm_mean=np.zeros(2), norm_std=np.ones(2)):
+    def make(threshold, classifier, train_loss_mean=0.0, norm_mean=np.zeros(2), norm_std=np.ones(2)):
         model = WaveletAutoencoder(_model("supervised" if classifier else "semi"))
-        return Detector(model=model, mode=mode, threshold=threshold, train_loss_mean=train_loss_mean,
+        return Detector(model=model, threshold=threshold, train_loss_mean=train_loss_mean,
                         norm_mean=norm_mean, norm_std=norm_std)
 
-    @pytest.mark.parametrize("mode", ["bogus", "Semi", ""])
-    def test_mode_is_semi_or_supervised(self, mode):
-        with pytest.raises(ConfigError, match="mode"):
-            self.make(mode, 1.0, True)
+    def test_the_kind_is_read_off_the_models_head(self):
+        """No field stores the kind: ``mode`` is a property of the model's
+        head, so a detector file's ``meta mode`` line is derived too."""
+        assert [f.name for f in fields(Detector)] == ["model", "threshold", "train_loss_mean",
+                                                      "norm_mean", "norm_std"]
+        assert isinstance(Detector.__dict__["mode"], property)
+        head, plain = self.make(None, True), self.make(0.25, False)
+        assert (head.mode, head.cut) == ("supervised", 0.5)
+        assert (plain.mode, plain.cut) == ("semi", 0.25)
+        with pytest.raises(FrozenInstanceError):
+            plain.mode = "supervised"
 
     def test_supervised_needs_a_classifier_head(self):
-        with pytest.raises(ConfigError, match="classifier head"):
-            self.make("supervised", None, False)
-        assert self.make("supervised", None, True).cut == 0.5
+        """Without a head a detector needs a threshold: there is no
+        threshold-less detector that scores reconstruction."""
+        with pytest.raises(ConfigError, match="finite threshold"):
+            self.make(None, False)
+        assert self.make(None, True).cut == 0.5
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -3.0, 0.7])
+    def test_a_head_model_takes_no_threshold(self, threshold):
+        """A head model's detector compares probabilities against 0.5, so a
+        threshold it would store and ignore is refused."""
+        with pytest.raises(ConfigError, match="classifier head takes no threshold"):
+            self.make(threshold, True)
 
     @pytest.mark.parametrize("threshold", [None, float("nan"), float("inf")])
     def test_semi_needs_a_finite_threshold(self, threshold):
         with pytest.raises(ConfigError, match="finite threshold"):
-            self.make("semi", threshold, False)
-        assert self.make("semi", 0.25, False).cut == 0.25
+            self.make(threshold, False)
+        assert self.make(0.25, False).cut == 0.25
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])
     def test_semi_needs_a_positive_threshold(self, threshold):
         """A reconstruction loss is never negative, so such a threshold
         would flag every window."""
         with pytest.raises(ConfigError, match="threshold > 0"):
-            self.make("semi", threshold, False)
+            self.make(threshold, False)
 
     @pytest.mark.parametrize("mean", [-5.0, -1e-300, float("nan"), float("inf")])
     @pytest.mark.parametrize("mode", ["semi", "supervised"])
     def test_train_loss_mean_is_finite_and_not_negative(self, mode, mean):
         with pytest.raises(ConfigError, match="train_loss_mean"):
-            self.make(mode, 0.25 if mode == "semi" else None, True, train_loss_mean=mean)
+            self.make(0.25 if mode == "semi" else None, mode == "supervised", train_loss_mean=mean)
 
 
     @pytest.mark.parametrize("mean,std,message", [
@@ -229,14 +246,17 @@ class TestDetectorRules:
         """Statistics that would score every window NaN, and so never flag
         one, or fail at scoring with a bare numpy error, are refused."""
         with pytest.raises(ConfigError, match=message):
-            self.make("semi", 0.25, False, norm_mean=mean, norm_std=std)
+            self.make(0.25, False, norm_mean=mean, norm_std=std)
 
-    @pytest.mark.parametrize("field,value", [("norm_std", np.zeros(2)), ("threshold", float("nan")),
-                                             ("mode", "supervised")])
+    @pytest.mark.parametrize("field,value", [
+        ("norm_std", np.zeros(2)), ("threshold", float("nan")),
+        pytest.param("model", WaveletAutoencoder(_model("supervised")), id="model-with-head"),
+    ])
     def test_a_built_detector_cannot_be_changed_past_its_checks(self, field, value):
         """Assigning a field raises; a changed copy from ``replace`` is
-        checked again, so a bad value cannot make every verdict a silent 0."""
-        det = self.make("semi", 0.25, False)
+        checked again, so a bad value cannot make every verdict a silent 0,
+        and a head cannot be given to a detector that keeps a threshold."""
+        det = self.make(0.25, False)
         with pytest.raises(FrozenInstanceError):
             setattr(det, field, value)
         with pytest.raises(ConfigError):
@@ -265,7 +285,7 @@ class TestDetectorRules:
         given: neither a write into its arrays nor into the caller's can
         make it score NaN, and so never flag a window."""
         mean, std = np.zeros(2), np.ones(2)
-        det = self.make("semi", 0.25, False, norm_mean=mean, norm_std=std)
+        det = self.make(0.25, False, norm_mean=mean, norm_std=std)
         windows = np.stack([f.values for f in _fragments(5, 2)])
         scores = score_windows(det, windows)
         for stats in (det.norm_mean, det.norm_std):
@@ -324,6 +344,12 @@ class TestTrainRejectsBadInput:
     def test_supervised_needs_a_classifier_head(self):
         with pytest.raises(ConfigError, match="classifier"):
             train(_fragments(26, 2), TrainConfig(model=_model("semi"), mode="supervised", epochs=1))
+
+    def test_semi_training_refuses_a_classifier_head(self):
+        """Semi training never touches a head, so it would only store the
+        head's random init in the detector."""
+        with pytest.raises(ConfigError, match="mode 'semi' disagrees with a model config with classifier=True"):
+            TrainConfig(model=_model("supervised"))
 
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_positive_and_finite(self, lr):
