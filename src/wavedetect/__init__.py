@@ -27,7 +27,6 @@ from .errors import (
 )
 from .metrics import MetricsReport, compute_metrics
 from .model import ConvLayer, ModelConfig, WaveletAutoencoder
-from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, reconstruction_loss, supervised_loss
 from .optim import Adam
 from .serialize import load_detector, save_detector
 from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep, vote_decide

@@ -15,27 +15,27 @@ once; a second ``backward()`` through any consumed node raises
 ``ContractError``. Leaf grads keep accumulating across graphs until their
 owner clears them (``optim.Adam.zero_grad``).
 
-Only three generic operations are provided: the ReLU activation, basic
-indexing (``tensor[key]``), and concatenation along the last axis. A
-tensor has no arithmetic operators; every sum, product and sigmoid of the
-model happens inside one of the coarse ops of ``nn``. Every op, here and
-in ``nn``, computes its result, defines its backward as a function from
-the result's gradient to one gradient per parent, and returns
-``_node(result, parents, vjp)``: ``_node`` is the one way an op records
-itself in the graph. ``nn`` builds whole layers, such as a full LSTM
-sequence with its hand-written backward pass and the decoder's step head,
-and each training loss, the multiscale reconstruction loss and the
-supervised objective, as one node each, which keeps graphs small.
+One generic operation is provided: basic indexing (``tensor[key]``),
+which gives each sequence of a multi-sequence LSTM node its own view. A
+tensor has no arithmetic operators; every sum, product, activation and
+sigmoid of the model happens inside one of the coarse ops of ``nn``. Every
+op, here and in ``nn``, computes its result, defines its backward as a
+function from the result's gradient to one gradient per parent, and
+returns ``_node(result, parents, vjp)``: ``_node`` is the one way an op
+records itself in the graph. ``nn`` builds whole layers as one node each:
+a conv or deconv layer with its ReLU, a full LSTM sequence with its
+hand-written backward pass, the decoder's step head, and each training
+loss, the multiscale reconstruction loss and the supervised objective,
+which keeps graphs small.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import accumulate
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 _grad_enabled = True
 
@@ -163,29 +163,6 @@ def _node(data, parents, vjp) -> Tensor:
     if _trace(parents):
         out.requires_grad, out._parents, out._vjp = True, parents, vjp
     return out
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    # For finite input this equals np.where(x > 0, x, 0.0), -0.0 included;
-    # the mask is built only if the gradient is asked for.
-    return _node(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0),))
-
-
-def concat(parts) -> Tensor:
-    """Join tensors along their last axis; all other dimensions must agree."""
-    parts = tuple(_as_tensor(p) for p in parts)
-    lead = parts[0].data.shape[:-1]
-    for p in parts:
-        if p.data.ndim < 1 or p.data.shape[:-1] != lead:
-            raise ShapeError(f"concat needs equal leading dimensions, got {[q.shape for q in parts]}")
-    offsets = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
-
-    def vjp(g):
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
 
 def index(a, key) -> Tensor:

@@ -10,16 +10,15 @@ state is read. Decoding mirrors this: a dense layer re-initializes the
 decoder hidden state from the global code, an LSTM walks the sequence in
 reverse order, a dense step head (``nn.step_dense``, one graph node) maps
 hidden states back to conv-activation space, and a transposed-conv stack
-restores the signal or detail array. The last deconv layer is linear;
-every other conv/deconv layer uses ReLU.
+restores the signal or detail array. Every conv layer and every deconv
+layer but the last applies its ReLU inside its own graph node.
 
 The decoder is teacher-forced: at step t it reads the encoder's conv
-activation at t + 1, so ``decode`` takes the code together with the
-teacher buffers ``encode`` returned. A scale's teacher buffer is
-``[acts | 0]``: its (B, F, T) conv activations followed by one zero step,
-(B, F, T + 1). The encoder LSTM reads columns 0..T-1 and the decoder LSTM
-columns 1..T, both as views of the one buffer, so no shifted copy of the
-activations is ever made. Training and scoring run this one pass.
+activation at t + 1, and a zero step at t = T-1, so ``decode`` takes the
+code together with the (B, F, T) conv activations ``encode`` returned.
+Both LSTM passes read those activations in place; the decoder's shift by
+one step happens inside ``nn.lstm_sequence``, so no shifted or padded
+copy of them is kept. Training and scoring run this one pass.
 Each step output is predicted from the next true activation and the
 decoder state, so the reconstruction loss is a one-step prediction error,
 the usual LSTM anomaly score (Malhotra et al. 2015, ESANN). A decoder that
@@ -28,13 +27,13 @@ trained in (exposure bias; Bengio et al. 2015, arXiv:1506.03099).
 
 Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
 all scales in one time loop, a single graph node with its own backward
-pass. ``encode`` takes the list of scale inputs (the normalized signal,
-then its detail arrays), which ``training`` builds; the model itself
-neither normalizes nor decomposes, nor computes its loss: the scale inputs
-are also the reconstruction targets of ``nn.reconstruction_loss``, one
-graph node that treats them as constants. Every pass takes a batch: a scale
-input is (B, C, T >> l) and the code (B, code_length); a lone window is a
-batch of one.
+pass; the encoder's node is the code. ``encode`` takes the list of scale
+inputs (the normalized signal, then its detail arrays), which ``training``
+builds; the model itself neither normalizes nor decomposes, nor computes
+its loss: the scale inputs are also the reconstruction targets of
+``nn.reconstruction_loss``, one graph node that treats them as constants.
+Every pass takes a batch: a scale input is (B, C, T >> l) and the code
+(B, code_length); a lone window is a batch of one.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -59,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, relu
+from .autodiff import Tensor
 from .data import DEFAULT_WINDOW
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, sigmoid, step_dense
@@ -286,15 +285,15 @@ class WaveletAutoencoder:
     # -- forward passes ---------------------------------------------------
 
     def encode(self, inputs):
-        """Run every scale branch; returns (code, per-scale teacher buffers).
+        """Run every scale branch; returns (code, per-scale conv activations).
 
         ``inputs`` holds one batch per scale in order 0..L: the normalized
         signals (B, C, T), then wavelet detail level l as (B, C, T >> l). The
         (B, code_length) code concatenates each scale's last encoder hidden
         state in scale order 0..L, which is the fixed layout the decoder and
-        classifier rely on. Scale s's teacher buffer is its conv activations
-        plus one zero step, (B, F, T_s + 1) for the T_s steps of its LSTMs;
-        the encoder LSTM reads its first T_s columns.
+        classifier rely on. Scale s's activations are the rectified output
+        of its conv stack, (B, F, T_s) for the T_s steps of its LSTMs; the
+        encoder LSTM reads them, and ``decode`` takes them back.
         """
         cfg = self.config
         got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
@@ -302,53 +301,47 @@ class WaveletAutoencoder:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
         values = [np.asarray(x, dtype=np.float64) for x in inputs]
         nb = len(values[0]) if values[0].ndim == 3 else None
-        teacher = []
+        acts = []
         for scale, (x, branch) in enumerate(zip(values, self.branches)):
             want = (cfg.channels, cfg.fragment_length >> scale)
             if x.shape != (nb, *want):
                 raise ShapeError(f"scale {scale} input has shape {x.shape}, expected a batch "
                                  f"({'B' if nb is None else nb}, {want[0]}, {want[1]})")
-            acts = Tensor(x)
+            a = Tensor(x)
             for (kernels, bias), layer in zip(branch.conv, cfg.conv):
-                acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-            teacher.append(concat([acts, np.zeros((nb, cfg.conv_features, 1))]))
+                a = conv1d(a, kernels, bias, layer.stride, padding_for(layer))
+            acts.append(a)
         zeros = [np.zeros((nb, cfg.hidden))] * len(values)
-        runs = lstm_sequence([buf[..., :-1] for buf in teacher], zeros, [b.encoder for b in self.branches])
-        return concat([hs[..., -1] for hs in runs]), teacher
+        return lstm_sequence(acts, zeros, [b.encoder for b in self.branches]), acts
 
     def decode(self, code, teacher):
         """Reconstruct the signal and every detail array from the code and
-        the per-scale teacher buffers ``encode`` returned. Walking
-        t = T-1..0, the decoder LSTM's step t reads buffer column t + 1: the
-        conv activation at t + 1, or the zero step at t = T-1."""
+        the per-scale conv activations ``encode`` returned. Walking
+        t = T-1..0, the decoder LSTM's step t reads the activation at t + 1,
+        or a zero step at t = T-1."""
         cfg = self.config
         code = code if isinstance(code, Tensor) else Tensor(code)
         if code.data.ndim != 2 or code.data.shape[1] != cfg.code_length:
             raise ShapeError(f"code shape {code.shape} does not match (B, {cfg.code_length})")
         nb = len(code.data)
         if len(teacher) != cfg.levels + 1:
-            raise ContractError(f"expected {cfg.levels + 1} teacher buffers, got {len(teacher)}")
-        feats = cfg.conv_features
-        inputs, h0s = [], []
-        for scale, branch in enumerate(self.branches):
-            want = (nb, feats, cfg.conv_lengths(scale)[-1] + 1)
-            buf = teacher[scale]
-            buf = buf if isinstance(buf, Tensor) else Tensor(buf)
-            if buf.data.shape != want:
-                raise ContractError(f"teacher buffer for scale {scale} has shape {buf.shape}, expected {want}")
-            inputs.append(buf[..., 1:])
-            h0s.append(linear(code, branch.dec_init_w, branch.dec_init_b))
-        runs = lstm_sequence(inputs, h0s, [b.decoder for b in self.branches], reverse=True)
+            raise ContractError(f"expected {cfg.levels + 1} teacher activations, got {len(teacher)}")
+        teacher = [acts if isinstance(acts, Tensor) else Tensor(acts) for acts in teacher]
+        for scale, acts in enumerate(teacher):
+            want = (nb, cfg.conv_features, cfg.conv_lengths(scale)[-1])
+            if acts.data.shape != want:
+                raise ContractError(f"teacher activations for scale {scale} have shape {acts.shape}, not {want}")
+        h0s = [linear(code, b.dec_init_w, b.dec_init_b) for b in self.branches]
+        runs = lstm_sequence(teacher, h0s, [b.decoder for b in self.branches], decoder=True)
         return [self._deconv(branch, step_dense(hs, branch.step_w, branch.step_b))
                 for branch, hs in zip(self.branches, runs)]
 
     def _deconv(self, branch, acts):
         cfg = self.config
+        last = len(branch.deconv) - 1
         for i, (kernels, bias) in enumerate(branch.deconv):
-            layer = cfg.conv[len(cfg.conv) - 1 - i]
-            acts = deconv1d(acts, kernels, bias, layer.stride, padding_for(layer))
-            if i < len(branch.deconv) - 1:
-                acts = relu(acts)
+            layer = cfg.conv[last - i]
+            acts = deconv1d(acts, kernels, bias, layer.stride, padding_for(layer), relu=i < last)
         return acts
 
     def logit(self, code):

@@ -1,15 +1,15 @@
-"""Differentiable building blocks: 1-D convolutions, the LSTM, dense
-layers, and the two training losses, each one graph node.
+"""Differentiable building blocks: 1-D conv layers with their ReLU, the
+LSTM, dense layers, and the two training losses, each one graph node.
 
 Convolutions follow the cross-correlation convention common in sequence
 models (no kernel flip). The two conv layers share one tap layout, tap j of
-a width-k kernel reading padded positions j, j + stride, ..., and are each
-other's adjoint: reinterpreting a conv kernel bank of shape (out,in,k) as a
-deconv bank of shape (in,out,k) satisfies <conv(x), y> == <x, deconv(y)>
-whenever the conv consumed its input without a stride remainder. One
-gather over the taps (``_correlate``) is the conv forward pass and the
-deconv input gradient; its scatter (``_spread``) is the deconv forward pass
-and the conv input gradient.
+a width-k kernel reading padded positions j, j + stride, ..., and their
+linear maps are each other's adjoint: reinterpreting a conv kernel bank of
+shape (out,in,k) as a deconv bank of shape (in,out,k) satisfies
+<conv(x), y> == <x, deconv(y)> whenever the conv consumed its input without
+a stride remainder. One gather over the taps (``_correlate``) is the conv
+forward pass and the deconv input gradient; its scatter (``_spread``) is
+the deconv forward pass and the conv input gradient.
 
 The LSTM has one implementation, ``lstm_sequence``. It runs a list of
 sequences, one LSTM each (the model's scales), in one Python time loop as
@@ -19,8 +19,8 @@ shorter sequence drops out once its own steps are done, so the default
 model's four scales of 128, 64, 32 and 16 steps take 128 iterations, not
 240. One sequence is a list of one, and one step a sequence of length one.
 The model's encoder and its teacher-forced decoder both run through it.
-Each LSTM starts from a given hidden state and a zero cell state, and
-returns its hidden states alone: the model reads no cell state.
+Each LSTM starts from a given hidden state and a zero cell state: the
+model reads no cell state.
 
 Every layer takes a batch, (B,C,T); a lone sample is a batch of one. Each
 sample is computed with the same products whatever its batch, so batched
@@ -112,11 +112,13 @@ def _tap_grads(a, taps) -> np.ndarray:
 
 
 def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """Multi-channel 1-D convolution of a batch: (B,Cin,T) -> (B,Cout,T').
+    """Multi-channel 1-D convolution of a batch, then its ReLU, as every
+    encoder layer has: (B,Cin,T) -> (B,Cout,T').
 
     Every output channel sums over all input channels, so the very first
     layer of an encoder mixes the full channel set. For backward it keeps
-    only its parents: the padded input and its taps are rebuilt from the
+    only its parents and output: the ReLU's mask is where the output is
+    positive, and the padded input and its taps are rebuilt from the
     unpadded ``x`` when the gradient arrives. An ``x`` that needs no grad,
     such as a scale input, gets None rather than an input gradient.
     """
@@ -126,17 +128,20 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise ContractError(f"kernel width {k} exceeds padded length {t + 2 * padding}")
     y = _correlate(w, _taps(x.data, k, stride, padding))
     y += bias.data[:, None]
+    np.maximum(y, 0.0, out=y)  # for finite y, np.where(y > 0, y, 0.0), -0.0 included
 
     def vjp(g):
+        g = g * (y > 0)
         dx = _spread(w, g, stride, padding, t) if x.requires_grad else None
         return dx, _tap_grads(g, _taps(x.data, k, stride, padding)), g.sum(axis=(0, 2))
 
     return _node(y, (x, kernels, bias), vjp)
 
 
-def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
+def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """Transposed 1-D convolution of a batch:
-    (B,Cin,T) -> (B,Cout,(T-1)*stride-2*padding+K)."""
+    (B,Cin,T) -> (B,Cout,(T-1)*stride-2*padding+K), rectified as in
+    ``conv1d`` with ``relu``, as every decoder layer but the last is."""
     x, kernels, bias = _conv_args("deconv1d", x, kernels, bias, stride, padding, cin_axis=0)
     k, w = kernels.data.shape[2], kernels.data
     tout = (x.data.shape[2] - 1) * stride + k - 2 * padding
@@ -144,8 +149,12 @@ def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
         raise ContractError("padding removes the entire deconv output")
     y = _spread(w, x.data, stride, padding, tout)
     y += bias.data[:, None]
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
     def vjp(g):
+        if relu:
+            g = g * (y > 0)
         taps = _taps(g, k, stride, padding)
         return _correlate(w, taps), _tap_grads(x.data, taps), g.sum(axis=(0, 2))
 
@@ -353,32 +362,33 @@ def _scan_grad(runs, wh, dhs_of, lengths):
     return dz_seq, dh
 
 
-def _window(length: int, start: int, end: int, reverse: bool) -> slice:
+def _window(length: int, start: int, end: int, decoder: bool) -> slice:
     """The time positions of steps start..end-1 of a sequence of ``length``."""
-    return slice(length - end, length - start) if reverse else slice(start, end)
+    return slice(length - end, length - start) if decoder else slice(start, end)
 
 
-def _time_major(z: np.ndarray, reverse: bool) -> np.ndarray:
+def _time_major(z: np.ndarray, decoder: bool) -> np.ndarray:
     """A (B,X,n) window in time order as (n,B,X) in step order."""
-    return (z[..., ::-1] if reverse else z).transpose(2, 0, 1)
+    return (z[..., ::-1] if decoder else z).transpose(2, 0, 1)
 
 
-def _time_order(hs: np.ndarray, reverse: bool) -> np.ndarray:
+def _time_order(hs: np.ndarray, decoder: bool) -> np.ndarray:
     """(T,B,H) hidden states in step order as (B,H,T) in time order."""
-    return (hs[::-1] if reverse else hs).transpose(1, 2, 0)
+    return (hs[::-1] if decoder else hs).transpose(1, 2, 0)
 
 
-def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
+def lstm_sequence(xs, h0s, params, decoder: bool = False):
     """Run one LSTM per sequence, all in one time loop, as one graph node.
 
     ``xs[s]`` is a batch (B,in_s,T_s), every sequence with the same batch
     size B, and the lengths T_s do not increase with s. ``h0s[s]`` is the
     (B,H) initial hidden state, the cell state starts at zero, and
     ``params[s]`` holds sequence s's weights; all share the hidden size H.
-    Steps run over t = 0..T_s-1, or T_s-1..0 with ``reverse``. Returns one
-    (B,H,T_s) tensor per sequence: its hidden states, indexed by t, so the
-    last step's is column T_s-1, or column 0 with ``reverse``. A single
-    sequence is a list of one.
+    A single sequence is a list of one. The encoder (the default) runs
+    t = 0..T_s-1, step t reading column t, and returns the code: one
+    (B, S·H) tensor of each sequence's last hidden state, in order. The
+    ``decoder`` runs t = T_s-1..0, step t reading column t + 1, or zero at
+    t = T_s-1, and returns each sequence's (B,H,T_s) hidden states.
 
     The loop runs max T_s steps and a sequence drops out once its own steps
     are done. Each step's recurrent products are one stacked
@@ -393,8 +403,8 @@ def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
     (n,4,k,B,H), and the cell states with their tanh, which ``_scan`` saved
     step by step; recomputing the tanh in one vectorised call could round
     differently. The hidden state entering each step is read back from the
-    node's own packed output and ``h0``, so the per-phase hidden-state
-    arrays die once packed.
+    packed hidden states and ``h0``, so the per-phase hidden-state arrays
+    die once packed.
     """
     count = len(params)
     if not count or not len(xs) == len(h0s) == count:
@@ -419,16 +429,25 @@ def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
         raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
     half = _halving(hid)
 
+    shift = 1 if decoder else 0
+
+    def read(s, window):
+        """The input at the time positions ``window`` of sequence s: columns
+        shifted by ``shift``, the zero column T_s copied in only if read."""
+        lo, hi = window.start + shift, window.stop + shift
+        x = xs[s].data[..., lo:hi]
+        return x if hi <= lengths[s] else np.concatenate([x, np.zeros((nb, x.shape[1], 1))], axis=2)
+
     def zx_of(start, end, k):
         zx = np.empty((end - start, 4, k, nb, hid))
         for s, p in enumerate(params[:k]):
             # Halving after the product and bias add gives the bits of the
             # halved weights and bias: scaling by a power of two commutes
             # with every rounding step unless a value is subnormal.
-            z = p.w_x.data @ xs[s].data[..., _window(lengths[s], start, end, reverse)]
+            z = p.w_x.data @ read(s, _window(lengths[s], start, end, decoder))
             z += p.b.data[:, None]
             z *= half[:, None]
-            zx[:, :, s] = _time_major(z, reverse).reshape(end - start, nb, 4, hid).transpose(0, 2, 1, 3)
+            zx[:, :, s] = _time_major(z, decoder).reshape(end - start, nb, 4, hid).transpose(0, 2, 1, 3)
         return zx
 
     whs = [p.w_h.data for p in params]
@@ -441,20 +460,25 @@ def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
     # Sequence s owns columns off_s .. off_s + T_s - 1: its hidden states in
     # time order.
     offsets = list(accumulate(lengths, initial=0))
+    last = np.subtract(offsets[1:], 1)
     packed = np.empty((nb, hid, offsets[-1]))
     for start, end, k, hs, _ in runs:
         for s in range(k):
             seq = packed[..., offsets[s] : offsets[s + 1]]
-            seq[..., _window(lengths[s], start, end, reverse)] = _time_order(hs[1:, s], reverse)
+            seq[..., _window(lengths[s], start, end, decoder)] = _time_order(hs[1:, s], decoder)
     # Backward reads the hidden states from ``packed``, not from the phases.
     runs = [(start, end, k, saved) for start, end, k, _, saved in runs]
 
     def vjp(grad):
+        if not decoder:  # the code's gradient reaches each sequence's last step alone
+            code_grad, grad = grad, np.zeros(packed.shape)
+            grad[..., last] = code_grad.reshape(nb, count, hid).transpose(0, 2, 1)
+
         def dhs_of(start, end, k):
             dhs = np.empty((end - start, k, nb, hid))
             for s in range(k):
                 seg = grad[..., offsets[s] : offsets[s + 1]]
-                dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, reverse)], reverse)
+                dhs[:, s] = _time_major(seg[..., _window(lengths[s], start, end, decoder)], decoder)
             return dhs
 
         dz_seq, dh0 = _scan_grad(runs, np.stack(whs), dhs_of, lengths)
@@ -465,16 +489,21 @@ def lstm_sequence(xs, h0s, params, reverse: bool = False) -> list:
             hin = np.empty((n, nb, hid))
             hin[0] = h0s[s].data
             seq = packed[..., offsets[s] : offsets[s + 1]]
-            hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, reverse)], reverse)
-            if reverse:  # back to time order, like x
+            hin[1:] = _time_major(seq[..., _window(n, 0, n - 1, decoder)], decoder)
+            if decoder:  # back to time order, like x
                 dz, hin = dz[::-1], hin[::-1]
             dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-            dx.append(np.matmul(params[s].w_x.data.T, dz))
-            dwx.append(np.tensordot(dz, xs[s].data, axes=([0, 2], [0, 2])))
+            dread = np.matmul(params[s].w_x.data.T, dz)
+            if decoder:  # step t read activation t + 1
+                dread = np.concatenate([np.zeros((nb, dread.shape[1], 1)), dread[..., :-1]], axis=2)
+            dx.append(dread)
+            dwx.append(np.tensordot(dz, read(s, slice(0, n)), axes=([0, 2], [0, 2])))
             dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
             db.append(dz.sum(axis=(0, 2)))
         return (*dx, *dh0, *dwx, *dwh, *db)
 
+    if not decoder:
+        return _node(packed[..., last].transpose(0, 2, 1).reshape(nb, count * hid), parents, vjp)
     core = _node(packed, parents, vjp)
     return [core[..., start:end] for start, end in zip(offsets, offsets[1:])]
 

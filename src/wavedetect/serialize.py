@@ -25,6 +25,8 @@ Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
 with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``). The
 config's ``classifier`` flag decides the detector's kind: ``meta mode``
 must agree with it, and ``meta threshold`` is ``none`` just for a head.
+The config line, each meta key and each tensor appear once, and every
+tensor is one the detector reads; a loader refuses anything else.
 
 Version 3 is the only version written or read. A file of any other version
 raises ``DataError``: such a detector must be retrained.
@@ -77,8 +79,9 @@ def save_detector(detector, path):
 
 def load_detector(path):
     """The detector a container file holds. Anything malformed in the file,
-    such as a ``meta mode`` that disagrees with its config, or a version
-    other than 3, raises ``DataError`` naming the file."""
+    such as a ``meta mode`` that disagrees with its config, a version other
+    than 3, a repeated ``config`` line, ``meta`` key or tensor name, or a
+    tensor the model does not read, raises ``DataError`` naming the file."""
     blob = Path(path).read_bytes()
     marker = b"\npayload\n"
     cut = blob.find(marker)
@@ -101,16 +104,24 @@ def load_detector(path):
     config = None
     meta: dict = {}
     tensors: dict = {}
+    tensor_lines: dict = {}
     for number, line in enumerate(lines[1:], start=2):
         kind, _, rest = line.partition(" ")
         try:
             if kind == "config":
+                if config is not None:
+                    raise DataError(f"{path}: line {number}: a second config line")
                 config = config_from_dict(json.loads(rest))
             elif kind == "meta":
                 key, _, value = rest.partition(" ")
+                if key in meta:
+                    raise DataError(f"{path}: line {number}: meta {key!r} given again")
                 meta[key] = value
             elif kind == "tensor":
                 name, shape_s, offset_s = rest.rsplit(" ", 2)
+                if name in tensor_lines:
+                    raise DataError(f"{path}: line {number}: tensor {name!r} repeats line {tensor_lines[name]}")
+                tensor_lines[name] = number
                 shape = tuple(int(d) for d in shape_s.split(","))
                 offset = int(offset_s)
                 if offset < 0 or min(shape) < 0:
@@ -143,6 +154,10 @@ def load_detector(path):
         raise DataError(f"{path}: bad number in detector meta ({err})") from None
     mean, std = (_tensor(path, tensors, name, (config.channels,)) for name in ("norm.mean", "norm.std"))
     model = WaveletAutoencoder._from_arrays(config, lambda name, shape: _tensor(path, tensors, name, shape))
+    unread = tensors.keys() - {name for name, _ in model.named_parameters()} - {"norm.mean", "norm.std"}
+    if unread:
+        name = min(unread, key=tensor_lines.get)
+        raise DataError(f"{path}: line {tensor_lines[name]}: the model reads no tensor {name!r}")
     try:
         detector = Detector(model=model, threshold=threshold, train_loss_mean=train_loss_mean,
                             norm_mean=mean, norm_std=std)

@@ -13,7 +13,7 @@ prediction compares the head's probability, a sigmoid taken outside the
 graph (``model.classify``), against 0.5.
 
 Training, calibration and scoring run one forward pass: ``encode`` the
-per-scale inputs, then ``decode`` the code with the teacher buffers
+per-scale inputs, then ``decode`` the code with the conv activations
 ``encode`` returned (the teacher-forced decoder, see ``model``); scoring
 runs it under ``no_grad``. The threshold is thus calibrated on, and later
 compared against, the loss the model was trained to minimize.
@@ -65,7 +65,7 @@ STD_FLOOR = 1e-8
 # 33.5/34.3/35.3/39.9/65.4 MB; one chunk of 6 default windows peaks at
 # 2.6 MB of allocations. 6 is the largest chunk that keeps the peak within
 # 1 MB of the 34.4 MB that chunks of 4 took before encode and decode shared
-# one teacher buffer per scale.
+# one copy of each scale's conv activations.
 _SCORE_CHUNK = 6
 
 

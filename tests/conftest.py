@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,22 @@ def matmul(w, x) -> Tensor:
         return dw, wd.T @ g
 
     return _node(wd @ xd, (w, x), vjp)
+
+
+def concat(parts) -> Tensor:
+    """Tensors joined along their last axis as a graph node, all other
+    dimensions equal: the per-gate reference's code and decoder output."""
+    parts = tuple(_as_tensor(p) for p in parts)
+    lead = parts[0].data.shape[:-1]
+    for p in parts:
+        if p.data.ndim < 1 or p.data.shape[:-1] != lead:
+            raise ShapeError(f"concat needs equal leading dimensions, got {[q.shape for q in parts]}")
+    offsets = list(accumulate((p.data.shape[-1] for p in parts), initial=0))
+
+    def vjp(g):
+        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+
+    return _node(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
 
 
 def reshape(a, shape) -> Tensor:

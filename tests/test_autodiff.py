@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import (
-    Tensor,
-    _node,
-    concat,
-    index,
-    no_grad,
-    relu,
-)
+from wavedetect.autodiff import Tensor, _node, index, no_grad
 from wavedetect.errors import ContractError, ShapeError
 
-from conftest import add, matmul, max_rel_err, mul, numeric_grad, sigmoid, tanh, tsum
+from conftest import add, concat, matmul, max_rel_err, mul, numeric_grad, sigmoid, tanh, tsum
 
 
 def test_scalar_chain_gradients():
@@ -125,24 +118,6 @@ def test_unary_op_gradients(op, ref, rng):
         return float(ref(x.data).sum())
 
     assert max_rel_err(x.grad, numeric_grad(f, x)) < 1e-5
-
-
-def test_relu_gradient_masks_negative_side():
-    x = Tensor([-2.0, -0.5, 0.5, 2.0], requires_grad=True)
-    tsum(relu(x)).backward()
-    assert np.allclose(x.grad, [0.0, 0.0, 1.0, 1.0])
-
-
-def test_relu_maps_signed_zeros_and_negatives_to_positive_zero():
-    """Over a vector long enough to take numpy's SIMD path, and one element;
-    the backward mask is 1 only where the input is strictly positive."""
-    for x in ([-0.0, 0.0, -1.0, -5e-324, 5e-324, 3.0] * 7, [-0.0]):
-        x = Tensor(x, requires_grad=True)
-        y = relu(x)
-        assert y.data.tobytes() == np.where(x.data > 0, x.data, 0.0).tobytes()
-        assert not np.signbit(y.data).any()
-        tsum(y).backward()
-        assert x.grad.tobytes() == (x.data > 0).astype(float).tobytes()
 
 
 def test_concat_splits_gradient():

@@ -12,7 +12,7 @@ refactor can neither crash a traced run nor silently zero its span, and a
 traced training run counts its graphs before ``backward`` consumes them.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
 records itself through ``autodiff._node``, and ``autodiff`` itself defines
-a fixed set of ops. A training step's graph holds a known number of nodes,
+one op, which ``model`` does not import. A training step's graph holds a known number of nodes,
 so any change to its size is a deliberate one. Every class that checks its
 fields in ``__post_init__`` is a frozen dataclass."""
 
@@ -145,17 +145,23 @@ def test_only_autodiff_writes_graph_slots(path):
     assert not writes, f"{path.name} writes a tensor's graph record by hand; return autodiff._node instead: {writes}"
 
 
-def test_autodiff_defines_exactly_the_three_generic_ops():
+def test_autodiff_defines_exactly_the_one_generic_op():
     """The module-level functions of ``autodiff`` that return ``_node(...)``
-    are these three. Layers, losses, sums, products and the sigmoid are ops
-    of ``nn``; adding a generic op is a deliberate change to this list."""
+    are ``index`` alone. Layers with their activations, losses, sums,
+    products and the sigmoid are ops of ``nn``; adding a generic op is a
+    deliberate change to this set. The model imports only ``Tensor`` from
+    ``autodiff``: it builds its graph from ``nn`` layers and tensor views."""
     path = next(p for p in MODULES if p.name == "autodiff.py")
     ops = {node.name for node in ast.parse(path.read_text(), filename=str(path)).body
            if isinstance(node, ast.FunctionDef)
            and any(isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
                    and isinstance(ret.value.func, ast.Name) and ret.value.func.id == "_node"
                    for ret in ast.walk(node))}
-    assert ops == {"relu", "concat", "index"}
+    assert ops == {"index"}
+    path = next(p for p in MODULES if p.name == "model.py")
+    imported = [alias.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.ImportFrom) and node.module == "autodiff" for alias in node.names]
+    assert imported == ["Tensor"]
 
 
 def _frozen_dataclass(decorator) -> bool:
@@ -208,7 +214,7 @@ def test_every_site_the_bench_tracer_patches_exists():
 
     missing = [f"{where(owner)}.{attr}" for owner, attr in sites if attr not in owner.__dict__]
     assert missing == ["wavedetect.model.lstm_cell", "wavedetect.training.score_fragment"]
-    # The traced decode passes the teacher buffers as the second positional argument.
+    # The traced decode passes the teacher activations as the second positional argument.
     assert list(inspect.signature(WaveletAutoencoder.decode).parameters) == ["self", "code", "teacher"]
 
 
@@ -238,26 +244,25 @@ TINY = dict(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=
 
 
 @pytest.mark.parametrize("cfg,nodes", [
-    (ModelConfig(channels=8), 136),
-    (ModelConfig(**TINY), 54),
-    (ModelConfig(channels=8, classifier=True), 140),
-    (ModelConfig(**TINY, classifier=True), 58),
+    (ModelConfig(channels=8), 103),
+    (ModelConfig(**TINY), 41),
+    (ModelConfig(channels=8, classifier=True), 107),
+    (ModelConfig(**TINY, classifier=True), 45),
 ], ids=["default", "tiny", "default-supervised", "tiny-supervised"])
 def test_one_training_step_records_a_known_number_of_graph_nodes(cfg, nodes):
-    """A step's graph holds every parameter, 4K + 7 op nodes per scale for K
-    conv layers (each conv and its ReLU, the teacher buffer, its two views,
-    the encoder's hidden states' view and its last column, the decoder's
-    initial state and its hidden states' view, the step head's one op, each
-    deconv and the ReLUs between them), and four shared ones: the two LSTM
-    passes, the code and the reconstruction loss. A supervised step adds
-    the head's logit and the one node of its objective. A change to the
-    graph's size must change this count."""
+    """A step's graph holds every parameter, 2K + 3 op nodes per scale for K
+    conv layers (each conv and each deconv layer, with its ReLU, the
+    decoder's initial state, its hidden states' view and the step head's
+    one op), and three shared ones: the encoder LSTM pass, which is the
+    code, the decoder LSTM pass and the reconstruction loss. A supervised
+    step adds the head's logit and the one node of its objective. A change
+    to the graph's size must change this count."""
     model = WaveletAutoencoder(cfg)
     inputs = [np.ones((1, cfg.channels, cfg.fragment_length >> s)) for s in range(cfg.levels + 1)]
-    code, teacher = model.encode(inputs)
-    loss = reconstruction_loss(inputs, model.decode(code, teacher))
+    code, acts = model.encode(inputs)
+    loss = reconstruction_loss(inputs, model.decode(code, acts))
     if cfg.classifier:
         loss = supervised_loss(loss, model.logit(code), 1, 0.5)
-    per_scale = 4 * len(cfg.conv) + 7
-    assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 4 + 2 * cfg.classifier == nodes
+    per_scale = 2 * len(cfg.conv) + 3
+    assert len(model.parameters()) + (cfg.levels + 1) * per_scale + 3 + 2 * cfg.classifier == nodes
     assert bench_spans().count_graph_nodes(loss) == nodes

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, no_grad, relu
+from wavedetect.autodiff import Tensor, no_grad
 from wavedetect.errors import CapabilityError, ConfigError, ContractError, ShapeError
 from wavedetect.model import (
     ConvLayer,
@@ -12,7 +12,7 @@ from wavedetect.model import (
     padding_for,
 )
 import wavedetect.nn as nn
-from wavedetect.nn import conv1d, deconv1d, lstm_sequence, reconstruction_loss, supervised_loss
+from wavedetect.nn import _correlate, _taps, conv1d, deconv1d, lstm_sequence, reconstruction_loss, supervised_loss
 from wavedetect.wavelet import get_family, mdwd
 
 from conftest import lstm_step, max_rel_err, numeric_grad, tsum
@@ -42,9 +42,8 @@ def encode_one_scale(model, scale, values):
     cfg, branch = model.config, model.branches[scale]
     acts = Tensor(values)
     for (kernels, bias), layer in zip(branch.conv, cfg.conv):
-        acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-    [hs] = lstm_sequence([acts], [np.zeros((len(values), cfg.hidden))], [branch.encoder])
-    return hs.data[..., -1]
+        acts = conv1d(acts, kernels, bias, layer.stride, padding_for(layer))
+    return lstm_sequence([acts], [np.zeros((len(values), cfg.hidden))], [branch.encoder]).data
 
 
 class TestModelConfig:
@@ -199,26 +198,26 @@ class TestEncode:
                 branch = model.branches[scale]
                 a = Tensor(values)
                 for (kern, bias), layer in zip(branch.conv, cfg.conv):
-                    pre = conv1d(a, kern, bias, layer.stride, padding_for(layer))
-                    a = Tensor(np.maximum(pre.data, 0.0))
+                    a = conv1d(a, kern, bias, layer.stride, padding_for(layer))
                 h = c = Tensor(np.zeros(cfg.hidden))
                 for t in range(a.data.shape[2]):
                     h, c = lstm_step(Tensor(a.data[0, :, t]), h, c, branch.encoder)
                 pieces.append(h.data[None])
         assert np.max(np.abs(code.data - np.concatenate(pieces, axis=1))) < 1e-12
 
-    def test_teacher_buffer_is_the_conv_activations_then_one_zero_step(self, rng):
+    def test_activations_are_the_rectified_conv_stack(self, rng):
+        """``encode`` returns each scale's conv activations as they are, no
+        zero step appended: every layer's tap gather plus bias, rectified."""
         model = WaveletAutoencoder(tiny_config(seed=7))
         inputs = scales(rng.normal(size=(2, 2, 32)), 2)
-        _, teacher = model.encode(inputs)
-        for scale, (values, buf) in enumerate(zip(inputs, teacher)):
-            branch, acts = model.branches[scale], Tensor(values)
-            for (kernels, bias), layer in zip(branch.conv, model.config.conv):
-                acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
-            steps = model.config.conv_lengths(scale)[-1]
-            assert buf.data.shape == (2, 5, steps + 1)
-            assert np.array_equal(buf.data[..., :steps], acts.data)
-            assert not buf.data[..., steps].any()
+        _, acts = model.encode(inputs)
+        for scale, (values, got) in enumerate(zip(inputs, acts)):
+            want = values
+            for (kernels, bias), layer in zip(model.branches[scale].conv, model.config.conv):
+                taps = _taps(want, layer.kernel, layer.stride, padding_for(layer))
+                want = np.maximum(_correlate(kernels.data, taps) + bias.data[:, None], 0.0)
+            assert got.data.shape == (2, 5, model.config.conv_lengths(scale)[-1])
+            assert got.data.tobytes() == want.tobytes()
 
     def test_wrong_fragment_shape(self, rng):
         model = WaveletAutoencoder(tiny_config())
@@ -265,10 +264,9 @@ class TestDecode:
         model = WaveletAutoencoder(cfg)
         assert cfg.conv_lengths(0)[-1] == 1
         code = Tensor(rng.normal(size=(1, 4)))
-        # The teacher buffer is the one activation, then the zero step. The
-        # only step reads the zero step: no activation follows it.
-        teacher = np.concatenate([rng.normal(size=(1, 3, 1)), np.zeros((1, 3, 1))], axis=2)
-        out = model.decode(code, [teacher])[0]
+        # The only step reads the zero step: no activation follows the one
+        # there is.
+        out = model.decode(code, [rng.normal(size=(1, 3, 1))])[0]
 
         branch = model.branches[0]
         with no_grad():
@@ -290,9 +288,9 @@ class TestDecode:
         code, acts = model.encode(scales(rng.normal(size=(1, 2, 32)), 2))
         with pytest.raises(ContractError):
             model.decode(code, acts[:-1])
-        for shape in ((1, 3, 17), (1, 5, 16)):  # wrong features; raw activations, no zero step
+        for shape in ((1, 3, 16), (1, 5, 17)):  # wrong features; one zero step appended
             bad = [Tensor(np.zeros(shape))] + list(acts[1:])
-            with pytest.raises(ContractError, match="teacher buffer for scale 0"):
+            with pytest.raises(ContractError, match="teacher activations for scale 0"):
                 model.decode(code, bad)
 
 

@@ -5,13 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import (
-    Tensor,
-    _node,
-    concat,
-    no_grad,
-    relu,
-)
+from wavedetect.autodiff import Tensor, _node, no_grad
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for
 from wavedetect.nn import (
@@ -19,8 +13,10 @@ from wavedetect.nn import (
     conv1d,
     deconv1d,
     linear,
+    _correlate,
     _phases,
     _scan,
+    _spread,
     _taps,
     lstm_sequence,
     reconstruction_loss,
@@ -29,7 +25,8 @@ from wavedetect.nn import (
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import add, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape, sigmoid, tsum
+from conftest import (add, concat, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape,
+                      sigmoid, tsum)
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -85,17 +82,21 @@ class TestConv1d:
         assert np.allclose(out.data, [[[3.0, 5.0]]])
 
     def test_zero_input_yields_bias(self, rng):
+        """Rectified, as every conv layer's output is."""
         w = Tensor(rng.normal(size=(3, 2, 4)))
         out = conv1d(Tensor(np.zeros((1, 2, 16))), w, Tensor([1.0, -2.0, 0.5]), stride=2, padding=1)
-        assert np.allclose(out.data[0], np.array([1.0, -2.0, 0.5])[:, None] * np.ones((3, out.data.shape[2])))
+        assert np.allclose(out.data[0], np.array([1.0, 0.0, 0.5])[:, None] * np.ones((3, out.data.shape[2])))
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 3), (3, 2)])
     def test_matches_naive_oracle(self, rng, stride, padding):
+        """The tap gather is the convolution; the layer rectifies it."""
         x = rng.normal(size=(4, 32))
         w = rng.normal(size=(8, 4, 5))
         b = rng.normal(size=8)
+        linear_map = _correlate(w, _taps(x[None], 5, stride, padding)) + b[:, None]
+        assert np.max(np.abs(linear_map[0] - conv1d_naive(x, w, b, stride, padding))) < 1e-12
         out = conv1d(Tensor(x[None]), Tensor(w), Tensor(b), stride=stride, padding=padding)
-        assert np.max(np.abs(out.data[0] - conv1d_naive(x, w, b, stride, padding))) < 1e-12
+        assert out.data.tobytes() == np.maximum(linear_map, 0.0).tobytes()
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -113,7 +114,7 @@ class TestConv1d:
         reconstruction_loss([target], [conv1d(x, w, b, stride=2, padding=1)]).backward()
 
         def f():
-            pred = conv1d_naive(x.data[0], w.data, b.data, 2, 1)
+            pred = np.maximum(conv1d_naive(x.data[0], w.data, b.data, 2, 1), 0.0)
             return float(np.mean((pred - target) ** 2))
 
         for t in (x, w, b):
@@ -141,14 +142,15 @@ class TestDeconv1d:
         (1, 7, 10, 4, 3, 0),
     ])
     def test_adjoint_identity_with_conv(self, rng, cin, cout, t, k, stride, padding):
+        """The linear maps of the two layers, the tap gather and its scatter."""
         # remainder-free shapes: conv consumes the whole padded input
         assert (t + 2 * padding - k) % stride == 0
         x = rng.normal(size=(1, cin, t))
         w = rng.normal(size=(cout, cin, k))
-        cx = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).data
+        cx = _correlate(w, _taps(x, k, stride, padding))
         assert cx.shape == (1, cout, (t + 2 * padding - k) // stride + 1)
         y = rng.normal(size=cx.shape)
-        dy = deconv1d(Tensor(y), Tensor(w), Tensor(np.zeros(cin)), stride, padding).data
+        dy = _spread(w, y, stride, padding, t)
         assert dy.shape == (1, cin, t)
         assert abs(float(np.vdot(cx, y)) - float(np.vdot(x, dy))) < 1e-10
 
@@ -159,7 +161,9 @@ class TestDeconv1d:
         (1, 7, 10, 4, 3, 0),
     ])
     def test_each_layer_records_the_other_as_its_input_gradient(self, rng, cin, cout, t, k, stride, padding):
-        """Bit for bit: the two layers share one tap gather and its scatter."""
+        """Bit for bit: the two layers share one tap gather and its scatter.
+        The conv's gradient is first masked by its ReLU; the unrectified
+        deconv's input gradient is the conv's linear map."""
         w = rng.normal(size=(cout, cin, k))
 
         def input_grad(layer, x, g, nbias):
@@ -168,10 +172,11 @@ class TestDeconv1d:
             return x.grad
 
         x = rng.normal(size=(1, cin, t))
-        g = rng.normal(size=conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).shape)
-        want = deconv1d(Tensor(g), Tensor(w), Tensor(np.zeros(cin)), stride, padding).data
+        y = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).data
+        g = rng.normal(size=y.shape)
+        want = deconv1d(Tensor(g * (y > 0)), Tensor(w), Tensor(np.zeros(cin)), stride, padding).data
         assert input_grad(conv1d, x, g, cout).tobytes() == want.tobytes()
-        want = conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(cout)), stride, padding).data
+        want = _correlate(w, _taps(x, k, stride, padding))
         assert input_grad(deconv1d, g, x, cin).tobytes() == want.tobytes()
 
     def test_channel_mismatch_raises(self):
@@ -193,6 +198,41 @@ class TestDeconv1d:
 
         for t in (x, w, b):
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-4
+
+
+# Each layer as a 1x1 identity map: weight 1 and bias -0.0, which leaves
+# every value, -0.0 included, as it is before the layer's ReLU.
+_RECTIFIED = [conv1d, lambda x, w, b: deconv1d(x, w, b, relu=True)]
+
+
+@pytest.mark.parametrize("layer", _RECTIFIED, ids=["conv1d", "deconv1d"])
+def test_relu_gradient_masks_negative_side(layer):
+    x = Tensor([[[-2.0, -0.5, 0.5, 2.0]]], requires_grad=True)
+    tsum(layer(x, Tensor([[[1.0]]]), Tensor([-0.0]))).backward()
+    assert np.array_equal(x.grad, [[[0.0, 0.0, 1.0, 1.0]]])
+
+
+@pytest.mark.parametrize("layer", _RECTIFIED, ids=["conv1d", "deconv1d"])
+def test_relu_maps_signed_zeros_and_negatives_to_positive_zero(layer):
+    """Over a vector long enough to take numpy's SIMD path, and one element;
+    the backward mask is 1 only where the input is strictly positive."""
+    for x in ([-0.0, 0.0, -1.0, -5e-324, 5e-324, 3.0] * 7, [-0.0]):
+        x = Tensor(np.array(x)[None, None], requires_grad=True)
+        y = layer(x, Tensor([[[1.0]]]), Tensor([-0.0]))
+        assert y.data.tobytes() == np.where(x.data > 0, x.data, 0.0).tobytes()
+        assert not np.signbit(y.data).any()
+        tsum(y).backward()
+        assert x.grad.tobytes() == (x.data > 0).astype(float).tobytes()
+
+
+def test_only_the_rectified_deconv_masks_its_output(rng):
+    """Without ``relu`` a deconv layer is linear: the last decoder layer."""
+    x, w, b = rng.normal(size=(2, 3, 6)), rng.normal(size=(3, 2, 4)), rng.normal(size=2)
+    linear_map = deconv1d(Tensor(x), Tensor(w), Tensor(b), 2, 1).data
+    assert (linear_map < 0).any()
+    assert np.array_equal(linear_map, _spread(w, x, 2, 1, 12) + b[:, None])
+    rectified = deconv1d(Tensor(x), Tensor(w), Tensor(b), 2, 1, relu=True).data
+    assert rectified.tobytes() == np.maximum(linear_map, 0.0).tobytes()
 
 
 def _tap_grads_per_tap(a, taps):
@@ -227,20 +267,22 @@ class TestKernelGradients:
         """Bit for bit at any batch: the unrolled product runs, per tap, the
         same (X, B·n) @ (B·n, Y) product as a ``tensordot``."""
 
-        def kernel_grad(layer, x, nbias):
+        def kernel_grad(layer, x, nbias, **relu):
             # A conv bank is (out,in,k) and its adjoint deconv's (in,out,k).
             kernels = Tensor(rng.normal(size=(cout, cin, k)), requires_grad=True)
-            y = layer(Tensor(x), kernels, Tensor(np.zeros(nbias)), stride, padding)
+            y = layer(Tensor(x), kernels, Tensor(np.zeros(nbias)), stride, padding, **relu)
             g = rng.normal(size=y.shape)
             tsum(mul(y, g)).backward()
-            return kernels.grad, g
+            # The gradient that reaches the linear map: a rectified layer masks it.
+            return kernels.grad, g * (y.data > 0) if layer is conv1d or relu else g
 
         x = rng.normal(size=(batch, cin, t))
         dw, g = kernel_grad(conv1d, x, cout)
         assert dw.tobytes() == _tap_grads_per_tap(g, _taps(x, k, stride, padding)).tobytes()
         y = rng.normal(size=g.shape)
-        dw, g = kernel_grad(deconv1d, y, cin)
-        assert dw.tobytes() == _tap_grads_per_tap(y, _taps(g, k, stride, padding)).tobytes()
+        for relu in ({}, {"relu": True}):
+            dw, g = kernel_grad(deconv1d, y, cin, **relu)
+            assert dw.tobytes() == _tap_grads_per_tap(y, _taps(g, k, stride, padding)).tobytes()
 
     def test_conv_skips_the_input_gradient_of_a_constant(self, rng):
         """The vjp gives None for an input that needs no grad, and the same
@@ -255,9 +297,10 @@ class TestKernelGradients:
 
 
 class TestLstmCell:
-    """The LSTM step, run as a one- or two-step ``lstm_sequence`` on a batch
-    of one. Every sequence starts from a zero cell state, so the cell-state
-    arithmetic shows at step 2, which reads what step 1 wrote."""
+    """The LSTM step, run as a one- or two-step ``lstm_sequence`` encoder on
+    a batch of one, which returns the last step's hidden state. Every
+    sequence starts from a zero cell state, so the cell-state arithmetic
+    shows at step 2, which reads what step 1 wrote."""
 
     def make_params(self, input_size, hidden_size, seed=3):
         return lstm_params(input_size, hidden_size, seed)
@@ -270,9 +313,9 @@ class TestLstmCell:
 
     def test_all_zero_weights_and_state(self):
         p = self.zero_params(2, 3)
-        [hs] = lstm_sequence([np.zeros((1, 2, 1))], [np.zeros((1, 3))], [p])
+        h = lstm_sequence([np.zeros((1, 2, 1))], [np.zeros((1, 3))], [p])
         # i = f = o = 0.5 and g = 0, so the cell and hidden states stay zero
-        assert np.allclose(hs.data, 0.0)
+        assert np.allclose(h.data, 0.0)
 
     def test_forget_gate_arithmetic(self):
         """Step 1 saturates the input gate and the candidate, writing c = 1.
@@ -280,19 +323,19 @@ class TestLstmCell:
         it keeps half the cell state, c = 0.5, and h = 0.5 tanh(0.5)."""
         p = self.zero_params(1, 1)
         p.w_x.data[[0, 3], 0] = 40.0  # input gate and candidate rows
-        [hs] = lstm_sequence([[[[1.0, 0.0]]]], [np.zeros((1, 1))], [p])
+        steps = [lstm_sequence([[[[1.0, 0.0][:n]]]], [np.zeros((1, 1))], [p]).data[0, 0] for n in (1, 2)]
         h1, c1 = lstm_reference(np.ones(1), np.zeros(1), np.zeros(1), p)
         h2, c2 = lstm_reference(np.zeros(1), h1, c1, p)
         assert c1[0] == 1.0 and c2[0] == 0.5
-        assert np.allclose(hs.data[0, 0], [h1[0], h2[0]], rtol=0, atol=1e-15)
-        assert abs(hs.data[0, 0, 1] - 0.23105857863) < 1e-9
+        assert np.allclose(steps, [h1[0], h2[0]], rtol=0, atol=1e-15)
+        assert abs(steps[1] - 0.23105857863) < 1e-9
 
     def test_matches_six_equation_oracle(self, rng):
         p = self.make_params(3, 2, seed=11)
         a, h0 = rng.normal(size=3), rng.normal(size=2)
-        [hs] = lstm_sequence([a[None, :, None]], [h0[None]], [p])
+        h = lstm_sequence([a[None, :, None]], [h0[None]], [p])
         h_ref, _ = lstm_reference(a, h0, np.zeros(2), p)
-        assert np.max(np.abs(hs.data[0, :, 0] - h_ref)) < 1e-12
+        assert np.max(np.abs(h.data[0] - h_ref)) < 1e-12
 
     def test_cell_state_conservation(self):
         """Step 1 opens the input gate and writes tanh(w_g) into the cell
@@ -306,13 +349,13 @@ class TestLstmCell:
         w_g = np.array([0.3, -1.2, 2.0])
         p.w_x.data[9:12, 0] = w_g  # candidate rows read channel 0
         x = np.eye(2)  # channel 0 at step 1, channel 1 at step 2
-        [hs] = lstm_sequence([x[None]], [np.zeros((1, 3))], [p])
+        steps = [lstm_sequence([x[None, :, :n]], [np.zeros((1, 3))], [p]).data[0] for n in (1, 2)]
         h1, c1 = lstm_reference(x[:, 0], np.zeros(3), np.zeros(3), p)
         h2, c2 = lstm_reference(x[:, 1], h1, c1, p)
         assert np.allclose(c1, np.tanh(w_g), atol=1e-12)
         assert np.allclose(c2, c1, atol=1e-12)
-        assert np.allclose(hs.data[0].T, [h1, h2], atol=1e-12)
-        assert np.allclose(hs.data[0, :, 1], hs.data[0, :, 0], atol=1e-12)
+        assert np.allclose(steps, [h1, h2], atol=1e-12)
+        assert np.allclose(steps[1], steps[0], atol=1e-12)
 
     def test_dimension_mismatch_raises(self):
         p = self.make_params(3, 2)
@@ -619,8 +662,8 @@ def test_composite_chain_gradients_match_finite_differences(rng):
 
     def forward():
         acts = conv1d(Tensor(x), conv_w, conv_b, stride=2, padding=1)
-        [hs] = lstm_sequence([acts], [np.zeros((1, 2))], [p])
-        return reconstruction_loss([target], [reshape(linear(hs[..., -1], out_w, out_b), (1, 2, 1))])
+        code = lstm_sequence([acts], [np.zeros((1, 2))], [p])
+        return reconstruction_loss([target], [reshape(linear(code, out_w, out_b), (1, 2, 1))])
 
     forward().backward()
     params = [conv_w, conv_b, out_w, out_b] + [getattr(p, f.name) for f in fields(p)]
@@ -657,7 +700,7 @@ class TestBatchAxis:
         target = rng.normal(size=(2, 2, 12))
 
         def forward():
-            mid = relu(conv1d(x, w, b, stride=2, padding=1))
+            mid = conv1d(x, w, b, stride=2, padding=1)
             return tsum(mul(deconv1d(mid, dw, db, stride=2, padding=1), Tensor(target)))
 
         forward().backward()
@@ -718,31 +761,43 @@ def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4, seed=17):
     return x, h0, lstm_params(nin, hid, seed)
 
 
+def _decoder_read(x: np.ndarray) -> np.ndarray:
+    """What the decoder's steps read, in time order: step t reads column
+    t + 1 of ``x``, and the last step a zero column."""
+    return np.concatenate([x[..., 1:], np.zeros(x.shape[:-1] + (1,))], axis=-1)
+
+
 class TestLstmSequence:
     """One sequence: a list of one."""
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_matches_step_by_step_oracle(self, rng, batch, reverse):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_matches_step_by_step_oracle(self, rng, batch, decoder):
+        """The encoder's last hidden state, or every hidden state of the
+        decoder, which walks t = 3..0 reading column t + 1."""
         x, h0, p = _lstm_inputs(rng, batch)
-        [hs] = lstm_sequence([x], [h0], [p], reverse=reverse)
+        out = lstm_sequence([x], [h0], [p], decoder=decoder)
+        read = _decoder_read(x.data) if decoder else x.data
         for i in range(batch):
             hi, ci = h0.data[i], np.zeros(2)
-            order = range(3, -1, -1) if reverse else range(4)
-            for t in order:
-                hi, ci = lstm_reference(x.data[i, :, t], hi, ci, p)
-                assert np.max(np.abs(hs.data[i, :, t] - hi)) < 1e-14
+            for t in (range(3, -1, -1) if decoder else range(4)):
+                hi, ci = lstm_reference(read[i, :, t], hi, ci, p)
+                if decoder:
+                    assert np.max(np.abs(out[0].data[i, :, t] - hi)) < 1e-14
+            if not decoder:
+                assert out.data.shape == (batch, 2)
+                assert np.max(np.abs(out.data[i] - hi)) < 1e-14
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_match_finite_differences(self, rng, batch, reverse):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, decoder):
         """Every input and all three parameter tensors."""
         x, h0, p = _lstm_inputs(rng, batch)
-        w_seq = Tensor(rng.normal(size=(batch, 2, 4)))
+        weights = Tensor(rng.normal(size=(batch, 2, 4) if decoder else (batch, 2)))
 
         def forward():
-            [hs] = lstm_sequence([x], [h0], [p], reverse=reverse)
-            return tsum(mul(hs, w_seq))
+            out = lstm_sequence([x], [h0], [p], decoder=decoder)
+            return tsum(mul(out[0] if decoder else out, weights))
 
         forward().backward()
 
@@ -858,8 +913,32 @@ def _multi_inputs(rng, batch, specs=_SPECS, hid=2):
     return [_lstm_inputs(rng, batch, nin, hid, steps, seed=17 + s) for s, (nin, steps) in enumerate(specs)]
 
 
-def _run_multi(seqs, reverse):
-    return lstm_sequence(*([s[q] for s in seqs] for q in range(3)), reverse=reverse)
+def _run_multi(seqs, decoder):
+    """The decoder's hidden states per sequence, or the encoder's code."""
+    return lstm_sequence(*([s[q] for s in seqs] for q in range(3)), decoder=decoder)
+
+
+def _reference(x, h0, p, decoder, up):
+    """``single_sequence_reference`` for one sequence of a multi-sequence
+    run, given the upstream gradient of its output: the decoder's (B,H,T)
+    hidden states, or the encoder's (B,H) last one. Returns that output and
+    the gradients of x, h0, w_x, w_h and b. The encoder is the reference run
+    forward, and the decoder the reference run backward on
+    [x[..., 1:] | 0], whose input gradient moves one column later in x."""
+    if not decoder:
+        d_hs = np.zeros(up.shape + x.shape[2:])
+        d_hs[..., -1] = up
+        hs, grads = single_sequence_reference(x, h0, p, False, d_hs)
+        return hs[..., -1], grads
+    hs, (d_read, *grads) = single_sequence_reference(_decoder_read(x), h0, p, True, up)
+    dx = np.concatenate([np.zeros(x.shape[:2] + (1,)), d_read[..., :-1]], axis=2)
+    return hs, (dx, *grads)
+
+
+def _outputs(out, decoder, hid):
+    """Each sequence's part of a multi-sequence output: its hidden states,
+    or its slice of the code."""
+    return out if decoder else [out[:, s * hid : (s + 1) * hid] for s in range(out.shape[1] // hid)]
 
 
 class TestMultiSequence:
@@ -888,9 +967,9 @@ class TestMultiSequence:
         assert len(built) == 3
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("decoder", [False, True])
     @pytest.mark.parametrize("specs", [_ALIGNED, _SPECS], ids=["aligned", "odd"])
-    def test_matches_single_sequence_reference(self, rng, specs, batch, reverse):
+    def test_matches_single_sequence_reference(self, rng, specs, batch, decoder):
         """Outputs and every gradient equal the per-sequence loop's.
 
         Each phase hoists its own input projection, a product over the
@@ -901,11 +980,11 @@ class TestMultiSequence:
         results in the last bits: within 1e-12 relative.
         """
         seqs = _multi_inputs(rng, batch, specs)
-        outputs = _run_multi(seqs, reverse)
-        ups = [rng.normal(size=hs.shape) for hs in outputs]
+        outputs = _outputs(_run_multi(seqs, decoder), decoder, 2)
+        ups = [rng.normal(size=out.shape) for out in outputs]
         loss = Tensor(0.0)
-        for hs, up in zip(outputs, ups):
-            loss = add(loss, tsum(mul(hs, Tensor(up))))
+        for out, up in zip(outputs, ups):
+            loss = add(loss, tsum(mul(out, Tensor(up))))
         loss.backward()
 
         def check(got, want):
@@ -914,36 +993,38 @@ class TestMultiSequence:
             else:
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-        for (x, h0, p), hs, up in zip(seqs, outputs, ups):
-            ref_hs, ref_grads = single_sequence_reference(x.data, h0.data, p, reverse, up)
-            check(hs.data, ref_hs)
+        for (x, h0, p), out, up in zip(seqs, outputs, ups):
+            ref_out, ref_grads = _reference(x.data, h0.data, p, decoder, up)
+            check(out.data, ref_out)
             for t, want in zip([x, h0, p.w_x, p.w_h, p.b], ref_grads):
                 check(t.grad, want)
 
     @pytest.mark.parametrize("batch", [1, 6])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_scoring_path_matches_single_sequence_reference(self, rng, batch, reverse):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_scoring_path_matches_single_sequence_reference(self, rng, batch, decoder):
         """Under ``no_grad``, the path scoring runs, the scan saves nothing
         for backward; its outputs still equal the reference bit for bit."""
         seqs = _multi_inputs(rng, batch, _SCALES, hid=32)
         with no_grad():
-            outputs = _run_multi(seqs, reverse)
-        for (x, h0, p), hs in zip(seqs, outputs):
+            out = _run_multi(seqs, decoder)
+        assert not (out[0] if decoder else out).requires_grad
+        for (x, h0, p), got in zip(seqs, _outputs(out, decoder, 32)):
             # The upstream gradient feeds only the reference's gradients.
-            ref_hs, _ = single_sequence_reference(x.data, h0.data, p, reverse, np.zeros((batch, 32, x.shape[2])))
-            assert not hs.requires_grad
-            assert np.array_equal(hs.data, ref_hs)
+            want, _ = _reference(x.data, h0.data, p, decoder, np.zeros(got.shape))
+            assert np.array_equal(got.data, want)
 
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_match_finite_differences(self, rng, batch, reverse):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_gradients_match_finite_differences(self, rng, batch, decoder):
         """Every input and parameter of every sequence, through every output."""
         seqs = _multi_inputs(rng, batch)
-        weights = [Tensor(rng.normal(size=(batch, 2, steps))) for _, steps in _SPECS]
+        shapes = [(batch, 2, steps) for _, steps in _SPECS] if decoder else [(batch, 2 * len(_SPECS))]
+        weights = [Tensor(rng.normal(size=shape)) for shape in shapes]
 
         def forward():
+            out = _run_multi(seqs, decoder)
             loss = Tensor(0.0)
-            for hs, w in zip(_run_multi(seqs, reverse), weights):
+            for hs, w in zip(out if decoder else [out], weights):
                 loss = add(loss, tsum(mul(hs, w)))
             return loss
 
@@ -953,19 +1034,22 @@ class TestMultiSequence:
             with no_grad():
                 return forward().item()
 
+        # Entries below 1e-4 are held to 1e-10 absolute: the rounding of the
+        # loss puts about 2e-11 into every difference, 1e-6 of an entry near
+        # 2e-5 that the decoder's weights have.
         for s, (x, h0, p) in enumerate(seqs):
             named = [("x", x), ("h0", h0)] + [(f.name, getattr(p, f.name)) for f in fields(p)]
             for name, t in named:
-                assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6, (s, name)
+                assert max_rel_err(t.grad, numeric_grad(f, t), floor=1e-4) < 1e-6, (s, name)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_batch_equals_per_sample(self, rng, reverse):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_batch_equals_per_sample(self, rng, decoder):
         seqs = _multi_inputs(rng, 3)
         with no_grad():
-            batched = _run_multi(seqs, reverse)
+            batched = _outputs(_run_multi(seqs, decoder), decoder, 2)
             for i in range(3):
-                one = _run_multi([[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs], reverse)
-                for got, want in zip(batched, one):
+                one = [[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs]
+                for got, want in zip(batched, _outputs(_run_multi(one, decoder), decoder, 2)):
                     assert np.array_equal(got.data[i : i + 1], want.data)
 
     def test_shape_errors(self, rng):
@@ -993,7 +1077,7 @@ def _per_gate_reconstructions(model, inputs):
     for branch, values in zip(model.branches, inputs):
         acts = Tensor(values)
         for (kernels, bias), layer in zip(branch.conv, cfg.conv):
-            acts = relu(conv1d(acts, kernels, bias, layer.stride, padding_for(layer)))
+            acts = conv1d(acts, kernels, bias, layer.stride, padding_for(layer))
         acts = acts[0]
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
@@ -1013,11 +1097,10 @@ def _per_gate_reconstructions(model, inputs):
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
             step_in = acts[:, t]
         out = concat([reshape(slot, (1, cfg.conv_features, 1)) for slot in slots])
+        last = len(branch.deconv) - 1
         for i, (kernels, bias) in enumerate(branch.deconv):
-            layer = cfg.conv[len(cfg.conv) - 1 - i]
-            out = deconv1d(out, kernels, bias, layer.stride, padding_for(layer))
-            if i < len(branch.deconv) - 1:
-                out = relu(out)
+            layer = cfg.conv[last - i]
+            out = deconv1d(out, kernels, bias, layer.stride, padding_for(layer), relu=i < last)
         recons.append(out)
     return recons
 

@@ -159,6 +159,27 @@ class TestDetectorContainer:
         with pytest.raises(DataError, match=f"{path}: .*classifier head takes no threshold"):
             load_detector(path)
 
+    @pytest.mark.parametrize("prefix,extra,match", [
+        (b"config ", None, "a second config line"),
+        (b"meta threshold ", b"meta threshold 0.5", "meta 'threshold' given again"),
+        (b"tensor norm.std ", None, "tensor 'norm.std' repeats line {first}"),
+        (b"tensor norm.mean ", b"tensor extra.weight 2 {offset}", "the model reads no tensor 'extra.weight'"),
+    ], ids=["config", "meta", "tensor", "unread-tensor"])
+    def test_a_line_save_never_writes_is_a_data_error_naming_it(self, tmp_path, prefix, extra, match):
+        """The manifest gains a last line: a copy of the line ``prefix``
+        names, or ``extra`` at that line's payload offset. A second copy
+        would otherwise win, and a tensor the model does not read would be
+        ignored."""
+        path = tmp_path / "d.bin"
+        save_detector(small_detector("semi"), path)
+        head, sep, payload = path.read_bytes().partition(b"\npayload\n")
+        lines = head.split(b"\n")
+        first = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        added = lines[first] if extra is None else extra.replace(b"{offset}", lines[first].split()[-1])
+        path.write_bytes(b"\n".join(lines + [added]) + sep + payload)
+        with pytest.raises(DataError, match=f"{path}: line {len(lines) + 1}: {match.format(first=first + 1)}"):
+            load_detector(path)
+
     def test_rejects_model_container(self, tmp_path):
         path = tmp_path / "m.bin"
         save_detector(small_detector(), path)

@@ -145,10 +145,12 @@ def test_scoring_memory_per_window_is_a_few_scale_inputs():
 def test_training_step_memory_is_a_few_parameter_sets():
     """One default 8-channel training step on a batch of one (forward,
     backward and Adam), measured once the model and its optimizer exist,
-    peaks at no more than 2.3 times the bytes of the model's parameters.
+    peaks at no more than 1.7 times the bytes of the model's parameters.
     The peak holds the parameters' grads and whatever of the graph is still
-    alive; a graph kept whole through the backward walk, or a layer saving
-    a second copy of its input, costs more than that."""
+    alive; a graph kept whole through the backward walk, a layer saving a
+    second copy of its input, a ReLU node keeping its pre-activation, or a
+    padded copy of the conv activations for the decoder, costs more than
+    that (1.84 times with the last two)."""
     cfg = ModelConfig(channels=8)
     model = WaveletAutoencoder(cfg)
     optimizer = Adam(model.parameters())
@@ -160,7 +162,7 @@ def test_training_step_memory_is_a_few_parameter_sets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * sum(p.data.nbytes for p in model.parameters())
+    assert peak <= 1.7 * sum(p.data.nbytes for p in model.parameters())
 
 
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
