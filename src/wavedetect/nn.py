@@ -153,8 +153,7 @@ def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0, relu: bool = F
         np.maximum(y, 0.0, out=y)
 
     def vjp(g):
-        if relu:
-            g = g * (y > 0)
+        g = g * (y > 0) if relu else g
         taps = _taps(g, k, stride, padding)
         return _correlate(w, taps), _tap_grads(x.data, taps), g.sum(axis=(0, 2))
 
@@ -429,22 +428,21 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
         raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
     half = _halving(hid)
 
-    shift = 1 if decoder else 0
+    shift = 1 if decoder else 0  # step t reads column t + shift
 
-    def read(s, window):
-        """The input at the time positions ``window`` of sequence s: columns
-        shifted by ``shift``, the zero column T_s copied in only if read."""
-        lo, hi = window.start + shift, window.stop + shift
+    def read(s, lo, hi):
+        """Columns lo..hi-1 of input s, the zero column T_s copied in if read."""
         x = xs[s].data[..., lo:hi]
         return x if hi <= lengths[s] else np.concatenate([x, np.zeros((nb, x.shape[1], 1))], axis=2)
 
     def zx_of(start, end, k):
         zx = np.empty((end - start, 4, k, nb, hid))
         for s, p in enumerate(params[:k]):
+            window = _window(lengths[s], start, end, decoder)
             # Halving after the product and bias add gives the bits of the
             # halved weights and bias: scaling by a power of two commutes
             # with every rounding step unless a value is subnormal.
-            z = p.w_x.data @ read(s, _window(lengths[s], start, end, decoder))
+            z = p.w_x.data @ read(s, window.start + shift, window.stop + shift)
             z += p.b.data[:, None]
             z *= half[:, None]
             zx[:, :, s] = _time_major(z, decoder).reshape(end - start, nb, 4, hid).transpose(0, 2, 1, 3)
@@ -493,11 +491,9 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
             if decoder:  # back to time order, like x
                 dz, hin = dz[::-1], hin[::-1]
             dz = dz.transpose(1, 2, 0)  # (B,4H,T)
-            dread = np.matmul(params[s].w_x.data.T, dz)
-            if decoder:  # step t read activation t + 1
-                dread = np.concatenate([np.zeros((nb, dread.shape[1], 1)), dread[..., :-1]], axis=2)
-            dx.append(dread)
-            dwx.append(np.tensordot(dz, read(s, slice(0, n)), axes=([0, 2], [0, 2])))
+            dx.append(np.zeros(xs[s].data.shape))  # step t read column t + shift
+            dx[-1][..., shift:] = (params[s].w_x.data.T @ dz)[..., : n - shift]
+            dwx.append(np.tensordot(dz, read(s, shift, n + shift), axes=([0, 2], [0, 2])))
             dwh.append(np.tensordot(dz, hin, axes=([0, 2], [1, 0])))
             db.append(dz.sum(axis=(0, 2)))
         return (*dx, *dh0, *dwx, *dwh, *db)
