@@ -92,8 +92,8 @@ class Tensor:
         if not self.requires_grad:
             raise ContractError("backward() on a tensor with no recorded graph")
 
-        # Iterative postorder: LSTM rollouts produce chains far deeper than
-        # the recursion limit.
+        # Iterative postorder: a recursive walk would fail on any graph a
+        # caller builds deeper than Python's recursion limit.
         topo: list[Tensor] = []
         seen = {id(self)}
         stack: list[tuple[Tensor, iter]] = [(self, iter(self._parents))]

@@ -101,12 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=TrainConfig.seed, help="training seed (default: %(default)s)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="fragment-level metrics for a trained detector")
+    p = sub.add_parser("eval", help="fragment-level metrics for a trained detector on non-overlapping windows")
     p.add_argument("--model", type=Path, required=True, help="detector file")
     p.add_argument("--signals", type=Path, required=True, help="signals CSV")
     p.add_argument("--ranges", type=Path, help="anomaly ranges CSV")
-    p.add_argument("--pos-step", type=int, default=DEFAULT_POS_STEP,
-                   help="sliding step for positive-fragment augmentation (default: %(default)s)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="replay a series through the streaming vote engine; "
@@ -201,7 +199,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     detector, series, ranges = _load_detector_and_dataset(args)
     window = detector.model.config.fragment_length
-    fragments = make_fragments(series, ranges, window=window, pos_step=args.pos_step)
+    # Each window counted once: overlapping positives would inflate the anomalous class.
+    fragments = make_fragments(series, ranges, window=window, pos_step=window)
     if not fragments:
         raise DataError("no fragments could be cut from the series")
     report = evaluate_fragments(detector, fragments)

@@ -171,10 +171,6 @@ class Fragment:
         if self.label not in (0, 1):
             raise DataError(f"fragment label must be 0 or 1, got {self.label!r}")
 
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
 
 def save_signals(path, series: MultiSeries):
     require_instances(DataError, ("series", series, MultiSeries))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ def test_backward_rejects_non_scalar():
 def test_backward_rejects_unrecorded():
     with pytest.raises(ContractError):
         Tensor([1.0]).backward()
+
+
+def test_backward_walks_a_chain_deeper_than_the_recursion_limit():
+    """y = x + x + ... + x, one ``add`` node per term, three times deeper
+    than a recursive walk could go."""
+    depth = 3 * sys.getrecursionlimit()
+    x = Tensor([2.0], requires_grad=True)
+    y = x
+    for _ in range(depth):
+        y = add(y, x)
+    tsum(y).backward()
+    assert np.array_equal(x.grad, [depth + 1.0])
 
 
 def test_repeated_backward_accumulates():

@@ -11,6 +11,7 @@ import pytest
 from wavedetect.cli import _parse_conv, build_parser, main
 from wavedetect.data import (
     DEFAULT_WINDOW,
+    AnomalyRanges,
     MultiSeries,
     load_ranges,
     load_signals,
@@ -117,6 +118,23 @@ def test_simulate_takes_the_vote_window_from_the_detector(tmp_path, capsys):
     assert "finalized 10/16 blocks" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "--model", str(model), "--signals", str(signals), "--tw", "64"])
+
+
+def test_eval_counts_each_window_once(tmp_path, capsys):
+    """``eval`` tiles the anomaly ranges like the normal spans, with no
+    overlap: its sample count is the non-overlapping fragment count."""
+    model = tmp_path / "detector.wdc"
+    _save_one_channel_detector(model)
+    series = MultiSeries(["a"], np.sin(np.arange(512) / 5.0)[None, :])
+    spans = AnomalyRanges([(128, 320)])
+    signals, ranges = tmp_path / "signals.csv", tmp_path / "ranges.csv"
+    save_signals(signals, series)
+    save_ranges(ranges, spans)
+    assert main(["eval", "--model", str(model), "--signals", str(signals), "--ranges", str(ranges)]) == 0
+    samples = int(re.search(r"^samples\s+(\d+)$", capsys.readouterr().out, re.MULTILINE).group(1))
+    assert samples == len(make_fragments(series, spans, window=64, pos_step=64)) == 8
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["eval", "--model", str(model), "--signals", str(signals), "--pos-step", "16"])
 
 
 def test_unparseable_signals_file_is_one_error_line(tmp_path, capsys):

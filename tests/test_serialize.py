@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,7 +88,7 @@ class TestModelContainer:
         path = tmp_path / "d.bin"
         save_detector(small_detector(), path)
         path.write_bytes(path.read_bytes().replace(b"meta kind detector\n", b"", 1))
-        with pytest.raises(DataError, match="not a detector"):
+        with pytest.raises(DataError, match=f"{path}: line 3: expected 'meta kind detector', got 'meta mode semi'"):
             load_detector(path)
 
     def test_rejects_garbage(self, tmp_path):
@@ -146,7 +147,7 @@ class TestDetectorContainer:
         path = tmp_path / "d.bin"
         save_detector(small_detector("semi"), path)
         path.write_bytes(_replace_line(path.read_bytes(), b"meta mode ", b"meta mode supervised"))
-        with pytest.raises(DataError, match=f"{path}: meta mode 'supervised' disagrees with the config"):
+        with pytest.raises(DataError, match=f"{path}: line 4: expected 'meta mode semi', got 'meta mode supervised'"):
             load_detector(path)
 
     def test_a_semi_file_with_a_head_is_refused(self, tmp_path):
@@ -159,17 +160,16 @@ class TestDetectorContainer:
         with pytest.raises(DataError, match=f"{path}: .*classifier head takes no threshold"):
             load_detector(path)
 
-    @pytest.mark.parametrize("prefix,extra,match", [
-        (b"config ", None, "a second config line"),
-        (b"meta threshold ", b"meta threshold 0.5", "meta 'threshold' given again"),
-        (b"tensor norm.std ", None, "tensor 'norm.std' repeats line {first}"),
-        (b"tensor norm.mean ", b"tensor extra.weight 2 {offset}", "the model reads no tensor 'extra.weight'"),
+    @pytest.mark.parametrize("prefix,extra", [
+        (b"config ", None),
+        (b"meta threshold ", b"meta threshold 0.5"),
+        (b"tensor norm.std ", None),
+        (b"tensor norm.mean ", b"tensor extra.weight 2 {offset}"),
     ], ids=["config", "meta", "tensor", "unread-tensor"])
-    def test_a_line_save_never_writes_is_a_data_error_naming_it(self, tmp_path, prefix, extra, match):
+    def test_a_line_save_never_writes_is_a_data_error_naming_it(self, tmp_path, prefix, extra):
         """The manifest gains a last line: a copy of the line ``prefix``
-        names, or ``extra`` at that line's payload offset. A second copy
-        would otherwise win, and a tensor the model does not read would be
-        ignored."""
+        names, or ``extra`` at that line's payload offset. The first of two
+        lines is the one read, so the added line is the one refused."""
         path = tmp_path / "d.bin"
         save_detector(small_detector("semi"), path)
         head, sep, payload = path.read_bytes().partition(b"\npayload\n")
@@ -177,15 +177,85 @@ class TestDetectorContainer:
         first = next(i for i, line in enumerate(lines) if line.startswith(prefix))
         added = lines[first] if extra is None else extra.replace(b"{offset}", lines[first].split()[-1])
         path.write_bytes(b"\n".join(lines + [added]) + sep + payload)
-        with pytest.raises(DataError, match=f"{path}: line {len(lines) + 1}: {match.format(first=first + 1)}"):
+        message = f"{path}: line {len(lines) + 1}: expected 'payload', got '{added.decode()}'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_detector(path)
+
+    @pytest.mark.parametrize("edit,number", [
+        (lambda lines: lines[:3] + [b"meta threshol 5"] + lines[3:], 4),
+        (lambda lines: lines[:4] + [b"meta mode semi"] + lines[4:], 5),
+        (lambda lines: lines[:4] + [lines[5], lines[4]] + lines[6:], 5),
+        (lambda lines: lines[:7] + [b"tensor scale0.conv0.bias 4 0"] + lines[8:], 8),
+        (lambda lines: lines[:4] + [lines[4] + b"0"] + lines[5:], 5),
+        (lambda lines: lines[:5] + [b"meta train_loss_mean 4.567e-1"] + lines[6:], 6),
+    ], ids=["unknown-meta-key", "inserted-meta", "swapped-meta", "tensor-offset", "threshold-not-repr",
+            "loss-not-repr"])
+    def test_the_first_line_save_would_not_write_is_named(self, tmp_path, edit, number):
+        """Meta values are read by key, so an added or moved line is named
+        where it stands; a tensor at another offset would read another
+        tensor's bytes, and a number not written as ``repr`` is refused even
+        where it reads as the same value."""
+        path = tmp_path / "d.bin"
+        save_detector(small_detector("semi"), path)
+        head, sep, payload = path.read_bytes().partition(b"\npayload\n")
+        saved = head.split(b"\n")
+        assert saved[7].startswith(b"tensor scale0.conv0.bias 4 ")
+        edited = edit(saved)
+        path.write_bytes(b"\n".join(edited) + sep + payload)
+        want, got = saved[number - 1].decode(), edited[number - 1].decode()
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {number}: expected '{want}', got '{got}'")):
+            load_detector(path)
+
+    def test_bytes_after_the_last_tensor_are_refused(self, tmp_path):
+        path = tmp_path / "d.bin"
+        save_detector(small_detector("semi"), path)
+        path.write_bytes(path.read_bytes() + bytes(12))
+        with pytest.raises(DataError, match=f"{path}: 12 bytes after the last tensor"):
             load_detector(path)
 
     def test_rejects_model_container(self, tmp_path):
         path = tmp_path / "m.bin"
         save_detector(small_detector(), path)
         path.write_bytes(_replace_line(path.read_bytes(), b"meta kind ", b"meta kind model"))
-        with pytest.raises(DataError, match="holds a 'model', not a detector"):
+        with pytest.raises(DataError, match=f"{path}: line 3: expected 'meta kind detector', got 'meta kind model'"):
             load_detector(path)
+
+
+@st.composite
+def _stored_detectors(draw):
+    """A detector of a small config whose every number survives saving:
+    weights and statistics are float32 values."""
+    conv = (ConvLayer(3, 4, 2),) + ((ConvLayer(2, 3, 1),) if draw(st.booleans(), label="two convs") else ())
+    head = draw(st.booleans(), label="head")
+    cfg = ModelConfig(channels=2, fragment_length=32, levels=draw(st.integers(0, 2), label="levels"),
+                      conv=conv, hidden=2, classifier=head,
+                      wavelet=draw(st.sampled_from(["haar", "db4"]), label="wavelet"),
+                      seed=draw(st.integers(0, 2**16), label="seed"))
+    model = WaveletAutoencoder(cfg)
+    for p in model.parameters():
+        p.data = p.data.astype(np.float32).astype(np.float64)
+
+    def per_channel(lo, hi, label):
+        return np.array(draw(st.lists(st.floats(lo, hi, width=32), min_size=2, max_size=2), label=label))
+
+    return Detector(model=model, threshold=None if head else draw(st.floats(1e-6, 1e6), label="threshold"),
+                    train_loss_mean=draw(st.floats(0, 1e6), label="train_loss_mean"),
+                    norm_mean=per_channel(-2**10, 2**10, "mean"), norm_std=per_channel(2**-10, 2**10, "std"))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(det=_stored_detectors())
+def test_every_saved_detector_loads_saves_again_and_scores_the_same(tmp_path, det):
+    """Levels 0-2, with and without a head, haar and db4, one or two conv
+    layers: save, load and save again write the same bytes, and the loaded
+    detector scores windows bit for bit as the saved one."""
+    first, again = tmp_path / "first.wdc", tmp_path / "again.wdc"
+    save_detector(det, first)
+    loaded = load_detector(first)
+    save_detector(loaded, again)
+    assert again.read_bytes() == first.read_bytes()
+    windows = np.random.default_rng(0).normal(size=(3, 2, 32))
+    assert np.array_equal(score_windows(loaded, windows), score_windows(det, windows))
 
 
 def _replace_line(blob: bytes, prefix: bytes, new: bytes) -> bytes:
