@@ -4,7 +4,7 @@ autoencoder with reverse-mode autodiff, reconstruction-threshold and
 classifier detectors, and a sliding-window majority-vote streaming mode.
 """
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .data import (
     AnomalyRanges,
     Fragment,

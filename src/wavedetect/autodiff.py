@@ -1,19 +1,22 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tensor`` wraps a numpy array and, while grad recording is enabled,
-remembers the operation that produced it. Calling ``backward()`` on a scalar
-result walks the recorded graph once and accumulates d(result)/d(tensor)
-into the ``grad`` buffer of every leaf tensor that takes part: one that
-requires grad but no recorded op produced, such as a model parameter. As
-in PyTorch (Paszke et al. 2019, arXiv:1912.01703), an intermediate
-result's gradient lives only until the walk has passed it on, so a graph
-holds no gradient buffers of its own. The walk also consumes the graph:
-once a node has passed its gradient on, it drops its parents and the
-arrays its backward saved, so a step's activations are freed while the
-walk is still running rather than after it. A graph is therefore walked
-once; a second ``backward()`` through any consumed node raises
-``ContractError``. Leaf grads keep accumulating across graphs until their
-owner clears them (``optim.Adam.zero_grad``).
+A ``Tensor`` wraps a numpy array and remembers the operation that produced
+it exactly when one of that operation's inputs requires grad. An operation
+on tensors that need no grad, such as a detector's weights and the windows
+it scores, records nothing; no other switch turns recording off, so
+threads that score and train at once do not interfere. Calling
+``backward()`` on a scalar result walks the recorded graph once and
+accumulates d(result)/d(tensor) into the ``grad`` buffer of every leaf
+tensor that takes part: one that requires grad but no recorded op
+produced, such as a model parameter. As in PyTorch (Paszke et al. 2019,
+arXiv:1912.01703), an intermediate result's gradient lives only until the
+walk has passed it on, so a graph holds no gradient buffers of its own.
+The walk also consumes the graph: once a node has passed its gradient on,
+it drops its parents and the arrays its backward saved, so a step's
+activations are freed while the walk is still running rather than after
+it. A graph is therefore walked once; a second ``backward()`` through any
+consumed node raises ``ContractError``. Leaf grads keep accumulating
+across graphs until their owner clears them (``optim.Adam.zero_grad``).
 
 One generic operation is provided: basic indexing (``tensor[key]``),
 which gives each sequence of a multi-sequence LSTM node its own view. A
@@ -31,25 +34,9 @@ which keeps graphs small.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import ContractError
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -150,8 +137,6 @@ def _as_tensor(x) -> Tensor:
 
 
 def _trace(parents) -> bool:
-    if not _grad_enabled:
-        return False
     return any(p.requires_grad for p in parents)
 
 

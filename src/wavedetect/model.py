@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -109,6 +109,10 @@ class ModelConfig:
                          ("levels", self.levels), ("hidden", self.hidden), ("seed", self.seed),
                          *((f"conv layer {i} {name}", getattr(layer, name))
                            for i, layer in enumerate(self.conv) for name in ("features", "kernel", "stride")))
+        # Kept as Python ints, which a detector file's JSON config can hold; a numpy integer it cannot.
+        for name in ("channels", "fragment_length", "levels", "hidden", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "conv", tuple(ConvLayer(*map(int, astuple(layer))) for layer in self.conv))
         # Any truthy value would build a head, and a detector file would store it as given.
         if not isinstance(self.classifier, bool):
             raise ConfigError(f"classifier must be True or False, got {self.classifier!r}")
@@ -220,10 +224,16 @@ class WaveletAutoencoder:
     @classmethod
     def _from_arrays(cls, config: ModelConfig, array) -> "WaveletAutoencoder":
         """The model whose tensor ``name`` is ``array(name, shape)``, built
-        without drawing a random init."""
+        without a random init; its tensors need no grad, so it records no graph."""
         model = cls.__new__(cls)
-        model._build(config, lambda name, fan_in, shape: Tensor(array(name, shape), requires_grad=True))
+        model._build(config, lambda name, fan_in, shape: Tensor(array(name, shape)))
         return model
+
+    def frozen(self) -> "WaveletAutoencoder":
+        """A model that shares this model's arrays, copying none, but whose
+        tensors need no grad: it computes the same and records no graph."""
+        arrays = {name: t.data for name, t in self._named}
+        return self._from_arrays(self.config, lambda name, shape: arrays[name])
 
     def _build(self, config: ModelConfig, make):
         """Create every tensor, in the fixed order of ``named_parameters``,

@@ -15,8 +15,9 @@ graph (``model.classify``), against 0.5.
 Training, calibration and scoring run one forward pass: ``encode`` the
 per-scale inputs, then ``decode`` the code with the conv activations
 ``encode`` returned (the teacher-forced decoder, see ``model``); scoring
-runs it under ``no_grad``. The threshold is thus calibrated on, and later
-compared against, the loss the model was trained to minimize.
+runs it on a detector's model, whose tensors need no grad, so it records
+no graph. The threshold is thus calibrated on, and later compared
+against, the loss the model was trained to minimize.
 Training and scoring take their input through one check that stacks
 fragments or windows into a (N, C, T) array and rejects a wrong shape or a
 non-finite value. One helper then turns such a batch into the model's
@@ -25,10 +26,9 @@ details. Each scale input is both the encoder's input and the
 reconstruction target of that scale; the loss, ``nn.reconstruction_loss``,
 is one graph node that takes the targets as constants. Training builds
 them once for all windows and takes each step on a batch of one; scoring
-builds them per chunk. All scoring goes through one no-grad path that
-takes a batch of windows (``score_windows``). The
-z-score statistics are fitted on the training set only and travel with
-the detector.
+builds them per chunk. All scoring goes through one path that takes a
+batch of windows (``score_windows``). The z-score statistics are fitted
+on the training set only and travel with the detector.
 Statistics and trained weights are rounded to float32, the precision of a
 detector file, before calibration, so a detector reloaded from disk scores
 exactly like the one training returned.
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
 from .data import as_floats
 from .errors import ConfigError, DataError, require_instances, require_integers, require_reals
 from .metrics import MetricsReport, compute_metrics
@@ -110,8 +109,11 @@ class Detector:
     decides the kind (``mode``), and only a model without one takes a
     threshold. Frozen, so that every field has passed the checks below;
     ``dataclasses.replace`` builds a changed copy and checks it again.
-    ``norm_mean`` and ``norm_std`` are read-only copies of the arrays given,
-    so no write can reach them either."""
+    ``model`` is the ``frozen`` view of the model given, so scoring records
+    no graph, and ``threshold`` and ``train_loss_mean`` are Python floats,
+    which a detector file writes as it reads them. ``norm_mean`` and
+    ``norm_std`` are read-only copies of the arrays given, so no write can
+    reach them either."""
 
     model: WaveletAutoencoder
     threshold: float | None
@@ -121,6 +123,7 @@ class Detector:
 
     def __post_init__(self):
         require_instances(ConfigError, ("model", self.model, WaveletAutoencoder))
+        object.__setattr__(self, "model", self.model.frozen())
         if self.model.config.classifier:
             if self.threshold is not None:
                 raise ConfigError(f"a model with a classifier head takes no threshold, got {self.threshold}")
@@ -131,6 +134,8 @@ class Detector:
                               f"got {self.threshold}")
         if not 0 <= self.train_loss_mean < math.inf:
             raise ConfigError(f"train_loss_mean must be finite and >= 0, got {self.train_loss_mean}")
+        object.__setattr__(self, "threshold", None if self.threshold is None else float(self.threshold))
+        object.__setattr__(self, "train_loss_mean", float(self.train_loss_mean))
         # Bad statistics would otherwise score NaN, and NaN >= cut is False.
         channels = self.model.config.channels
         for name, stats in (("norm_mean", self.norm_mean), ("norm_std", self.norm_std)):
@@ -227,10 +232,11 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
 
 
 def _finish(model, windows, mean, std, beta) -> Detector:
-    """Round the weights to stored precision, then calibrate on the
-    reconstruction losses ``_scores`` gives the training windows."""
+    """Round the weights to stored precision in place, then calibrate their
+    ``frozen`` view on the losses ``_scores`` gives the training windows."""
     for p in model.parameters():
-        p.data = _stored(p.data)
+        p.data[...] = _stored(p.data)
+    model = model.frozen()
     losses = _scores(model, mean, std, windows, head=False)
     train_loss_mean = math.fsum(losses) / len(losses)
     return Detector(
@@ -298,7 +304,7 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
 def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
     """Scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at a time:
     head probabilities, or the reconstruction losses of the training step's
-    forward pass, run under ``no_grad``."""
+    forward pass, which a ``frozen`` model runs without recording a graph."""
 
     def score(inputs):
         # A chunk's activations die on return, before the next chunk's encode.
@@ -308,8 +314,7 @@ def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
         return reconstruction_loss(inputs, model.decode(code, teacher)).data
 
     chunks = (windows[start : start + _SCORE_CHUNK] for start in range(0, len(windows), _SCORE_CHUNK))
-    with no_grad():
-        return np.concatenate([score(_scale_inputs(chunk, model.config, mean, std)) for chunk in chunks])
+    return np.concatenate([score(_scale_inputs(chunk, model.config, mean, std)) for chunk in chunks])
 
 
 def score_windows(detector: Detector, windows) -> np.ndarray:

@@ -34,6 +34,18 @@ def max_rel_err(analytic, numeric, floor=1e-8):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
+def frozen(obj):
+    """``obj`` with every tensor in it, also inside an ``LSTMParams``, a list
+    or a tuple, replaced by one that shares its array but needs no grad. A
+    gradcheck's finite differences perturb the shared arrays in place and
+    run the frozen copy, which records no graph."""
+    if isinstance(obj, Tensor):
+        return Tensor(obj.data)
+    if isinstance(obj, nn.LSTMParams):
+        return nn.LSTMParams(*map(frozen, (obj.w_x, obj.w_h, obj.b)))
+    return type(obj)(map(frozen, obj)) if isinstance(obj, (list, tuple)) else obj
+
+
 def tsum(a) -> Tensor:
     """Sum of all elements as a scalar graph node: the loss of a gradcheck."""
     a = _as_tensor(a)

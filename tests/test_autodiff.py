@@ -3,8 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, _node, index, no_grad
+import wavedetect.autodiff as autodiff
+import wavedetect.nn as nn
+from wavedetect.autodiff import Tensor, _node, index
 from wavedetect.errors import ContractError, ShapeError
+from wavedetect.model import ModelConfig, WaveletAutoencoder
+from wavedetect.serialize import load_detector, save_detector
+from wavedetect.training import Detector, TrainConfig, score_windows, train
 
 from conftest import add, concat, matmul, max_rel_err, mul, numeric_grad, sigmoid, tanh, tsum
 
@@ -109,13 +114,39 @@ def test_only_leaf_tensors_keep_a_grad():
     assert np.allclose(y.grad, [2.0 * 3.0**2 * 2.0])
 
 
-def test_no_grad_blocks_recording():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    with no_grad():
-        out = tsum(mul(x, x))
-    assert not out.requires_grad
+def test_a_node_records_exactly_when_a_parent_requires_grad(tmp_path, monkeypatch):
+    """An op on tensors that need no grad records nothing. Nor does any pass
+    of a detector's model, however the detector was built: by ``train``, by
+    ``load_detector``, or by hand from a model whose tensors need grad,
+    which keeps them and shares its arrays with the detector's."""
+    x = Tensor([1.0, 2.0])
+    out = tsum(mul(x, x))
+    assert (out.requires_grad, out._parents, out._vjp) == (False, (), None)
     with pytest.raises(ContractError):
         out.backward()
+    assert tsum(mul(x, Tensor([3.0], requires_grad=True))).requires_grad
+
+    cfg = ModelConfig(channels=2, fragment_length=32, levels=1, conv=((4, 4, 2),), hidden=3)
+    windows = np.random.default_rng(5).normal(size=(3, 2, 32))
+    trained = train(windows, TrainConfig(model=cfg, epochs=1))
+    save_detector(trained, tmp_path / "d.wdc")
+    model = WaveletAutoencoder(cfg)
+    by_hand = Detector(model=model, threshold=1.0, train_loss_mean=1.0, norm_mean=np.zeros(2), norm_std=np.ones(2))
+    assert all(p.requires_grad for p in model.parameters())
+    assert all(p.data is q.data for p, q in zip(model.parameters(), by_hand.model.parameters()))
+
+    traced = []
+    trace = autodiff._trace
+
+    def spy(parents):
+        traced.append(trace(parents))
+        return traced[-1]
+
+    for module in (autodiff, nn):
+        monkeypatch.setattr(module, "_trace", spy)
+    for det in (trained, load_detector(tmp_path / "d.wdc"), by_hand):
+        score_windows(det, windows)
+    assert traced and not any(traced)
 
 
 @pytest.mark.parametrize("op,ref", [

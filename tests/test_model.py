@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, no_grad
+from wavedetect.autodiff import Tensor
 from wavedetect.errors import CapabilityError, ConfigError, ContractError, ShapeError
 from wavedetect.model import (
     ConvLayer,
@@ -188,21 +188,20 @@ class TestEncode:
 
     def test_matches_op_composition_oracle(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=64, levels=2, conv=TINY_CONV, hidden=4, seed=8)
-        model = WaveletAutoencoder(cfg)
+        model = WaveletAutoencoder(cfg).frozen()
         inputs = scales(rng.normal(size=(1, 2, 64)), 2)
         code, acts = model.encode(inputs)
 
-        with no_grad():
-            pieces = []
-            for scale, values in enumerate(inputs):
-                branch = model.branches[scale]
-                a = Tensor(values)
-                for (kern, bias), layer in zip(branch.conv, cfg.conv):
-                    a = conv1d(a, kern, bias, layer.stride, padding_for(layer))
-                h = c = Tensor(np.zeros(cfg.hidden))
-                for t in range(a.data.shape[2]):
-                    h, c = lstm_step(Tensor(a.data[0, :, t]), h, c, branch.encoder)
-                pieces.append(h.data[None])
+        pieces = []
+        for scale, values in enumerate(inputs):
+            branch = model.branches[scale]
+            a = Tensor(values)
+            for (kern, bias), layer in zip(branch.conv, cfg.conv):
+                a = conv1d(a, kern, bias, layer.stride, padding_for(layer))
+            h = c = Tensor(np.zeros(cfg.hidden))
+            for t in range(a.data.shape[2]):
+                h, c = lstm_step(Tensor(a.data[0, :, t]), h, c, branch.encoder)
+            pieces.append(h.data[None])
         assert np.max(np.abs(code.data - np.concatenate(pieces, axis=1))) < 1e-12
 
     def test_activations_are_the_rectified_conv_stack(self, rng):
@@ -261,7 +260,7 @@ class TestDecode:
 
     def test_one_step_toy_decode_composes_by_hand(self, rng):
         cfg = ModelConfig(channels=2, fragment_length=4, levels=0, conv=((3, 4, 4),), hidden=4, seed=6)
-        model = WaveletAutoencoder(cfg)
+        model = WaveletAutoencoder(cfg).frozen()
         assert cfg.conv_lengths(0)[-1] == 1
         code = Tensor(rng.normal(size=(1, 4)))
         # The only step reads the zero step: no activation follows the one
@@ -269,12 +268,11 @@ class TestDecode:
         out = model.decode(code, [rng.normal(size=(1, 3, 1))])[0]
 
         branch = model.branches[0]
-        with no_grad():
-            h0 = branch.dec_init_w.data @ code.data[0] + branch.dec_init_b.data
-            h, _ = lstm_step(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
-            step = branch.step_w.data @ h.data + branch.step_b.data
-            kern, bias = branch.deconv[0]
-            ref = deconv1d(Tensor(step[None, :, None]), kern, bias, 4, 0)
+        h0 = branch.dec_init_w.data @ code.data[0] + branch.dec_init_b.data
+        h, _ = lstm_step(Tensor(np.zeros(3)), Tensor(h0), Tensor(np.zeros(4)), branch.decoder)
+        step = branch.step_w.data @ h.data + branch.step_b.data
+        kern, bias = branch.deconv[0]
+        ref = deconv1d(Tensor(step[None, :, None]), kern, bias, 4, 0)
         assert np.max(np.abs(out.data - ref.data)) < 1e-12
 
     def test_wrong_code_length(self, rng):
@@ -395,10 +393,10 @@ class TestEndToEnd:
         inputs = scales(rng.normal(size=(1, 2, 16)), 1)
         loss = forward_loss(model, inputs)
         loss.backward()
+        frozen = model.frozen()
 
         def f():
-            with no_grad():
-                return forward_loss(model, inputs).item()
+            return forward_loss(frozen, inputs).item()
 
         sampler = np.random.default_rng(0)
         named = model.named_parameters()
@@ -441,18 +439,16 @@ class TestBatchAxis:
     """A batch of B gives exactly the results of B batches of one."""
 
     def test_batched_passes_equal_per_sample_passes(self, rng):
-        model = WaveletAutoencoder(tiny_config(classifier=True, seed=21))
+        model = WaveletAutoencoder(tiny_config(classifier=True, seed=21)).frozen()
         inputs = scales(rng.normal(size=(3, 2, 32)), 2)
-        with no_grad():
-            code, acts = model.encode(inputs)
-            taught = model.decode(code, acts)
-            probs = model.classify(code)
+        code, acts = model.encode(inputs)
+        taught = model.decode(code, acts)
+        probs = model.classify(code)
         assert code.data.shape == (3, 12)
         assert probs.shape == (3,)
         for i in range(3):
-            with no_grad():
-                code_i, acts_i = model.encode(scales(inputs[0][i : i + 1], 2))
-                taught_i = model.decode(code_i, acts_i)
+            code_i, acts_i = model.encode(scales(inputs[0][i : i + 1], 2))
+            taught_i = model.decode(code_i, acts_i)
             assert np.array_equal(code.data[i : i + 1], code_i.data)
             assert np.array_equal(probs[i : i + 1], model.classify(code_i))
             for a, b in zip(taught, taught_i):

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor, _node, no_grad
+from wavedetect.autodiff import Tensor, _node
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for
 from wavedetect.nn import (
@@ -25,8 +25,8 @@ from wavedetect.nn import (
 )
 from wavedetect.wavelet import get_family, mdwd
 
-from conftest import (add, concat, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad, reshape,
-                      sigmoid, tsum)
+from conftest import (add, concat, frozen, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad,
+                      reshape, sigmoid, tsum)
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -191,9 +191,7 @@ class TestDeconv1d:
         reconstruction_loss([target], [deconv1d(x, w, b, stride=2, padding=1)]).backward()
 
         def f():
-            from wavedetect.autodiff import no_grad
-            with no_grad():
-                pred = deconv1d(Tensor(x.data), Tensor(w.data), Tensor(b.data), 2, 1).data
+            pred = deconv1d(Tensor(x.data), Tensor(w.data), Tensor(b.data), 2, 1).data
             return float(np.mean((pred - target) ** 2))
 
         for t in (x, w, b):
@@ -485,8 +483,7 @@ class TestLosses:
         tsum(mul(reconstruction_loss(targets, recons), weights)).backward()
 
         def f():
-            with no_grad():
-                return tsum(mul(reconstruction_loss(targets, recons), weights)).item()
+            return tsum(mul(reconstruction_loss(targets, frozen(recons)), weights)).item()
 
         for r in recons:
             assert max_rel_err(r.grad, numeric_grad(f, r)) < 1e-6
@@ -534,8 +531,7 @@ class TestLosses:
         bce(logit, label).backward()
 
         def f():
-            with no_grad():
-                return bce(Tensor(logit.data), label).item()
+            return bce(Tensor(logit.data), label).item()
 
         assert max_rel_err(logit.grad, numeric_grad(f, logit)) < 1e-6
 
@@ -607,8 +603,7 @@ class TestSupervisedLoss:
         supervised_loss(recon, logit, label, alpha).backward()
 
         def f():
-            with no_grad():
-                return supervised_loss(Tensor(recon.data), Tensor(logit.data), label, alpha).item()
+            return supervised_loss(Tensor(recon.data), Tensor(logit.data), label, alpha).item()
 
         for t in (recon, logit):
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
@@ -660,18 +655,17 @@ def test_composite_chain_gradients_match_finite_differences(rng):
     out_b = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
     target = rng.normal(size=(1, 2, 1))
 
-    def forward():
+    def forward(conv_w, conv_b, p, out_w, out_b):
         acts = conv1d(Tensor(x), conv_w, conv_b, stride=2, padding=1)
         code = lstm_sequence([acts], [np.zeros((1, 2))], [p])
         return reconstruction_loss([target], [reshape(linear(code, out_w, out_b), (1, 2, 1))])
 
-    forward().backward()
+    weights = (conv_w, conv_b, p, out_w, out_b)
+    forward(*weights).backward()
     params = [conv_w, conv_b, out_w, out_b] + [getattr(p, f.name) for f in fields(p)]
 
     def f():
-        from wavedetect.autodiff import no_grad
-        with no_grad():
-            return forward().item()
+        return forward(*frozen(weights)).item()
 
     for t in params:
         assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-4
@@ -699,15 +693,14 @@ class TestBatchAxis:
         db = Tensor(rng.normal(size=2), requires_grad=True)
         target = rng.normal(size=(2, 2, 12))
 
-        def forward():
+        def forward(x, w, dw, b, db):
             mid = conv1d(x, w, b, stride=2, padding=1)
             return tsum(mul(deconv1d(mid, dw, db, stride=2, padding=1), Tensor(target)))
 
-        forward().backward()
+        forward(x, w, dw, b, db).backward()
 
         def f():
-            with no_grad():
-                return forward().item()
+            return forward(*frozen((x, w, dw, b, db))).item()
 
         for t in (x, w, dw, b, db):
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
@@ -795,15 +788,14 @@ class TestLstmSequence:
         x, h0, p = _lstm_inputs(rng, batch)
         weights = Tensor(rng.normal(size=(batch, 2, 4) if decoder else (batch, 2)))
 
-        def forward():
+        def forward(x, h0, p):
             out = lstm_sequence([x], [h0], [p], decoder=decoder)
             return tsum(mul(out[0] if decoder else out, weights))
 
-        forward().backward()
+        forward(x, h0, p).backward()
 
         def f():
-            with no_grad():
-                return forward().item()
+            return forward(*frozen((x, h0, p))).item()
 
         named = [("x", x), ("h0", h0)] + [(f.name, getattr(p, f.name)) for f in fields(p)]
         assert len(named) == 5
@@ -1002,11 +994,11 @@ class TestMultiSequence:
     @pytest.mark.parametrize("batch", [1, 6])
     @pytest.mark.parametrize("decoder", [False, True])
     def test_scoring_path_matches_single_sequence_reference(self, rng, batch, decoder):
-        """Under ``no_grad``, the path scoring runs, the scan saves nothing
-        for backward; its outputs still equal the reference bit for bit."""
+        """On inputs and weights that need no grad, the path scoring runs,
+        the scan saves nothing for backward; its outputs still equal the
+        reference bit for bit."""
         seqs = _multi_inputs(rng, batch, _SCALES, hid=32)
-        with no_grad():
-            out = _run_multi(seqs, decoder)
+        out = _run_multi(frozen(seqs), decoder)
         assert not (out[0] if decoder else out).requires_grad
         for (x, h0, p), got in zip(seqs, _outputs(out, decoder, 32)):
             # The upstream gradient feeds only the reference's gradients.
@@ -1021,18 +1013,17 @@ class TestMultiSequence:
         shapes = [(batch, 2, steps) for _, steps in _SPECS] if decoder else [(batch, 2 * len(_SPECS))]
         weights = [Tensor(rng.normal(size=shape)) for shape in shapes]
 
-        def forward():
+        def forward(seqs):
             out = _run_multi(seqs, decoder)
             loss = Tensor(0.0)
             for hs, w in zip(out if decoder else [out], weights):
                 loss = add(loss, tsum(mul(hs, w)))
             return loss
 
-        forward().backward()
+        forward(seqs).backward()
 
         def f():
-            with no_grad():
-                return forward().item()
+            return forward(frozen(seqs)).item()
 
         def numeric(t):
             # Richardson's extrapolation cancels the h^2 error of two central
@@ -1048,13 +1039,12 @@ class TestMultiSequence:
 
     @pytest.mark.parametrize("decoder", [False, True])
     def test_batch_equals_per_sample(self, rng, decoder):
-        seqs = _multi_inputs(rng, 3)
-        with no_grad():
-            batched = _outputs(_run_multi(seqs, decoder), decoder, 2)
-            for i in range(3):
-                one = [[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs]
-                for got, want in zip(batched, _outputs(_run_multi(one, decoder), decoder, 2)):
-                    assert np.array_equal(got.data[i : i + 1], want.data)
+        seqs = frozen(_multi_inputs(rng, 3))
+        batched = _outputs(_run_multi(seqs, decoder), decoder, 2)
+        for i in range(3):
+            one = [[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs]
+            for got, want in zip(batched, _outputs(_run_multi(one, decoder), decoder, 2)):
+                assert np.array_equal(got.data[i : i + 1], want.data)
 
     def test_shape_errors(self, rng):
         seqs = _multi_inputs(rng, 2)

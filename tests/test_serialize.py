@@ -58,7 +58,7 @@ class TestModelContainer:
 
     def test_load_builds_the_model_from_the_stored_tensors(self, tmp_path, monkeypatch):
         """Loading draws no random init to overwrite: every tensor is the
-        stored one, trainable, under its own name."""
+        stored one, needing no grad, under its own name."""
         path = tmp_path / "d.bin"
         det = small_detector("supervised", seed=5)
         save_detector(det, path)
@@ -70,7 +70,7 @@ class TestModelContainer:
         loaded = load_detector(path).model
         assert [n for n, _ in loaded.named_parameters()] == [n for n, _ in det.model.named_parameters()]
         for (_, ta), tb in zip(det.model.named_parameters(), loaded.parameters()):
-            assert tb.requires_grad
+            assert not tb.requires_grad
             assert np.array_equal(tb.data, ta.data.astype(np.float32).astype(np.float64))
 
     def test_loaded_model_runs(self, tmp_path, rng):
@@ -121,6 +121,29 @@ class TestDetectorContainer:
         save_detector(det, p1)
         save_detector(load_detector(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_config_of_numpy_integers_saves_and_loads(self, tmp_path):
+        """A config keeps each integer as a Python int, which the file's JSON
+        config can hold."""
+        i = np.int64
+        cfg = ModelConfig(channels=i(2), fragment_length=i(32), levels=np.int32(1), conv=((i(4), i(4), i(2)),),
+                          hidden=i(3), seed=i(1))
+        windows = np.random.default_rng(9).normal(size=(3, 2, 32))
+        det = training.train(windows, training.TrainConfig(model=cfg, epochs=1))
+        save_detector(det, tmp_path / "d.bin")
+        loaded = load_detector(tmp_path / "d.bin")
+        assert loaded.model.config == cfg
+        assert np.array_equal(score_windows(loaded, windows), score_windows(det, windows))
+
+    def test_numpy_floats_save_and_load(self, tmp_path):
+        """A detector keeps its threshold and mean training loss as Python
+        floats, whose ``repr`` its loader reads back."""
+        det = replace(small_detector(), threshold=np.float64(0.5), train_loss_mean=np.float32(0.25))
+        save_detector(det, tmp_path / "a.bin")
+        loaded = load_detector(tmp_path / "a.bin")
+        assert (loaded.threshold, loaded.train_loss_mean) == (0.5, 0.25)
+        save_detector(loaded, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_threshold_full_precision(self, tmp_path):
         det = replace(small_detector(), threshold=0.1 + 0.2)  # full float64 precision must survive the text manifest

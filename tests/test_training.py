@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -12,6 +14,7 @@ import wavedetect.training as training
 from wavedetect.data import AnomalyRanges, Fragment, MultiSeries
 from wavedetect.errors import ConfigError, DataError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
+from wavedetect.nn import reconstruction_loss
 from wavedetect.optim import Adam
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
@@ -121,11 +124,11 @@ class TestScoringRejectsItemsThatAreNotNumbers:
 
 
 def test_scoring_memory_per_window_is_a_few_scale_inputs():
-    """One full chunk of default 8-channel windows, scored under no_grad,
-    peaks at fewer than 8 times the bytes of a window's scale inputs (the
-    signal and its 3 detail levels, 61 KB). An extra copy of every conv
-    activation, or a previous chunk's activations kept alive, would cost
-    more than that."""
+    """One full chunk of default 8-channel windows, scored by a detector,
+    whose model records no graph, peaks at fewer than 8 times the bytes of
+    a window's scale inputs (the signal and its 3 detail levels, 61 KB). An
+    extra copy of every conv activation, or a previous chunk's activations
+    kept alive, would cost more than that."""
     cfg = ModelConfig(channels=8)
     model = WaveletAutoencoder(cfg)
     det = Detector(model=model, threshold=1.0, train_loss_mean=1.0,
@@ -163,6 +166,55 @@ def test_training_step_memory_is_a_few_parameter_sets():
     finally:
         tracemalloc.stop()
     assert peak <= 1.7 * sum(p.data.nbytes for p in model.parameters())
+
+
+def test_training_steps_record_while_other_threads_score():
+    """Two threads score a detector in a loop while this one takes training
+    steps for about a second, with the interpreter switching threads every
+    10 us: scoring turns no recording off that a step needs, so every step's
+    backward succeeds and gives every parameter a gradient, and every score
+    repeats."""
+    cfg = ModelConfig(channels=2, fragment_length=32, levels=1, conv=((4, 4, 2),), hidden=3)
+    windows = np.random.default_rng(8).normal(size=(3, 2, 32))
+    det = Detector(model=WaveletAutoencoder(cfg), threshold=1.0, train_loss_mean=1.0,
+                   norm_mean=np.zeros(2), norm_std=np.ones(2))
+    want = score_windows(det, windows)
+    model = WaveletAutoencoder(replace(cfg, seed=1))
+    optimizer = Adam(model.parameters())
+    inputs = training._scale_inputs(windows[:1], cfg, np.zeros(2), np.ones(2))
+    stop = threading.Event()
+    scored, failures = [], []
+
+    def score():
+        try:
+            while not stop.is_set():
+                scored.append(np.array_equal(score_windows(det, windows), want))
+        except Exception as err:  # reported below, by the main thread
+            failures.append(err)
+
+    scorers = [threading.Thread(target=score) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    steps = 0
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in scorers:
+            thread.start()
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            code, teacher = model.encode(inputs)
+            reconstruction_loss(inputs, model.decode(code, teacher)).backward()
+            assert all(p.grad is not None for p in model.parameters()), f"step {steps}"
+            optimizer.step()
+            optimizer.zero_grad()
+            steps += 1
+    finally:
+        stop.set()
+        for thread in scorers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in scorers)
+    assert not failures, failures
+    assert steps and scored and all(scored)
 
 
 def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
