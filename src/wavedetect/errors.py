@@ -44,12 +44,17 @@ def require_integers(*named):
 
 def require_reals(*named):
     """Raise ``ConfigError`` for the first ``(name, value)`` pair whose value
-    is not a real number. A config checks this before its range checks,
-    whose comparisons and ``math.isfinite`` would fail on a string or None
-    with a bare ``TypeError``."""
+    is not a real number, or is too large for a float. A config checks this
+    before its range checks, whose comparisons would fail on a string or
+    None with a bare ``TypeError``, and pass 10**400, which ``float()``
+    then fails with a bare ``OverflowError``."""
     for name, value in named:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{name} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float, got {value!r}") from None
 
 
 def require_instances(error, *named):

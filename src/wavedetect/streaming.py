@@ -31,7 +31,7 @@ from .data import DEFAULT_WINDOW, AnomalyRanges, MultiSeries, as_floats, label_b
 from .errors import ConfigError, ContractError, DataError, ShapeError
 from .errors import require_instances, require_integers, require_reals
 from .metrics import compute_metrics
-from .training import Detector, score_windows
+from .training import Detector, _detector_scores, score_windows
 
 SWEEP_THRESHOLDS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
@@ -130,7 +130,8 @@ class VoteState:
         full = self.cfg.votes_per_block
         if len(self._buffer) < full:
             return [], []
-        [score] = score_windows(self.detector, np.concatenate(self._buffer, axis=1)[None])
+        # The blocks are checked: the window they make is scored unchecked.
+        [score] = _detector_scores(self.detector, np.concatenate(self._buffer, axis=1)[None])
         self._votes.append(int(score >= self.detector.cut))
         votes = list(self._votes)
         first = self._pushed - full  # the newest window's first block

@@ -123,6 +123,9 @@ class Detector:
 
     def __post_init__(self):
         require_instances(ConfigError, ("model", self.model, WaveletAutoencoder))
+        if self.threshold is not None:
+            require_reals(("threshold", self.threshold))
+        require_reals(("train_loss_mean", self.train_loss_mean))
         object.__setattr__(self, "model", self.model.frozen())
         if self.model.config.classifier:
             if self.threshold is not None:
@@ -317,14 +320,18 @@ def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
     return np.concatenate([score(_scale_inputs(chunk, model.config, mean, std)) for chunk in chunks])
 
 
+def _detector_scores(detector: Detector, windows: np.ndarray) -> np.ndarray:
+    """``score_windows`` of checked (N, C, T) windows, which it checks no more."""
+    return _scores(detector.model, detector.norm_mean, detector.norm_std, windows, detector.model.config.classifier)
+
+
 def score_windows(detector: Detector, windows) -> np.ndarray:
     """Scores of a (N, C, T) array or a sequence of fragments or (C, T)
     windows: the reconstruction loss (threshold mode) or anomaly probability
     (head mode) of each. A window of the wrong shape or holding NaN or
     infinity raises ``DataError``."""
     require_instances(ConfigError, ("detector", detector, Detector))
-    return _scores(detector.model, detector.norm_mean, detector.norm_std,
-                   _checked_windows(windows, detector.model.config), head=detector.model.config.classifier)
+    return _detector_scores(detector, _checked_windows(windows, detector.model.config))
 
 
 def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
@@ -332,5 +339,5 @@ def evaluate_fragments(detector: Detector, fragments) -> MetricsReport:
     item without a 0/1 ``label`` raises ``DataError``."""
     require_instances(ConfigError, ("detector", detector, Detector))
     windows, labels = _labeled_windows(fragments, detector.model.config, None)
-    scores = score_windows(detector, windows)
+    scores = _detector_scores(detector, windows)
     return compute_metrics([int(score >= detector.cut) for score in scores], labels)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, require_integers
 
 _ORTHO_TOL = 1e-12
 
@@ -121,6 +121,7 @@ def mdwd(signal, family: WaveletFamily, levels: int):
     if x.ndim not in (2, 3):
         raise ShapeError(f"expected a (C, T) or (B, C, T) array, got shape {x.shape}")
     t = x.shape[-1]
+    require_integers(("levels", levels))
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
     if t % (1 << levels) != 0:

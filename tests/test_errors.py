@@ -1,7 +1,8 @@
 """Every float field of a config is type-checked before its range check, so
-a value that is not a number, a bool included, raises ``ConfigError``
-naming the field, as does a bool in an integer field; a missing config
-raises ``ConfigError`` naming the argument."""
+a value that is not a number, a bool included, or an integer too large for
+a float raises ``ConfigError`` naming the field, as does a bool in an
+integer field; a missing config raises ``ConfigError`` naming the
+argument."""
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ _FLOAT_FIELDS = [
 def test_a_float_field_that_is_not_a_number_is_a_config_error(build, name, value):
     with pytest.raises(ConfigError, match=f"{name} must be a real number, got {value!r}"):
         build(**{name: value})
+
+
+@pytest.mark.parametrize("build,name", _FLOAT_FIELDS)
+def test_a_float_field_refuses_an_integer_too_large_for_a_float(build, name):
+    """10**400 passes every range check written as a comparison, and used
+    to fail later in ``float()``, or to be kept, as a learning rate was."""
+    with pytest.raises(ConfigError, match=f"{name} is too large for a float"):
+        build(**{name: 10**400})
 
 
 _INTEGER_FIELDS = [

@@ -8,8 +8,9 @@ in ``__init__.py`` is no use: it keeps a name public, not alive. Every
 file under ``tests/data`` is named in some test module, so that a fixture
 is not left behind by the code that read it.
 Every lookup site the benchmark's tracer patches exists, so that a
-refactor can neither crash a traced run nor silently zero its span, and a
-traced training run counts its graphs before ``backward`` consumes them.
+refactor can neither crash a traced run nor silently zero its span, a
+traced training run counts its graphs before ``backward`` consumes them,
+and traced scoring gives what untraced scoring does.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
 records itself through ``autodiff._node``, and ``autodiff`` itself defines
 one op, which ``model`` does not import. A training step's graph holds a known number of nodes,
@@ -31,6 +32,7 @@ from wavedetect.autodiff import Tensor
 from wavedetect.model import ModelConfig, WaveletAutoencoder
 from wavedetect.nn import reconstruction_loss, supervised_loss
 from wavedetect.optim import Adam
+from wavedetect.synth import GeneratorConfig, synth_generate
 from wavedetect.training import TrainConfig
 
 SOURCES = sorted(Path(wavedetect.__file__).parent.glob("*.py"))
@@ -238,6 +240,34 @@ def test_traced_training_counts_each_graph_before_backward_consumes_it():
     assert traced[:2] == untraced[:2]
     assert all(np.array_equal(a, b) for a, b in zip(traced[2], untraced[2]))
     assert len(tracer.backward_nodes) == 6 and min(tracer.backward_nodes) > 1
+
+
+def test_traced_scoring_gives_the_untraced_rows_and_verdicts():
+    """Under the bench tracer, which wraps ``encode``, ``decode`` and the
+    layers, ``simulate``, ``sweep`` and a ``VoteState`` pass give exactly
+    what they give untraced, so a change to what a pass returns cannot
+    break a traced stream run unseen."""
+    cfg = ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2)
+    series, ranges = synth_generate(GeneratorConfig(channels=2, hours=1.0, anomaly_count=1, anomaly_min_samples=48,
+                                                    anomaly_max_samples=96, edge_margin=128), 4)
+    fragments = [f for f in wavedetect.make_fragments(series, ranges, window=64) if f.label == 0][:3]
+    detector = wavedetect.train(fragments, TrainConfig(model=cfg, epochs=1))
+    vote = wavedetect.VoteConfig(window=64, step=16)
+
+    def run():
+        state = wavedetect.VoteState(detector, vote)
+        pushed = [state.push_block(series.values[:, i : i + 16]) for i in range(0, series.length - 15, 16)]
+        return (wavedetect.simulate(series, ranges, detector, vote), wavedetect.sweep(series, ranges, detector, vote),
+                pushed)
+
+    tracer = bench_spans().Tracer()
+    with tracer.active(wavedetect):
+        traced = run()
+    untraced = run()
+    assert traced == untraced
+    calls = tracer.table()
+    assert all(calls[name]["calls"] > 0 for name in ("model.encode", "model.decode_teacher", "nn.conv1d",
+                                                       "streaming.simulate", "streaming.push_block"))
 
 
 TINY = dict(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),), hidden=3, seed=2)

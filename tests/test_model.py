@@ -468,3 +468,31 @@ class TestBatchAxis:
             forward_loss(model, scales(xs[i : i + 1], 1)).backward()
         for got, want in zip(batched, (t.grad for t in model.parameters())):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+@pytest.mark.parametrize("classifier", [False, True], ids=["semi", "supervised"])
+def test_every_parameter_gradient_matches_finite_differences(classifier):
+    """Every gradient of a training step's loss, through both fan-outs (the
+    conv activations and the code, which the head also reads), against
+    Richardson's extrapolation of central differences. The loss, about 3,
+    rounds to ~1e-12 in a difference over h = 5e-4, so entries below 1e-5
+    are held to 1e-11 absolute, and larger ones to 1e-6 relative."""
+    cfg = ModelConfig(channels=2, fragment_length=16, levels=1, conv=((3, 4, 2),), hidden=2,
+                      classifier=classifier, seed=3)
+    model = WaveletAutoencoder(cfg)
+    inputs = scales(np.random.default_rng(4).normal(size=(1, 2, 16)), 1)
+
+    def loss(model):
+        code, acts = model.encode(inputs)
+        value = reconstruction_loss(inputs, model.decode(code, acts))
+        return supervised_loss(value, model.logit(code), 1, 0.5) if classifier else value
+
+    loss(model).backward()
+    frozen = model.frozen()
+
+    def f():
+        return loss(frozen).item()
+
+    for name, t in model.named_parameters():
+        numeric = (4 * numeric_grad(f, t, h=5e-4) - numeric_grad(f, t, h=1e-3)) / 3
+        assert max_rel_err(t.grad, numeric, floor=1e-5) < 1e-6, name

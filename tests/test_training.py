@@ -123,6 +123,26 @@ class TestScoringRejectsItemsThatAreNotNumbers:
             evaluate_fragments(detector, [_fragments(5, 1)[0], _series(5, 64)])
 
 
+def test_each_public_call_checks_its_windows_once(detector, monkeypatch):
+    """``evaluate_fragments`` checks its windows once, and
+    ``VoteState.push_block`` checks each block and not the window the
+    blocks make; both score what they checked, as ``score_windows`` would."""
+    checked = []
+    check = training._checked_windows
+    monkeypatch.setattr(training, "_checked_windows", lambda *args: checked.append(1) or check(*args))
+    labeled = _fragments(32, 2) + _fragments(33, 2, label=1)
+    report = evaluate_fragments(detector, labeled)
+    assert len(checked) == 1
+    values = _series(34, 64 + 16)
+    state = VoteState(detector, VOTE)
+    pushed = [state.push_block(values[:, i : i + 16]) for i in range(0, 80, 16)]
+    assert len(checked) == 1
+    want = score_windows(detector, [values[:, :64], values[:, 16:80]])
+    # A window's last block has the vote of that window alone.
+    assert [rows[-1].positive for _, rows in pushed[3:]] == [int(s >= detector.cut) for s in want]
+    assert report == evaluate_fragments(detector, iter(labeled))
+
+
 def test_scoring_memory_per_window_is_a_few_scale_inputs():
     """One full chunk of default 8-channel windows, scored by a detector,
     whose model records no graph, peaks at fewer than 8 times the bytes of
@@ -284,6 +304,18 @@ class TestDetectorRules:
     def test_train_loss_mean_is_finite_and_not_negative(self, mode, mean):
         with pytest.raises(ConfigError, match="train_loss_mean"):
             self.make(0.25 if mode == "semi" else None, mode == "supervised", train_loss_mean=mean)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("threshold", "0.5", "threshold must be a real number"),
+        ("train_loss_mean", "1", "train_loss_mean must be a real number"),
+        ("threshold", 10**400, "threshold is too large for a float"),
+        ("train_loss_mean", 10**400, "train_loss_mean is too large for a float"),
+    ])
+    def test_a_field_that_is_no_float_is_refused(self, field, value, message):
+        """Before the range checks, which a string fails with a bare
+        ``TypeError`` and a huge integer passes, to fail in ``float()``."""
+        with pytest.raises(ConfigError, match=message):
+            self.make(**{"threshold": 0.25, "classifier": False, field: value})
 
 
     @pytest.mark.parametrize("mean,std,message", [

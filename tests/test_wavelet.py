@@ -149,6 +149,13 @@ class TestMultilevel:
         with pytest.raises(ConfigError):
             mdwd(np.ones((1, 100)), HAAR, 3)
 
+    @pytest.mark.parametrize("levels", ["2", 2.0, None, True])
+    def test_levels_that_are_not_an_integer_rejected(self, levels):
+        """Before the range checks, which a string or None fails with a
+        bare ``TypeError``."""
+        with pytest.raises(ConfigError, match="levels must be an integer"):
+            mdwd(np.ones((1, 64)), HAAR, levels)
+
     def test_level_too_deep_for_filter_rejected(self):
         # at level 6 a length-64 signal leaves a 2-sample stage, shorter than db4
         with pytest.raises(ConfigError):
