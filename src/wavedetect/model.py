@@ -41,7 +41,10 @@ decode are then exact shape inverses.
 
 ``ModelConfig`` is a frozen dataclass that checks its fields once, when it
 is built; ``dataclasses.replace`` builds a changed copy and checks it
-again. A model therefore trusts the config it is given.
+again. A model therefore trusts the config it is given. Its public passes,
+``encode``, ``decode``, ``logit`` and ``classify``, are the checking
+boundary: each checks the shapes of what it is handed, so the ``nn``
+layers they call check nothing.
 
 A fresh model draws every tensor uniformly from ±1/sqrt(fan_in), taking
 32-bit words from the standard library's ``random.Random(config.seed)``,
@@ -330,9 +333,7 @@ class WaveletAutoencoder:
         t = T-1..0, the decoder LSTM's step t reads the activation at t + 1,
         or a zero step at t = T-1."""
         cfg = self.config
-        code = code if isinstance(code, Tensor) else Tensor(code)
-        if code.data.ndim != 2 or code.data.shape[1] != cfg.code_length:
-            raise ShapeError(f"code shape {code.shape} does not match (B, {cfg.code_length})")
+        code = self._code(code)
         nb = len(code.data)
         if len(teacher) != cfg.levels + 1:
             raise ContractError(f"expected {cfg.levels + 1} teacher activations, got {len(teacher)}")
@@ -354,13 +355,20 @@ class WaveletAutoencoder:
             acts = deconv1d(acts, kernels, bias, layer.stride, padding_for(layer), relu=i < last)
         return acts
 
+    def _code(self, code) -> Tensor:
+        """``code`` as a tensor, checked to be a (B, code_length) batch."""
+        code = code if isinstance(code, Tensor) else Tensor(code)
+        if code.data.ndim != 2 or code.data.shape[1] != self.config.code_length:
+            raise ShapeError(f"code shape {code.shape} does not match (B, {self.config.code_length})")
+        return code
+
     def logit(self, code):
         """The classifier head's logits of a (B, code_length) batch of codes,
         shape (B, 1). Training takes its loss from the logit
         (``nn.supervised_loss``)."""
         if self.classifier_w is None:
             raise CapabilityError("model was built without a classifier head")
-        return linear(code, self.classifier_w, self.classifier_b)
+        return linear(self._code(code), self.classifier_w, self.classifier_b)
 
     def classify(self, code) -> np.ndarray:
         """The anomaly probability of each code of a batch, shape (B,): the

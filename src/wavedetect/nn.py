@@ -27,6 +27,10 @@ sample is computed with the same products whatever its batch, so batched
 outputs and input gradients equal per-sample ones bit for bit. Weight
 gradients are summed over the batch inside their products, so they need
 not equal the sum of the per-sample ones in the last bits.
+
+The layers check nothing, because ``ModelConfig`` and the model's public
+passes have checked every shape they receive. A wrong shape here raises
+numpy's own error, or none.
 """
 
 from __future__ import annotations
@@ -38,26 +42,6 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import Tensor, _as_tensor, _node, _trace
-from .errors import ContractError, ShapeError
-
-
-def _conv_args(name, x, kernels, bias, stride, padding, cin_axis):
-    """The tensors of a ``name`` layer call, checked; the kernel bank holds
-    Cin on axis ``cin_axis`` (0 or 1) and Cout on the other of its first two."""
-    x, kernels, bias = _as_tensor(x), _as_tensor(kernels), _as_tensor(bias)
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        layout = "(Cout,Cin,K)" if cin_axis else "(Cin,Cout,K)"
-        raise ShapeError(f"{name} expects (B,Cin,T) input, {layout} kernels; got {x.shape}, {kernels.shape}")
-    kcin, cout = kernels.data.shape[cin_axis], kernels.data.shape[1 - cin_axis]
-    if kcin != x.data.shape[1]:
-        raise ShapeError(f"kernel channel count {kcin} does not match input channels {x.data.shape[1]}")
-    if bias.data.shape != (cout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
-    if stride < 1:
-        raise ContractError(f"{name} stride must be >= 1")
-    if padding < 0:
-        raise ContractError(f"{name} padding must be >= 0")
-    return x, kernels, bias
 
 
 def _taps(a, k: int, stride: int, padding: int = 0) -> list:
@@ -122,10 +106,7 @@ def conv1d(x, kernels, bias, stride: int = 1, padding: int = 0) -> Tensor:
     unpadded ``x`` when the gradient arrives. An ``x`` that needs no grad,
     such as a scale input, gets None rather than an input gradient.
     """
-    x, kernels, bias = _conv_args("conv1d", x, kernels, bias, stride, padding, cin_axis=1)
     t, k, w = x.data.shape[2], kernels.data.shape[2], kernels.data
-    if k > t + 2 * padding:
-        raise ContractError(f"kernel width {k} exceeds padded length {t + 2 * padding}")
     y = _correlate(w, _taps(x.data, k, stride, padding))
     y += bias.data[:, None]
     np.maximum(y, 0.0, out=y)  # for finite y, np.where(y > 0, y, 0.0), -0.0 included
@@ -142,11 +123,8 @@ def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0, relu: bool = F
     """Transposed 1-D convolution of a batch:
     (B,Cin,T) -> (B,Cout,(T-1)*stride-2*padding+K), rectified as in
     ``conv1d`` with ``relu``, as every decoder layer but the last is."""
-    x, kernels, bias = _conv_args("deconv1d", x, kernels, bias, stride, padding, cin_axis=0)
     k, w = kernels.data.shape[2], kernels.data
     tout = (x.data.shape[2] - 1) * stride + k - 2 * padding
-    if tout < 1:
-        raise ContractError("padding removes the entire deconv output")
     y = _spread(w, x.data, stride, padding, tout)
     y += bias.data[:, None]
     if relu:
@@ -163,12 +141,7 @@ def deconv1d(x, kernels, bias, stride: int = 1, padding: int = 0, relu: bool = F
 def linear(x, weight, bias) -> Tensor:
     """Dense map over the last axis: x @ weight.T + bias, for x of shape
     (in,) or with leading axes (..., in)."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if weight.data.ndim != 2 or x.data.shape[-1:] != weight.data.shape[1:]:
-        raise ShapeError(f"linear cannot apply a {weight.shape} weight to shape {x.shape}")
     nout, nin = weight.data.shape
-    if bias.data.shape != (nout,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {nout} outputs")
     # Row by row, like the LSTM's recurrent product.
     y = np.matmul(x.data[..., None, :], weight.data.T)[..., 0, :]
     y += bias.data
@@ -183,11 +156,6 @@ def linear(x, weight, bias) -> Tensor:
 def step_dense(x, weight, bias) -> Tensor:
     """Dense map over axis 1 of a (B,in,T) batch: the (out,in) weight is
     applied at every time step and the bias added, giving (B,out,T)."""
-    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
-    if x.data.ndim != 3 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
-        raise ShapeError(f"step_dense expects (B,in,T) input and an (out,in) weight; got {x.shape}, {weight.shape}")
-    if bias.data.shape != weight.data.shape[:1]:
-        raise ShapeError(f"bias shape {bias.shape} does not match {weight.data.shape[0]} outputs")
     w, xd = weight.data, x.data
     y = w @ xd
     y += bias.data[:, None]
@@ -216,10 +184,6 @@ class LSTMParams:
     @property
     def hidden_size(self) -> int:
         return self.w_h.data.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_x.data.shape[1]
 
 
 # A sigmoid is evaluated as 0.5 + 0.5 * tanh(z / 2); halving the sigmoid
@@ -405,27 +369,9 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
     packed hidden states and ``h0``, so the per-phase hidden-state arrays
     die once packed.
     """
-    count = len(params)
-    if not count or not len(xs) == len(h0s) == count:
-        raise ShapeError(f"lstm_sequence needs one input, h0 and weight set per sequence, got "
-                         f"{len(xs)}, {len(h0s)} and {count}")
+    count, hid = len(params), params[0].hidden_size
     xs, h0s = [_as_tensor(x) for x in xs], [_as_tensor(h0) for h0 in h0s]
-    hid = params[0].hidden_size
-    if xs[0].data.ndim != 3:
-        raise ShapeError(f"lstm_sequence expects (B,in,T) inputs, got shape {xs[0].shape}")
-    nb = xs[0].data.shape[0]
-    for s, (x, h0, p) in enumerate(zip(xs, h0s, params)):
-        if p.hidden_size != hid:
-            raise ShapeError(f"lstm_sequence hidden size {p.hidden_size} of sequence {s} is not {hid}")
-        if x.data.ndim != 3 or x.data.shape[:2] != (nb, p.input_size) or x.data.shape[2] < 1:
-            raise ShapeError(f"lstm_sequence input {s} has shape {x.shape}, expected "
-                             f"({nb}, {p.input_size}, T) with T >= 1")
-        if h0.data.shape != (nb, hid):
-            raise ShapeError(f"lstm_sequence initial state shape {h0.shape} of sequence {s} "
-                             f"does not match ({nb}, {hid})")
-    lengths = [x.data.shape[2] for x in xs]
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ShapeError(f"lstm_sequence sequence lengths must not increase, got {lengths}")
+    nb, lengths = xs[0].data.shape[0], [x.data.shape[2] for x in xs]
     half = _halving(hid)
 
     shift = 1 if decoder else 0  # step t reads column t + shift
@@ -527,12 +473,6 @@ def supervised_loss(reconstruction, logit, label: int, alpha: float) -> Tensor:
     its gradient is sigmoid(z) - y: a head that is confidently wrong gets a
     gradient of magnitude near 1, not 0.
     """
-    reconstruction, logit = _as_tensor(reconstruction), _as_tensor(logit)
-    if reconstruction.data.size != 1 or logit.data.size != 1:
-        raise ShapeError(f"supervised_loss expects a one-sample loss and logit, got shapes "
-                         f"{reconstruction.shape} and {logit.shape}")
-    if label not in (0, 1):
-        raise ContractError(f"label must be 0 or 1, got {label!r}")
     z = float(logit.data.reshape(()))
     bce = max(z, 0.0) - label * z + math.log1p(math.exp(-abs(z)))
     shape = logit.data.shape
@@ -554,14 +494,8 @@ def reconstruction_loss(targets, reconstructions) -> Tensor:
     each d = recon - target and returns t + t, t = (g / (C·T_s)) d, the
     products and sums of the loss composed of subtract, square and mean.
     """
-    recons = tuple(_as_tensor(r) for r in reconstructions)
+    recons = tuple(reconstructions)
     targets = [_as_tensor(t).data for t in targets]
-    if not recons or len(targets) != len(recons):
-        raise ShapeError(f"reconstruction_loss got {len(targets)} targets for {len(recons)} reconstructions")
-    for s, (recon, target) in enumerate(zip(recons, targets)):
-        if recon.data.ndim != 3 or recon.data.shape != target.shape or len(recon.data) != len(targets[0]):
-            raise ShapeError(f"reconstruction_loss expects (B,C,T) batches of one B, each target of its "
-                             f"reconstruction's shape; scale {s} has {recon.shape} and {target.shape}")
 
     def vjp(g):
         halves = ((g[:, None, None] / r.data[0].size) * (r.data - t) for r, t in zip(recons, targets))

@@ -49,7 +49,12 @@ class GeneratorConfig:
             raise ConfigError("hours, sample period, severity and noise must be finite")
         if self.hours <= 0 or self.sample_period_seconds <= 0:
             raise ConfigError("hours and sample period must be positive")
-        if self.n_samples < 1:
+        try:
+            samples = self.n_samples
+        except OverflowError:  # the count is inf
+            raise ConfigError(f"{self.hours} hours at a {self.sample_period_seconds} s sample period "
+                              "give a sample count too large for a float") from None
+        if samples < 1:
             raise ConfigError(f"{self.hours} hours at a {self.sample_period_seconds} s sample period "
                               "give no samples")
         if self.anomaly_count < 0:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_floats
 from .errors import ConfigError, ShapeError, require_integers
 
 _ORTHO_TOL = 1e-12
@@ -72,10 +73,9 @@ FAMILIES = {f.name: f for f in (HAAR, DB4)}
 
 
 def get_family(name: str) -> WaveletFamily:
-    try:
+    if isinstance(name, str) and name in FAMILIES:
         return FAMILIES[name]
-    except KeyError:
-        raise ConfigError(f"unknown wavelet family {name!r}; choose from {sorted(FAMILIES)}") from None
+    raise ConfigError(f"unknown wavelet family {name!r}; choose from {sorted(FAMILIES)}")
 
 
 def _fold(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def dwt_level(signal, family: WaveletFamily):
     Works on a 1-D signal or row-wise on a (C, N) array. Periodic extension
     handles the boundary, so N must be even and at least the filter length.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = as_floats(signal, "signal")
     n = x.shape[-1]
     if n % 2 != 0:
         raise ShapeError(f"signal length {n} is odd")
@@ -115,7 +115,7 @@ def mdwd(signal, family: WaveletFamily, levels: int):
     divisible by 2**levels and the coarsest stage must still be at least as
     long as the filter.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = as_floats(signal, "signal")
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim not in (2, 3):

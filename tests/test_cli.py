@@ -172,6 +172,15 @@ def test_generator_config_without_samples_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--hours", "1e306"), ("--period", "1e-320")])
+def test_generator_sample_count_too_large_is_one_error_line(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert main(["synth", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("version", ["1", "2"])
 def test_older_container_version_is_one_error_line(tmp_path, capsys, version):
     model = tmp_path / "detector.wdc"

@@ -13,9 +13,11 @@ traced training run counts its graphs before ``backward`` consumes them,
 and traced scoring gives what untraced scoring does.
 No module but ``autodiff`` assigns a tensor's graph record, so every op
 records itself through ``autodiff._node``, and ``autodiff`` itself defines
-one op, which ``model`` does not import. A training step's graph holds a known number of nodes,
-so any change to its size is a deliberate one. Every class that checks its
-fields in ``__post_init__`` is a frozen dataclass."""
+one op, which ``model`` does not import. Only ``model`` and ``training``
+import the ``nn`` layers, which trust their caller's shapes. A training
+step's graph holds a known number of nodes, so any change to its size is a
+deliberate one. Every class that checks its fields in ``__post_init__`` is
+a frozen dataclass."""
 
 import ast
 import importlib.util
@@ -164,6 +166,28 @@ def test_autodiff_defines_exactly_the_one_generic_op():
     imported = [alias.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                 if isinstance(node, ast.ImportFrom) and node.module == "autodiff" for alias in node.names]
     assert imported == ["Tensor"]
+
+
+def nn_importers(paths) -> set:
+    """The stems of the files that import ``nn`` or a name from it."""
+    def imports_nn(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "wavedetect.nn" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module in ("nn", "wavedetect.nn")
+                    or node.module in (None, "wavedetect") and any(alias.name == "nn" for alias in node.names))
+        return False
+
+    return {path.stem for path in paths
+            if any(map(imports_nn, ast.walk(ast.parse(path.read_text(), filename=str(path)))))}
+
+
+def test_only_the_model_and_training_call_the_nn_layers():
+    """The ``nn`` layers check no shape: ``ModelConfig`` and the model's
+    public passes have checked all they receive. A new caller of a layer,
+    in the package or the benchmark, must check its inputs first, and
+    widen this set on purpose."""
+    assert nn_importers([*SOURCES, *BENCH]) == {"model", "training"}
 
 
 def _frozen_dataclass(decorator) -> bool:

@@ -91,6 +91,8 @@ class TestModelConfig:
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigError):
             ModelConfig(channels=2, fragment_length=64, levels=1, wavelet="coif1")
+        with pytest.raises(ConfigError, match="unknown wavelet family"):  # a list is no name
+            ModelConfig(channels=2, fragment_length=64, levels=1, wavelet=["haar"])
 
     def test_accepts_plain_tuples(self):
         cfg = ModelConfig(channels=2, fragment_length=64, levels=1, conv=((4, 4, 2),))
@@ -348,10 +350,6 @@ class TestReconstructionLoss:
         total = reconstruction_loss(targets, recons).item()
         parts = sum(reconstruction_loss([t], [r]).item() for r, t in zip(recons, targets))
         assert abs(total - parts) < 1e-12
-
-    def test_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            reconstruction_loss([np.zeros((1, 2))], [])
 
 
 class TestEndToEnd:

@@ -33,6 +33,12 @@ class TestConfig:
                 with pytest.raises(ConfigError, match="finite"):
                     GeneratorConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [("hours", 1e306), ("sample_period_seconds", 1e-320)])
+    def test_a_sample_count_too_large_for_a_float_is_refused(self, field, value):
+        """Each value is finite, but hours * 3600 / period is not."""
+        with pytest.raises(ConfigError, match="too large for a float"):
+            GeneratorConfig(**{field: value})
+
 
 class TestGenerate:
     def test_deterministic_per_seed(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavedetect.errors import ConfigError, ShapeError
+from wavedetect.errors import ConfigError, DataError, ShapeError
 from wavedetect.wavelet import DB4, FAMILIES, HAAR, WaveletFamily, dwt_level, get_family, mdwd
 
 from conftest import idwt_level, reconstruct
@@ -213,6 +213,13 @@ def test_batched_decomposition_equals_per_sample(rng, family):
         for got, want in zip(details + [approx], one_details + [one_approx]):
             assert np.array_equal(got[i], want)
     assert np.max(np.abs(reconstruct(details, approx, family) - xs)) < 1e-12
+
+
+@pytest.mark.parametrize("call", [lambda: mdwd("abcd", HAAR, 1), lambda: mdwd([[1, 2], [3]], HAAR, 1),
+                                  lambda: dwt_level("abc", HAAR)], ids=["mdwd-string", "mdwd-ragged", "dwt-string"])
+def test_input_that_is_not_numbers_is_refused(call):
+    with pytest.raises(DataError, match="signal is not an array of numbers"):
+        call()
 
 
 def test_rejects_four_dimensional_input():
