@@ -18,15 +18,14 @@ it. A graph is therefore walked once; a second ``backward()`` through any
 consumed node raises ``ContractError``. Leaf grads keep accumulating
 across graphs until their owner clears them (``optim.Adam.zero_grad``).
 
-One generic operation is provided: basic indexing (``tensor[key]``),
-which gives each sequence of a multi-sequence LSTM node its own view. A
-tensor has no arithmetic operators; every sum, product, activation and
-sigmoid of the model happens inside one of the coarse ops of ``nn``. Every
-op, here and in ``nn``, computes its result, defines its backward as a
-function from the result's gradient to one gradient per parent, and
-returns ``_node(result, parents, vjp)``: ``_node`` is the one way an op
-records itself in the graph. ``nn`` builds whole layers as one node each:
-a conv or deconv layer with its ReLU, a full LSTM sequence with its
+No generic operation is provided: a tensor has no arithmetic operators
+and cannot be indexed, and every sum, product, activation, sigmoid and
+slice of the model happens inside one of the coarse ops of ``nn``. Each
+op computes its result, defines its backward as a function from the
+result's gradient to one gradient per parent, and returns
+``_node(result, parents, vjp)``: ``_node`` is the one way an op records
+itself in the graph. ``nn`` builds whole layers as one node each: a conv
+or deconv layer with its ReLU, a full LSTM sequence with its
 hand-written backward pass, the decoder's step head, and each training
 loss, the multiscale reconstruction loss and the supervised objective,
 which keeps graphs small.
@@ -123,9 +122,6 @@ class Tensor:
                         pending[pid] = pg
             node._parents, node._vjp = (), _consumed
 
-    def __getitem__(self, key):
-        return index(self, key)
-
 
 def _consumed(g):
     """The backward of a node whose graph ``backward()`` has walked."""
@@ -149,15 +145,3 @@ def _node(data, parents, vjp) -> Tensor:
         out.requires_grad, out._parents, out._vjp = True, parents, vjp
     return out
 
-
-def index(a, key) -> Tensor:
-    """``a.data[key]`` for basic (slice and integer) indexing."""
-    a = _as_tensor(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        buf = np.zeros(shape)
-        buf[key] = g
-        return (buf,)
-
-    return _node(a.data[key], (a,), vjp)

@@ -27,11 +27,13 @@ trained in (exposure bias; Bengio et al. 2015, arXiv:1506.03099).
 
 Each LSTM pass is one ``nn.lstm_sequence`` call that runs the LSTMs of
 all scales in one time loop, a single graph node with its own backward
-pass; the encoder's node is the code. ``encode`` takes the list of scale
-inputs (the normalized signal, then its detail arrays), which ``training``
-builds; the model itself neither normalizes nor decomposes, nor computes
-its loss: the scale inputs are also the reconstruction targets of
-``nn.reconstruction_loss``, one graph node that treats them as constants.
+pass; the encoder's node is the code, and each scale's step head reads
+its own columns of the decoder's. ``encode`` takes the list of scale
+inputs (the normalized signal, then its detail arrays), which
+``training`` builds; the model itself neither normalizes nor decomposes,
+nor computes its loss: the scale inputs are also the reconstruction
+targets of ``nn.reconstruction_loss``, one graph node that treats them
+as constants.
 Every pass takes a batch: a scale input is (B, C, T >> l) and the code
 (B, code_length); a lone window is a batch of one.
 
@@ -58,11 +60,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data import DEFAULT_WINDOW
+from .data import DEFAULT_WINDOW, as_floats
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, sigmoid, step_dense
 from .wavelet import get_family
@@ -312,7 +315,7 @@ class WaveletAutoencoder:
         got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
         if got != cfg.levels + 1:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
-        values = [np.asarray(x, dtype=np.float64) for x in inputs]
+        values = [as_floats(x, f"scale {scale} input") for scale, x in enumerate(inputs)]
         nb = len(values[0]) if values[0].ndim == 3 else None
         acts = []
         for scale, (x, branch) in enumerate(zip(values, self.branches)):
@@ -331,21 +334,26 @@ class WaveletAutoencoder:
         """Reconstruct the signal and every detail array from the code and
         the per-scale conv activations ``encode`` returned. Walking
         t = T-1..0, the decoder LSTM's step t reads the activation at t + 1,
-        or a zero step at t = T-1."""
+        or a zero step at t = T-1. ``teacher`` is a list or tuple of one
+        (B, F, T_s) batch per scale; scale s's step head reads the T_s
+        columns of the decoder's hidden states after those of scales < s."""
         cfg = self.config
         code = self._code(code)
         nb = len(code.data)
-        if len(teacher) != cfg.levels + 1:
-            raise ContractError(f"expected {cfg.levels + 1} teacher activations, got {len(teacher)}")
-        teacher = [acts if isinstance(acts, Tensor) else Tensor(acts) for acts in teacher]
+        got = len(teacher) if isinstance(teacher, (list, tuple)) else type(teacher).__name__
+        if got != cfg.levels + 1:
+            raise ContractError(f"expected a list of {cfg.levels + 1} teacher activations, got {got}")
+        teacher = [acts if isinstance(acts, Tensor) else Tensor(as_floats(acts, f"scale {scale} teacher activations"))
+                   for scale, acts in enumerate(teacher)]
         for scale, acts in enumerate(teacher):
             want = (nb, cfg.conv_features, cfg.conv_lengths(scale)[-1])
             if acts.data.shape != want:
                 raise ContractError(f"teacher activations for scale {scale} have shape {acts.shape}, not {want}")
         h0s = [linear(code, b.dec_init_w, b.dec_init_b) for b in self.branches]
-        runs = lstm_sequence(teacher, h0s, [b.decoder for b in self.branches], decoder=True)
-        return [self._deconv(branch, step_dense(hs, branch.step_w, branch.step_b))
-                for branch, hs in zip(self.branches, runs)]
+        hs = lstm_sequence(teacher, h0s, [b.decoder for b in self.branches], decoder=True)
+        offsets = list(accumulate((acts.data.shape[2] for acts in teacher), initial=0))
+        return [self._deconv(branch, step_dense(hs, branch.step_w, branch.step_b, slice(lo, hi)))
+                for branch, lo, hi in zip(self.branches, offsets, offsets[1:])]
 
     def _deconv(self, branch, acts):
         cfg = self.config
@@ -357,7 +365,7 @@ class WaveletAutoencoder:
 
     def _code(self, code) -> Tensor:
         """``code`` as a tensor, checked to be a (B, code_length) batch."""
-        code = code if isinstance(code, Tensor) else Tensor(code)
+        code = code if isinstance(code, Tensor) else Tensor(as_floats(code, "code"))
         if code.data.ndim != 2 or code.data.shape[1] != self.config.code_length:
             raise ShapeError(f"code shape {code.shape} does not match (B, {self.config.code_length})")
         return code

@@ -153,17 +153,20 @@ def linear(x, weight, bias) -> Tensor:
     return _node(y, (x, weight, bias), vjp)
 
 
-def step_dense(x, weight, bias) -> Tensor:
-    """Dense map over axis 1 of a (B,in,T) batch: the (out,in) weight is
-    applied at every time step and the bias added, giving (B,out,T)."""
-    w, xd = weight.data, x.data
+def step_dense(x, weight, bias, cols: slice) -> Tensor:
+    """Dense map over axis 1 of columns ``cols`` of a (B,in,T) batch: the
+    (out,in) weight is applied at each of those n steps and the bias added,
+    giving (B,out,n). The input gradient is zero outside ``cols``."""
+    w, xd, shape = weight.data, x.data[..., cols], x.data.shape
     y = w @ xd
     y += bias.data[:, None]
 
     def vjp(g):
+        dx = np.zeros(shape)
+        dx[..., cols] = w.T @ g
         # Summed per-sample weight products; one tensordot over batch and
         # time would round differently at B > 1.
-        return w.T @ g, np.matmul(g, xd.transpose(0, 2, 1)).sum(axis=0), g.sum(axis=0).sum(axis=1)
+        return dx, np.matmul(g, xd.transpose(0, 2, 1)).sum(axis=0), g.sum(axis=0).sum(axis=1)
 
     return _node(y, (x, weight, bias), vjp)
 
@@ -347,11 +350,13 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
     size B, and the lengths T_s do not increase with s. ``h0s[s]`` is the
     (B,H) initial hidden state, the cell state starts at zero, and
     ``params[s]`` holds sequence s's weights; all share the hidden size H.
-    A single sequence is a list of one. The encoder (the default) runs
-    t = 0..T_s-1, step t reading column t, and returns the code: one
-    (B, S·H) tensor of each sequence's last hidden state, in order. The
-    ``decoder`` runs t = T_s-1..0, step t reading column t + 1, or zero at
-    t = T_s-1, and returns each sequence's (B,H,T_s) hidden states.
+    A single sequence is a list of one. Either mode returns one tensor. The
+    encoder (the default) runs t = 0..T_s-1, step t reading column t, and
+    returns the code: one (B, S·H) tensor of each sequence's last hidden
+    state, in order. The ``decoder`` runs t = T_s-1..0, step t reading
+    column t + 1, or zero at t = T_s-1, and returns the packed hidden
+    states, (B, H, ΣT_s): sequence s's, in time order, in columns
+    off_s .. off_s + T_s - 1, where off_s = T_0 + ... + T_{s-1}.
 
     The loop runs max T_s steps and a sequence drops out once its own steps
     are done. Each step's recurrent products are one stacked
@@ -401,8 +406,6 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
     runs = _scan(zx_of, np.stack([h0.data for h0 in h0s]), wh_half.transpose(0, 2, 1)[:, None], lengths,
                  keep=_trace(parents))
 
-    # Sequence s owns columns off_s .. off_s + T_s - 1: its hidden states in
-    # time order.
     offsets = list(accumulate(lengths, initial=0))
     last = np.subtract(offsets[1:], 1)
     packed = np.empty((nb, hid, offsets[-1]))
@@ -444,10 +447,9 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
             db.append(dz.sum(axis=(0, 2)))
         return (*dx, *dh0, *dwx, *dwh, *db)
 
-    if not decoder:
-        return _node(packed[..., last].transpose(0, 2, 1).reshape(nb, count * hid), parents, vjp)
-    core = _node(packed, parents, vjp)
-    return [core[..., start:end] for start, end in zip(offsets, offsets[1:])]
+    if decoder:
+        return _node(packed, parents, vjp)
+    return _node(packed[..., last].transpose(0, 2, 1).reshape(nb, count * hid), parents, vjp)
 
 
 def sigmoid(x) -> np.ndarray:

@@ -52,8 +52,10 @@ class GeneratorConfig:
         try:
             samples = self.n_samples
         except OverflowError:  # the count is inf
+            samples = math.inf
+        if samples > np.iinfo(np.intp).max:  # refused before the generator allocates
             raise ConfigError(f"{self.hours} hours at a {self.sample_period_seconds} s sample period "
-                              "give a sample count too large for a float") from None
+                              "give a sample count too large for a float or an array")
         if samples < 1:
             raise ConfigError(f"{self.hours} hours at a {self.sample_period_seconds} s sample period "
                               "give no samples")

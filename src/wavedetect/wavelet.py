@@ -90,10 +90,13 @@ def _fold(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def dwt_level(signal, family: WaveletFamily):
     """One analysis step: returns (approx, detail), each half the input length.
 
-    Works on a 1-D signal or row-wise on a (C, N) array. Periodic extension
-    handles the boundary, so N must be even and at least the filter length.
+    Works on a 1-D signal or row-wise on a (C, N) array or a (B, C, N)
+    batch. Periodic extension handles the boundary, so N must be even and
+    at least the filter length.
     """
     x = as_floats(signal, "signal")
+    if not 1 <= x.ndim <= 3:
+        raise ShapeError(f"expected an (N,), (C, N) or (B, C, N) array, got shape {x.shape}")
     n = x.shape[-1]
     if n % 2 != 0:
         raise ShapeError(f"signal length {n} is odd")

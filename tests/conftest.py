@@ -121,6 +121,21 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
+def take(a, key) -> Tensor:
+    """``a.data[key]`` for basic (slice and integer) indexing as a graph
+    node, whose gradient is zero outside the part taken: the per-gate LSTM
+    reference's gate slices and the engine tests."""
+    a = _as_tensor(a)
+    shape = a.data.shape
+
+    def vjp(g):
+        buf = np.zeros(shape)
+        buf[key] = g
+        return (buf,)
+
+    return _node(a.data[key], (a,), vjp)
+
+
 def tanh(a) -> Tensor:
     """Elementwise tanh as a graph node, for the per-gate LSTM reference."""
     a = _as_tensor(a)
@@ -129,12 +144,12 @@ def tanh(a) -> Tensor:
 
 
 def gate_params(p, gate):
-    """(w_i, b_i, w_h, b_h) of one gate, as index slices of the fused
+    """(w_i, b_i, w_h, b_h) of one gate, as ``take`` slices of the fused
     tensors (gate order ifog); the one fused bias takes the b_i slot and
     zero the b_h slot."""
     k = "ifog".index(gate)
     rows = slice(k * p.hidden_size, (k + 1) * p.hidden_size)
-    return p.w_x[rows], p.b[rows], p.w_h[rows], Tensor(np.zeros(p.hidden_size))
+    return take(p.w_x, rows), take(p.b, rows), take(p.w_h, rows), Tensor(np.zeros(p.hidden_size))
 
 
 def lstm_step(a, h, c, p):

@@ -5,13 +5,13 @@ import pytest
 
 import wavedetect.autodiff as autodiff
 import wavedetect.nn as nn
-from wavedetect.autodiff import Tensor, _node, index
+from wavedetect.autodiff import Tensor, _node
 from wavedetect.errors import ContractError, ShapeError
 from wavedetect.model import ModelConfig, WaveletAutoencoder
 from wavedetect.serialize import load_detector, save_detector
 from wavedetect.training import Detector, TrainConfig, score_windows, train
 
-from conftest import add, concat, matmul, max_rel_err, mul, numeric_grad, sigmoid, tanh, tsum
+from conftest import add, concat, matmul, max_rel_err, mul, numeric_grad, sigmoid, take, tanh, tsum
 
 
 def test_scalar_chain_gradients():
@@ -24,11 +24,11 @@ def test_scalar_chain_gradients():
 
 
 def test_a_tensor_has_no_arithmetic_operators():
-    """Every sum, product and sigmoid of the model happens inside an op of
-    ``nn``; a tensor itself offers only indexing."""
+    """Every sum, product, sigmoid and slice of the model happens inside an
+    op of ``nn``; a tensor itself offers neither arithmetic nor indexing."""
     x = Tensor([1.0, 2.0], requires_grad=True)
     for apply in (lambda: x + x, lambda: x * 2.0, lambda: 2.0 * x, lambda: x - x,
-                  lambda: x / x, lambda: x @ x, lambda: -x):
+                  lambda: x / x, lambda: x @ x, lambda: -x, lambda: x[0]):
         with pytest.raises(TypeError):
             apply()
 
@@ -175,9 +175,9 @@ def test_concat_splits_gradient():
     assert np.allclose(b.grad, [3.0])
 
 
-def test_index_and_concat_roundtrip(rng):
+def test_take_and_concat_roundtrip(rng):
     mat = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    rebuilt = concat([mat[:, t : t + 1] for t in range(4)])
+    rebuilt = concat([take(mat, (slice(None), slice(t, t + 1))) for t in range(4)])
     assert np.array_equal(rebuilt.data, mat.data)
     tsum(mul(rebuilt, rebuilt)).backward()
     assert max_rel_err(mat.grad, 2.0 * mat.data) < 1e-12
@@ -196,7 +196,7 @@ def test_determinism_bitwise(rng):
     runs = []
     for _ in range(2):
         x = Tensor(data.copy(), requires_grad=True)
-        loss = tsum(mul(tanh(matmul(x, x[0])), sigmoid(x[:, 1])))
+        loss = tsum(mul(tanh(matmul(x, take(x, 0))), sigmoid(take(x, (slice(None), 1)))))
         loss.backward()
         runs.append((loss.data.copy(), x.grad.copy()))
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -215,14 +215,3 @@ def test_concat_along_last_axis(rng):
     with pytest.raises(ShapeError):
         concat([a, Tensor(np.zeros((3, 3, 1)))])
 
-
-def test_index_routes_gradients(rng):
-    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    picked = index(x, (Ellipsis, 1))
-    assert np.array_equal(picked.data, x.data[..., 1])
-    assert np.array_equal(x[0, :, 1:].data, x.data[0, :, 1:])
-    weights = np.arange(6.0).reshape(2, 3)
-    tsum(mul(picked, Tensor(weights))).backward()
-    expected = np.zeros((2, 3, 4))
-    expected[..., 1] = weights
-    assert np.array_equal(x.grad, expected)

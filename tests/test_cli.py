@@ -172,7 +172,7 @@ def test_generator_config_without_samples_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--hours", "1e306"), ("--period", "1e-320")])
+@pytest.mark.parametrize("flag,value", [("--hours", "1e306"), ("--period", "1e-320"), ("--hours", "1e300")])
 def test_generator_sample_count_too_large_is_one_error_line(tmp_path, capsys, flag, value):
     out = tmp_path / "data"
     assert main(["synth", flag, value, "--out", str(out)]) == 1

@@ -286,8 +286,9 @@ class TestDecode:
     def test_teacher_mode_mismatch(self, rng):
         model = WaveletAutoencoder(tiny_config())
         code, acts = model.encode(scales(rng.normal(size=(1, 2, 32)), 2))
-        with pytest.raises(ContractError):
-            model.decode(code, acts[:-1])
+        for bad in (acts[:-1], acts[0], 3):  # too few, a lone tensor, not a list
+            with pytest.raises(ContractError, match="list of 3 teacher activations"):
+                model.decode(code, bad)
         for shape in ((1, 3, 16), (1, 5, 17)):  # wrong features; one zero step appended
             bad = [Tensor(np.zeros(shape))] + list(acts[1:])
             with pytest.raises(ContractError, match="teacher activations for scale 0"):

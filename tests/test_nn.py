@@ -1,12 +1,13 @@
 import math
 import weakref
 from dataclasses import fields
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from wavedetect.autodiff import Tensor, _node
-from wavedetect.errors import ShapeError
+from wavedetect.errors import DataError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder, padding_for
 from wavedetect.nn import (
     LSTMParams,
@@ -26,7 +27,7 @@ from wavedetect.nn import (
 from wavedetect.wavelet import get_family, mdwd
 
 from conftest import (add, concat, frozen, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad,
-                      reshape, sigmoid, tsum)
+                      reshape, sigmoid, take, tsum)
 
 
 def conv1d_naive(x, w, b, stride, padding):
@@ -362,13 +363,14 @@ class TestLinear:
 
 
 class TestStepDense:
-    """The decoder's step head: one (out,in) weight at every time step of a
-    (B,in,T) batch, then the bias. The input is a strided view, as ``decode``
-    passes its slice of the LSTM output."""
+    """The decoder's step head: one (out,in) weight at every time step of
+    columns 2..6 of a (B,in,T) batch, then the bias, as ``decode`` passes a
+    scale's columns of the LSTM output."""
+
+    cols = slice(2, 7)
 
     def operands(self, rng, batch):
-        wide = rng.normal(size=(batch, 3, 9))
-        x = Tensor(wide[..., 2:7], requires_grad=True)
+        x = Tensor(rng.normal(size=(batch, 3, 9)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         return x, w, b, rng.normal(size=(batch, 4, 5))
@@ -376,22 +378,23 @@ class TestStepDense:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_gradients_match_finite_differences(self, rng, batch):
         x, w, b, weights = self.operands(rng, batch)
-        x.data = x.data.copy()  # numeric_grad perturbs a flat view of the data
-        tsum(mul(step_dense(x, w, b), weights)).backward()
+        tsum(mul(step_dense(x, w, b, self.cols), weights)).backward()
 
         def f():
-            return float((step_dense(x, w, b).data * weights).sum())
+            return float((step_dense(x, w, b, self.cols).data * weights).sum())
 
+        assert not x.grad[..., :2].any() and not x.grad[..., 7:].any()
         for t in (x, w, b):
             assert max_rel_err(t.grad, numeric_grad(f, t)) < 1e-6
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_equals_the_composed_matmul_reshape_add_bit_for_bit(self, rng, batch):
         """The output and every gradient of the add(matmul, reshape) graph
-        the model built before the op."""
+        the model built before the op, on the columns that graph takes."""
         x, w, b, weights = self.operands(rng, batch)
         runs = []
-        for head in (lambda: step_dense(x, w, b), lambda: add(matmul(w, x), reshape(b, (4, 1)))):
+        for head in (lambda: step_dense(x, w, b, self.cols),
+                     lambda: add(matmul(w, take(x, (..., self.cols))), reshape(b, (4, 1)))):
             y = head()
             tsum(mul(y, weights)).backward()
             runs.append([y.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)])
@@ -685,7 +688,7 @@ def _unbatched_calls():
     code, acts = model.encode([x[None], np.zeros((1, 2, 8))])
     return [
         ("encode", lambda: model.encode([x, np.zeros((2, 8))])),
-        ("decode", lambda: model.decode(code[0], [a[0] for a in acts])),
+        ("decode", lambda: model.decode(code.data[0], [a.data[0] for a in acts])),
         ("logit", lambda: model.logit(np.zeros(model.config.code_length))),
         ("classify", lambda: model.classify(np.zeros(model.config.code_length))),
     ]
@@ -706,6 +709,21 @@ def test_a_code_of_the_wrong_width_is_rejected(head):
     model = _boundary_model()
     with pytest.raises(ShapeError, match=r"\(B, 4\)"):
         getattr(model, head)(np.zeros((1, model.config.code_length + 1)))
+
+
+@pytest.mark.parametrize("what", ["scale 1 input", "code", "scale 1 teacher activations"],
+                         ids=["encode", "decode-code", "decode-teacher"])
+def test_an_input_that_is_not_numbers_is_a_data_error_naming_it(what):
+    """A public model pass converts what it is handed with ``as_floats``,
+    so a string raises ``DataError`` naming the input, not numpy's error."""
+    model = _boundary_model()
+    x = [np.zeros((1, 2, 16)), np.zeros((1, 2, 8))]
+    code, acts = model.encode(x)
+    call = {"scale 1 input": lambda: model.encode([x[0], "abc"]),
+            "code": lambda: model.decode("abc", acts),
+            "scale 1 teacher activations": lambda: model.decode(code, [acts[0], "abc"])}[what]
+    with pytest.raises(DataError, match=f"{what} is not an array of numbers"):
+        call()
 
 
 def _lstm_inputs(rng, batch, nin=3, hid=2, steps=4, seed=17):
@@ -736,7 +754,7 @@ class TestLstmSequence:
             for t in (range(3, -1, -1) if decoder else range(4)):
                 hi, ci = lstm_reference(read[i, :, t], hi, ci, p)
                 if decoder:
-                    assert np.max(np.abs(out[0].data[i, :, t] - hi)) < 1e-14
+                    assert np.max(np.abs(out.data[i, :, t] - hi)) < 1e-14
             if not decoder:
                 assert out.data.shape == (batch, 2)
                 assert np.max(np.abs(out.data[i] - hi)) < 1e-14
@@ -750,7 +768,7 @@ class TestLstmSequence:
 
         def forward(x, h0, p):
             out = lstm_sequence([x], [h0], [p], decoder=decoder)
-            return tsum(mul(out[0] if decoder else out, weights))
+            return tsum(mul(out, weights))
 
         forward(x, h0, p).backward()
 
@@ -857,7 +875,7 @@ def _multi_inputs(rng, batch, specs=_SPECS, hid=2):
 
 
 def _run_multi(seqs, decoder):
-    """The decoder's hidden states per sequence, or the encoder's code."""
+    """The decoder's packed hidden states, or the encoder's code."""
     return lstm_sequence(*([s[q] for s in seqs] for q in range(3)), decoder=decoder)
 
 
@@ -878,10 +896,15 @@ def _reference(x, h0, p, decoder, up):
     return hs, (dx, *grads)
 
 
-def _outputs(out, decoder, hid):
-    """Each sequence's part of a multi-sequence output: its hidden states,
-    or its slice of the code."""
-    return out if decoder else [out[:, s * hid : (s + 1) * hid] for s in range(out.shape[1] // hid)]
+def _outputs(out, seqs, decoder):
+    """Each sequence's part of a multi-sequence output, as a ``take`` node:
+    its columns of the packed hidden states, which follow those of the
+    sequences before it, or its slice of the code."""
+    if not decoder:
+        hid = seqs[0][1].shape[1]
+        return [take(out, (slice(None), slice(s * hid, (s + 1) * hid))) for s in range(len(seqs))]
+    ends = accumulate(x.shape[2] for x, _, _ in seqs)
+    return [take(out, (..., slice(end - x.shape[2], end))) for (x, _, _), end in zip(seqs, ends)]
 
 
 class TestMultiSequence:
@@ -923,7 +946,7 @@ class TestMultiSequence:
         results in the last bits: within 1e-12 relative.
         """
         seqs = _multi_inputs(rng, batch, specs)
-        outputs = _outputs(_run_multi(seqs, decoder), decoder, 2)
+        outputs = _outputs(_run_multi(seqs, decoder), seqs, decoder)
         ups = [rng.normal(size=out.shape) for out in outputs]
         loss = Tensor(0.0)
         for out, up in zip(outputs, ups):
@@ -950,8 +973,8 @@ class TestMultiSequence:
         reference bit for bit."""
         seqs = _multi_inputs(rng, batch, _SCALES, hid=32)
         out = _run_multi(frozen(seqs), decoder)
-        assert not (out[0] if decoder else out).requires_grad
-        for (x, h0, p), got in zip(seqs, _outputs(out, decoder, 32)):
+        assert not out.requires_grad
+        for (x, h0, p), got in zip(seqs, _outputs(out, seqs, decoder)):
             # The upstream gradient feeds only the reference's gradients.
             want, _ = _reference(x.data, h0.data, p, decoder, np.zeros(got.shape))
             assert np.array_equal(got.data, want)
@@ -961,15 +984,11 @@ class TestMultiSequence:
     def test_gradients_match_finite_differences(self, rng, batch, decoder):
         """Every input and parameter of every sequence, through every output."""
         seqs = _multi_inputs(rng, batch)
-        shapes = [(batch, 2, steps) for _, steps in _SPECS] if decoder else [(batch, 2 * len(_SPECS))]
-        weights = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        shape = (batch, 2, sum(steps for _, steps in _SPECS)) if decoder else (batch, 2 * len(_SPECS))
+        weights = Tensor(rng.normal(size=shape))
 
         def forward(seqs):
-            out = _run_multi(seqs, decoder)
-            loss = Tensor(0.0)
-            for hs, w in zip(out if decoder else [out], weights):
-                loss = add(loss, tsum(mul(hs, w)))
-            return loss
+            return tsum(mul(_run_multi(seqs, decoder), weights))
 
         forward(seqs).backward()
 
@@ -991,11 +1010,10 @@ class TestMultiSequence:
     @pytest.mark.parametrize("decoder", [False, True])
     def test_batch_equals_per_sample(self, rng, decoder):
         seqs = frozen(_multi_inputs(rng, 3))
-        batched = _outputs(_run_multi(seqs, decoder), decoder, 2)
+        batched = _run_multi(seqs, decoder).data
         for i in range(3):
             one = [[Tensor(t.data[i : i + 1]) for t in s[:2]] + [s[2]] for s in seqs]
-            for got, want in zip(batched, _outputs(_run_multi(one, decoder), decoder, 2)):
-                assert np.array_equal(got.data[i : i + 1], want.data)
+            assert np.array_equal(batched[i : i + 1], _run_multi(one, decoder).data)
 
 
 def _per_gate_reconstructions(model, inputs):
@@ -1007,10 +1025,10 @@ def _per_gate_reconstructions(model, inputs):
         acts = Tensor(values)
         for (kernels, bias), layer in zip(branch.conv, cfg.conv):
             acts = conv1d(acts, kernels, bias, layer.stride, padding_for(layer))
-        acts = acts[0]
+        acts = take(acts, 0)
         h, c = Tensor(np.zeros(cfg.hidden)), Tensor(np.zeros(cfg.hidden))
         for t in range(acts.data.shape[1]):
-            h, c = lstm_step(acts[:, t], h, c, branch.encoder)
+            h, c = lstm_step(take(acts, (slice(None), t)), h, c, branch.encoder)
         finals.append(h)
         taught.append(acts)
     code = concat(finals)
@@ -1024,7 +1042,7 @@ def _per_gate_reconstructions(model, inputs):
         for t in range(steps - 1, -1, -1):
             h, c = lstm_step(step_in, h, c, branch.decoder)
             slots[t] = add(matmul(branch.step_w, h), branch.step_b)
-            step_in = acts[:, t]
+            step_in = take(acts, (slice(None), t))
         out = concat([reshape(slot, (1, cfg.conv_features, 1)) for slot in slots])
         last = len(branch.deconv) - 1
         for i, (kernels, bias) in enumerate(branch.deconv):

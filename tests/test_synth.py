@@ -33,9 +33,10 @@ class TestConfig:
                 with pytest.raises(ConfigError, match="finite"):
                     GeneratorConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [("hours", 1e306), ("sample_period_seconds", 1e-320)])
+    @pytest.mark.parametrize("field,value", [("hours", 1e306), ("sample_period_seconds", 1e-320), ("hours", 1e300)])
     def test_a_sample_count_too_large_for_a_float_is_refused(self, field, value):
-        """Each value is finite, but hours * 3600 / period is not."""
+        """Each value is finite, but hours * 3600 / period is not, or (at
+        1e300 hours) is more samples than an array can index."""
         with pytest.raises(ConfigError, match="too large for a float"):
             GeneratorConfig(**{field: value})
 

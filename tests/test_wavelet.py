@@ -223,5 +223,9 @@ def test_input_that_is_not_numbers_is_refused(call):
 
 
 def test_rejects_four_dimensional_input():
-    with pytest.raises(ShapeError):
-        mdwd(np.zeros((1, 1, 2, 64)), HAAR, 1)
+    """Both transforms take 1-, 2- or 3-D input; a 4-D array or a scalar
+    raises ``ShapeError``."""
+    for call in (lambda: mdwd(np.zeros((1, 1, 2, 64)), HAAR, 1), lambda: dwt_level(np.zeros((1, 1, 2, 64)), HAAR),
+                 lambda: dwt_level(5.0, HAAR)):
+        with pytest.raises(ShapeError):
+            call()
