@@ -9,7 +9,6 @@ from .data import (
     AnomalyRanges,
     Fragment,
     MultiSeries,
-    label_block,
     load_ranges,
     load_signals,
     make_fragments,
@@ -29,7 +28,7 @@ from .metrics import MetricsReport, compute_metrics
 from .model import ConvLayer, ModelConfig, WaveletAutoencoder
 from .optim import Adam
 from .serialize import load_detector, save_detector
-from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep, vote_decide
+from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep
 from .synth import GeneratorConfig, synth_generate
 from .training import (
     Detector,
@@ -38,6 +37,6 @@ from .training import (
     score_windows,
     train,
 )
-from .wavelet import DB4, HAAR, WaveletFamily, dwt_level, get_family, mdwd
+from .wavelet import DB4, HAAR, WaveletFamily, get_family, mdwd
 
 __version__ = "0.1.0"

@@ -123,10 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dataset(signals_path, ranges_path):
-    series = load_signals(signals_path)
-    ranges = load_ranges(ranges_path) if ranges_path else AnomalyRanges()
-    ranges.check_length(series.length)
-    return series, ranges
+    return load_signals(signals_path), load_ranges(ranges_path) if ranges_path else AnomalyRanges()
 
 
 def _load_detector_and_dataset(args):

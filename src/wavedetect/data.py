@@ -1,4 +1,4 @@
-"""Signal containers, CSV ingestion, anomaly-range labels, and fragment
+"""Signal containers, CSV ingestion, anomaly ranges, and fragment
 generation with positive-sample augmentation.
 
 File formats
@@ -37,14 +37,14 @@ DEFAULT_POS_STEP = 16
 _CHUNK_LINES = 512
 
 
-def as_floats(value, what: str) -> np.ndarray:
+def as_floats(value, what: str, error=DataError) -> np.ndarray:
     """``value`` as a float64 array. A value numpy cannot convert, such as
     a non-numeric string, a ragged list or an arbitrary object, raises
-    ``DataError`` naming ``what``."""
+    ``error`` naming ``what``."""
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
+        raise error(f"{what} is not an array of numbers: got {type(value).__name__}") from None
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,13 @@ class AnomalyRanges:
         return len(self.spans)
 
     def check_length(self, total: int):
+        require_integers(("total", total))
         if self.spans and self.spans[-1][1] > total:
             raise DataError(f"range {self.spans[-1]} exceeds series length {total}")
 
     def overlap(self, start: int, end: int) -> int:
         """Number of samples of [start, end) covered by any range."""
+        require_integers(("start", start), ("end", end))
         covered = 0
         for s, e in self.spans:
             covered += max(0, min(end, e) - max(start, s))
@@ -275,17 +277,6 @@ def load_ranges(path) -> AnomalyRanges:
     return AnomalyRanges(tuple(spans))
 
 
-def label_block(span, ranges: AnomalyRanges) -> int:
-    """1 iff at least half of the half-open span lies inside anomaly ranges.
-    An empty, reversed or negative span raises ``DataError``."""
-    require_instances(DataError, ("ranges", ranges, AnomalyRanges))
-    start, end = span
-    fault = _span_fault(start, end, -1)
-    if fault:
-        raise DataError(f"cannot label block {span}: {fault}")
-    return int(2 * ranges.overlap(start, end) >= end - start)
-
-
 def make_fragments(
     series: MultiSeries,
     ranges: AnomalyRanges | None,
@@ -306,8 +297,7 @@ def make_fragments(
     if not 1 <= pos_step <= window:
         raise ConfigError(f"pos_step must be in [1, window], got {pos_step}")
     ranges = AnomalyRanges() if ranges is None else ranges
-    ranges.check_length(series.length)
-
+    # ``complement`` refuses a range that ends past the series.
     regions = [(s, e, 0) for s, e in ranges.complement(series.length)]
     regions += [(s, e, 1) for s, e in ranges]
     regions.sort()

@@ -68,7 +68,7 @@ from .autodiff import Tensor
 from .data import DEFAULT_WINDOW, as_floats
 from .errors import CapabilityError, ConfigError, ContractError, ShapeError, require_instances, require_integers
 from .nn import LSTMParams, conv1d, deconv1d, linear, lstm_sequence, sigmoid, step_dense
-from .wavelet import get_family
+from .wavelet import _check_depth, get_family
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,9 @@ class ModelConfig:
             raise ConfigError(f"levels must be >= 0, got {self.levels}")
         if self.fragment_length < 1:
             raise ConfigError("fragment_length must be positive")
-        if self.levels and self.fragment_length % (1 << self.levels) != 0:
-            raise ConfigError(
-                f"fragment_length {self.fragment_length} is not divisible by 2**{self.levels}"
-            )
         family = get_family(self.wavelet)
-        if self.levels and self.fragment_length >> (self.levels - 1) < len(family):
-            raise ConfigError(
-                f"{self.levels} levels leave a stage shorter than the {self.wavelet} filter"
-            )
+        if self.levels:
+            _check_depth(self.fragment_length, family, self.levels)
         if not self.conv:
             raise ConfigError("at least one conv layer is required")
         for i, layer in enumerate(self.conv):

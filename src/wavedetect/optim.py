@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError, require_reals
+from .errors import ConfigError, ShapeError, require_instances, require_reals
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -26,6 +26,8 @@ class Adam:
         require_reals(("lr", lr))
         if not 0 < lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+        require_instances(ConfigError, ("params", params, (list, tuple)))
+        require_instances(ConfigError, *(("each param", p, Tensor) for p in params))
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.step_count = 0

@@ -9,7 +9,8 @@ never collect them all, and neither do the last ones when the stream
 stops: those only ever reach preliminary verdicts. ``VoteState`` reports a
 block as preliminary only while the newest window covers it. A block is
 declared anomalous when its positive-vote ratio is at least
-``vote_threshold``.
+``vote_threshold`` (``_decide``), and labeled anomalous when at least half
+of it lies inside the anomaly ranges (``_label``); these steps check nothing.
 
 ``VoteState`` is the incremental engine and scores one window per block.
 The offline replay scores every window of the stream in batches. Both
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import DEFAULT_WINDOW, AnomalyRanges, MultiSeries, as_floats, label_block
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .data import DEFAULT_WINDOW, AnomalyRanges, MultiSeries, as_floats
+from .errors import ConfigError, DataError, ShapeError
 from .errors import require_instances, require_integers, require_reals
 from .metrics import compute_metrics
 from .training import Detector, _detector_scores, score_windows
@@ -66,13 +67,9 @@ def _tally(votes, block: int, full: int):
     return sum(covering), len(covering)
 
 
-def vote_decide(positive: int, total: int, vote_threshold: float) -> int:
-    """1 iff positive/total >= vote_threshold."""
-    if total < 1:
-        raise ContractError("vote_decide needs at least one vote")
-    if not 0 <= positive <= total:
-        raise ContractError(f"positive count {positive} outside [0, {total}]")
-    return int(positive / total >= vote_threshold)
+def _decide(positive: int, total: int, threshold: float) -> int:
+    """The vote rule: 1 iff positive/total >= threshold."""
+    return int(positive / total >= threshold)
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ class VoteState:
         # covers blocks len(votes) - 1 .. len(votes) + full - 2.
         for j in range(full):
             positive, total = _tally(votes, len(votes) - 1 + j, full)
-            rows.append(BlockRow(first + j, None, vote_decide(positive, total, self.cfg.vote_threshold),
+            rows.append(BlockRow(first + j, None, _decide(positive, total, self.cfg.vote_threshold),
                                  positive, total, total == full))
         # Only the newest window's first block can have all its votes: every
         # other block of the window awaits the votes of later windows.
@@ -170,16 +167,25 @@ def _blocks(series: MultiSeries, ranges: AnomalyRanges, detector: Detector, cfg:
     _check_voting(detector, cfg)
     ranges.check_length(series.length)
     votes, n_blocks = window_predictions(series, detector, cfg)
-    return [(*_tally(votes, i, cfg.votes_per_block), label_block((i * cfg.step, (i + 1) * cfg.step), ranges))
+    return [(*_tally(votes, i, cfg.votes_per_block), _label(i * cfg.step, (i + 1) * cfg.step, ranges))
             for i in range(n_blocks)]
+
+
+def _label(start: int, end: int, ranges: AnomalyRanges) -> int:
+    """The block label: 1 iff at least half of [start, end) lies inside anomaly ranges."""
+    return int(2 * ranges.overlap(start, end) >= end - start)
 
 
 def _report(blocks, cfg: VoteConfig, vote_threshold: float):
     """Per-block rows at one vote threshold, plus metrics over finalized blocks."""
-    rows = [BlockRow(i, label, vote_decide(positive, total, vote_threshold), positive, total,
+    rows = [BlockRow(i, label, _decide(positive, total, vote_threshold), positive, total,
                      total == cfg.votes_per_block)
             for i, (positive, total, label) in enumerate(blocks)]
     finalized = [r for r in rows if r.final]
+    if not finalized:
+        full = cfg.votes_per_block
+        raise DataError(f"none of the stream's {len(rows)} blocks is final: a final block needs all "
+                        f"votes_per_block = {full} votes, so the shortest stream with one has {2 * full - 1} blocks")
     return rows, compute_metrics([r.verdict for r in finalized], [r.label for r in finalized])
 
 

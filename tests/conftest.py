@@ -167,8 +167,9 @@ def lstm_step(a, h, c, p):
 
 
 def idwt_level(approx, detail, family) -> np.ndarray:
-    """Exact inverse of ``wavelet.dwt_level`` under periodic extension: the
-    analysis taps scattered back, which inverts an orthonormal bank."""
+    """Exact inverse of one level of ``wavelet.mdwd`` (``wavelet._level``)
+    under periodic extension: the analysis taps scattered back, which
+    inverts an orthonormal bank."""
     a = np.asarray(approx, dtype=np.float64)
     d = np.asarray(detail, dtype=np.float64)
     if a.shape != d.shape:

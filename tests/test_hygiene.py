@@ -17,7 +17,8 @@ one op, which ``model`` does not import. Only ``model`` and ``training``
 import the ``nn`` layers, which trust their caller's shapes. A training
 step's graph holds a known number of nodes, so any change to its size is a
 deliberate one. Every class that checks its fields in ``__post_init__`` is
-a frozen dataclass."""
+a frozen dataclass. The package's public names are pinned, so that adding
+or dropping one is a deliberate change."""
 
 import ast
 import importlib.util
@@ -211,6 +212,24 @@ def test_every_class_that_checks_its_fields_is_a_frozen_dataclass():
                     and not any(map(_frozen_dataclass, node.decorator_list))):
                 mutable.append(f"{path.name}:{node.lineno} {node.name}")
     assert not mutable, f"classes that check their fields but can be changed after: {mutable}"
+
+
+# ``wavedetect``'s public names, modules aside. Adding or dropping one is a
+# change to the package's API: update this list on purpose.
+PUBLIC_NAMES = [
+    "Adam", "AnomalyRanges", "BlockRow", "CapabilityError", "ConfigError", "ContractError", "ConvLayer", "DB4",
+    "DataError", "Detector", "Fragment", "GeneratorConfig", "HAAR", "IngestError", "MetricsReport", "ModelConfig",
+    "MultiSeries", "ShapeError", "Tensor", "TrainConfig", "VoteConfig", "VoteState", "WaveDetectError",
+    "WaveletAutoencoder", "WaveletFamily", "compute_metrics", "evaluate_fragments", "get_family", "load_detector",
+    "load_ranges", "load_signals", "make_fragments", "mdwd", "save_detector", "save_ranges", "save_signals",
+    "score_windows", "simulate", "sweep", "synth_generate", "train",
+]
+
+
+def test_the_public_surface_is_pinned():
+    exported = sorted(name for name, value in vars(wavedetect).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES
 
 
 def test_every_test_data_file_is_named_by_a_test():

@@ -3,18 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavedetect.data import AnomalyRanges, MultiSeries, label_block, make_fragments
-from wavedetect.errors import ConfigError, ContractError, DataError, ShapeError
+from wavedetect.data import AnomalyRanges, MultiSeries, make_fragments
+from wavedetect.errors import ConfigError, DataError, ShapeError
 from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.streaming import (
     SWEEP_THRESHOLDS,
     VoteConfig,
     VoteState,
     _blocks,
+    _decide,
     _report,
     simulate,
     sweep,
-    vote_decide,
 )
 from wavedetect.training import Detector, score_windows
 
@@ -64,20 +64,14 @@ class TestVoteConfig:
 
 class TestVoteDecide:
     def test_majority(self):
-        assert vote_decide(20, 32, 0.5) == 1
+        assert _decide(20, 32, 0.5) == 1
 
     def test_below_threshold(self):
-        assert vote_decide(20, 32, 0.7) == 0
+        assert _decide(20, 32, 0.7) == 0
 
     def test_tie_counts_as_positive(self):
-        assert vote_decide(16, 32, 0.5) == 1
-        assert vote_decide(3, 10, 0.3) == 1
-
-    def test_contract_errors(self):
-        with pytest.raises(ContractError):
-            vote_decide(0, 0, 0.5)
-        with pytest.raises(ContractError):
-            vote_decide(5, 4, 0.5)
+        assert _decide(16, 32, 0.5) == 1
+        assert _decide(3, 10, 0.3) == 1
 
 
 class TestVoteState:
@@ -136,7 +130,7 @@ class TestVoteState:
             _, prelims = state.push_block(series.values[:, i * 16:(i + 1) * 16])
         assert all(1 <= v.total <= CFG.votes_per_block and not v.final and v.label is None for v in prelims)
         for v in prelims:
-            assert v.verdict == vote_decide(v.positive, v.total, CFG.vote_threshold)
+            assert v.verdict == _decide(v.positive, v.total, CFG.vote_threshold)
 
     def test_a_reused_block_buffer_gives_the_verdicts_of_fresh_arrays(self):
         """A caller that reads every block into one buffer: the state keeps
@@ -194,6 +188,18 @@ class TestSimulate:
             simulate(make_series(1, length=48), AnomalyRanges(), make_detector(), CFG)
 
     @pytest.mark.parametrize("run", [simulate, sweep])
+    def test_a_stream_with_no_final_block_names_the_shortest_one_that_has_one(self, run):
+        """One 64-sample window makes 4 blocks and none of them final; a
+        final block needs all 4 votes, so 7 blocks are the fewest that
+        finalize one. The error used to be the metrics' empty-set error."""
+        detector = make_detector()
+        with pytest.raises(DataError, match=r"^none of the stream's 4 blocks is final: a final block needs all "
+                                            r"votes_per_block = 4 votes, so the shortest stream with one has 7 "
+                                            r"blocks$"):
+            run(make_series(1, length=64), AnomalyRanges(), detector, CFG)
+        run(make_series(1, length=7 * CFG.step), AnomalyRanges(), detector, CFG)
+
+    @pytest.mark.parametrize("run", [simulate, sweep])
     def test_ranges_past_the_stream_end_are_rejected(self, run):
         """The ranges ``make_fragments`` would reject: the last one ends
         past the 640-sample stream."""
@@ -241,8 +247,6 @@ def test_a_vote_window_other_than_the_fragment_length_is_one_config_error(call):
 _WRONG_TYPES = {
     "make_fragments-series": (lambda: make_fragments([[0.0] * 600], None, window=64),
                               DataError, "series must be a MultiSeries, got list"),
-    "label_block-ranges": (lambda: label_block((0, 5), [(0, 5)]),
-                           DataError, "ranges must be an AnomalyRanges, got list"),
     "simulate-ranges": (lambda: simulate(make_series(1), [(0, 5)], make_detector(), CFG),
                         DataError, "ranges must be an AnomalyRanges, got list"),
     "sweep-ranges": (lambda: sweep(make_series(1), [(0, 5)], make_detector(), CFG),

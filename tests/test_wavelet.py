@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavedetect.errors import ConfigError, DataError, ShapeError
-from wavedetect.wavelet import DB4, FAMILIES, HAAR, WaveletFamily, dwt_level, get_family, mdwd
+from wavedetect.wavelet import DB4, FAMILIES, HAAR, WaveletFamily, _level, get_family, mdwd
 
 from conftest import idwt_level, reconstruct
 
@@ -46,30 +46,42 @@ class TestFamilies:
 
     def test_rejects_non_orthogonal_filters(self):
         with pytest.raises(ConfigError):
-            WaveletFamily("bad", [1.0, 1.0], [1.0, -1.0])
+            WaveletFamily("bad", [1.0, 1.0])
         with pytest.raises(ConfigError):
-            WaveletFamily("odd", [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+            WaveletFamily("odd", [1.0, 0.0, 0.0])
+
+    def test_a_unit_energy_lowpass_that_is_not_orthonormal_to_its_shifts_is_refused(self):
+        """A flat 4-tap lowpass has unit energy, but lo[k] * lo[k + 2]
+        sums to 0.5, so its bank is no orthonormal split and one level does
+        not keep a signal's energy."""
+        with pytest.raises(ConfigError, match="lowpass of 'flat' is not orthonormal to its even shifts"):
+            WaveletFamily("flat", [0.5] * 4)
+
+    def test_the_highpass_is_derived_not_given(self):
+        with pytest.raises(TypeError):
+            WaveletFamily("haar", HAAR.lowpass, HAAR.highpass)
+        assert np.array_equal(WaveletFamily("mine", DB4.lowpass).highpass, DB4.highpass)
 
 
 class TestSingleLevel:
     def test_haar_constant_signal(self):
-        approx, detail = dwt_level([1.0, 1.0, 1.0, 1.0], HAAR)
-        assert np.allclose(approx, [SQRT2, SQRT2])
-        assert np.allclose(detail, [0.0, 0.0])
+        [detail], approx = mdwd([1.0, 1.0, 1.0, 1.0], HAAR, 1)
+        assert np.allclose(approx, [[SQRT2, SQRT2]])
+        assert np.allclose(detail, [[0.0, 0.0]])
 
     def test_haar_alternating_signal(self):
         x = [1.0, -1.0, 1.0, -1.0]
-        approx, detail = dwt_level(x, HAAR)
+        [detail], approx = mdwd(x, HAAR, 1)
         ref_a, ref_d = dwt_naive(np.array(x), HAAR)
-        assert np.allclose(approx, ref_a)
-        assert np.allclose(detail, ref_d)
-        assert np.allclose(approx, [0.0, 0.0])
-        assert np.allclose(detail, [SQRT2, SQRT2])
+        assert np.allclose(approx, [ref_a])
+        assert np.allclose(detail, [ref_d])
+        assert np.allclose(approx, [[0.0, 0.0]])
+        assert np.allclose(detail, [[SQRT2, SQRT2]])
 
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_matches_naive_oracle(self, rng, family):
         x = rng.normal(size=64)
-        approx, detail = dwt_level(x, family)
+        approx, detail = _level(x, family)
         ref_a, ref_d = dwt_naive(x, family)
         assert np.max(np.abs(approx - ref_a)) < 1e-12
         assert np.max(np.abs(detail - ref_d)) < 1e-12
@@ -77,7 +89,7 @@ class TestSingleLevel:
     @pytest.mark.parametrize("family", [HAAR, DB4])
     def test_perfect_reconstruction_length_512(self, rng, family):
         x = rng.normal(size=512)
-        approx, detail = dwt_level(x, family)
+        [detail], approx = mdwd(x, family, 1)
         assert np.max(np.abs(idwt_level(approx, detail, family) - x)) < 1e-9
 
     def test_idwt_haar_examples(self):
@@ -88,12 +100,12 @@ class TestSingleLevel:
         assert not idwt_level(np.zeros(8), np.zeros(8), DB4).any()
 
     def test_odd_length_rejected(self):
-        with pytest.raises(ShapeError):
-            dwt_level(np.ones(7), HAAR)
+        with pytest.raises(ConfigError, match="length 7 is not divisible by 2"):
+            mdwd(np.ones(7), HAAR, 1)
 
     def test_too_short_for_filter_rejected(self):
-        with pytest.raises(ShapeError):
-            dwt_level(np.ones(2), DB4)
+        with pytest.raises(ConfigError, match="stage shorter than the db4 filter"):
+            mdwd(np.ones(2), DB4, 1)
 
     def test_idwt_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -118,7 +130,7 @@ class TestMultilevel:
         details, approximation = mdwd(x, family, 3)
         approx = x
         for level in range(3):
-            approx, det = dwt_level(approx, family)
+            approx, det = _level(approx, family)
             assert np.array_equal(details[level], det)
         assert np.array_equal(approximation, approx)
 
@@ -215,17 +227,28 @@ def test_batched_decomposition_equals_per_sample(rng, family):
     assert np.max(np.abs(reconstruct(details, approx, family) - xs)) < 1e-12
 
 
-@pytest.mark.parametrize("call", [lambda: mdwd("abcd", HAAR, 1), lambda: mdwd([[1, 2], [3]], HAAR, 1),
-                                  lambda: dwt_level("abc", HAAR)], ids=["mdwd-string", "mdwd-ragged", "dwt-string"])
+@pytest.mark.parametrize("call", [lambda: mdwd("abcd", HAAR, 1), lambda: mdwd([[1, 2], [3]], HAAR, 1)],
+                         ids=["mdwd-string", "mdwd-ragged"])
 def test_input_that_is_not_numbers_is_refused(call):
     with pytest.raises(DataError, match="signal is not an array of numbers"):
         call()
 
 
 def test_rejects_four_dimensional_input():
-    """Both transforms take 1-, 2- or 3-D input; a 4-D array or a scalar
-    raises ``ShapeError``."""
-    for call in (lambda: mdwd(np.zeros((1, 1, 2, 64)), HAAR, 1), lambda: dwt_level(np.zeros((1, 1, 2, 64)), HAAR),
-                 lambda: dwt_level(5.0, HAAR)):
+    """``mdwd`` takes 1-, 2- or 3-D input; a 4-D array or a scalar raises
+    ``ShapeError``."""
+    for call in (lambda: mdwd(np.zeros((1, 1, 2, 64)), HAAR, 1), lambda: mdwd(5.0, HAAR, 1)):
         with pytest.raises(ShapeError):
             call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: mdwd(np.zeros(8), "haar", 1), "family must be a WaveletFamily, got str"),
+    (lambda: mdwd(np.zeros((2, 8)), HAAR, 10**30), "levels leave a stage shorter than the haar filter"),
+    (lambda: WaveletFamily("text", "ab"), "lowpass of 'text' is not an array of numbers"),
+], ids=["family-name", "huge-levels", "lowpass-string"])
+def test_a_bad_family_or_level_count_is_a_config_error(call, message):
+    """Each raised a bare ``AttributeError``, ``OverflowError`` (from
+    ``1 << levels``) or ``ValueError`` before."""
+    with pytest.raises(ConfigError, match=message):
+        call()
