@@ -24,9 +24,8 @@ from .errors import (
     ShapeError,
     WaveDetectError,
 )
-from .metrics import MetricsReport, compute_metrics
+from .metrics import MetricsReport
 from .model import ConvLayer, ModelConfig, WaveletAutoencoder
-from .optim import Adam
 from .serialize import load_detector, save_detector
 from .streaming import BlockRow, VoteConfig, VoteState, simulate, sweep
 from .synth import GeneratorConfig, synth_generate
@@ -37,6 +36,6 @@ from .training import (
     score_windows,
     train,
 )
-from .wavelet import DB4, HAAR, WaveletFamily, get_family, mdwd
+from .wavelet import mdwd
 
 __version__ = "0.1.0"

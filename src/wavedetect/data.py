@@ -37,17 +37,17 @@ DEFAULT_POS_STEP = 16
 _CHUNK_LINES = 512
 
 
-def as_floats(value, what: str, error=DataError) -> np.ndarray:
+def as_floats(value, what: str) -> np.ndarray:
     """``value`` as a float64 array. A value numpy cannot convert, such as
     a non-numeric string, a ragged list or an arbitrary object, raises
-    ``error`` naming ``what``."""
+    ``DataError`` naming ``what``."""
     try:
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        raise error(f"{what} is not an array of numbers: got {type(value).__name__}") from None
+        raise DataError(f"{what} is not an array of numbers: got {type(value).__name__}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiSeries:
     """A C-channel, length-T signal with channel names, C and T >= 1. The
     names are a list or tuple of ``str``, each without a comma, newline or
@@ -158,7 +158,7 @@ class AnomalyRanges:
         return spans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fragment:
     """A fixed-length labeled window cut from a series."""
 

@@ -1,10 +1,11 @@
-"""Confusion-matrix metrics for binary anomaly predictions."""
+"""Confusion-matrix metrics for binary anomaly predictions. ``compute_metrics``
+checks nothing: its callers, ``training.evaluate_fragments`` and
+``streaming._report``, pass equal-length, non-empty lists of 0/1 values.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,6 @@ def compute_metrics(preds, labels) -> MetricsReport:
     A zero denominator yields 0.0 for the affected metric and records its
     name in ``degenerate``.
     """
-    preds, labels = list(preds), list(labels)
-    if len(preds) != len(labels):
-        raise DataError(f"{len(preds)} predictions vs {len(labels)} labels")
-    if not preds:
-        raise DataError("cannot compute metrics over an empty set")
-    for v in preds + labels:
-        if v not in (0, 1):
-            raise DataError(f"predictions and labels must be 0 or 1, got {v!r}")
-
     tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
     fp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 0)
     tn = sum(1 for p, y in zip(preds, labels) if p == 0 and y == 0)

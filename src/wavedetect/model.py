@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import accumulate
 
 import numpy as np
@@ -132,9 +132,9 @@ class ModelConfig:
             raise ConfigError(f"levels must be >= 0, got {self.levels}")
         if self.fragment_length < 1:
             raise ConfigError("fragment_length must be positive")
-        family = get_family(self.wavelet)
+        get_family(self.wavelet)
         if self.levels:
-            _check_depth(self.fragment_length, family, self.levels)
+            _check_depth(self.fragment_length, self.wavelet, self.levels)
         if not self.conv:
             raise ConfigError("at least one conv layer is required")
         for i, layer in enumerate(self.conv):
@@ -176,16 +176,9 @@ def padding_for(layer: ConvLayer) -> int:
 
 
 def config_to_dict(config: ModelConfig) -> dict:
-    return {
-        "channels": config.channels,
-        "fragment_length": config.fragment_length,
-        "levels": config.levels,
-        "conv": [[l.features, l.kernel, l.stride] for l in config.conv],
-        "hidden": config.hidden,
-        "classifier": config.classifier,
-        "wavelet": config.wavelet,
-        "seed": config.seed,
-    }
+    """Every field of ``config``, with ``conv`` as [[features, kernel, stride], ...]."""
+    return {**{f.name: getattr(config, f.name) for f in fields(config)},
+            "conv": [list(astuple(layer)) for layer in config.conv]}
 
 
 def config_from_dict(data: dict) -> ModelConfig:

@@ -51,7 +51,7 @@ from .metrics import MetricsReport, compute_metrics
 from .model import ModelConfig, WaveletAutoencoder
 from .nn import reconstruction_loss, supervised_loss
 from .optim import Adam
-from .wavelet import get_family, mdwd
+from .wavelet import mdwd
 
 SEMI_EPOCHS = 16
 SUPERVISED_EPOCHS = 11
@@ -103,12 +103,13 @@ class TrainConfig:
         return SEMI_EPOCHS if self.mode == "semi" else SUPERVISED_EPOCHS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detector:
     """A trained model plus everything prediction needs; the model's head
     decides the kind (``mode``), and only a model without one takes a
     threshold. Frozen, so that every field has passed the checks below;
-    ``dataclasses.replace`` builds a changed copy and checks it again.
+    ``dataclasses.replace`` builds a changed copy and checks it again. It
+    holds arrays, so it compares and hashes by identity.
     ``model`` is the ``frozen`` view of the model given, so scoring records
     no graph, and ``threshold`` and ``train_loss_mean`` are Python floats,
     which a detector file writes as it reads them. ``norm_mean`` and
@@ -230,7 +231,7 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
     xn = (windows - mean[:, None]) / std[:, None]
     if not cfg.levels:
         return [xn]
-    details, _ = mdwd(xn, get_family(cfg.wavelet), cfg.levels)
+    details, _ = mdwd(xn, cfg.wavelet, cfg.levels)
     return [xn, *details]
 
 

@@ -6,6 +6,7 @@ import pytest
 from wavedetect.autodiff import Tensor, _as_tensor, _node
 from wavedetect.errors import ShapeError
 from wavedetect import nn
+from wavedetect.wavelet import get_family
 
 
 @pytest.fixture
@@ -168,8 +169,8 @@ def lstm_step(a, h, c, p):
 
 def idwt_level(approx, detail, family) -> np.ndarray:
     """Exact inverse of one level of ``wavelet.mdwd`` (``wavelet._level``)
-    under periodic extension: the analysis taps scattered back, which
-    inverts an orthonormal bank."""
+    with the family named ``family``, under periodic extension: the
+    analysis taps scattered back, which inverts an orthonormal bank."""
     a = np.asarray(approx, dtype=np.float64)
     d = np.asarray(detail, dtype=np.float64)
     if a.shape != d.shape:
@@ -177,9 +178,9 @@ def idwt_level(approx, detail, family) -> np.ndarray:
     half = a.shape[-1]
     n = 2 * half
     x = np.zeros(a.shape[:-1] + (n,))
-    lo, hi = family.lowpass, family.highpass
+    lo, hi = get_family(family)
     base = 2 * np.arange(half)
-    for j in range(len(family)):
+    for j in range(lo.size):
         x[..., (base + j) % n] += lo[j] * a + hi[j] * d
     return x
 

@@ -3,16 +3,14 @@ a value that is not a number, a bool included, or an integer too large for
 a float raises ``ConfigError`` naming the field, as does a bool in an
 integer field; a missing config raises ``ConfigError`` naming the
 argument; so does an argument of a public method that is not the integer
-or the tensors it takes."""
+it takes."""
 
 import numpy as np
 import pytest
 
-from wavedetect.autodiff import Tensor
 from wavedetect.data import AnomalyRanges
 from wavedetect.errors import ConfigError
 from wavedetect.model import ModelConfig, WaveletAutoencoder
-from wavedetect.optim import Adam
 from wavedetect.serialize import save_detector
 from wavedetect.streaming import VoteConfig
 from wavedetect.synth import GeneratorConfig, synth_generate
@@ -25,7 +23,6 @@ def _train_config(**field):
 
 _FLOAT_FIELDS = [
     *(pytest.param(_train_config, name, id=f"TrainConfig-{name}") for name in ("lr", "alpha", "beta")),
-    pytest.param(lambda **field: Adam([Tensor([1.0], requires_grad=True)], **field), "lr", id="Adam-lr"),
     *(pytest.param(GeneratorConfig, name, id=f"GeneratorConfig-{name}")
       for name in ("hours", "sample_period_seconds", "severity", "noise")),
     pytest.param(VoteConfig, "vote_threshold", id="VoteConfig-vote_threshold"),
@@ -97,10 +94,8 @@ def test_a_missing_detector_or_model_config_is_a_config_error(tmp_path, call, me
     (lambda: AnomalyRanges([(10, 20)]).complement("x"), "total must be an integer, got 'x'"),
     (lambda: AnomalyRanges().complement("x"), "total must be an integer, got 'x'"),
     (lambda: AnomalyRanges([(10, 20)]).overlap("a", 5), "start must be an integer, got 'a'"),
-    (lambda: Adam(5), "params must be a list or a tuple, got int"),
-    (lambda: Adam([5]), "each param must be a Tensor, got int"),
-], ids=["check_length", "complement", "complement-no-ranges", "overlap", "Adam-int", "Adam-int-param"])
+], ids=["check_length", "complement", "complement-no-ranges", "overlap"])
 def test_a_method_argument_of_the_wrong_type_is_a_config_error(call, message):
-    """Each raised a bare ``TypeError`` or ``AttributeError`` before."""
+    """Each raised a bare ``TypeError`` before."""
     with pytest.raises(ConfigError, match=f"^{message}$"):
         call()

@@ -17,8 +17,9 @@ one op, which ``model`` does not import. Only ``model`` and ``training``
 import the ``nn`` layers, which trust their caller's shapes. A training
 step's graph holds a known number of nodes, so any change to its size is a
 deliberate one. Every class that checks its fields in ``__post_init__`` is
-a frozen dataclass. The package's public names are pinned, so that adding
-or dropping one is a deliberate change."""
+a frozen dataclass, and a frozen dataclass that holds an array compares by
+identity. The package's public names are pinned, so that adding or
+dropping one is a deliberate change."""
 
 import ast
 import importlib.util
@@ -193,10 +194,11 @@ def test_only_the_model_and_training_call_the_nn_layers():
     assert nn_importers([*SOURCES, *BENCH]) == {"model", "training"}
 
 
-def _frozen_dataclass(decorator) -> bool:
+def _dataclass_with(decorator, flag: str, value: bool) -> bool:
+    """Whether ``decorator`` is ``@dataclass(...)`` given ``flag=value``."""
     return (isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Name)
             and decorator.func.id == "dataclass"
-            and any(k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+            and any(k.arg == flag and isinstance(k.value, ast.Constant) and k.value.value is value
                     for k in decorator.keywords))
 
 
@@ -209,20 +211,36 @@ def test_every_class_that_checks_its_fields_is_a_frozen_dataclass():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (isinstance(node, ast.ClassDef)
                     and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__" for f in node.body)
-                    and not any(map(_frozen_dataclass, node.decorator_list))):
+                    and not any(_dataclass_with(d, "frozen", True) for d in node.decorator_list)):
                 mutable.append(f"{path.name}:{node.lineno} {node.name}")
     assert not mutable, f"classes that check their fields but can be changed after: {mutable}"
+
+
+def test_every_frozen_dataclass_that_holds_an_array_compares_by_identity():
+    """A frozen dataclass with a field annotated ``np.ndarray`` declares
+    ``eq=False``. The ``__eq__`` and ``__hash__`` that ``dataclass``
+    generates otherwise compare and hash the tuple of its fields, so ``==``
+    and ``in`` raise a bare ``ValueError`` and ``hash`` a bare ``TypeError``."""
+    generated = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.ClassDef)
+                    and any(_dataclass_with(d, "frozen", True) for d in node.decorator_list)
+                    and any(isinstance(f, ast.AnnAssign) and "ndarray" in ast.unparse(f.annotation)
+                            for f in node.body)
+                    and not any(_dataclass_with(d, "eq", False) for d in node.decorator_list)):
+                generated.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not generated, f"frozen dataclasses that hold an array but compare their fields: {generated}"
 
 
 # ``wavedetect``'s public names, modules aside. Adding or dropping one is a
 # change to the package's API: update this list on purpose.
 PUBLIC_NAMES = [
-    "Adam", "AnomalyRanges", "BlockRow", "CapabilityError", "ConfigError", "ContractError", "ConvLayer", "DB4",
-    "DataError", "Detector", "Fragment", "GeneratorConfig", "HAAR", "IngestError", "MetricsReport", "ModelConfig",
-    "MultiSeries", "ShapeError", "Tensor", "TrainConfig", "VoteConfig", "VoteState", "WaveDetectError",
-    "WaveletAutoencoder", "WaveletFamily", "compute_metrics", "evaluate_fragments", "get_family", "load_detector",
-    "load_ranges", "load_signals", "make_fragments", "mdwd", "save_detector", "save_ranges", "save_signals",
-    "score_windows", "simulate", "sweep", "synth_generate", "train",
+    "AnomalyRanges", "BlockRow", "CapabilityError", "ConfigError", "ContractError", "ConvLayer", "DataError",
+    "Detector", "Fragment", "GeneratorConfig", "IngestError", "MetricsReport", "ModelConfig", "MultiSeries",
+    "ShapeError", "Tensor", "TrainConfig", "VoteConfig", "VoteState", "WaveDetectError", "WaveletAutoencoder",
+    "evaluate_fragments", "load_detector", "load_ranges", "load_signals", "make_fragments", "mdwd",
+    "save_detector", "save_ranges", "save_signals", "score_windows", "simulate", "sweep", "synth_generate", "train",
 ]
 
 

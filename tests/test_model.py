@@ -13,7 +13,7 @@ from wavedetect.model import (
 )
 import wavedetect.nn as nn
 from wavedetect.nn import _correlate, _taps, conv1d, deconv1d, lstm_sequence, reconstruction_loss, supervised_loss
-from wavedetect.wavelet import get_family, mdwd
+from wavedetect.wavelet import mdwd
 
 from conftest import lstm_step, max_rel_err, numeric_grad, tsum
 
@@ -29,7 +29,7 @@ def tiny_config(**overrides):
 def scales(x, levels):
     """The per-scale inputs of a (B, C, T) batch x: itself, then its haar
     details 1..levels."""
-    return [x, *mdwd(x, get_family("haar"), levels)[0]] if levels else [x]
+    return [x, *mdwd(x, "haar", levels)[0]] if levels else [x]
 
 
 def forward_loss(model, inputs):

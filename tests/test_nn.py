@@ -24,7 +24,7 @@ from wavedetect.nn import (
     step_dense,
     supervised_loss,
 )
-from wavedetect.wavelet import get_family, mdwd
+from wavedetect.wavelet import mdwd
 
 from conftest import (add, concat, frozen, gate_params, lstm_step, matmul, max_rel_err, mul, numeric_grad,
                       reshape, sigmoid, take, tsum)
@@ -583,7 +583,7 @@ class TestSupervisedLoss:
         cfg = ModelConfig(channels=2, fragment_length=32, levels=1, conv=(ConvLayer(4, 4, 2),), hidden=3,
                           classifier=True, seed=7)
         x = np.random.default_rng(8).normal(size=(1, 2, 32))
-        inputs = [x, *mdwd(x, get_family("haar"), 1)[0]]
+        inputs = [x, *mdwd(x, "haar", 1)[0]]
         runs = []
         for objective in (supervised_loss, _composed_supervised):
             model = WaveletAutoencoder(cfg)
@@ -1060,7 +1060,7 @@ class TestAgainstPerGateComposition:
                           conv=(ConvLayer(4, 4, 2), ConvLayer(5, 2, 2)), hidden=3, seed=11)
         self.model = WaveletAutoencoder(cfg)
         x = np.random.default_rng(5).normal(size=(1, 2, 32))
-        self.inputs = [x, *mdwd(x, get_family("haar"), 2)[0]]
+        self.inputs = [x, *mdwd(x, "haar", 2)[0]]
 
     def test_teacher_forced_loss_and_every_gradient_agree(self):
         model = self.model

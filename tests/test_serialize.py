@@ -78,9 +78,9 @@ class TestModelContainer:
         save_detector(small_detector(seed=2), path)
         loaded = load_detector(path).model
         x = rng.normal(size=(1, 2, 32))
-        from wavedetect.wavelet import get_family, mdwd
+        from wavedetect.wavelet import mdwd
 
-        code, acts = loaded.encode([x, *mdwd(x, get_family("haar"), 1)[0]])
+        code, acts = loaded.encode([x, *mdwd(x, "haar", 1)[0]])
         assert code.data.shape == (1, 6)
 
     def test_rejects_wrong_kind(self, tmp_path):

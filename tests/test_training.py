@@ -250,6 +250,19 @@ def test_reloaded_detector_scores_bit_identically(detector, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_values_that_hold_arrays_compare_and_hash_by_identity(detector):
+    """``==``, ``in`` and ``hash`` on a ``MultiSeries``, ``Fragment`` or
+    ``Detector`` raised a bare ``ValueError`` or ``TypeError``: the methods
+    ``dataclass`` generates compare and hash the tuple of fields, arrays
+    included."""
+    for make in (lambda: MultiSeries(["a"], np.zeros((1, 4))), lambda: Fragment(np.zeros((1, 4)), 0, 0),
+                 lambda: replace(detector)):
+        one, twin = make(), make()
+        assert one == one and one != twin
+        assert one in [twin, one] and one not in [twin]
+        assert len({one, twin, one}) == 2
+
+
 class TestDetectorRules:
     """A Detector checks its threshold against its model's classifier head,
     which alone decides its kind, and checks its statistics itself."""
