@@ -11,6 +11,7 @@ from wavedetect.data import (
     AnomalyRanges,
     Fragment,
     MultiSeries,
+    as_floats,
     load_ranges,
     load_signals,
     make_fragments,
@@ -94,6 +95,15 @@ class TestContainers:
 def test_config_of_the_wrong_type_is_a_package_error(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("value,kind", [("abc", "str"), ([[1.0, 2.0], [3.0]], "list"), (object(), "object")],
+                         ids=["string", "ragged", "object"])
+def test_as_floats_refuses_what_is_not_numbers_with_a_data_error(value, kind):
+    """Every caller of ``as_floats`` is told of a bad value by a
+    ``DataError`` that names what it was converting."""
+    with pytest.raises(DataError, match=f"^the thing is not an array of numbers: got {kind}$"):
+        as_floats(value, "the thing")
 
 
 class TestCsv:

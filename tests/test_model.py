@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,22 @@ class TestModelConfig:
     def test_config_dict_roundtrip(self):
         cfg = tiny_config(classifier=True, wavelet="db4")
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("cfg,saved", [
+        (ModelConfig(channels=8),
+         '{"channels": 8, "classifier": false, "conv": [[32, 8, 2], [64, 4, 2]], "fragment_length": 512, '
+         '"hidden": 32, "levels": 3, "seed": 0, "wavelet": "haar"}'),
+        (ModelConfig(channels=2, fragment_length=64, levels=1, conv=(ConvLayer(4, 4, 2),), hidden=3,
+                     classifier=True, wavelet="db4", seed=1),
+         '{"channels": 2, "classifier": true, "conv": [[4, 4, 2]], "fragment_length": 64, "hidden": 3, '
+         '"levels": 1, "seed": 1, "wavelet": "db4"}'),
+    ], ids=["default", "db4-head-one-layer"])
+    def test_config_dict_holds_every_field_as_saved_files_do(self, cfg, saved):
+        """``config_to_dict`` reads the config's own fields, and its JSON is
+        the ``config`` line a detector file holds, byte for byte."""
+        data = config_to_dict(cfg)
+        assert list(data) == [f.name for f in fields(ModelConfig)]
+        assert json.dumps(data, sort_keys=True) == saved
 
     def test_conv_lengths(self):
         cfg = tiny_config()

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestScoringRejectsItemsThatAreNotNumbers:
     def test_evaluate_fragments_needs_a_label(self, detector):
         with pytest.raises(DataError, match="fragment 1 is missing a 0/1 label"):
             evaluate_fragments(detector, [_fragments(5, 1)[0], _series(5, 64)])
+
+    @pytest.mark.parametrize("items,message", [
+        ([], "non-empty"),
+        ([SimpleNamespace(values=_series(5, 64), label=2)], "fragment 0 is missing a 0/1 label"),
+        ([_fragments(5, 1)[0], SimpleNamespace(values=_series(6, 64), label=0.5)],
+         "fragment 1 is missing a 0/1 label"),
+    ], ids=["empty", "label-2", "label-half"])
+    def test_evaluate_fragments_hands_compute_metrics_a_non_empty_0_1_set(self, detector, items, message):
+        """``compute_metrics`` checks nothing, so its caller refuses an empty
+        set and any label but 0 or 1 before it scores."""
+        with pytest.raises(DataError, match=message):
+            evaluate_fragments(detector, items)
 
 
 def test_each_public_call_checks_its_windows_once(detector, monkeypatch):
@@ -261,6 +274,27 @@ def test_values_that_hold_arrays_compare_and_hash_by_identity(detector):
         assert one == one and one != twin
         assert one in [twin, one] and one not in [twin]
         assert len({one, twin, one}) == 2
+
+
+@pytest.mark.parametrize("wavelet", ["haar", "db4"])
+@pytest.mark.parametrize("mode", ["semi", "supervised"])
+def test_every_parameter_holds_a_gradient_of_its_shape_at_each_adam_step(monkeypatch, mode, wavelet):
+    """``Adam.step`` trusts that each of the model's parameters holds a
+    gradient of its own shape: every training step's loss reaches them all,
+    the head's included."""
+    steps = []
+
+    class CheckingAdam(Adam):
+        def step(self):
+            assert all(isinstance(p.grad, np.ndarray) and p.grad.shape == p.data.shape for p in self.params)
+            steps.append(len(self.params))
+            super().step()
+
+    monkeypatch.setattr(training, "Adam", CheckingAdam)
+    model = replace(_model(mode), levels=2, wavelet=wavelet)
+    fragments = _fragments(2, 4) + (_fragments(3, 2, label=1) if mode == "supervised" else [])
+    train(fragments, TrainConfig(model=model, mode=mode, epochs=1, seed=4))
+    assert steps == [len(WaveletAutoencoder(model).parameters())] * len(fragments)
 
 
 class TestDetectorRules:

@@ -51,6 +51,27 @@ class TestFamilies:
             with pytest.raises(ValueError, match="assignment destination is read-only"):
                 taps[0] = 5.0
 
+    @pytest.mark.parametrize("family,lowpass,highpass", [
+        ("haar", ["0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"],
+         ["0x1.6a09e667f3bccp-1", "-0x1.6a09e667f3bccp-1"]),
+        ("db4", ["0x1.ee8dd4748bf14p-2", "0x1.ac4bdd6e3fd6fp-1", "0x1.cb0bf0b6b7109p-3", "-0x1.0907dc193068fp-3"],
+         ["-0x1.0907dc193068fp-3", "-0x1.cb0bf0b6b7109p-3", "0x1.ac4bdd6e3fd6fp-1", "-0x1.ee8dd4748bf14p-2"]),
+    ])
+    def test_the_filters_keep_their_bytes(self, family, lowpass, highpass):
+        """Every saved detector and every score was computed with these
+        exact taps, so a change to how a bank is built must leave them."""
+        lo, hi = get_family(family)
+        assert (lo.dtype, hi.dtype) == (np.float64, np.float64)
+        assert [float(v).hex() for v in lo] == lowpass
+        assert [float(v).hex() for v in hi] == highpass
+
+    @pytest.mark.parametrize("name", ["HAAR", "db2", "", None, 4, ["haar"]])
+    def test_get_family_refuses_what_is_not_a_family_name(self, name):
+        """``get_family`` is the one check on a name: a name is a ``str``
+        key of ``FAMILIES``, compared exactly."""
+        with pytest.raises(ConfigError, match=r"unknown wavelet family .*; choose from \['db4', 'haar'\]"):
+            get_family(name)
+
 
 class TestSingleLevel:
     def test_haar_constant_signal(self):
