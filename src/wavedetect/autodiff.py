@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 A ``Tensor`` wraps a numpy array and remembers the operation that produced
 it exactly when one of that operation's inputs requires grad. An operation
@@ -39,12 +39,15 @@ from .errors import ContractError
 
 
 class Tensor:
-    """A float64 array plus an optional gradient buffer and graph record."""
+    """A float array plus an optional gradient buffer and graph record. A
+    float32 array keeps its dtype, so a detector's float32 weights compute
+    in float32; anything else becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

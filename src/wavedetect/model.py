@@ -35,7 +35,9 @@ nor computes its loss: the scale inputs are also the reconstruction
 targets of ``nn.reconstruction_loss``, one graph node that treats them
 as constants.
 Every pass takes a batch: a scale input is (B, C, T >> l) and the code
-(B, code_length); a lone window is a batch of one.
+(B, code_length); a lone window is a batch of one. A pass computes in
+its weights' dtype: float64 while training, float32 in a detector, the
+precision its file stores.
 
 Strided layers use even kernels with padding (kernel - stride) / 2, which
 keeps every layer free of stride remainders on dyadic lengths; encode and
@@ -222,11 +224,13 @@ class WaveletAutoencoder:
         model._build(config, lambda name, fan_in, shape: Tensor(array(name, shape)))
         return model
 
-    def frozen(self) -> "WaveletAutoencoder":
-        """A model that shares this model's arrays, copying none, but whose
-        tensors need no grad: it computes the same and records no graph."""
+    def frozen(self, dtype=None) -> "WaveletAutoencoder":
+        """A model whose tensors need no grad, so that it records no graph.
+        Without a ``dtype`` it shares this model's arrays, copying none, and
+        computes the same; with one, it holds each array cast to ``dtype``,
+        sharing those already of it. A detector's model is the float32 view."""
         arrays = {name: t.data for name, t in self._named}
-        return self._from_arrays(self.config, lambda name, shape: arrays[name])
+        return self._from_arrays(self.config, lambda name, shape: np.asarray(arrays[name], dtype))
 
     def _build(self, config: ModelConfig, make):
         """Create every tensor, in the fixed order of ``named_parameters``,
@@ -285,6 +289,12 @@ class WaveletAutoencoder:
     def parameters(self):
         return [t for _, t in self._named]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The weights' dtype, which every buffer of a forward pass takes:
+        float64 for a model in training, float32 for a detector's."""
+        return self._named[0][1].data.dtype
+
     # -- forward passes ---------------------------------------------------
 
     def encode(self, inputs):
@@ -296,7 +306,9 @@ class WaveletAutoencoder:
         state in scale order 0..L, which is the fixed layout the decoder and
         classifier rely on. Scale s's activations are the rectified output
         of its conv stack, (B, F, T_s) for the T_s steps of its LSTMs; the
-        encoder LSTM reads them, and ``decode`` takes them back.
+        encoder LSTM reads them, and ``decode`` takes them back. The inputs
+        are cast to the weights' dtype (``dtype``), so the code and the
+        activations are of it too.
         """
         cfg = self.config
         got = len(inputs) if isinstance(inputs, (list, tuple)) else type(inputs).__name__
@@ -304,17 +316,18 @@ class WaveletAutoencoder:
             raise ShapeError(f"expected a list of {cfg.levels + 1} scale inputs, got {got}")
         values = [as_floats(x, f"scale {scale} input") for scale, x in enumerate(inputs)]
         nb = len(values[0]) if values[0].ndim == 3 else None
+        dtype = self.dtype
         acts = []
         for scale, (x, branch) in enumerate(zip(values, self.branches)):
             want = (cfg.channels, cfg.fragment_length >> scale)
             if x.shape != (nb, *want):
                 raise ShapeError(f"scale {scale} input has shape {x.shape}, expected a batch "
                                  f"({'B' if nb is None else nb}, {want[0]}, {want[1]})")
-            a = Tensor(x)
+            a = Tensor(x.astype(dtype, copy=False))
             for (kernels, bias), layer in zip(branch.conv, cfg.conv):
                 a = conv1d(a, kernels, bias, layer.stride, padding_for(layer))
             acts.append(a)
-        zeros = [np.zeros((nb, cfg.hidden))] * len(values)
+        zeros = [np.zeros((nb, cfg.hidden), dtype)] * len(values)
         return lstm_sequence(acts, zeros, [b.encoder for b in self.branches]), acts
 
     def decode(self, code, teacher):

@@ -28,6 +28,10 @@ outputs and input gradients equal per-sample ones bit for bit. Weight
 gradients are summed over the batch inside their products, so they need
 not equal the sum of the per-sample ones in the last bits.
 
+Every buffer a forward pass allocates takes the dtype of its input or
+weights, so a float32 model computes in float32 (a detector's, see
+``training``) and a float64 model, one in training, in float64.
+
 The layers check nothing, because ``ModelConfig`` and the model's public
 passes have checked every shape they receive. A wrong shape here raises
 numpy's own error, or none.
@@ -49,7 +53,7 @@ def _taps(a, k: int, stride: int, padding: int = 0) -> list:
     each end: tap j holds padded positions j, j + stride, ..., one per
     output step of a width-k kernel. Without padding the taps are views."""
     if padding:
-        padded = np.zeros(a.shape[:2] + (a.shape[2] + 2 * padding,))
+        padded = np.zeros(a.shape[:2] + (a.shape[2] + 2 * padding,), a.dtype)
         padded[:, :, padding:-padding] = a
         a = padded
     end = a.shape[2] - k + 1
@@ -69,7 +73,7 @@ def _spread(w, g, stride: int, padding: int, length: int) -> np.ndarray:
     """The adjoint of ``_correlate``: w[:,:,j].T @ g added onto tap j of a
     zero buffer, which is then cropped by ``padding`` at each end to
     ``length``. The deconv forward pass, and the conv input gradient."""
-    buf = np.zeros((g.shape[0], w.shape[1], length + 2 * padding))
+    buf = np.zeros((g.shape[0], w.shape[1], length + 2 * padding), g.dtype)
     for j, tap in enumerate(_taps(buf, w.shape[2], stride)):
         tap += w[:, :, j].T @ g
     return buf[:, :, padding : padding + length]
@@ -192,8 +196,8 @@ class LSTMParams:
 # A sigmoid is evaluated as 0.5 + 0.5 * tanh(z / 2); halving the sigmoid
 # rows of the pre-activations (exact in floating point) lets one tanh call
 # cover all four gates.
-def _halving(hid: int) -> np.ndarray:
-    return np.repeat([0.5, 1.0], [3 * hid, hid])
+def _halving(hid: int, dtype) -> np.ndarray:
+    return np.repeat(np.array([0.5, 1.0], dtype), [3 * hid, hid])
 
 
 def _phases(lengths):
@@ -233,25 +237,26 @@ def _scan(zx_of, h0, wh_t, lengths, keep: bool):
     # fixed cost dominates: the loop calls local names with positional
     # ``out`` arguments and walks its per-step views with ``zip``.
     matmul, add, multiply, tanh = np.matmul, np.add, np.multiply, np.tanh
-    h = np.array(h0, dtype=np.float64)
+    dtype = wh_t.dtype
+    h = np.array(h0, dtype)
     c = np.zeros_like(h)
     runs = []
     for start, end, k in _phases(lengths):
         steps = end - start
         zx = zx_of(start, end, k)
-        hs = np.empty((steps + 1, k, nb, hid))
+        hs = np.empty((steps + 1, k, nb, hid), dtype)
         hs[0] = h[:k]
         # One (1,H)@(H,4H) product per sequence and sample, so a sample's
         # result depends neither on its batch nor on the other sequences.
         h_rows = hs[..., None, :]
         w = wh_t[:k]
-        z_rows = np.empty((k, nb, 1, 4 * hid))
+        z_rows = np.empty((k, nb, 1, 4 * hid), dtype)
         zh = z_rows.reshape(k, nb, 4, hid).transpose(2, 0, 1, 3)
-        a = np.empty((4, k, nb, hid))
+        a = np.empty((4, k, nb, hid), dtype)
         sig, i, f, o, g = a[:3], *a
         ck = c[:k]  # a view: the loop updates c in place
-        ig = np.empty((k, nb, hid))
-        tc = np.empty((k, nb, hid))
+        ig = np.empty((k, nb, hid), dtype)
+        tc = np.empty((k, nb, hid), dtype)
         saved = None
         if keep:
             acts = np.empty((steps, 4, k, nb, hid))
@@ -377,17 +382,18 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
     count, hid = len(params), params[0].hidden_size
     xs, h0s = [_as_tensor(x) for x in xs], [_as_tensor(h0) for h0 in h0s]
     nb, lengths = xs[0].data.shape[0], [x.data.shape[2] for x in xs]
-    half = _halving(hid)
+    dtype = params[0].w_h.data.dtype
+    half = _halving(hid, dtype)
 
     shift = 1 if decoder else 0  # step t reads column t + shift
 
     def read(s, lo, hi):
         """Columns lo..hi-1 of input s, the zero column T_s copied in if read."""
         x = xs[s].data[..., lo:hi]
-        return x if hi <= lengths[s] else np.concatenate([x, np.zeros((nb, x.shape[1], 1))], axis=2)
+        return x if hi <= lengths[s] else np.concatenate([x, np.zeros((nb, x.shape[1], 1), x.dtype)], axis=2)
 
     def zx_of(start, end, k):
-        zx = np.empty((end - start, 4, k, nb, hid))
+        zx = np.empty((end - start, 4, k, nb, hid), dtype)
         for s, p in enumerate(params[:k]):
             window = _window(lengths[s], start, end, decoder)
             # Halving after the product and bias add gives the bits of the
@@ -408,7 +414,7 @@ def lstm_sequence(xs, h0s, params, decoder: bool = False):
 
     offsets = list(accumulate(lengths, initial=0))
     last = np.subtract(offsets[1:], 1)
-    packed = np.empty((nb, hid, offsets[-1]))
+    packed = np.empty((nb, hid, offsets[-1]), dtype)
     for start, end, k, hs, _ in runs:
         for s in range(k):
             seq = packed[..., offsets[s] : offsets[s + 1]]

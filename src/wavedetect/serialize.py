@@ -22,9 +22,9 @@ tensor bytes.
     <little-endian float32 payloads, in manifest order, back to back>
 
 Offsets are relative to the start of the payload, and numbers are written
-as ``repr``. Weights are stored as float32; loading widens back to float64.
-Because float32 -> float64 -> float32 is lossless, a save/load/save cycle
-is byte-identical.
+as ``repr``. Weights and statistics are stored as float32, the precision a
+detector's model computes in (see ``training``), and loaded as float32, so
+a save/load/save cycle is byte-identical.
 
 Each LSTM is three tensors, ``w_x`` (4H,in), ``w_h`` (4H,H) and ``b`` (4H),
 with the gates stacked in ``ifog`` order (see ``nn.LSTMParams``). The
@@ -126,10 +126,9 @@ def load_detector(path):
             raise DataError(f"{path}: payload truncated for tensor {name!r}")
         values = np.frombuffer(payload, "<f4", size // 4, read)
         read += size
-        # Checked before widening: casting a signaling NaN warns.
         if not np.isfinite(values).all():
             raise DataError(f"{path}: tensor {name!r} holds a non-finite value")
-        return values.astype(np.float64).reshape(shape)
+        return values.astype(np.float32).reshape(shape)
 
     model = WaveletAutoencoder._from_arrays(config, tensor)
     mean, std = (tensor(name, (config.channels,)) for name in ("norm.mean", "norm.std"))

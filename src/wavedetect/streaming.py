@@ -113,23 +113,37 @@ class VoteState:
 
     def push_block(self, block):
         """Feed one block; returns (newly finalized verdicts, preliminary
-        verdicts), each a list of ``BlockRow`` without a label."""
-        block = as_floats(block, f"block {self._pushed}")
+        verdicts), each a list of ``BlockRow`` without a label. A block that
+        is refused with an error leaves the state as it was: one that is not
+        a finite (C, step) array, one too large for the detector's dtype once
+        z-scored, or one that completes a window too large to score."""
+        name, det = f"block {self._pushed}", self.detector
+        block = as_floats(block, name)
         if block.shape != (self._channels, self.cfg.step):
             raise ShapeError(
                 f"block shape {block.shape} does not match ({self._channels}, {self.cfg.step})"
             )
         if not np.isfinite(block).all():
-            raise DataError(f"block {self._pushed} holds a non-finite value")
-        self._pushed += 1
-        # A copy: the caller may refill the same array with the next block.
-        self._buffer.append(block.copy())
+            raise DataError(f"{name} holds a non-finite value")
+        # Refused alone, as buffered it would make every window holding it fail.
+        with np.errstate(over="ignore"):  # an infinity is refused here too
+            zscored = (block - det.norm_mean[:, None]) / det.norm_std[:, None]
+        if np.abs(zscored).max() > np.finfo(det.model.dtype).max:
+            raise DataError(f"{name} is too large to score in {det.model.dtype} once z-scored")
         full = self.cfg.votes_per_block
-        if len(self._buffer) < full:
+        # A copy: the caller may refill the same array with the next block.
+        blocks = [*self._buffer, block.copy()][-full:]
+        if len(blocks) == full:
+            # The blocks are checked: the window they make is scored unchecked.
+            try:
+                [score] = _detector_scores(det, np.concatenate(blocks, axis=1)[None])
+            except DataError:
+                raise DataError(f"{name} completes a window too large to score in {det.model.dtype}") from None
+        self._pushed += 1
+        self._buffer.append(blocks[-1])
+        if len(blocks) < full:
             return [], []
-        # The blocks are checked: the window they make is scored unchecked.
-        [score] = _detector_scores(self.detector, np.concatenate(self._buffer, axis=1)[None])
-        self._votes.append(int(score >= self.detector.cut))
+        self._votes.append(int(score >= det.cut))
         votes = list(self._votes)
         first = self._pushed - full  # the newest window's first block
         rows = []

@@ -29,9 +29,16 @@ them once for all windows and takes each step on a batch of one; scoring
 builds them per chunk. All scoring goes through one path that takes a
 batch of windows (``score_windows``). The z-score statistics are fitted
 on the training set only and travel with the detector.
-Statistics and trained weights are rounded to float32, the precision of a
-detector file, before calibration, so a detector reloaded from disk scores
-exactly like the one training returned.
+Training computes in float64. A detector holds its model as float32, the
+precision of a detector file, and scores in float32: its ``frozen`` view
+casts the trained weights once, and calibration scores on that view, so
+the threshold is fitted on the scores the detector gives and a detector
+reloaded from disk scores exactly like the one training returned. The
+z-score statistics are fitted as float32 too. Each window is z-scored and
+decomposed in float64: those scale inputs are the reconstruction targets,
+and their float32 cast is the encoder's input. A window too large for
+float32 raises ``DataError``, as the infinity it would become scores NaN,
+which no threshold flags.
 ``TrainConfig`` and ``Detector`` are frozen dataclasses that check their
 fields once, when they are built, and a detector's statistics are
 read-only arrays; so ``train`` and scoring repeat none of those checks.
@@ -58,13 +65,14 @@ SUPERVISED_EPOCHS = 11
 STD_FLOOR = 1e-8
 # Windows scored per batch. A larger batch shares each LSTM step's Python
 # overhead among more windows, but every layer's activations and LSTM states
-# grow with it. On the benchmark's 65-window stream (2-vCPU box, one BLAS
-# thread), chunks of 4/6/8/16/65 took 165/145/137/129/156 ms per `simulate`
-# call (fastest of 15 interleaved rounds) at a process peak RSS of
-# 33.5/34.3/35.3/39.9/65.4 MB; one chunk of 6 default windows peaks at
-# 2.6 MB of allocations. 6 is the largest chunk that keeps the peak within
-# 1 MB of the 34.4 MB that chunks of 4 took before encode and decode shared
-# one copy of each scale's conv activations.
+# grow with it. A detector scores in float32, which halves the element work
+# and the activations' bytes. On the benchmark's 65-window stream (2-vCPU
+# box, one BLAS thread, 10 alternating 30 s runs), float32 chunks of 12 took
+# 0.087 s per `simulate` or `sweep` call and chunks of 6 took 0.101 s,
+# against 0.152 s for float64 chunks of 6. But chunks of 12 raised the
+# replay's process peak RSS to 39.0 MB, above the 38.8 MB of float64 chunks
+# of 6 in 8 of 10 runs; chunks of 6 peak at 37.4 MB. One chunk of 6
+# default windows peaks at 1.5 MB of allocations (2.6 MB in float64).
 _SCORE_CHUNK = 6
 
 
@@ -110,11 +118,11 @@ class Detector:
     threshold. Frozen, so that every field has passed the checks below;
     ``dataclasses.replace`` builds a changed copy and checks it again. It
     holds arrays, so it compares and hashes by identity.
-    ``model`` is the ``frozen`` view of the model given, so scoring records
-    no graph, and ``threshold`` and ``train_loss_mean`` are Python floats,
-    which a detector file writes as it reads them. ``norm_mean`` and
-    ``norm_std`` are read-only copies of the arrays given, so no write can
-    reach them either."""
+    ``model`` is the float32 ``frozen`` view of the model given, so scoring
+    records no graph and computes in float32. ``threshold`` and
+    ``train_loss_mean`` are Python floats, which a detector file writes as
+    it reads them. ``norm_mean`` and ``norm_std`` are read-only copies of
+    the arrays given, so no write can reach them either."""
 
     model: WaveletAutoencoder
     threshold: float | None
@@ -127,7 +135,7 @@ class Detector:
         if self.threshold is not None:
             require_reals(("threshold", self.threshold))
         require_reals(("train_loss_mean", self.train_loss_mean))
-        object.__setattr__(self, "model", self.model.frozen())
+        object.__setattr__(self, "model", self.model.frozen(np.float32))
         if self.model.config.classifier:
             if self.threshold is not None:
                 raise ConfigError(f"a model with a classifier head takes no threshold, got {self.threshold}")
@@ -165,17 +173,12 @@ class Detector:
         return 0.5 if self.model.config.classifier else self.threshold
 
 
-def _stored(array: np.ndarray) -> np.ndarray:
-    """The value a detector file keeps: rounded to float32, widened back."""
-    return array.astype(np.float32).astype(np.float64)
-
-
 def fit_channel_stats(windows: np.ndarray):
-    """Per-channel mean and floored std of a (N, C, T) array, at stored precision."""
+    """Per-channel mean and floored std of a (N, C, T) array, as float32."""
     stacked = np.concatenate(windows, axis=1)
     mean = stacked.mean(axis=1)
     std = stacked.std(axis=1)
-    return _stored(mean), _stored(np.maximum(std, STD_FLOOR))
+    return mean.astype(np.float32), np.maximum(std, STD_FLOOR).astype(np.float32)
 
 
 def _listed(items):
@@ -236,11 +239,9 @@ def _scale_inputs(windows: np.ndarray, cfg: ModelConfig, mean, std) -> list:
 
 
 def _finish(model, windows, mean, std, beta) -> Detector:
-    """Round the weights to stored precision in place, then calibrate their
-    ``frozen`` view on the losses ``_scores`` gives the training windows."""
-    for p in model.parameters():
-        p.data[...] = _stored(p.data)
-    model = model.frozen()
+    """The detector of ``model``: its float32 ``frozen`` view, calibrated on
+    the losses ``_scores`` gives the training windows with that view."""
+    model = model.frozen(np.float32)
     losses = _scores(model, mean, std, windows, head=False)
     train_loss_mean = math.fsum(losses) / len(losses)
     return Detector(
@@ -308,17 +309,29 @@ def train(fragments, cfg: TrainConfig, progress=None) -> Detector:
 def _scores(model, mean, std, windows: np.ndarray, head: bool) -> np.ndarray:
     """Scores of checked (N, C, T) raw windows, ``_SCORE_CHUNK`` at a time:
     head probabilities, or the reconstruction losses of the training step's
-    forward pass, which a ``frozen`` model runs without recording a graph."""
+    forward pass, which a ``frozen`` model runs without recording a graph.
+    A window too large for the model's dtype raises ``DataError`` naming
+    it: one whose scale inputs pass the dtype's largest value (or overflow
+    float64), checked before ``encode`` casts them, or one that overflows a
+    layer into a NaN score, which no cut would flag."""
+    limit = np.finfo(model.dtype).max
 
-    def score(inputs):
+    def score(start):
         # A chunk's activations die on return, before the next chunk's encode.
-        code, teacher = model.encode(inputs)
-        if head:
-            return model.classify(code)
-        return reconstruction_loss(inputs, model.decode(code, teacher)).data
+        # An overflow shows as an infinity or a NaN, refused below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inputs = _scale_inputs(windows[start : start + _SCORE_CHUNK], model.config, mean, std)
+            fits = np.logical_and.reduce([np.abs(x).max(axis=(1, 2)) <= limit for x in inputs])
+            if fits.all():
+                code, teacher = model.encode(inputs)
+                scores = model.classify(code) if head else reconstruction_loss(inputs, model.decode(code, teacher)).data
+                fits = ~np.isnan(scores)
+        if not fits.all():
+            raise DataError(f"window {start + int(np.argmin(fits))} is too large to score in {model.dtype}: "
+                            f"z-scored, it overflows {limit:.4g}")
+        return scores
 
-    chunks = (windows[start : start + _SCORE_CHUNK] for start in range(0, len(windows), _SCORE_CHUNK))
-    return np.concatenate([score(_scale_inputs(chunk, model.config, mean, std)) for chunk in chunks])
+    return np.concatenate([score(start) for start in range(0, len(windows), _SCORE_CHUNK)])
 
 
 def _detector_scores(detector: Detector, windows: np.ndarray) -> np.ndarray:

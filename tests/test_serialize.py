@@ -371,11 +371,11 @@ class TestMalformedContainers:
             pass
 
 
-def _scores(det, windows):
+def _scores(det, windows, dtype=None):
     """Head scores and teacher-forced reconstruction losses of a supervised
-    detector on ``windows``."""
-    recon = training._scores(det.model, det.norm_mean, det.norm_std, windows, head=False)
-    return score_windows(det, windows), recon
+    detector on ``windows``, its model cast to ``dtype`` if one is given."""
+    model = det.model if dtype is None else det.model.frozen(dtype)
+    return tuple(training._scores(model, det.norm_mean, det.norm_std, windows, head) for head in (True, False))
 
 
 class TestDetector700cef6:
@@ -410,12 +410,24 @@ class TestDetector700cef6:
     Saving rounded each version-1 bias pair, summed in float64, to float32
     once: that moved the head scores by 2.2e-9 and the reconstruction losses
     by 3.6e-10.
+
+    Both commits scored in float64; a detector now scores in float32. The
+    recorded scores are therefore checked, exactly and within 1e-8, on the
+    float64 model of the loaded arrays (``frozen(np.float64)``), and the
+    detector's own float32 scores are held to a stated tolerance of those.
     """
 
     @pytest.fixture(scope="class")
-    def scores(self):
-        windows = np.load(DATA / "detector_700cef6_scores.npz")["windows"]
-        return _scores(load_detector(DATA / "detector_700cef6.wdc"), windows)
+    def detector(self):
+        return load_detector(DATA / "detector_700cef6.wdc")
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        return np.load(DATA / "detector_700cef6_scores.npz")["windows"]
+
+    @pytest.fixture(scope="class")
+    def scores(self, detector, windows):
+        return _scores(detector, windows, np.float64)
 
     def test_scores_within_1e_8_of_commit_700cef6(self, scores):
         recorded = np.load(DATA / "detector_700cef6_scores.npz")
@@ -431,6 +443,14 @@ class TestDetector700cef6:
         recorded = np.load(DATA / "detector_700cef6_converted_scores.npz")
         for got, key in zip(scores, ("head", "recon")):
             assert np.array_equal(got, recorded[key])
+
+    def test_float32_scores_within_1e_6_relative_of_the_float64_scores(self, detector, windows, scores):
+        """The detector scores in float32: within 1e-6 of each score (1.1e-8
+        seen), and as ``score_windows`` gives them."""
+        float32 = _scores(detector, windows)
+        assert np.array_equal(float32[0], score_windows(detector, windows))
+        for got, want in zip(float32, scores):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
 
 
 def _as_version(blob: bytes, version: bytes) -> bytes:

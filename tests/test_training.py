@@ -18,7 +18,8 @@ from wavedetect.model import ConvLayer, ModelConfig, WaveletAutoencoder
 from wavedetect.nn import reconstruction_loss
 from wavedetect.optim import Adam
 from wavedetect.serialize import load_detector, save_detector
-from wavedetect.streaming import VoteConfig, VoteState, simulate, window_predictions
+from wavedetect.metrics import compute_metrics
+from wavedetect.streaming import VoteConfig, VoteState, simulate, sweep, window_predictions
 from wavedetect.synth import GeneratorConfig
 from wavedetect.training import (
     _SCORE_CHUNK,
@@ -97,6 +98,114 @@ class TestNonFiniteInputIsRejected:
         assert list(state._votes) == votes and state._pushed == 5
         finals, _ = state.push_block(values[:, 80:96])
         assert finals == [] and state._pushed == 6
+
+
+class TestWindowsTooLargeForFloat32:
+    """A detector scores in float32. A window that z-scores past float32's
+    largest value, 3.4e38, would cast to infinity and score NaN, which no
+    cut flags: every scoring path refuses it with ``DataError`` naming the
+    window, or for ``push_block`` the block, and a refused block leaves the
+    stream's state unchanged; so do 1.7e308, whose z-score overflows float64
+    itself (the detectors' stds are below 1). A window that fits scores as
+    any other: at 1e37 (about 1.4e37 once z-scored) a semi detector flags
+    it."""
+
+    @pytest.mark.parametrize("value", [1e40, 1e300, 1.7e308])
+    def test_score_windows(self, detector, value):
+        windows = np.stack([_series(seed, 64) for seed in (5, 6, 7)])
+        windows[2, 1, 10] = value
+        with pytest.raises(DataError, match="window 2 is too large to score in float32"):
+            score_windows(detector, windows)
+
+    @pytest.mark.parametrize("value", [1e40, 1e300, 1.7e308])
+    def test_evaluate_fragments(self, detector, value):
+        fragments = _fragments(7, 3)
+        fragments[2].values[0, 0] = -value
+        with pytest.raises(DataError, match="window 2 is too large to score in float32"):
+            evaluate_fragments(detector, fragments)
+
+    @pytest.mark.parametrize("run", [simulate, sweep])
+    @pytest.mark.parametrize("value", [1e40, 1e300, 1.7e308])
+    def test_simulate_and_sweep(self, detector, run, value):
+        """Sample 200 lies in windows 9 to 12, which start at 144 to 192."""
+        values = _series(6, 64 * 4)
+        values[0, 200] = value
+        with pytest.raises(DataError, match="window 9 is too large to score in float32"):
+            run(MultiSeries(["a", "b"], values), AnomalyRanges(()), detector, VOTE)
+
+    @pytest.mark.parametrize("blocks", [1, 5], ids=["filling", "full"])
+    @pytest.mark.parametrize("value", [1e40, 1e300, 1.7e308])
+    def test_push_block_leaves_the_state_unchanged(self, detector, blocks, value):
+        """Refused whether or not the block completes a window: a buffered
+        block too large to score would make every later window fail."""
+        values = _series(8, 64 * 3)
+        state = VoteState(detector, VOTE)
+        for i in range(blocks):
+            state.push_block(values[:, 16 * i : 16 * (i + 1)])
+        buffered, votes = list(state._buffer), list(state._votes)
+        bad = values[:, 16 * blocks : 16 * (blocks + 1)].copy()
+        bad[1, 3] = value
+        with pytest.raises(DataError, match=f"block {blocks} is too large to score in float32"):
+            state.push_block(bad)
+        assert [b is a for a, b in zip(buffered, state._buffer)] == [True] * len(buffered)
+        assert len(state._buffer) == len(buffered)
+        assert list(state._votes) == votes and state._pushed == blocks
+        state.push_block(values[:, 16 * blocks : 16 * (blocks + 1)])
+        assert state._pushed == blocks + 1
+
+    def test_a_window_that_overflows_a_layer_is_refused_too(self):
+        """Scale inputs that fit float32 can still overflow a layer: all-ones
+        conv kernels sum a window of 1e38 to 8e38. The NaN score that
+        follows is refused on every path, and a refused block leaves the
+        state unchanged."""
+        model = WaveletAutoencoder(_model("semi"))
+        model.branches[0].conv[0][0].data[...] = 1.0
+        det = Detector(model=model, threshold=1.0, train_loss_mean=1.0, norm_mean=np.zeros(2), norm_std=np.ones(2))
+        values = _series(9, 64 * 3)
+        values[:, 64:128] = 1e38
+        with pytest.raises(DataError, match="window 1 is too large to score in float32"):
+            score_windows(det, [values[:, :64], values[:, 64:128]])
+        with pytest.raises(DataError, match="window 1 is too large to score in float32"):
+            simulate(MultiSeries(["a", "b"], values), AnomalyRanges(()), det, VOTE)
+        state = VoteState(det, VOTE)
+        for i in range(4, 7):
+            state.push_block(values[:, 16 * i : 16 * (i + 1)])
+        with pytest.raises(DataError, match="block 3 completes a window too large to score in float32"):
+            state.push_block(values[:, 112:128])
+        assert len(state._buffer) == 3 and state._pushed == 3 and not state._votes
+
+    def test_a_window_past_float32_is_refused_before_the_cast(self):
+        """Cast to float32, a value past its largest becomes an infinity.
+        Through all-positive weights the head maps that to a finite
+        probability, as if the window were merely saturated; only the check
+        before the cast refuses it."""
+        model = WaveletAutoencoder(_model("supervised"))
+        for p in model.parameters():
+            np.abs(p.data, out=p.data)
+        det = Detector(model=model, threshold=None, train_loss_mean=1.0, norm_mean=np.zeros(2), norm_std=np.ones(2))
+        window = _series(12, 64)
+        window[0, 5] = 1e40
+        with pytest.raises(DataError, match="window 0 is too large to score in float32"):
+            score_windows(det, window[None])
+
+    def test_a_window_that_fits_scores_and_a_semi_detector_flags_it(self, detector):
+        values = _series(11, 64 * 4)
+        values[0, 200] = 1e37
+        windows = np.stack([values[:, 16 * k : 16 * k + 64] for k in range(13)])
+        scores = score_windows(detector, windows)
+        assert np.isfinite(scores).all()
+        flagged = [int(score >= detector.cut) for score in scores]
+        series = MultiSeries(["a", "b"], values)
+        assert window_predictions(series, detector, VOTE)[0] == flagged
+        fragments = [Fragment(windows[k], int(k >= 9), 0) for k in range(13)]
+        assert evaluate_fragments(detector, fragments) == compute_metrics(flagged, [f.label for f in fragments])
+        rows, _ = simulate(series, AnomalyRanges(()), detector, VOTE)
+        state = VoteState(detector, VOTE)
+        for i in range(series.length // VOTE.step):
+            state.push_block(values[:, VOTE.step * i : VOTE.step * (i + 1)])
+        assert state.finalized == [replace(r, label=None) for r in rows if r.final]
+        if detector.mode == "semi":
+            assert flagged[9:] == [1] * 4 and scores[9:].min() > 1e70
 
 
 class TestScoringRejectsItemsThatAreNotNumbers:
